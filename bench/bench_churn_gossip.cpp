@@ -20,7 +20,6 @@
 #include "dyndist/runtime/SweepRunner.h"
 #include "dyndist/runtime/TraceQuery.h"
 #include "dyndist/sim/TraceColumnar.h"
-#include "dyndist/sim/TraceIO.h"
 #include "dyndist/support/Stats.h"
 #include "dyndist/support/StringUtils.h"
 
@@ -266,30 +265,31 @@ BENCHMARK(BM_KernelShardedMillion)
 // --- Trace sink section (google-benchmark) --------------------------------
 //
 // The trace-archival hot path: stream the exact trace_full record sequence
-// of BM_KernelChurnGossip through each on-disk sink, and aggregate the
-// archived columnar file back through the sharded query engine. The record
-// stream is captured once (in memory) so items/sec is purely the sink's
-// serialization + write cost, not kernel time. tools/dyndist-bench-report
-// --trace runs these and merges them into BENCH_kernel.json, gating
-// columnar-vs-text on a minimum speedup.
+// of BM_KernelChurnGossip through the columnar archive writer, and
+// aggregate the archived file back through the sharded query engine. The
+// record stream is captured once (in memory) so items/sec is purely the
+// writer's encode + write cost, not kernel time. tools/dyndist-bench-report
+// --trace runs these and merges them into BENCH_kernel.json, gating the
+// sink on an absolute records/s floor.
 
-/// TraceSink that collects into an in-memory Trace (capture fixture).
+/// TraceSink that keeps every record as an owned TraceEvent (capture
+/// fixture).
 struct CollectSink final : TraceSink {
-  Trace T;
-  void append(const TraceEvent &E) override { T.append(TraceEvent(E)); }
+  std::vector<TraceEvent> Events;
+  void append(const TraceEvent &E) override { Events.push_back(E); }
 };
 
 /// The trace_full record stream of BM_KernelChurnGossip, captured once per
 /// process.
-const Trace &churnGossipFullTrace() {
-  static const Trace T = [] {
+const std::vector<TraceEvent> &churnGossipFullEvents() {
+  static const std::vector<TraceEvent> Events = [] {
     CollectSink Sink;
     KernelLoadConfig Cfg = churnGossipLoad();
     Cfg.Sink = &Sink;
     runKernelLoad(Cfg, TraceLevel::Full);
-    return std::move(Sink.T);
+    return std::move(Sink.Events);
   }();
-  return T;
+  return Events;
 }
 
 constexpr const char *TraceSinkBenchPath = "bench_trace_sink.tmp";
@@ -305,44 +305,34 @@ uint64_t fileSize(const char *Path) {
   return Size > 0 ? static_cast<uint64_t>(Size) : 0;
 }
 
-/// Streams the captured record sequence through \p Sink-like W (open,
-/// append xN, close); items/sec is trace records archived per second.
-template <typename SinkT>
-void runTraceSinkBench(benchmark::State &State) {
-  const Trace &T = churnGossipFullTrace();
+/// Archives \p Events at \p Path through a fresh writer: open, one append
+/// per record, close.
+Status archiveEvents(const std::vector<TraceEvent> &Events, const char *Path) {
+  ColumnarTraceWriter W;
+  if (Status S = W.open(Path); !S)
+    return S;
+  for (const TraceEvent &E : Events)
+    W.append(E);
+  return W.close();
+}
+
+/// items/sec is trace records archived per second.
+void BM_TraceSinkColumnar(benchmark::State &State) {
+  const std::vector<TraceEvent> &Events = churnGossipFullEvents();
   uint64_t Records = 0;
   for (auto _ : State) {
-    SinkT Sink;
-    Status S = Sink.open(TraceSinkBenchPath);
-    if (!S.ok()) {
-      State.SkipWithError("sink open failed");
+    if (!archiveEvents(Events, TraceSinkBenchPath).ok()) {
+      State.SkipWithError("columnar sink failed");
       return;
     }
-    for (const TraceEvent &E : T.events())
-      Sink.append(E);
-    S = Sink.close();
-    if (!S.ok()) {
-      State.SkipWithError("sink close failed");
-      return;
-    }
-    Records += T.events().size();
+    Records += Events.size();
   }
   State.SetItemsProcessed(static_cast<int64_t>(Records));
   State.counters["bytes_per_event"] =
-      T.events().empty()
-          ? 0.0
-          : static_cast<double>(fileSize(TraceSinkBenchPath)) /
-                static_cast<double>(T.events().size());
+      Events.empty() ? 0.0
+                     : static_cast<double>(fileSize(TraceSinkBenchPath)) /
+                           static_cast<double>(Events.size());
   std::remove(TraceSinkBenchPath);
-}
-
-void BM_TraceSinkText(benchmark::State &State) {
-  runTraceSinkBench<JsonLinesTraceSink>(State);
-}
-BENCHMARK(BM_TraceSinkText)->Unit(benchmark::kMillisecond);
-
-void BM_TraceSinkColumnar(benchmark::State &State) {
-  runTraceSinkBench<ColumnarTraceWriter>(State);
 }
 BENCHMARK(BM_TraceSinkColumnar)->Unit(benchmark::kMillisecond);
 
@@ -350,10 +340,8 @@ BENCHMARK(BM_TraceSinkColumnar)->Unit(benchmark::kMillisecond);
 /// events_per_second_wall is the honest cross-thread rate (items_per_second
 /// only bills the main thread's CPU clock).
 void BM_QueryAggregate(benchmark::State &State) {
-  const Trace &T = churnGossipFullTrace();
-  static const bool Written = [&] {
-    return writeColumnarTraceFile(T, TraceQueryBenchPath).ok();
-  }();
+  static const bool Written =
+      archiveEvents(churnGossipFullEvents(), TraceQueryBenchPath).ok();
   auto Src = TraceQuerySource::open(TraceQueryBenchPath);
   if (!Written || !Src.ok()) {
     State.SkipWithError("cannot open columnar query fixture");

@@ -8,15 +8,15 @@
 // service that repeatedly measures the population of a churning system.
 // Runs the census service over a bounded-concurrency system, prints the
 // measured series against ground truth, and archives the execution as a
-// JSON-lines trace that dyndist-replay can re-run under other algorithms.
+// columnar trace that dyndist-replay can re-run under other algorithms.
 //
-//   $ ./census_monitor [join-rate] [trace-out.jsonl]
+//   $ ./census_monitor [join-rate] [trace-out.dytr]
 //
 //===----------------------------------------------------------------------===//
 
 #include "dyndist/aggregation/Census.h"
 #include "dyndist/core/DynamicSystem.h"
-#include "dyndist/sim/TraceIO.h"
+#include "dyndist/sim/TraceColumnar.h"
 #include "dyndist/support/StringUtils.h"
 
 #include <cstdio>
@@ -83,7 +83,7 @@ int main(int argc, char **argv) {
               (unsigned long long)Sys.churn().arrivals());
 
   if (!TraceOut.empty()) {
-    if (Status S = writeTraceFile(Sys.sim().trace(), TraceOut); !S) {
+    if (Status S = writeColumnarTraceFile(Sys.sim().trace(), TraceOut); !S) {
       std::fprintf(stderr, "census_monitor: %s\n", S.error().str().c_str());
       return 2;
     }

@@ -35,77 +35,6 @@ bool dyndist::groupFieldFromName(const std::string &Name, GroupField &Out) {
 }
 
 //===----------------------------------------------------------------------===//
-// TraceQuerySource
-//===----------------------------------------------------------------------===//
-
-Result<std::shared_ptr<TraceQuerySource>>
-TraceQuerySource::open(const std::string &Path) {
-  std::shared_ptr<TraceQuerySource> Src(new TraceQuerySource());
-  if (isColumnarTraceFile(Path)) {
-    auto Reader = ColumnarTraceReader::open(Path);
-    if (!Reader)
-      return Reader.error();
-    Src->Columnar = *Reader;
-    Src->Total = Src->Columnar->totalEvents();
-    Src->Chunks.reserve(Src->Columnar->chunkCount());
-    for (size_t I = 0, N = Src->Columnar->chunkCount(); I != N; ++I)
-      Src->Chunks.push_back(Src->Columnar->chunk(I));
-    return Src;
-  }
-
-  auto Loaded = readTraceFile(Path);
-  if (!Loaded.ok())
-    return Loaded.error();
-  Src->Text = Loaded.take();
-  // POD records, not events(): worker threads scan chunks concurrently and
-  // the lazy TraceEvent cache is not thread-safe to materialize.
-  const auto &Records = Src->Text.records();
-  Src->Total = Records.size();
-  // Slice into synthetic chunks with the same frame metadata a columnar
-  // writer would have recorded, so pruning and sharding are format-blind.
-  for (size_t Start = 0; Start < Records.size();
-       Start += ColumnarTraceWriter::EventsPerChunk) {
-    size_t End =
-        std::min(Records.size(), Start + ColumnarTraceWriter::EventsPerChunk);
-    ColumnarChunkInfo Info;
-    Info.Offset = Start; // Event index, not a byte offset; unused by queries.
-    Info.MinTime = Records[Start].Time;
-    Info.MaxTime = Records[End - 1].Time;
-    Info.EventCount = static_cast<uint32_t>(End - Start);
-    for (size_t I = Start; I != End; ++I)
-      Info.KindMask |= 1u << static_cast<unsigned>(Records[I].kind());
-    Src->TextChunkStart.push_back(Start);
-    Src->Chunks.push_back(Info);
-  }
-  return Src;
-}
-
-Status TraceQuerySource::scanChunk(
-    size_t I, FunctionRef<void(const TraceEventView &)> Visit) const {
-  if (Columnar)
-    return Columnar->scanChunk(I, Visit);
-  if (I >= Chunks.size())
-    return Error(Error::Code::InvalidArgument, "chunk index out of range");
-  const auto &Records = Text.records();
-  const TraceKeyTable &Keys = Text.keys();
-  size_t Start = TextChunkStart[I];
-  size_t End = Start + Chunks[I].EventCount;
-  for (size_t E = Start; E != End; ++E) {
-    const TraceRecord &R = Records[E];
-    TraceEventView V;
-    V.Kind = R.kind();
-    V.Time = R.Time;
-    V.Subject = R.subject();
-    V.Peer = R.peer();
-    V.MsgKind = R.MsgKind;
-    V.Key = Keys.name(R.keyId());
-    V.Value = R.Value;
-    Visit(V);
-  }
-  return Status::success();
-}
-
-//===----------------------------------------------------------------------===//
 // Parallel scan harness
 //===----------------------------------------------------------------------===//
 
@@ -272,16 +201,6 @@ Status aggregateGroups(const TraceQuerySource &Src, const TraceFilter &Filter,
       });
 }
 
-void appendTraceViewJsonLine(std::string &Out, const TraceEventView &V) {
-  std::string Key;
-  appendEscapedTraceString(Key, V.Key);
-  Out += format("{\"kind\":\"%s\",\"t\":%llu,\"subject\":%llu,"
-                "\"peer\":%llu,\"msg\":%d,\"key\":\"%s\",\"value\":%lld}\n",
-                traceKindName(V.Kind), (unsigned long long)V.Time,
-                (unsigned long long)V.Subject, (unsigned long long)V.Peer,
-                V.MsgKind, Key.c_str(), (long long)V.Value);
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -296,7 +215,7 @@ Result<std::string> dyndist::queryFilter(const TraceQuerySource &Src,
   Status S = scanAndMerge<std::string>(
       Src, Filter, Opts.Threads,
       [](const TraceEventView &V, std::string &P) {
-        appendTraceViewJsonLine(P, V);
+        appendTraceJsonLine(P, V);
       },
       [&](std::string &P) {
         if (Emitted >= Opts.Limit)

@@ -69,7 +69,7 @@ struct KernelLoadConfig {
 struct KernelLoadResult {
   SimStats Stats;
   StopReason Stop = StopReason::QueueExhausted;
-  size_t TraceRecords = 0; ///< trace().events().size() at the end.
+  size_t TraceRecords = 0; ///< trace().records().size() at the end.
   size_t PendingTimers = 0; ///< Simulator::pendingTimers() at the end.
 };
 

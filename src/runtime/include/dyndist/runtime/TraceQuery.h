@@ -20,11 +20,8 @@
 /// rendered output is byte-identical at any thread count — the same
 /// determinism contract SweepRunner established for seed sweeps.
 ///
-/// Sources can be columnar files (scanned chunk-at-a-time straight off the
-/// mmap) or JSON-lines files (loaded, then sliced into synthetic 64K-event
-/// chunks with the same frame metadata computed in memory, so pruning and
-/// sharding behave identically and both formats render identical output
-/// for the same events).
+/// The source is a columnar archive, scanned chunk-at-a-time straight off
+/// the mmap.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +31,6 @@
 #include "dyndist/sim/TraceColumnar.h"
 #include "dyndist/support/Result.h"
 
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -85,36 +81,9 @@ enum class GroupField { Kind, Subject, Peer, Msg, Key, TimeBucket };
 /// Parses a field name ("kind", "subject", "peer", "msg", "key", "time").
 bool groupFieldFromName(const std::string &Name, GroupField &Out);
 
-/// A query's event source; see file comment. Immutable after open, so any
-/// number of query workers may scan concurrently.
-class TraceQuerySource {
-public:
-  /// Opens \p Path in whichever format it is (columnar by magic, else
-  /// JSON lines).
-  static Result<std::shared_ptr<TraceQuerySource>>
-  open(const std::string &Path);
-
-  TraceQuerySource(const TraceQuerySource &) = delete;
-  TraceQuerySource &operator=(const TraceQuerySource &) = delete;
-
-  size_t chunkCount() const { return Chunks.size(); }
-  const ColumnarChunkInfo &chunk(size_t I) const { return Chunks[I]; }
-  uint64_t totalEvents() const { return Total; }
-  bool isColumnar() const { return Columnar != nullptr; }
-
-  /// Decodes chunk \p I in event order. Thread-safe.
-  Status scanChunk(size_t I,
-                   FunctionRef<void(const TraceEventView &)> Visit) const;
-
-private:
-  TraceQuerySource() = default;
-
-  std::shared_ptr<ColumnarTraceReader> Columnar; ///< Columnar source.
-  Trace Text;                                    ///< JSON-lines source.
-  std::vector<size_t> TextChunkStart; ///< Event index of each text chunk.
-  std::vector<ColumnarChunkInfo> Chunks; ///< Frame metadata, both formats.
-  uint64_t Total = 0;
-};
+/// A query's event source: the columnar reader itself. Immutable after
+/// open, so any number of query workers may scan it concurrently.
+using TraceQuerySource = ColumnarTraceReader;
 
 /// Execution knobs shared by the query subcommands.
 struct QueryOptions {
@@ -129,8 +98,8 @@ struct QueryOptions {
   uint64_t Limit = ~0ULL;
 };
 
-/// Emits matching events as JSON lines (identical bytes to the text trace
-/// format), in event order, capped at Opts.Limit.
+/// Emits matching events as JSON lines (the TraceIO export, byte for byte),
+/// in event order, capped at Opts.Limit.
 Result<std::string> queryFilter(const TraceQuerySource &Src,
                                 const TraceFilter &Filter,
                                 const QueryOptions &Opts);

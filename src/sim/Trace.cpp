@@ -119,27 +119,6 @@ void Trace::appendBatch(const TraceRecord *R, size_t N,
   }
 }
 
-TraceEvent Trace::materialize(const TraceRecord &R) const {
-  TraceEvent E;
-  E.Kind = R.kind();
-  E.Time = R.Time;
-  E.Subject = R.subject();
-  E.Peer = R.peer();
-  E.MsgKind = R.MsgKind;
-  E.Key = std::string(Keys.name(R.keyId()));
-  E.Value = R.Value;
-  return E;
-}
-
-const std::vector<TraceEvent> &Trace::events() const {
-  // The cache is always a materialized prefix of Records: appends only grow
-  // Records, and clear() resets both, so extending the missing suffix keeps
-  // the two in lockstep without rebuilding.
-  for (size_t I = EventsCache.size(), N = Records.size(); I != N; ++I)
-    EventsCache.push_back(materialize(Records[I]));
-  return EventsCache;
-}
-
 std::vector<ProcessId> Trace::membersAt(SimTime T) const {
   std::vector<ProcessId> Out;
   for (const auto &[P, I] : Intervals)
@@ -226,25 +205,16 @@ size_t Trace::maxConcurrency() const {
   return Best;
 }
 
-std::vector<TraceEvent> Trace::observations(const std::string &Key) const {
-  std::vector<TraceEvent> Out;
-  uint32_t Id = Keys.find(Key);
-  if (Id == 0 && !Key.empty())
-    return Out; // Never interned: no record can carry it.
-  for (const TraceRecord &R : Records)
-    if (R.kind() == TraceKind::Observe && R.keyId() == Id)
-      Out.push_back(materialize(R));
-  return Out;
-}
-
 std::optional<TraceEvent>
 Trace::firstObservation(ProcessId Subject, const std::string &Key) const {
   uint32_t Id = Keys.find(Key);
   if (Id == 0 && !Key.empty())
     return std::nullopt;
-  if (auto R = firstObservationRecord(Subject, Id))
-    return materialize(*R);
-  return std::nullopt;
+  auto R = firstObservationRecord(Subject, Id);
+  if (!R)
+    return std::nullopt;
+  return TraceEvent{R->kind(),   R->Time, R->subject(), R->peer(),
+                    R->MsgKind, Key,     R->Value};
 }
 
 std::optional<TraceRecord>
@@ -267,7 +237,6 @@ size_t Trace::countKind(TraceKind Kind) const {
 void Trace::clear() {
   Records.clear();
   Intervals.clear();
-  EventsCache.clear();
   OrderViolated = false;
   // Keys retained: protocol-held interned ids survive a clear().
 }

@@ -6,7 +6,6 @@
 
 #include "dyndist/sim/TraceColumnar.h"
 
-#include "dyndist/sim/TraceIO.h"
 #include "dyndist/support/StringUtils.h"
 
 #include <algorithm>
@@ -137,6 +136,7 @@ Status ColumnarTraceWriter::open(const std::string &Path) {
                  "cannot open for writing: " + TempPath);
   WriteFailed = false;
   OrderViolated = false;
+  IdOutOfRange = false;
   ChunkEvents = 0;
   ChunkStrings = 0;
   KindMask = 0;
@@ -154,6 +154,12 @@ Status ColumnarTraceWriter::open(const std::string &Path) {
 void ColumnarTraceWriter::append(const TraceEvent &E) {
   if (!File)
     return;
+  // An id no TraceRecord can hold would make the file unreadable: refuse
+  // it here, deferred like a misordered record.
+  if (!TraceRecord::fits(E.Subject) || !TraceRecord::fits(E.Peer)) {
+    IdOutOfRange = true;
+    return;
+  }
   // PrevTime carries across chunk flushes so cross-chunk regressions are
   // caught too (PrevTime starts at 0; SimTime is unsigned).
   if (TotalEvents > 0 && E.Time < PrevTime) {
@@ -326,10 +332,12 @@ Status ColumnarTraceWriter::close() {
     std::remove(TempPath.c_str());
     return Error(Error::Code::InvalidArgument, "short write to " + TempPath);
   }
-  if (OrderViolated) {
+  if (OrderViolated || IdOutOfRange) {
     std::remove(TempPath.c_str());
     return Error(Error::Code::InvalidArgument,
-                 "trace events out of time order");
+                 OrderViolated ? "trace events out of time order"
+                               : "process id exceeds the trace record's "
+                                 "u32 field");
   }
   if (std::rename(TempPath.c_str(), FinalPath.c_str()) != 0) {
     std::remove(TempPath.c_str());
@@ -567,17 +575,6 @@ Status ColumnarTraceReader::scanChunk(
 // Convenience entry points
 //===----------------------------------------------------------------------===//
 
-bool dyndist::isColumnarTraceFile(const std::string &Path) {
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return false;
-  char Magic[sizeof(FileMagic)];
-  size_t Got = std::fread(Magic, 1, sizeof(Magic), F);
-  std::fclose(F);
-  return Got == sizeof(Magic) &&
-         std::memcmp(Magic, FileMagic, sizeof(Magic)) == 0;
-}
-
 Status dyndist::writeColumnarTraceFile(const Trace &T,
                                        const std::string &Path) {
   if (T.timeOrderViolated())
@@ -595,39 +592,39 @@ Result<Trace> dyndist::readColumnarTraceFile(const std::string &Path) {
   if (!Reader)
     return Reader.error();
   Trace T;
-  uint64_t PrevTime = 0;
-  bool First = true;
-  bool Ordered = true;
-  for (size_t I = 0, N = (*Reader)->chunkCount(); I < N; ++I) {
+  // The first record that cannot enter a Trace; scanning stops there.
+  const char *Bad = nullptr;
+  for (size_t I = 0, N = (*Reader)->chunkCount(); I < N && !Bad; ++I) {
     Status S = (*Reader)->scanChunk(I, [&](const TraceEventView &V) {
-      if (!Ordered)
+      if (Bad)
         return;
-      if (!First && V.Time < PrevTime) {
-        Ordered = false;
+      if (!TraceRecord::fits(V.Subject) || !TraceRecord::fits(V.Peer)) {
+        Bad = "process id out of range";
         return;
       }
-      First = false;
-      PrevTime = V.Time;
-      TraceEvent E;
-      E.Kind = V.Kind;
-      E.Time = V.Time;
-      E.Subject = V.Subject;
-      E.Peer = V.Peer;
-      E.MsgKind = V.MsgKind;
-      E.Key = std::string(V.Key);
-      E.Value = V.Value;
-      T.append(std::move(E));
+      if ((V.Kind == TraceKind::Leave || V.Kind == TraceKind::Crash) &&
+          T.presence().find(V.Subject) == T.presence().end()) {
+        Bad = "leave or crash of a process that never joined";
+        return;
+      }
+      std::string Key(V.Key);
+      if (T.keys().size() == TraceKeyTable::MaxKeys && !Key.empty() &&
+          T.keys().find(Key) == 0) {
+        Bad = "more distinct keys than a trace can intern";
+        return;
+      }
+      T.appendRecord(TraceRecord::make(V.Kind, V.Time, V.Subject, V.Peer,
+                                       V.MsgKind, T.keys().intern(Key),
+                                       V.Value));
     });
     if (!S)
       return S.error();
-    if (!Ordered)
-      return corrupt("events out of time order");
   }
+  if (Bad)
+    return corrupt(Bad);
+  // open() and scanChunk() already enforce time order; the trace's own
+  // latch is the backstop.
+  if (T.timeOrderViolated())
+    return corrupt("events out of time order");
   return T;
-}
-
-Result<Trace> dyndist::readAnyTraceFile(const std::string &Path) {
-  if (isColumnarTraceFile(Path))
-    return readColumnarTraceFile(Path);
-  return readTraceFile(Path);
 }

@@ -1,4 +1,4 @@
-//===- TraceIO.cpp - Trace serialization ----------------------------------------===//
+//===- TraceIO.cpp - JSON-lines trace export ------------------------------===//
 //
 // Part of the dyndist project.
 //
@@ -7,10 +7,6 @@
 #include "dyndist/sim/TraceIO.h"
 
 #include "dyndist/support/StringUtils.h"
-
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 
 using namespace dyndist;
 
@@ -88,34 +84,19 @@ void dyndist::appendEscapedTraceString(std::string &Out, std::string_view S) {
   }
 }
 
-namespace {
-
-/// The one line formatter both overloads (and therefore every serializer)
-/// funnel through, so the byte format cannot drift between the string-keyed
-/// and POD paths.
-void appendTraceJsonFields(std::string &Out, TraceKind Kind, SimTime Time,
-                           ProcessId Subject, ProcessId Peer, int MsgKind,
-                           std::string_view Key, int64_t Value) {
+void dyndist::appendTraceJsonLine(std::string &Out, const TraceEventView &V) {
   std::string Escaped;
-  appendEscapedTraceString(Escaped, Key);
+  appendEscapedTraceString(Escaped, V.Key);
   Out += format("{\"kind\":\"%s\",\"t\":%llu,\"subject\":%llu,"
                 "\"peer\":%llu,\"msg\":%d,\"key\":\"%s\",\"value\":%lld}\n",
-                traceKindName(Kind), (unsigned long long)Time,
-                (unsigned long long)Subject, (unsigned long long)Peer,
-                MsgKind, Escaped.c_str(), (long long)Value);
-}
-
-} // namespace
-
-void dyndist::appendTraceJsonLine(std::string &Out, const TraceEvent &E) {
-  appendTraceJsonFields(Out, E.Kind, E.Time, E.Subject, E.Peer, E.MsgKind,
-                        E.Key, E.Value);
+                traceKindName(V.Kind), (unsigned long long)V.Time,
+                (unsigned long long)V.Subject, (unsigned long long)V.Peer,
+                V.MsgKind, Escaped.c_str(), (long long)V.Value);
 }
 
 void dyndist::appendTraceJsonLine(std::string &Out, const TraceRecord &R,
                                   const TraceKeyTable &Keys) {
-  appendTraceJsonFields(Out, R.kind(), R.Time, R.subject(), R.peer(),
-                        R.MsgKind, Keys.name(R.keyId()), R.Value);
+  appendTraceJsonLine(Out, TraceEventView::of(R, Keys));
 }
 
 std::string dyndist::traceToJsonLines(const Trace &T) {
@@ -123,292 +104,4 @@ std::string dyndist::traceToJsonLines(const Trace &T) {
   for (const TraceRecord &R : T.records())
     appendTraceJsonLine(Out, R, T.keys());
   return Out;
-}
-
-namespace {
-
-/// Minimal scanner over one serialized line (fixed key order).
-class LineScanner {
-public:
-  explicit LineScanner(const std::string &Line) : Line(Line) {}
-
-  bool literal(const char *Text) {
-    size_t Len = std::char_traits<char>::length(Text);
-    if (Line.compare(Pos, Len, Text) != 0)
-      return false;
-    Pos += Len;
-    return true;
-  }
-
-  bool number(uint64_t &Out) {
-    size_t Start = Pos;
-    while (Pos < Line.size() && Line[Pos] >= '0' && Line[Pos] <= '9')
-      ++Pos;
-    if (Pos == Start)
-      return false;
-    errno = 0;
-    char *End = nullptr;
-    Out = std::strtoull(Line.c_str() + Start, &End, 10);
-    // A digit run longer than uint64_t saturates strtoull to UINT64_MAX;
-    // reject it instead of letting an absurd value round-trip.
-    if (errno == ERANGE || End != Line.c_str() + Pos)
-      return false;
-    return true;
-  }
-
-  bool signedNumber(int64_t &Out) {
-    bool Negative = Pos < Line.size() && Line[Pos] == '-';
-    if (Negative)
-      ++Pos;
-    uint64_t Magnitude = 0;
-    if (!number(Magnitude))
-      return false;
-    // int64_t range check: magnitude up to 2^63 when negative, 2^63-1 when
-    // positive (the serializer never emits more).
-    uint64_t Limit = Negative ? (1ULL << 63) : ((1ULL << 63) - 1);
-    if (Magnitude > Limit)
-      return false;
-    // Negate in the unsigned domain: -int64_t(2^63) would be UB, while
-    // unsigned wraparound followed by the cast yields INT64_MIN exactly.
-    Out = Negative ? static_cast<int64_t>(0 - Magnitude)
-                   : static_cast<int64_t>(Magnitude);
-    return true;
-  }
-
-  bool hexNibble(char C, unsigned &Out) {
-    if (C >= '0' && C <= '9')
-      Out = static_cast<unsigned>(C - '0');
-    else if (C >= 'a' && C <= 'f')
-      Out = static_cast<unsigned>(C - 'a' + 10);
-    else if (C >= 'A' && C <= 'F')
-      Out = static_cast<unsigned>(C - 'A' + 10);
-    else
-      return false;
-    return true;
-  }
-
-  bool quotedString(std::string &Out) {
-    if (Pos >= Line.size() || Line[Pos] != '"')
-      return false;
-    ++Pos;
-    Out.clear();
-    while (Pos < Line.size() && Line[Pos] != '"') {
-      char C = Line[Pos];
-      if (C != '\\') {
-        Out += C;
-        ++Pos;
-        continue;
-      }
-      if (Pos + 1 >= Line.size())
-        return false;
-      char Esc = Line[Pos + 1];
-      Pos += 2;
-      switch (Esc) {
-      case '"':
-        Out += '"';
-        break;
-      case '\\':
-        Out += '\\';
-        break;
-      case 'n':
-        Out += '\n';
-        break;
-      case 'r':
-        Out += '\r';
-        break;
-      case 't':
-        Out += '\t';
-        break;
-      case 'u': {
-        // \u00XX — only the control-byte range this writer emits.
-        if (Pos + 4 > Line.size() || Line[Pos] != '0' || Line[Pos + 1] != '0')
-          return false;
-        unsigned Hi = 0, Lo = 0;
-        if (!hexNibble(Line[Pos + 2], Hi) || !hexNibble(Line[Pos + 3], Lo))
-          return false;
-        Out += static_cast<char>((Hi << 4) | Lo);
-        Pos += 4;
-        break;
-      }
-      default:
-        // Legacy escape form (pre control-char escaping): a backslash
-        // before any other byte passed that byte through verbatim. Keep
-        // old archived traces readable.
-        Out += Esc;
-      }
-    }
-    if (Pos >= Line.size())
-      return false;
-    ++Pos; // Closing quote.
-    return true;
-  }
-
-  bool atEnd() const { return Pos == Line.size(); }
-
-private:
-  const std::string &Line;
-  size_t Pos = 0;
-};
-
-} // namespace
-
-Result<Trace> dyndist::traceFromJsonLines(const std::string &Text) {
-  Trace T;
-  size_t LineNo = 0;
-  size_t Start = 0;
-  while (Start < Text.size()) {
-    size_t End = Text.find('\n', Start);
-    if (End == std::string::npos)
-      End = Text.size();
-    std::string Line = Text.substr(Start, End - Start);
-    Start = End + 1;
-    ++LineNo;
-    if (Line.empty())
-      continue;
-
-    LineScanner Scan(Line);
-    std::string KindName, Key;
-    uint64_t Time = 0, Subject = 0, Peer = 0;
-    int64_t Msg = 0, Value = 0;
-    TraceKind Kind;
-    // msg is written with %d, so it can be negative; parse it signed and
-    // range-check it back into int.
-    bool Ok = Scan.literal("{\"kind\":") && Scan.quotedString(KindName) &&
-              Scan.literal(",\"t\":") && Scan.number(Time) &&
-              Scan.literal(",\"subject\":") && Scan.number(Subject) &&
-              Scan.literal(",\"peer\":") && Scan.number(Peer) &&
-              Scan.literal(",\"msg\":") && Scan.signedNumber(Msg) &&
-              Scan.literal(",\"key\":") && Scan.quotedString(Key) &&
-              Scan.literal(",\"value\":") && Scan.signedNumber(Value) &&
-              Scan.literal("}") && Scan.atEnd() &&
-              traceKindFromName(KindName, Kind) && Msg >= INT32_MIN &&
-              Msg <= INT32_MAX;
-    if (!Ok)
-      return Error(Error::Code::InvalidArgument,
-                   format("malformed trace line %zu", LineNo));
-
-    TraceEvent E;
-    E.Kind = Kind;
-    E.Time = Time;
-    E.Subject = Subject;
-    E.Peer = Peer;
-    E.MsgKind = static_cast<int>(Msg);
-    E.Key = std::move(Key);
-    E.Value = Value;
-    if (!T.records().empty() && T.records().back().Time > E.Time)
-      return Error(Error::Code::InvalidArgument,
-                   format("trace line %zu goes back in time", LineNo));
-    T.append(std::move(E));
-  }
-  return T;
-}
-
-Status dyndist::writeTraceFile(const Trace &T, const std::string &Path) {
-  if (T.timeOrderViolated())
-    return Error(Error::Code::InvalidArgument,
-                 "trace events out of time order");
-  std::string Temp = Path + ".tmp";
-  std::FILE *F = std::fopen(Temp.c_str(), "w");
-  if (!F)
-    return Error(Error::Code::InvalidArgument,
-                 "cannot open for writing: " + Temp);
-  std::string Data = traceToJsonLines(T);
-  size_t Written = std::fwrite(Data.data(), 1, Data.size(), F);
-  bool Flushed = std::fflush(F) == 0 && !std::ferror(F);
-  std::fclose(F);
-  if (Written != Data.size() || !Flushed) {
-    std::remove(Temp.c_str());
-    return Error(Error::Code::InvalidArgument, "short write to " + Temp);
-  }
-  if (std::rename(Temp.c_str(), Path.c_str()) != 0) {
-    std::remove(Temp.c_str());
-    return Error(Error::Code::InvalidArgument,
-                 "cannot rename " + Temp + " to " + Path);
-  }
-  return Status::success();
-}
-
-Result<Trace> dyndist::readTraceFile(const std::string &Path) {
-  std::FILE *F = std::fopen(Path.c_str(), "r");
-  if (!F)
-    return Error(Error::Code::InvalidArgument,
-                 "cannot open for reading: " + Path);
-  std::string Data;
-  char Buffer[4096];
-  size_t Got;
-  while ((Got = std::fread(Buffer, 1, sizeof(Buffer), F)) > 0)
-    Data.append(Buffer, Got);
-  bool ReadError = std::ferror(F) != 0;
-  std::fclose(F);
-  if (ReadError)
-    return Error(Error::Code::InvalidArgument,
-                 "read error (not EOF) in " + Path);
-  return traceFromJsonLines(Data);
-}
-
-//===----------------------------------------------------------------------===//
-// JsonLinesTraceSink
-//===----------------------------------------------------------------------===//
-
-JsonLinesTraceSink::~JsonLinesTraceSink() {
-  if (File) {
-    // Open at destruction means close() was never called: abandon the run,
-    // leave no partial file behind.
-    std::fclose(File);
-    std::remove(TempPath.c_str());
-  }
-}
-
-Status JsonLinesTraceSink::open(const std::string &Path) {
-  if (File)
-    return Error(Error::Code::InvalidArgument, "sink already open");
-  FinalPath = Path;
-  TempPath = Path + ".tmp";
-  File = std::fopen(TempPath.c_str(), "w");
-  if (!File)
-    return Error(Error::Code::InvalidArgument,
-                 "cannot open for writing: " + TempPath);
-  Events = 0;
-  WriteFailed = false;
-  return Status::success();
-}
-
-void JsonLinesTraceSink::append(const TraceEvent &E) {
-  if (!File || WriteFailed)
-    return;
-  LineBuf.clear();
-  appendTraceJsonLine(LineBuf, E);
-  if (std::fwrite(LineBuf.data(), 1, LineBuf.size(), File) != LineBuf.size())
-    WriteFailed = true;
-  ++Events;
-}
-
-void JsonLinesTraceSink::appendBatch(const TraceRecord *R, size_t N,
-                                     const TraceKeyTable &Keys) {
-  if (!File || WriteFailed)
-    return;
-  LineBuf.clear();
-  for (size_t I = 0; I != N; ++I)
-    appendTraceJsonLine(LineBuf, R[I], Keys);
-  if (std::fwrite(LineBuf.data(), 1, LineBuf.size(), File) != LineBuf.size())
-    WriteFailed = true;
-  Events += N;
-}
-
-Status JsonLinesTraceSink::close() {
-  if (!File)
-    return Error(Error::Code::InvalidArgument, "sink not open");
-  bool Flushed = std::fflush(File) == 0 && !std::ferror(File);
-  std::fclose(File);
-  File = nullptr;
-  if (WriteFailed || !Flushed) {
-    std::remove(TempPath.c_str());
-    return Error(Error::Code::InvalidArgument, "short write to " + TempPath);
-  }
-  if (std::rename(TempPath.c_str(), FinalPath.c_str()) != 0) {
-    std::remove(TempPath.c_str());
-    return Error(Error::Code::InvalidArgument,
-                 "cannot rename " + TempPath + " to " + FinalPath);
-  }
-  return Status::success();
 }

@@ -15,9 +15,10 @@
 ///
 /// Storage model: records are trivially-copyable 32-byte TraceRecords whose
 /// Observe keys are interned to dense u32 ids in the trace's TraceKeyTable.
-/// Strings cross the API boundary only — hot emission paths move PODs. The
-/// string-keyed TraceEvent remains as the compatibility view (events(),
-/// observations(), the JSON-lines wire format).
+/// Strings cross the API boundary only — hot emission paths move PODs.
+/// Readers walk records() and resolve keys through keys(), or take a
+/// TraceEventView of a record; the owning TraceEvent is only the append-side
+/// convenience for hand-built traces and per-event sinks.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,8 +63,9 @@ enum class TraceKind {
   Observe, ///< Subject reported an algorithm output (Key, Value).
 };
 
-/// One trace record in the compatibility (string-keyed) view. Field meaning
-/// depends on Kind; unused fields are 0.
+/// One trace record with an owned key string: the append-side form for
+/// hand-built traces and per-event sinks. Field meaning depends on Kind;
+/// unused fields are 0.
 struct TraceEvent {
   TraceKind Kind;
   SimTime Time = 0;
@@ -178,9 +180,14 @@ struct TraceRecord {
   ProcessId subject() const { return widen(SubjectId); }
   ProcessId peer() const { return widen(PeerId); }
 
+  /// True when \p P survives narrow(): InvalidProcess or below UINT32_MAX.
+  /// Input surfaces check this and fail instead of tripping narrow().
+  static bool fits(ProcessId P) {
+    return P == InvalidProcess || P < UINT32_MAX;
+  }
+
   static uint32_t narrow(ProcessId P) {
-    assert((P == InvalidProcess || P < UINT32_MAX) &&
-           "process id exceeds the trace record's u32 field");
+    assert(fits(P) && "process id exceeds the trace record's u32 field");
     return P == InvalidProcess ? UINT32_MAX : static_cast<uint32_t>(P);
   }
 
@@ -207,6 +214,31 @@ static_assert(std::is_trivially_copyable_v<TraceRecord>,
 static_assert(sizeof(TraceRecord) <= 32,
               "TraceRecord must stay within 32 bytes");
 
+/// A decoded record whose Key borrows its storage (a key table, a mapped
+/// archive): never owns memory, valid only while that storage is.
+struct TraceEventView {
+  TraceKind Kind = TraceKind::Join;
+  SimTime Time = 0;
+  ProcessId Subject = InvalidProcess;
+  ProcessId Peer = InvalidProcess;
+  int MsgKind = 0;
+  std::string_view Key;
+  int64_t Value = 0;
+
+  /// The view of \p R with its key resolved against \p Keys.
+  static TraceEventView of(const TraceRecord &R, const TraceKeyTable &Keys) {
+    TraceEventView V;
+    V.Kind = R.kind();
+    V.Time = R.Time;
+    V.Subject = R.subject();
+    V.Peer = R.peer();
+    V.MsgKind = R.MsgKind;
+    V.Key = Keys.name(R.keyId());
+    V.Value = R.Value;
+    return V;
+  }
+};
+
 /// Presence interval of a process: [JoinTime, EndTime), with EndTime absent
 /// while the process is still up at the end of the run.
 struct PresenceInterval {
@@ -227,9 +259,8 @@ struct PresenceInterval {
 };
 
 /// The recorded execution: a flat vector of POD TraceRecords plus the key
-/// table their Observe ids resolve against. The string-keyed TraceEvent API
-/// (events(), observations(), firstObservation()) is a compatibility view
-/// materialized on demand.
+/// table their Observe ids resolve against. Every const member is safe to
+/// call concurrently: nothing is materialized lazily.
 class Trace {
 public:
   /// A fresh trace adopts a retired record buffer from a thread-local
@@ -252,7 +283,7 @@ public:
   // into per-lane TraceBufs merged at the barrier.
   void appendRecord(const TraceRecord &R);
 
-  /// Compatibility append: interns \p E.Key and forwards to appendRecord().
+  /// String-keyed append: interns \p E.Key and forwards to appendRecord().
   void append(TraceEvent E);
 
   /// Appends \p N records whose key ids resolve against a *foreign* table
@@ -270,13 +301,6 @@ public:
   /// True once an out-of-order append was rejected. The misordered record
   /// is not stored; serializers fail instead of writing a corrupt frame.
   bool timeOrderViolated() const { return OrderViolated; }
-
-  /// All records in time order, as string-keyed TraceEvents. Compatibility
-  /// shim: the vector is materialized lazily from records() and cached, so
-  /// the first call after appends pays a linear conversion. Not safe to
-  /// call concurrently with itself or with appends (the cache mutates);
-  /// concurrent readers use records() + keys().
-  const std::vector<TraceEvent> &events() const;
 
   /// Presence interval per process that ever joined, ascending by id.
   const FlatMap<ProcessId, PresenceInterval> &presence() const {
@@ -300,9 +324,6 @@ public:
 
   /// Total number of distinct processes that ever joined.
   size_t totalArrivals() const { return Intervals.size(); }
-
-  /// All Observe records with key \p Key, in time order.
-  std::vector<TraceEvent> observations(const std::string &Key) const;
 
   /// First Observe record with key \p Key by \p Subject, if any.
   std::optional<TraceEvent> firstObservation(ProcessId Subject,
@@ -330,15 +351,10 @@ public:
   void resetForReuse();
 
 private:
-  TraceEvent materialize(const TraceRecord &R) const;
-
   std::vector<TraceRecord> Records;
   TraceKeyTable Keys;
   FlatMap<ProcessId, PresenceInterval> Intervals;
   bool OrderViolated = false;
-  /// Lazy events() cache: always a materialized prefix of Records (appends
-  /// only extend Records; clear() resets both).
-  mutable std::vector<TraceEvent> EventsCache;
 };
 
 } // namespace dyndist

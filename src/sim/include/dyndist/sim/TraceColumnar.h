@@ -5,15 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Append-only binary columnar trace format: the production-scale
-/// counterpart of the JSON-lines TraceIO. Events are framed into chunks of
-/// at most 64K records; within a chunk each field lives in its own column
-/// block (kind / time / subject / peer / msg / key / value + a per-chunk
-/// string table for keys), times are delta + varint encoded, and every
-/// chunk header carries its min/max time and a kind bitmap so readers can
-/// skip whole chunks without decoding them. A fixed-size index footer at
-/// the end of the file lets an mmap reader locate every chunk in O(1)
-/// without scanning.
+/// Append-only binary columnar trace format: the project's one trace
+/// archive, and the only format read back (replay, queries, checkers run
+/// offline); TraceIO's JSON lines are a write-only export. Events are
+/// framed into chunks of at most 64K records; within a chunk each field
+/// lives in its own column block (kind / time / subject / peer / msg / key
+/// / value + a per-chunk string table for keys), times are delta + varint
+/// encoded, and every chunk header carries its min/max time and a kind
+/// bitmap so readers can skip whole chunks without decoding them. A
+/// fixed-size index footer at the end of the file lets an mmap reader
+/// locate every chunk in O(1) without scanning.
 ///
 /// Byte layout (all integers little-endian):
 ///
@@ -54,7 +55,6 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -69,18 +69,6 @@ struct ColumnarChunkInfo {
   uint64_t MaxTime = 0;   ///< Time of the chunk's last event.
   uint32_t EventCount = 0;
   uint32_t KindMask = 0;  ///< Bit (1 << kind) set when the chunk holds one.
-};
-
-/// A decoded event whose Key points into the reader's scan buffer: valid
-/// only for the duration of the visitor call, never owns memory.
-struct TraceEventView {
-  TraceKind Kind = TraceKind::Join;
-  SimTime Time = 0;
-  ProcessId Subject = InvalidProcess;
-  ProcessId Peer = InvalidProcess;
-  int MsgKind = 0;
-  std::string_view Key;
-  int64_t Value = 0;
 };
 
 /// Streaming columnar writer. Usable standalone or as a kernel TraceSink
@@ -102,8 +90,10 @@ public:
   /// Starts writing to \p Path + ".tmp".
   Status open(const std::string &Path);
 
-  /// Appends one record. Times must be nondecreasing (the Trace contract);
-  /// a violation is deferred as an error reported by close().
+  /// Appends one record. Times must be nondecreasing (the Trace contract)
+  /// and process ids must fit a TraceRecord (TraceRecord::fits); either
+  /// violation drops the record and is deferred as an error reported by
+  /// close().
   void append(const TraceEvent &E) override;
 
   /// Batched POD entry point: encodes straight from the record batch,
@@ -130,6 +120,7 @@ private:
   std::string TempPath;
   bool WriteFailed = false;
   bool OrderViolated = false;
+  bool IdOutOfRange = false;
 
   // Open-chunk accumulation state.
   std::string Kinds, Times, Subjects, Peers, Msgs, KeyIds, Values, StrTab;
@@ -177,7 +168,9 @@ public:
 
   /// Decodes chunk \p I in event order, calling \p Visit once per event.
   /// The TraceEventView's Key points into the mapped file and is valid only
-  /// during the visit. Fails with InvalidArgument on corrupt column data.
+  /// during the visit. Ids are decoded as stored, full 64-bit: consumers
+  /// that build TraceRecords check TraceRecord::fits themselves. Fails
+  /// with InvalidArgument on corrupt column data.
   Status scanChunk(size_t I,
                    FunctionRef<void(const TraceEventView &)> Visit) const;
 
@@ -192,20 +185,14 @@ private:
   uint64_t Total = 0;
 };
 
-/// True when \p Path starts with the columnar magic. False on any read
-/// failure (the subsequent open reports the real error).
-bool isColumnarTraceFile(const std::string &Path);
-
 /// Writes \p T as a columnar file (atomic temp + rename).
 Status writeColumnarTraceFile(const Trace &T, const std::string &Path);
 
 /// Reads a columnar file into an in-memory Trace. Fails (never asserts) on
-/// corrupt data, including time-order violations.
+/// corrupt data: time-order violations, process ids no TraceRecord can
+/// hold, a leave or crash of a process that never joined, or more distinct
+/// keys than a TraceKeyTable can intern.
 Result<Trace> readColumnarTraceFile(const std::string &Path);
-
-/// Reads \p Path in whichever trace format it is: columnar when the magic
-/// matches, JSON-lines otherwise.
-Result<Trace> readAnyTraceFile(const std::string &Path);
 
 } // namespace dyndist
 

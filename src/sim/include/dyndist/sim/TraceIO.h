@@ -1,15 +1,14 @@
-//===- dyndist/sim/TraceIO.h - Trace serialization --------------*- C++ -*-===//
+//===- dyndist/sim/TraceIO.h - JSON-lines trace export ----------*- C++ -*-===//
 //
 // Part of the dyndist project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// JSON-lines serialization of execution traces: one record per line, keys
-/// in fixed order. Lets experiments archive runs for offline analysis
-/// (plotting, replay through the checkers) and lets tests ship recorded
-/// regression executions. The parser accepts exactly this library's output
-/// format (fixed schema), not arbitrary JSON.
+/// JSON-lines export of execution traces: one record per line, keys in
+/// fixed order. This is a write-only rendering for digests, diffs and
+/// external tools (`dyndist-query query filter` prints it); the columnar
+/// archive (TraceColumnar.h) is the only format ever read back.
 ///
 /// Line format:
 ///   {"kind":"join","t":12,"subject":3,"peer":18446744073709551615,
@@ -17,10 +16,7 @@
 ///
 /// Keys are escaped as JSON strings: `\"`, `\\`, `\n`, `\r`, `\t`, and
 /// `\u00XX` for the remaining control bytes, so a key containing a newline
-/// can never split a record across lines. The parser also accepts the
-/// pre-escape legacy form (backslash before `"` or `\` only, raw control
-/// bytes impossible to round-trip but never emitted), keeping old archived
-/// traces readable.
+/// can never split a record across lines.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,10 +24,7 @@
 #define DYNDIST_SIM_TRACEIO_H
 
 #include "dyndist/sim/Trace.h"
-#include "dyndist/sim/TraceSink.h"
-#include "dyndist/support/Result.h"
 
-#include <cstdio>
 #include <string>
 #include <string_view>
 
@@ -48,70 +41,17 @@ bool traceKindFromName(const std::string &Name, TraceKind &Out);
 /// control bytes.
 void appendEscapedTraceString(std::string &Out, std::string_view S);
 
-/// Appends the JSON-lines record for \p E (including trailing newline) to
-/// \p Out. All serializers (in-memory, streaming sink) share this so the
-/// byte format cannot drift.
-void appendTraceJsonLine(std::string &Out, const TraceEvent &E);
+/// Appends the JSON-lines record for \p V (including trailing newline) to
+/// \p Out. Every exporter funnels through this one formatter, so the byte
+/// format cannot drift.
+void appendTraceJsonLine(std::string &Out, const TraceEventView &V);
 
-/// Same line format from a POD record whose key id resolves against
-/// \p Keys; byte-identical to the TraceEvent overload.
+/// Same line for a POD record whose key id resolves against \p Keys.
 void appendTraceJsonLine(std::string &Out, const TraceRecord &R,
                          const TraceKeyTable &Keys);
 
-/// Renders \p T as JSON lines (one TraceEvent per line, trailing newline).
+/// Renders \p T as JSON lines (one record per line, trailing newline).
 std::string traceToJsonLines(const Trace &T);
-
-/// Parses text produced by traceToJsonLines(). Fails with InvalidArgument
-/// on any malformed line; events must be in nondecreasing time order (the
-/// Trace invariant).
-Result<Trace> traceFromJsonLines(const std::string &Text);
-
-/// Writes \p T to \p Path atomically: the data is written to \p Path +
-/// ".tmp" and renamed over \p Path only after a clean flush, so a short
-/// write never leaves a corrupt partial trace behind. Fails with
-/// InvalidArgument when the file cannot be opened or the write is short.
-Status writeTraceFile(const Trace &T, const std::string &Path);
-
-/// Reads a trace from \p Path. A mid-stream read error fails with a Status
-/// (it is never silently treated as EOF).
-Result<Trace> readTraceFile(const std::string &Path);
-
-/// Streaming JSON-lines sink: appends records to \p Path + ".tmp" as they
-/// arrive and renames over \p Path on close(), giving the same atomicity
-/// contract as writeTraceFile without holding the trace in memory.
-class JsonLinesTraceSink final : public TraceSink {
-public:
-  JsonLinesTraceSink() = default;
-  JsonLinesTraceSink(const JsonLinesTraceSink &) = delete;
-  JsonLinesTraceSink &operator=(const JsonLinesTraceSink &) = delete;
-  ~JsonLinesTraceSink() override;
-
-  /// Starts writing to \p Path + ".tmp". Fails when the temp file cannot
-  /// be created.
-  Status open(const std::string &Path);
-
-  void append(const TraceEvent &E) override;
-
-  /// Serializes the whole batch into one buffer and writes it with a
-  /// single fwrite, amortizing the per-record libc call.
-  void appendBatch(const TraceRecord *R, size_t N,
-                   const TraceKeyTable &Keys) override;
-
-  /// Flushes, checks for write errors, and renames the temp file over the
-  /// final path. After close() the sink can be open()ed again.
-  Status close();
-
-  /// Records appended since open().
-  uint64_t eventsWritten() const { return Events; }
-
-private:
-  std::FILE *File = nullptr;
-  std::string FinalPath;
-  std::string TempPath;
-  std::string LineBuf;
-  uint64_t Events = 0;
-  bool WriteFailed = false;
-};
 
 } // namespace dyndist
 

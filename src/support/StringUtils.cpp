@@ -8,8 +8,11 @@
 
 #include "dyndist/support/Result.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 using namespace dyndist;
 
@@ -28,6 +31,25 @@ std::string dyndist::format(const char *Fmt, ...) {
   std::vsnprintf(Out.data(), Out.size() + 1, Fmt, ArgsCopy);
   va_end(ArgsCopy);
   return Out;
+}
+
+bool dyndist::parseU64Checked(const char *Text, uint64_t &Out) {
+  if (*Text < '0' || *Text > '9')
+    return false;
+  errno = 0;
+  char *End = nullptr;
+  Out = std::strtoull(Text, &End, 10);
+  return errno != ERANGE && *End == '\0';
+}
+
+bool dyndist::parseDoubleChecked(const char *Text, double &Out) {
+  // A leading digit or point: no sign, no whitespace, no "nan"/"inf".
+  if ((*Text < '0' || *Text > '9') && *Text != '.')
+    return false;
+  errno = 0;
+  char *End = nullptr;
+  Out = std::strtod(Text, &End);
+  return errno != ERANGE && End != Text && *End == '\0' && std::isfinite(Out);
 }
 
 std::string dyndist::join(const std::vector<std::string> &Parts,

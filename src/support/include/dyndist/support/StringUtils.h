@@ -5,13 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Small formatting helpers shared by diagnostics, examples, and benches.
+/// Small formatting and parsing helpers shared by diagnostics, tools,
+/// examples, and benches.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DYNDIST_SUPPORT_STRINGUTILS_H
 #define DYNDIST_SUPPORT_STRINGUTILS_H
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -29,6 +31,16 @@ std::string padRight(std::string S, size_t Width);
 
 /// Pads \p S with spaces on the left to at least \p Width columns.
 std::string padLeft(std::string S, size_t Width);
+
+/// Parses all of \p Text as a nonnegative decimal. Rejects an empty string,
+/// a sign, trailing garbage, and overflow (strtoull would silently saturate
+/// to UINT64_MAX). \p Out is unspecified on failure.
+bool parseU64Checked(const char *Text, uint64_t &Out);
+
+/// The floating-point twin of parseU64Checked: all of \p Text as a finite,
+/// nonnegative decimal. Rejects garbage, trailing bytes, a sign, nan, inf,
+/// and out-of-range magnitudes. \p Out is unspecified on failure.
+bool parseDoubleChecked(const char *Text, double &Out);
 
 /// A fixed-column ASCII table used by benchmark harnesses to print the
 /// experiment tables described in DESIGN.md. Columns auto-size to content.

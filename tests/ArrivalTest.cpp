@@ -148,9 +148,9 @@ TEST(ChurnDriver, QuiescenceFreezesMembership) {
   L.MaxTime = 2000;
   S.run(L);
   // After the quiescence point no join/leave/crash events may appear.
-  for (const TraceEvent &E : S.trace().events()) {
-    if (E.Kind == TraceKind::Join || E.Kind == TraceKind::Leave ||
-        E.Kind == TraceKind::Crash) {
+  for (const TraceRecord &E : S.trace().records()) {
+    if (E.kind() == TraceKind::Join || E.kind() == TraceKind::Leave ||
+        E.kind() == TraceKind::Crash) {
       EXPECT_LE(E.Time, 500u);
     }
   }

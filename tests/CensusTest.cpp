@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "dyndist/aggregation/Census.h"
+
+#include "TraceTestUtil.h"
 #include "dyndist/core/DynamicSystem.h"
-#include "dyndist/sim/TraceIO.h"
 
 #include <gtest/gtest.h>
 
@@ -120,8 +121,8 @@ TEST(Census, SeriesSurvivesTraceRoundTrip) {
   Run.Sys->run(L);
   const Trace &Original = Run.Sys->sim().trace();
 
-  // Serialize, re-parse, and re-grade: the verdicts must be identical.
-  auto Parsed = traceFromJsonLines(traceToJsonLines(Original));
+  // Archive, read back, and re-grade: the verdicts must be identical.
+  auto Parsed = columnarRoundTrip(Original);
   ASSERT_TRUE(Parsed.ok()) << Parsed.error().str();
   auto A = collectCensusSeries(Original, Run.Issuer, 700,
                                AggregateKind::Count);

@@ -225,7 +225,7 @@ TEST(Kernel, LifecycleLevelKeepsPresenceDropsMessages) {
     C.Send = S.trace().countKind(TraceKind::Send);
     C.Deliver = S.trace().countKind(TraceKind::Deliver);
     C.Drop = S.trace().countKind(TraceKind::Drop);
-    C.Total = S.trace().events().size();
+    C.Total = S.trace().records().size();
     return C;
   };
   Counts Full = Run(TraceLevel::Full);

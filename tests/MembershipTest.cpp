@@ -13,6 +13,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "dyndist/core/Membership.h"
+
+#include "TraceTestUtil.h"
 #include "dyndist/graph/Generators.h"
 #include "dyndist/graph/Overlay.h"
 
@@ -52,7 +54,7 @@ TEST(Membership, AccurateUnderSynchronousLatency) {
   L.MaxTime = 200;
   Run.S.run(L);
   // Nobody failed: no suspicion ever.
-  EXPECT_TRUE(Run.S.trace().observations(MemberSuspectKey).empty());
+  EXPECT_TRUE(observationsOf(Run.S.trace(), MemberSuspectKey).empty());
   for (MembershipActor *A : Run.Actors)
     EXPECT_TRUE(A->suspected().empty());
 }
@@ -75,9 +77,9 @@ TEST(Membership, CompleteAfterACrash) {
   // ...and did so within one timeout plus one heartbeat period.
   SimTime Deadline =
       50 + Run.Config->SuspectAfter + 2 * Run.Config->HeartbeatEvery + 2;
-  auto Suspicions = Run.S.trace().observations(MemberSuspectKey);
+  auto Suspicions = observationsOf(Run.S.trace(), MemberSuspectKey);
   ASSERT_EQ(Suspicions.size(), 5u);
-  for (const TraceEvent &E : Suspicions) {
+  for (const TraceRecord &E : Suspicions) {
     EXPECT_EQ(static_cast<ProcessId>(E.Value), Victim);
     EXPECT_LE(E.Time, Deadline);
   }
@@ -118,7 +120,7 @@ TEST(Membership, GracefulLeaveWithOverlayRepairIsForgotten) {
   RunLimits L;
   L.MaxTime = 300;
   Run.S.run(L);
-  EXPECT_TRUE(Run.S.trace().observations(MemberSuspectKey).empty());
+  EXPECT_TRUE(observationsOf(Run.S.trace(), MemberSuspectKey).empty());
   for (size_t I = 0; I != Run.Pids.size(); ++I) {
     if (Run.Pids[I] == Leaver)
       continue;
@@ -145,8 +147,8 @@ TEST(Membership, HeavyTailLatencyOnlyEventuallyAccurate) {
   S.run(L);
 
   size_t FalseSuspicions = S.trace().countKind(TraceKind::Observe);
-  auto Suspects = S.trace().observations(MemberSuspectKey);
-  auto Restores = S.trace().observations(MemberRestoreKey);
+  auto Suspects = observationsOf(S.trace(), MemberSuspectKey);
+  auto Restores = observationsOf(S.trace(), MemberRestoreKey);
   (void)FalseSuspicions;
   EXPECT_GT(Suspects.size(), 0u); // Accuracy is lost...
   EXPECT_GT(Restores.size(), 0u); // ...but suspicion is not permanent.

@@ -544,9 +544,10 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 //===----------------------------------------------------------------------===//
-// Trace serialization: arbitrary simulated runs round-trip bit-exactly
+// Trace archive: arbitrary simulated runs round-trip bit-exactly
 //===----------------------------------------------------------------------===//
 
+#include "TraceTestUtil.h"
 #include "dyndist/sim/TraceIO.h"
 
 class TraceRoundTripProperty : public ::testing::TestWithParam<uint64_t> {};
@@ -570,12 +571,12 @@ TEST_P(TraceRoundTripProperty, SerializedRunReparsesIdentically) {
   ExperimentResult R = runQueryExperiment(Cfg);
   ASSERT_TRUE(R.RecordedTrace.has_value());
 
-  std::string Json = traceToJsonLines(*R.RecordedTrace);
-  auto Parsed = traceFromJsonLines(Json);
-  ASSERT_TRUE(Parsed.ok()) << Parsed.error().str();
-  EXPECT_EQ(traceToJsonLines(*Parsed), Json); // Fixed point.
-  EXPECT_EQ(Parsed->events().size(), R.RecordedTrace->events().size());
-  EXPECT_EQ(Parsed->maxConcurrency(), R.RecordedTrace->maxConcurrency());
+  auto Back = columnarRoundTrip(*R.RecordedTrace);
+  ASSERT_TRUE(Back.ok()) << Back.error().str();
+  expectSameRecords(*R.RecordedTrace, *Back);
+  // The export of the read-back trace is the export of the run.
+  EXPECT_EQ(traceToJsonLines(*Back), traceToJsonLines(*R.RecordedTrace));
+  EXPECT_EQ(Back->maxConcurrency(), R.RecordedTrace->maxConcurrency());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TraceRoundTripProperty,

@@ -5,11 +5,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "dyndist/arrival/Replay.h"
+
+#include "TraceTestUtil.h"
 #include "dyndist/aggregation/Echo.h"
 #include "dyndist/aggregation/Experiment.h"
 #include "dyndist/aggregation/Flooding.h"
 #include "dyndist/graph/Overlay.h"
-#include "dyndist/sim/TraceIO.h"
 
 #include <gtest/gtest.h>
 
@@ -40,10 +41,10 @@ Trace recordChurn(uint64_t Seed) {
 /// Membership signature: the (kind, time) sequence of membership events.
 std::vector<std::tuple<int, SimTime>> membershipSignature(const Trace &T) {
   std::vector<std::tuple<int, SimTime>> Out;
-  for (const TraceEvent &E : T.events())
-    if (E.Kind == TraceKind::Join || E.Kind == TraceKind::Leave ||
-        E.Kind == TraceKind::Crash)
-      Out.emplace_back(static_cast<int>(E.Kind), E.Time);
+  for (const TraceRecord &E : T.records())
+    if (E.kind() == TraceKind::Join || E.kind() == TraceKind::Leave ||
+        E.kind() == TraceKind::Crash)
+      Out.emplace_back(static_cast<int>(E.kind()), E.Time);
   return Out;
 }
 
@@ -75,8 +76,8 @@ TEST(Replay, ReproducesTheMembershipSignatureExactly) {
 
 TEST(Replay, SurvivesTraceSerializationRoundTrip) {
   Trace Original = recordChurn(9);
-  auto Parsed = traceFromJsonLines(traceToJsonLines(Original));
-  ASSERT_TRUE(Parsed.ok());
+  auto Parsed = columnarRoundTrip(Original);
+  ASSERT_TRUE(Parsed.ok()) << Parsed.error().str();
   auto A = extractMembershipSchedule(Original);
   auto B = extractMembershipSchedule(*Parsed);
   ASSERT_EQ(A.size(), B.size());

@@ -15,6 +15,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TraceTestUtil.h"
 #include "dyndist/aggregation/Experiment.h"
 #include "dyndist/core/Membership.h"
 #include "dyndist/graph/Generators.h"
@@ -209,7 +210,8 @@ TEST(ShardedKernel, MembershipSlabMatchesTraceReferenceUnderChurn) {
 
       // Reference model: fold the observation stream in trace order.
       std::map<ProcessId, std::set<ProcessId>> Ref;
-      for (const TraceEvent &E : S.trace().events()) {
+      for (const TraceRecord &R : S.trace().records()) {
+        TraceEventView E = TraceEventView::of(R, S.trace().keys());
         if (E.Kind != TraceKind::Observe)
           continue;
         if (E.Key == MemberSuspectKey)
@@ -217,7 +219,7 @@ TEST(ShardedKernel, MembershipSlabMatchesTraceReferenceUnderChurn) {
         else if (E.Key == MemberRestoreKey)
           Ref[E.Subject].erase(static_cast<ProcessId>(E.Value));
       }
-      EXPECT_GT(S.trace().observations(MemberSuspectKey).size(), 0u);
+      EXPECT_GT(observationsOf(S.trace(), MemberSuspectKey).size(), 0u);
 
       size_t Checked = 0;
       for (const auto &[P, A] : Actors) {

@@ -6,6 +6,8 @@
 
 #include "dyndist/sim/Simulator.h"
 
+#include "TraceTestUtil.h"
+
 #include <gtest/gtest.h>
 
 using namespace dyndist;
@@ -216,8 +218,9 @@ TEST(Simulator, DeterministicRuns) {
       S.sendMessage(Ps[I], Ps[I + 1], makeBody<PingMsg>(0));
     S.run();
     std::vector<std::tuple<int, SimTime, ProcessId, ProcessId>> Sig;
-    for (const TraceEvent &E : S.trace().events())
-      Sig.emplace_back(static_cast<int>(E.Kind), E.Time, E.Subject, E.Peer);
+    for (const TraceRecord &E : S.trace().records())
+      Sig.emplace_back(static_cast<int>(E.kind()), E.Time, E.subject(),
+                       E.peer());
     return Sig;
   };
   EXPECT_EQ(RunOnce(99), RunOnce(99));
@@ -277,9 +280,9 @@ TEST(Simulator, ObserveLandsInTrace) {
   };
   Simulator S(1);
   ProcessId P = S.spawn(std::make_unique<Observer>());
-  auto Obs = S.trace().observations("k");
+  auto Obs = observationsOf(S.trace(), "k");
   ASSERT_EQ(Obs.size(), 1u);
-  EXPECT_EQ(Obs[0].Subject, P);
+  EXPECT_EQ(Obs[0].subject(), P);
   EXPECT_EQ(Obs[0].Value, 42);
   EXPECT_TRUE(S.trace().firstObservation(P, "k").has_value());
   EXPECT_FALSE(S.trace().firstObservation(P, "other").has_value());
@@ -309,7 +312,7 @@ TEST(Trace, ClearResetsEverything) {
   Trace T;
   T.append({TraceKind::Join, 0, 1, InvalidProcess, 0, "", 0});
   T.clear();
-  EXPECT_TRUE(T.events().empty());
+  EXPECT_TRUE(T.records().empty());
   EXPECT_EQ(T.totalArrivals(), 0u);
 }
 

@@ -255,6 +255,32 @@ TEST(StringUtils, TableRender) {
   EXPECT_NE(Out.find("----"), std::string::npos);
 }
 
+// The tools' one numeric-flag parser: whole string, no sign, no overflow.
+TEST(StringUtils, ParseU64Checked) {
+  uint64_t V = 0;
+  EXPECT_TRUE(parseU64Checked("0", V));
+  EXPECT_EQ(V, 0u);
+  EXPECT_TRUE(parseU64Checked("18446744073709551615", V));
+  EXPECT_EQ(V, UINT64_MAX);
+  for (const char *Bad : {"", "abc", "12abc", "-1", "+1", " 1", "1 ",
+                          "18446744073709551616", "1e3"})
+    EXPECT_FALSE(parseU64Checked(Bad, V)) << '"' << Bad << '"';
+}
+
+TEST(StringUtils, ParseDoubleChecked) {
+  double V = -1;
+  EXPECT_TRUE(parseDoubleChecked("0", V));
+  EXPECT_EQ(V, 0.0);
+  EXPECT_TRUE(parseDoubleChecked("0.05", V));
+  EXPECT_EQ(V, 0.05);
+  EXPECT_TRUE(parseDoubleChecked(".5", V));
+  EXPECT_TRUE(parseDoubleChecked("1e3", V));
+  EXPECT_EQ(V, 1000.0);
+  for (const char *Bad : {"", "abc", "nan", "inf", "-1", "+1", " 1", "1x",
+                          "1e400", "0.5 "})
+    EXPECT_FALSE(parseDoubleChecked(Bad, V)) << '"' << Bad << '"';
+}
+
 TEST(Result, ValueAndError) {
   Result<int> Ok(42);
   ASSERT_TRUE(Ok.ok());

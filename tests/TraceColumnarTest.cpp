@@ -6,6 +6,7 @@
 
 #include "dyndist/sim/TraceColumnar.h"
 
+#include "TraceTestUtil.h"
 #include "dyndist/runtime/KernelLoad.h"
 #include "dyndist/sim/Simulator.h"
 #include "dyndist/sim/TraceIO.h"
@@ -104,20 +105,6 @@ Trace randomTrace(uint64_t Seed, size_t Events) {
   return T;
 }
 
-void expectTracesEqual(const Trace &A, const Trace &B) {
-  ASSERT_EQ(A.events().size(), B.events().size());
-  for (size_t I = 0; I != A.events().size(); ++I) {
-    const TraceEvent &X = A.events()[I], &Y = B.events()[I];
-    ASSERT_EQ(static_cast<int>(X.Kind), static_cast<int>(Y.Kind)) << I;
-    ASSERT_EQ(X.Time, Y.Time) << I;
-    ASSERT_EQ(X.Subject, Y.Subject) << I;
-    ASSERT_EQ(X.Peer, Y.Peer) << I;
-    ASSERT_EQ(X.MsgKind, Y.MsgKind) << I;
-    ASSERT_EQ(X.Key, Y.Key) << I;
-    ASSERT_EQ(X.Value, Y.Value) << I;
-  }
-}
-
 std::vector<unsigned char> readFileBytes(const std::string &Path) {
   std::FILE *F = std::fopen(Path.c_str(), "rb");
   EXPECT_NE(F, nullptr);
@@ -142,9 +129,9 @@ void writeFileBytes(const std::string &Path,
 
 } // namespace
 
-// Property: Trace -> columnar -> Trace is the identity, and the text
-// format agrees, for randomized traces with adversarial keys and extreme
-// values.
+// Property: Trace -> columnar -> Trace is the identity, and the JSON-lines
+// export of the read-back trace is the export of the original, for
+// randomized traces with adversarial keys and extreme values.
 TEST(TraceColumnar, RandomizedRoundTripBothFormats) {
   FileGuard G;
   for (uint64_t Seed = 1; Seed <= 12; ++Seed) {
@@ -152,11 +139,8 @@ TEST(TraceColumnar, RandomizedRoundTripBothFormats) {
     ASSERT_TRUE(writeColumnarTraceFile(T, TestPath).ok());
     auto FromColumnar = readColumnarTraceFile(TestPath);
     ASSERT_TRUE(FromColumnar.ok()) << FromColumnar.error().str();
-    expectTracesEqual(T, *FromColumnar);
-
-    auto FromText = traceFromJsonLines(traceToJsonLines(T));
-    ASSERT_TRUE(FromText.ok()) << FromText.error().str();
-    expectTracesEqual(*FromColumnar, *FromText);
+    expectSameRecords(T, *FromColumnar);
+    EXPECT_EQ(traceToJsonLines(*FromColumnar), traceToJsonLines(T));
   }
 }
 
@@ -166,8 +150,11 @@ TEST(TraceColumnar, EmptyTraceRoundTrips) {
   ASSERT_TRUE(writeColumnarTraceFile(T, TestPath).ok());
   auto R = readColumnarTraceFile(TestPath);
   ASSERT_TRUE(R.ok()) << R.error().str();
-  EXPECT_TRUE(R->events().empty());
-  EXPECT_TRUE(isColumnarTraceFile(TestPath));
+  EXPECT_TRUE(R->records().empty());
+  // Even an empty archive is framed: magic, an empty index, and the tail.
+  auto Bytes = readFileBytes(TestPath);
+  ASSERT_GE(Bytes.size(), 8u);
+  EXPECT_EQ(std::string(Bytes.begin(), Bytes.begin() + 8), "DYTRCOL1");
 }
 
 // Chunk framing: > 64K events spill into multiple chunks whose metadata
@@ -196,9 +183,9 @@ TEST(TraceColumnar, MultiChunkFramingAndMetadata) {
     SimTime MinT = ~0ULL, MaxT = 0;
     size_t Count = 0;
     Status S = (*Reader)->scanChunk(C, [&](const TraceEventView &V) {
-      const TraceEvent &E = T.events()[At++];
+      const TraceRecord &E = T.records()[At++];
       ASSERT_EQ(V.Time, E.Time);
-      ASSERT_EQ(V.Key, E.Key);
+      ASSERT_EQ(V.Key, T.keys().name(E.keyId()));
       Mask |= 1u << static_cast<unsigned>(V.Kind);
       MinT = std::min(MinT, V.Time);
       MaxT = std::max(MaxT, V.Time);
@@ -225,8 +212,11 @@ TEST(TraceColumnar, FramingIsAppendScheduleInvariant) {
   std::string Path2 = std::string(TestPath) + ".b";
   ColumnarTraceWriter W;
   ASSERT_TRUE(W.open(Path2).ok());
-  for (const TraceEvent &E : T.events())
-    W.append(E);
+  for (const TraceRecord &R : T.records()) {
+    TraceEventView V = TraceEventView::of(R, T.keys());
+    W.append({V.Kind, V.Time, V.Subject, V.Peer, V.MsgKind, std::string(V.Key),
+              V.Value});
+  }
   ASSERT_TRUE(W.close().ok());
   auto Bytes2 = readFileBytes(Path2);
   std::remove(Path2.c_str());
@@ -414,23 +404,126 @@ TEST(TraceColumnar, CorruptColumnPayloadRejectedCleanly) {
     if (S.ok()) {
       EXPECT_EQ(Seen, (*Opened)->chunk(0).EventCount);
     }
+    // The same holds when the damaged records are rebuilt into a Trace: a
+    // flipped id or kind is an error, never an assert.
+    auto Back = readColumnarTraceFile(TestPath);
+    if (!Back.ok()) {
+      EXPECT_NE(Back.error().Message.find("corrupt"), std::string::npos);
+    }
   }
 }
 
-TEST(TraceColumnar, ReadAnyDispatchesOnMagic) {
+namespace {
+
+void putVarint(std::vector<unsigned char> &Out, uint64_t V) {
+  while (V >= 0x80) {
+    Out.push_back(static_cast<unsigned char>((V & 0x7F) | 0x80));
+    V >>= 7;
+  }
+  Out.push_back(static_cast<unsigned char>(V));
+}
+
+void putLE(std::vector<unsigned char> &Out, uint64_t V, int Bytes) {
+  for (int I = 0; I < Bytes; ++I)
+    Out.push_back(static_cast<unsigned char>(V >> (8 * I)));
+}
+
+/// A hand-built, frame-valid one-event archive (time 0, no key, msg and
+/// value 0) whose subject and peer columns hold the raw varints \p Subject
+/// and \p Peer (stored as id + 1; 0 is InvalidProcess).
+std::vector<unsigned char> craftOneEventFile(TraceKind Kind, uint64_t Subject,
+                                             uint64_t Peer) {
+  std::vector<std::vector<unsigned char>> Blocks(8);
+  Blocks[0].push_back(static_cast<unsigned char>(Kind));
+  putVarint(Blocks[1], 0); // Time delta.
+  putVarint(Blocks[2], Subject);
+  putVarint(Blocks[3], Peer);
+  for (size_t B = 4; B != 8; ++B)
+    putVarint(Blocks[B], 0); // Msg, key id, value, string-table count.
+
+  const uint32_t KindMask = 1u << static_cast<unsigned>(Kind);
+  std::vector<unsigned char> F = {'D', 'Y', 'T', 'R', 'C', 'O', 'L', '1'};
+  for (char C : {'C', 'H', 'N', 'K'})
+    F.push_back(static_cast<unsigned char>(C));
+  putLE(F, 1, 4); // EventCount.
+  putLE(F, 0, 8); // MinTime.
+  putLE(F, 0, 8); // MaxTime.
+  putLE(F, KindMask, 4);
+  for (const auto &B : Blocks)
+    putLE(F, B.size(), 4);
+  for (const auto &B : Blocks)
+    F.insert(F.end(), B.begin(), B.end());
+  const uint64_t IndexOffset = F.size();
+  putLE(F, 8, 8); // Chunk offset, right after the file magic.
+  putLE(F, 0, 8);
+  putLE(F, 0, 8);
+  putLE(F, 1, 4);
+  putLE(F, KindMask, 4);
+  putLE(F, IndexOffset, 8);
+  putLE(F, 1, 8); // ChunkCount.
+  putLE(F, 1, 8); // TotalEvents.
+  for (char C : {'D', 'Y', 'T', 'R', 'C', 'I', 'D', 'X'})
+    F.push_back(static_cast<unsigned char>(C));
+  return F;
+}
+
+/// Writes \p Bytes and expects the frame and the scan to accept them while
+/// readColumnarTraceFile refuses them as corrupt.
+void expectScanOkButReadRefused(const std::vector<unsigned char> &Bytes,
+                                const char *Label) {
+  writeFileBytes(TestPath, Bytes);
+  auto Reader = ColumnarTraceReader::open(TestPath);
+  ASSERT_TRUE(Reader.ok()) << Label << ": " << Reader.error().str();
+  size_t Seen = 0;
+  Status S = (*Reader)->scanChunk(0, [&](const TraceEventView &) { ++Seen; });
+  EXPECT_TRUE(S.ok()) << Label;
+  EXPECT_EQ(Seen, 1u) << Label;
+  auto Back = readColumnarTraceFile(TestPath);
+  ASSERT_FALSE(Back.ok()) << Label;
+  EXPECT_NE(Back.error().Message.find("corrupt"), std::string::npos) << Label;
+}
+
+} // namespace
+
+// Regression: the scan decodes ids into 64 bits, and readColumnarTraceFile
+// fed an id no TraceRecord can hold straight into the narrowing assert.
+// Such a file is now a corrupt-file error; the writer refuses to produce
+// one in the first place.
+TEST(TraceColumnar, OutOfRangeProcessIdRejected) {
   FileGuard G;
-  Trace T = randomTrace(3, 200);
+  const uint64_t TooBig = 1ULL << 32; // Decodes to id 2^32 - 1.
+  expectScanOkButReadRefused(craftOneEventFile(TraceKind::Join, TooBig, 0),
+                             "subject 2^32 - 1");
+  expectScanOkButReadRefused(craftOneEventFile(TraceKind::Send, 1, TooBig),
+                             "peer 2^32 - 1");
 
-  ASSERT_TRUE(writeColumnarTraceFile(T, TestPath).ok());
-  auto FromColumnar = readAnyTraceFile(TestPath);
-  ASSERT_TRUE(FromColumnar.ok());
-  expectTracesEqual(T, *FromColumnar);
+  // The largest id a record holds still reads back.
+  writeFileBytes(TestPath,
+                 craftOneEventFile(TraceKind::Join, TooBig - 1, 0));
+  auto Back = readColumnarTraceFile(TestPath);
+  ASSERT_TRUE(Back.ok()) << Back.error().str();
+  EXPECT_EQ(Back->records()[0].subject(), TooBig - 2);
+  EXPECT_EQ(Back->records()[0].peer(), InvalidProcess);
 
-  std::string TextPath = std::string(TestPath) + ".jsonl";
-  ASSERT_TRUE(writeTraceFile(T, TextPath).ok());
-  EXPECT_FALSE(isColumnarTraceFile(TextPath));
-  auto FromText = readAnyTraceFile(TextPath);
-  ASSERT_TRUE(FromText.ok());
-  expectTracesEqual(T, *FromText);
-  std::remove(TextPath.c_str());
+  std::remove(TestPath);
+  ColumnarTraceWriter W;
+  ASSERT_TRUE(W.open(TestPath).ok());
+  W.append({TraceKind::Join, 0, 1, InvalidProcess, 0, "", 0});
+  W.append({TraceKind::Join, 1, TooBig - 1, InvalidProcess, 0, "", 0});
+  EXPECT_EQ(W.eventsWritten(), 1u); // The offender is dropped...
+  Status S = W.close();             // ...and the close reports it.
+  ASSERT_FALSE(S.ok());
+  EXPECT_NE(S.error().Message.find("u32"), std::string::npos);
+  EXPECT_EQ(std::fopen(TestPath, "r"), nullptr); // Nothing left behind.
+}
+
+// A leave or crash of a process that never joined cannot enter a Trace
+// (its presence bookkeeping asserts): reading one back is a corrupt-file
+// error.
+TEST(TraceColumnar, UnjoinedLeaveRejected) {
+  FileGuard G;
+  expectScanOkButReadRefused(craftOneEventFile(TraceKind::Leave, 2, 0),
+                             "leave of 1");
+  expectScanOkButReadRefused(craftOneEventFile(TraceKind::Crash, 2, 0),
+                             "crash of 1");
 }

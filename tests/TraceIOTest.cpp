@@ -1,11 +1,19 @@
-//===- TraceIOTest.cpp - trace serialization tests -----------------------------===//
+//===- TraceIOTest.cpp - trace export and archive round trips -------------===//
 //
 // Part of the dyndist project.
+//
+//===----------------------------------------------------------------------===//
+//
+// The JSON-lines export is checked on its bytes (escaping, one record per
+// line, signed fields); what a trace must survive — every field, adversarial
+// keys, derived presence — is checked through the columnar archive, the one
+// format read back.
 //
 //===----------------------------------------------------------------------===//
 
 #include "dyndist/sim/TraceIO.h"
 
+#include "TraceTestUtil.h"
 #include "dyndist/sim/Simulator.h"
 
 #include <gtest/gtest.h>
@@ -33,24 +41,16 @@ Trace makeSampleTrace() {
 
 TEST(TraceIO, RoundTripPreservesEverything) {
   Trace T = makeSampleTrace();
-  auto Parsed = traceFromJsonLines(traceToJsonLines(T));
-  ASSERT_TRUE(Parsed.ok()) << Parsed.error().str();
-  const Trace &U = *Parsed;
-  ASSERT_EQ(U.events().size(), T.events().size());
-  for (size_t I = 0; I != T.events().size(); ++I) {
-    const TraceEvent &A = T.events()[I], &B = U.events()[I];
-    EXPECT_EQ(static_cast<int>(A.Kind), static_cast<int>(B.Kind)) << I;
-    EXPECT_EQ(A.Time, B.Time) << I;
-    EXPECT_EQ(A.Subject, B.Subject) << I;
-    EXPECT_EQ(A.Peer, B.Peer) << I;
-    EXPECT_EQ(A.MsgKind, B.MsgKind) << I;
-    EXPECT_EQ(A.Key, B.Key) << I;
-    EXPECT_EQ(A.Value, B.Value) << I;
-  }
+  auto Back = columnarRoundTrip(T);
+  ASSERT_TRUE(Back.ok()) << Back.error().str();
+  const Trace &U = *Back;
+  expectSameRecords(T, U);
   // Derived structures rebuilt identically.
   EXPECT_EQ(U.totalArrivals(), T.totalArrivals());
   EXPECT_EQ(U.maxConcurrency(), T.maxConcurrency());
   EXPECT_TRUE(U.presence().at(1).Crashed);
+  // The export renders every record, one per line, in order.
+  EXPECT_EQ(traceToJsonLines(U), traceToJsonLines(T));
 }
 
 TEST(TraceIO, EscapedKeysSurvive) {
@@ -58,63 +58,38 @@ TEST(TraceIO, EscapedKeysSurvive) {
   T.append({TraceKind::Join, 0, 1, InvalidProcess, 0, "", 0});
   T.append({TraceKind::Observe, 1, 1, InvalidProcess, 0,
             "weird\"key\\with stuff", 5});
-  auto Parsed = traceFromJsonLines(traceToJsonLines(T));
-  ASSERT_TRUE(Parsed.ok());
-  EXPECT_EQ(Parsed->events()[1].Key, "weird\"key\\with stuff");
+  EXPECT_NE(traceToJsonLines(T).find(R"("key":"weird\"key\\with stuff")"),
+            std::string::npos);
+  auto Back = columnarRoundTrip(T);
+  ASSERT_TRUE(Back.ok()) << Back.error().str();
+  EXPECT_EQ(Back->keys().name(Back->records()[1].keyId()),
+            "weird\"key\\with stuff");
 }
 
 TEST(TraceIO, EmptyTraceRoundTrips) {
   Trace T;
   EXPECT_EQ(traceToJsonLines(T), "");
-  auto Parsed = traceFromJsonLines("");
-  ASSERT_TRUE(Parsed.ok());
-  EXPECT_TRUE(Parsed->events().empty());
-}
-
-TEST(TraceIO, MalformedLinesRejectedWithLineNumber) {
-  auto R1 = traceFromJsonLines("not json\n");
-  ASSERT_FALSE(R1.ok());
-  EXPECT_NE(R1.error().Message.find("line 1"), std::string::npos);
-
-  Trace T = makeSampleTrace();
-  std::string Good = traceToJsonLines(T);
-  auto R2 = traceFromJsonLines(Good + "{\"kind\":\"bogus\"}\n");
-  ASSERT_FALSE(R2.ok());
-
-  // Unknown kind.
-  auto R3 = traceFromJsonLines(
-      "{\"kind\":\"explode\",\"t\":0,\"subject\":0,\"peer\":0,\"msg\":0,"
-      "\"key\":\"\",\"value\":0}\n");
-  ASSERT_FALSE(R3.ok());
-}
-
-TEST(TraceIO, TimeRegressionRejected) {
-  std::string Lines =
-      "{\"kind\":\"join\",\"t\":5,\"subject\":1,\"peer\":0,\"msg\":0,"
-      "\"key\":\"\",\"value\":0}\n"
-      "{\"kind\":\"join\",\"t\":3,\"subject\":2,\"peer\":0,\"msg\":0,"
-      "\"key\":\"\",\"value\":0}\n";
-  auto R = traceFromJsonLines(Lines);
-  ASSERT_FALSE(R.ok());
-  EXPECT_NE(R.error().Message.find("back in time"), std::string::npos);
+  auto Back = columnarRoundTrip(T);
+  ASSERT_TRUE(Back.ok()) << Back.error().str();
+  EXPECT_TRUE(Back->records().empty());
 }
 
 TEST(TraceIO, FileRoundTrip) {
   Trace T = makeSampleTrace();
-  std::string Path = "/tmp/dyndist_trace_io_test.jsonl";
-  ASSERT_TRUE(writeTraceFile(T, Path).ok());
-  auto Parsed = readTraceFile(Path);
-  ASSERT_TRUE(Parsed.ok()) << Parsed.error().str();
-  EXPECT_EQ(Parsed->events().size(), T.events().size());
+  std::string Path = "/tmp/dyndist_trace_io_test.dytr";
+  ASSERT_TRUE(writeColumnarTraceFile(T, Path).ok());
+  auto Back = readColumnarTraceFile(Path);
+  ASSERT_TRUE(Back.ok()) << Back.error().str();
+  EXPECT_EQ(Back->records().size(), T.records().size());
   std::remove(Path.c_str());
 
-  EXPECT_FALSE(readTraceFile("/nonexistent/dir/x.jsonl").ok());
-  EXPECT_FALSE(writeTraceFile(T, "/nonexistent/dir/x.jsonl").ok());
+  EXPECT_FALSE(readColumnarTraceFile("/nonexistent/dir/x.dytr").ok());
+  EXPECT_FALSE(writeColumnarTraceFile(T, "/nonexistent/dir/x.dytr").ok());
 }
 
 // Regression: escapeString used to escape only '"' and '\\', so a key with
-// a newline split the record across two lines and made the file
-// unparseable. Control characters must be escaped and decoded.
+// a newline split the record across two lines. Control characters must be
+// escaped in the export and survive the archive.
 TEST(TraceIO, ControlCharacterKeysRoundTrip) {
   Trace T;
   T.append({TraceKind::Join, 0, 1, InvalidProcess, 0, "", 0});
@@ -128,118 +103,52 @@ TEST(TraceIO, ControlCharacterKeysRoundTrip) {
   for (char C : Text)
     Lines += C == '\n';
   EXPECT_EQ(Lines, 3u);
-  EXPECT_NE(Text.find("\\n"), std::string::npos);
-  EXPECT_NE(Text.find("\\u0001"), std::string::npos);
+  EXPECT_NE(Text.find(R"("key":"line1\nline2\rtab\there")"),
+            std::string::npos);
+  EXPECT_NE(Text.find(R"("key":"nul\u0001\u001f bytes")"),
+            std::string::npos);
 
-  auto Parsed = traceFromJsonLines(Text);
-  ASSERT_TRUE(Parsed.ok()) << Parsed.error().str();
-  EXPECT_EQ(Parsed->events()[1].Key, "line1\nline2\rtab\there");
-  EXPECT_EQ(Parsed->events()[2].Key, std::string("nul\x01\x1f bytes"));
+  auto Back = columnarRoundTrip(T);
+  ASSERT_TRUE(Back.ok()) << Back.error().str();
+  EXPECT_EQ(Back->keys().name(Back->records()[1].keyId()),
+            "line1\nline2\rtab\there");
+  EXPECT_EQ(Back->keys().name(Back->records()[2].keyId()),
+            std::string("nul\x01\x1f bytes"));
 }
 
-// Files written before control-char escaping (backslash only before '"'
-// and '\\') must stay readable.
-TEST(TraceIO, LegacyEscapeFormatStillParses) {
-  std::string Legacy =
-      "{\"kind\":\"observe\",\"t\":1,\"subject\":1,\"peer\":0,\"msg\":0,"
-      "\"key\":\"weird\\\"key\\\\with stuff\",\"value\":5}\n";
-  auto Parsed = traceFromJsonLines(Legacy);
-  ASSERT_TRUE(Parsed.ok()) << Parsed.error().str();
-  EXPECT_EQ(Parsed->events()[0].Key, "weird\"key\\with stuff");
-}
-
-// Regression: LineScanner::number let strtoull saturate on out-of-range
-// digit runs, so t=2^64 round-tripped to UINT64_MAX instead of being
-// rejected.
-TEST(TraceIO, NumericOverflowRejected) {
-  // 2^64 = 18446744073709551616 overflows uint64_t.
-  auto R1 = traceFromJsonLines(
-      "{\"kind\":\"join\",\"t\":18446744073709551616,\"subject\":0,"
-      "\"peer\":0,\"msg\":0,\"key\":\"\",\"value\":0}\n");
-  ASSERT_FALSE(R1.ok());
-  EXPECT_NE(R1.error().Message.find("malformed"), std::string::npos);
-
-  // UINT64_MAX itself is representable and must still parse (it is how
-  // InvalidProcess serializes).
-  auto R2 = traceFromJsonLines(
-      "{\"kind\":\"join\",\"t\":0,\"subject\":18446744073709551615,"
-      "\"peer\":18446744073709551615,\"msg\":0,\"key\":\"\",\"value\":0}\n");
-  ASSERT_TRUE(R2.ok()) << R2.error().str();
-  EXPECT_EQ(R2->events()[0].Subject, InvalidProcess);
-
-  // value is int64: magnitude 2^63 is only valid with a minus sign.
-  auto R3 = traceFromJsonLines(
-      "{\"kind\":\"observe\",\"t\":0,\"subject\":0,\"peer\":0,\"msg\":0,"
-      "\"key\":\"\",\"value\":9223372036854775808}\n");
-  ASSERT_FALSE(R3.ok());
-  auto R4 = traceFromJsonLines(
-      "{\"kind\":\"observe\",\"t\":0,\"subject\":0,\"peer\":0,\"msg\":0,"
-      "\"key\":\"\",\"value\":-9223372036854775808}\n");
-  ASSERT_TRUE(R4.ok()) << R4.error().str();
-  EXPECT_EQ(R4->events()[0].Value, INT64_MIN);
-}
-
-// Regression: msg is serialized with %d (negative kinds are legal) but the
-// parser read it as an unsigned field, so any negative msg failed to
-// round-trip.
+// Regression: msg is exported with %d (negative kinds are legal), so a
+// negative kind must render signed and survive the archive.
 TEST(TraceIO, NegativeMsgKindRoundTrips) {
   Trace T;
   T.append({TraceKind::Send, 0, 1, 2, -42, "", 0});
-  auto Parsed = traceFromJsonLines(traceToJsonLines(T));
-  ASSERT_TRUE(Parsed.ok()) << Parsed.error().str();
-  EXPECT_EQ(Parsed->events()[0].MsgKind, -42);
-
-  // Out-of-int32-range msg is rejected, not truncated.
-  auto R = traceFromJsonLines(
-      "{\"kind\":\"send\",\"t\":0,\"subject\":1,\"peer\":2,\"msg\":"
-      "2147483648,\"key\":\"\",\"value\":0}\n");
-  ASSERT_FALSE(R.ok());
+  T.append({TraceKind::Send, 0, 1, 2, INT32_MIN, "", 0});
+  std::string Text = traceToJsonLines(T);
+  EXPECT_NE(Text.find(R"("msg":-42,)"), std::string::npos);
+  EXPECT_NE(Text.find(R"("msg":-2147483648,)"), std::string::npos);
+  auto Back = columnarRoundTrip(T);
+  ASSERT_TRUE(Back.ok()) << Back.error().str();
+  EXPECT_EQ(Back->records()[0].MsgKind, -42);
+  EXPECT_EQ(Back->records()[1].MsgKind, INT32_MIN);
 }
 
-// Regression: readTraceFile treated a mid-stream fread error as EOF and
-// silently returned a truncated (here: empty) trace. Reading a directory
-// makes fread fail without fopen failing.
+// A read that fails is an error, never a silently empty trace. Reading a
+// directory opens fine and then fails.
 TEST(TraceIO, ReadErrorIsNotSilentEof) {
-  auto R = readTraceFile("/tmp");
+  auto R = readColumnarTraceFile("/tmp");
   ASSERT_FALSE(R.ok());
-  EXPECT_NE(R.error().Message.find("read error"), std::string::npos);
+  EXPECT_FALSE(R.error().Message.empty());
 }
 
-// writeTraceFile is atomic: the data lands in Path + ".tmp" first and the
-// temp never survives, success or failure.
+// The archive write is atomic: the data lands in Path + ".tmp" first and
+// the temp never survives, success or failure.
 TEST(TraceIO, WriteIsAtomicAndLeavesNoTemp) {
   Trace T = makeSampleTrace();
-  std::string Path = "/tmp/dyndist_trace_atomic_test.jsonl";
-  ASSERT_TRUE(writeTraceFile(T, Path).ok());
+  std::string Path = "/tmp/dyndist_trace_atomic_test.dytr";
+  ASSERT_TRUE(writeColumnarTraceFile(T, Path).ok());
   EXPECT_EQ(std::fopen((Path + ".tmp").c_str(), "r"), nullptr);
-  auto Parsed = readTraceFile(Path);
-  ASSERT_TRUE(Parsed.ok());
-  EXPECT_EQ(Parsed->events().size(), T.events().size());
-  std::remove(Path.c_str());
-}
-
-// The streaming sink writes the same bytes traceToJsonLines produces and
-// honors the same temp + rename contract.
-TEST(TraceIO, JsonLinesSinkMatchesBatchSerialization) {
-  Trace T = makeSampleTrace();
-  std::string Path = "/tmp/dyndist_trace_sink_test.jsonl";
-  JsonLinesTraceSink Sink;
-  ASSERT_TRUE(Sink.open(Path).ok());
-  for (const TraceEvent &E : T.events())
-    Sink.append(E);
-  EXPECT_EQ(Sink.eventsWritten(), T.events().size());
-  ASSERT_TRUE(Sink.close().ok());
-  EXPECT_EQ(std::fopen((Path + ".tmp").c_str(), "r"), nullptr);
-
-  std::FILE *F = std::fopen(Path.c_str(), "r");
-  ASSERT_NE(F, nullptr);
-  std::string Data;
-  char Buf[4096];
-  size_t Got;
-  while ((Got = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Data.append(Buf, Got);
-  std::fclose(F);
-  EXPECT_EQ(Data, traceToJsonLines(T));
+  auto Back = readColumnarTraceFile(Path);
+  ASSERT_TRUE(Back.ok());
+  EXPECT_EQ(Back->records().size(), T.records().size());
   std::remove(Path.c_str());
 }
 
@@ -255,8 +164,8 @@ TEST(TraceIO, RealSimulationTraceRoundTrips) {
     S.spawn(std::make_unique<Chatter>());
   S.scheduleAt(5, [](Simulator &Sim) { Sim.crash(2); });
   S.run();
-  auto Parsed = traceFromJsonLines(traceToJsonLines(S.trace()));
-  ASSERT_TRUE(Parsed.ok());
-  EXPECT_EQ(Parsed->events().size(), S.trace().events().size());
-  EXPECT_EQ(Parsed->observations("started").size(), 6u);
+  auto Back = columnarRoundTrip(S.trace());
+  ASSERT_TRUE(Back.ok()) << Back.error().str();
+  expectSameRecords(S.trace(), *Back);
+  EXPECT_EQ(observationsOf(*Back, "started").size(), 6u);
 }

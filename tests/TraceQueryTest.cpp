@@ -6,17 +6,18 @@
 
 #include "dyndist/runtime/TraceQuery.h"
 
+#include "dyndist/aggregation/Experiment.h"
 #include "dyndist/sim/TraceIO.h"
 #include "dyndist/support/Random.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
+#include <set>
 #include <unordered_set>
 
 #include <unistd.h>
-#include <map>
-#include <set>
 
 using namespace dyndist;
 
@@ -27,14 +28,14 @@ namespace {
 const std::string PathStem =
     "/tmp/dyndist_query_test." + std::to_string(::getpid());
 const std::string ColPathStr = PathStem + ".dytr";
-const std::string TextPathStr = PathStem + ".jsonl";
+const std::string RereadPathStr = PathStem + ".reread.dytr";
 const char *ColPath = ColPathStr.c_str();
-const char *TextPath = TextPathStr.c_str();
+const char *RereadPath = RereadPathStr.c_str();
 
 struct FileGuard {
   ~FileGuard() {
     std::remove(ColPath);
-    std::remove(TextPath);
+    std::remove(RereadPath);
   }
 };
 
@@ -70,27 +71,33 @@ Trace buildTrace(uint64_t Seed, size_t Events) {
   return T;
 }
 
-/// Writes \p T in both formats and opens both sources.
+/// \p T archived, and the archive of \p T read back and archived again:
+/// every query must render identically from both.
 struct Sources {
-  std::shared_ptr<TraceQuerySource> Col, Text;
+  std::shared_ptr<TraceQuerySource> Col, Reread;
 };
 
 Sources openBoth(const Trace &T) {
   EXPECT_TRUE(writeColumnarTraceFile(T, ColPath).ok());
-  EXPECT_TRUE(writeTraceFile(T, TextPath).ok());
+  auto Back = readColumnarTraceFile(ColPath);
+  EXPECT_TRUE(Back.ok());
+  EXPECT_TRUE(writeColumnarTraceFile(*Back, RereadPath).ok());
   auto C = TraceQuerySource::open(ColPath);
-  auto X = TraceQuerySource::open(TextPath);
+  auto R = TraceQuerySource::open(RereadPath);
   EXPECT_TRUE(C.ok());
-  EXPECT_TRUE(X.ok());
-  EXPECT_TRUE((*C)->isColumnar());
-  EXPECT_FALSE((*X)->isColumnar());
-  return {*C, *X};
+  EXPECT_TRUE(R.ok());
+  return {*C, *R};
+}
+
+/// The view of record \p I of \p T.
+TraceEventView viewAt(const Trace &T, size_t I) {
+  return TraceEventView::of(T.records()[I], T.keys());
 }
 
 } // namespace
 
 // queryFilter against brute force: the engine's output is exactly the
-// JSON lines of the matching events, in order, from either format.
+// JSON lines of the matching events, in order, from either archive.
 TEST(TraceQuery, FilterMatchesBruteForce) {
   FileGuard G;
   Trace T = buildTrace(11, 140'000); // 3 chunks.
@@ -103,7 +110,8 @@ TEST(TraceQuery, FilterMatchesBruteForce) {
   F.ToTime = 600'000;
 
   std::string Expected;
-  for (const TraceEvent &E : T.events()) {
+  for (size_t I = 0; I != T.records().size(); ++I) {
+    TraceEventView E = viewAt(T, I);
     if (E.Kind != TraceKind::Send || E.Subject != 7 || E.Time < 100 ||
         E.Time > 600'000)
       continue;
@@ -113,11 +121,11 @@ TEST(TraceQuery, FilterMatchesBruteForce) {
   QueryOptions O;
   O.Threads = 3;
   auto FromCol = queryFilter(*S.Col, F, O);
-  auto FromText = queryFilter(*S.Text, F, O);
+  auto FromReread = queryFilter(*S.Reread, F, O);
   ASSERT_TRUE(FromCol.ok()) << FromCol.error().str();
-  ASSERT_TRUE(FromText.ok()) << FromText.error().str();
+  ASSERT_TRUE(FromReread.ok()) << FromReread.error().str();
   EXPECT_EQ(*FromCol, Expected);
-  EXPECT_EQ(*FromText, Expected);
+  EXPECT_EQ(*FromReread, Expected);
 }
 
 TEST(TraceQuery, FilterLimitCapsInEventOrder) {
@@ -134,7 +142,7 @@ TEST(TraceQuery, FilterLimitCapsInEventOrder) {
 
   std::string Expected;
   for (size_t I = 0; I != 10; ++I)
-    appendTraceJsonLine(Expected, T.events()[I]);
+    appendTraceJsonLine(Expected, viewAt(T, I));
   EXPECT_EQ(*R, Expected);
 }
 
@@ -155,8 +163,8 @@ TEST(TraceQuery, GroupByMatchesBruteForce) {
     int64_t Sum = 0;
   };
   std::map<ProcessId, Agg> Expected;
-  for (const TraceEvent &E : T.events()) {
-    Agg &A = Expected[E.Subject];
+  for (const TraceRecord &E : T.records()) {
+    Agg &A = Expected[E.subject()];
     ++A.Count;
     A.Sum += E.Value;
   }
@@ -183,14 +191,14 @@ TEST(TraceQuery, GroupByMatchesBruteForce) {
     CountTotal += std::stoull(Line.substr(Tab1 + 1, Tab2 - Tab1 - 1));
   }
   EXPECT_EQ(Rows, Expected.size());
-  EXPECT_EQ(CountTotal, T.events().size());
+  EXPECT_EQ(CountTotal, T.records().size());
 
-  // Both formats and every group field render identically.
+  // Both archives and every group field render identically.
   for (GroupField Field :
        {GroupField::Kind, GroupField::Subject, GroupField::Peer,
         GroupField::Msg, GroupField::Key, GroupField::TimeBucket}) {
     auto A = queryGroupBy(*S.Col, F, Field, O);
-    auto B = queryGroupBy(*S.Text, F, Field, O);
+    auto B = queryGroupBy(*S.Reread, F, Field, O);
     ASSERT_TRUE(A.ok() && B.ok());
     EXPECT_EQ(*A, *B) << static_cast<int>(Field);
   }
@@ -228,14 +236,14 @@ TEST(TraceQuery, ChunkPruningPreservesResults) {
   Trace T = buildTrace(15, 140'000);
   Sources S = openBoth(T);
 
-  SimTime Last = T.events().back().Time;
+  SimTime Last = T.records().back().Time;
   TraceFilter F;
   F.FromTime = Last; // Only the final-time events.
 
   std::string Expected;
-  for (const TraceEvent &E : T.events())
+  for (const TraceRecord &E : T.records())
     if (E.Time >= Last)
-      appendTraceJsonLine(Expected, E);
+      appendTraceJsonLine(Expected, E, T.keys());
 
   QueryOptions O;
   O.Threads = 4;
@@ -295,10 +303,10 @@ TEST(TraceQuery, StatsMatchBruteForce) {
   uint64_t Sends = 0;
   int64_t Sum = 0;
   std::set<ProcessId> Subjects;
-  for (const TraceEvent &E : T.events()) {
-    Sends += E.Kind == TraceKind::Send;
+  for (const TraceRecord &E : T.records()) {
+    Sends += E.kind() == TraceKind::Send;
     Sum += E.Value;
-    Subjects.insert(E.Subject);
+    Subjects.insert(E.subject());
   }
 
   QueryOptions O;
@@ -306,7 +314,7 @@ TEST(TraceQuery, StatsMatchBruteForce) {
   TraceFilter F;
   auto R = queryStats(*S.Col, F, O);
   ASSERT_TRUE(R.ok()) << R.error().str();
-  EXPECT_NE(R->find("events\t" + std::to_string(T.events().size())),
+  EXPECT_NE(R->find("events\t" + std::to_string(T.records().size())),
             std::string::npos);
   EXPECT_NE(R->find("kind_send\t" + std::to_string(Sends)),
             std::string::npos);
@@ -315,9 +323,9 @@ TEST(TraceQuery, StatsMatchBruteForce) {
   EXPECT_NE(R->find("value_sum\t" + std::to_string(Sum)),
             std::string::npos);
 
-  auto FromText = queryStats(*S.Text, F, O);
-  ASSERT_TRUE(FromText.ok());
-  EXPECT_EQ(*R, *FromText);
+  auto FromReread = queryStats(*S.Reread, F, O);
+  ASSERT_TRUE(FromReread.ok());
+  EXPECT_EQ(*R, *FromReread);
 }
 
 // Negative msg kinds sort numerically in group-by output (the offset-binary
@@ -367,4 +375,34 @@ TEST(TraceQuery, OpenRejectsMissingAndGarbage) {
   std::fclose(F);
   EXPECT_FALSE(TraceQuerySource::open(Bad).ok());
   std::remove(Bad);
+}
+
+// The export contract: `query filter` with no filter over a run's archive
+// prints exactly traceToJsonLines of the run's in-memory trace, at any
+// thread count.
+TEST(TraceQuery, FilterExportEqualsTraceToJsonLines) {
+  FileGuard G;
+  for (uint64_t Seed : {3, 5, 9}) {
+    ExperimentConfig Cfg;
+    Cfg.Seed = Seed;
+    Cfg.Class = {ArrivalModel::boundedConcurrency(24),
+                 KnowledgeModel::knownDiameter(8)};
+    Cfg.Churn.JoinRate = 0.05;
+    Cfg.Churn.MeanSession = 400;
+    Cfg.KeepTrace = true;
+    ExperimentResult R = runQueryExperiment(Cfg);
+    ASSERT_TRUE(R.RecordedTrace.has_value());
+    ASSERT_TRUE(writeColumnarTraceFile(*R.RecordedTrace, ColPath).ok());
+    auto Src = TraceQuerySource::open(ColPath);
+    ASSERT_TRUE(Src.ok()) << Src.error().str();
+    const std::string Want = traceToJsonLines(*R.RecordedTrace);
+    ASSERT_FALSE(Want.empty());
+    for (unsigned Threads : {1u, 4u}) {
+      QueryOptions O;
+      O.Threads = Threads;
+      auto Got = queryFilter(**Src, TraceFilter(), O);
+      ASSERT_TRUE(Got.ok()) << Got.error().str();
+      EXPECT_EQ(*Got, Want) << "seed " << Seed << " threads " << Threads;
+    }
+  }
 }

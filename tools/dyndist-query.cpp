@@ -7,8 +7,7 @@
 // Runs one one-time-query experiment from the command line: declare a
 // system class, pick an algorithm (or let the solvability oracle choose),
 // set the churn regime, and get the checker's verdict — optionally
-// archiving the full execution trace as JSON lines or the binary columnar
-// format.
+// archiving the full execution trace in the columnar format.
 //
 //   dyndist-query [options]
 //     --arrival finite:<n> | bounded:<b> | bounded-unknown:<b> | infinite
@@ -22,11 +21,14 @@
 //     --horizon <t>          run end               (default 900)
 //     --seed <s>             experiment seed       (default 1)
 //     --chain                chain-attach overlay (unbounded diameter)
-//     --trace-out <path>     dump the execution trace
-//     --trace-format text|columnar   archive format (default text)
+//     --trace-out <path>     archive the execution trace (columnar)
 //
-// Analysis mode — sharded filter/aggregation over an archived trace (text
-// or columnar, auto-detected), deterministic at any --threads:
+// Every numeric flag is checked: garbage, nan/inf, and out-of-range values
+// are refused with exit 2.
+//
+// Analysis mode — sharded filter/aggregation over a columnar archive,
+// deterministic at any --threads. `query filter` with no filter exports the
+// whole archive as JSON lines:
 //
 //   dyndist-query query <filter|group-by|top-k|stats> <trace-file> [opts]
 //     --kind <name>       keep only events of this kind
@@ -50,7 +52,7 @@
 #include "dyndist/sim/TraceIO.h"
 #include "dyndist/support/StringUtils.h"
 
-#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -80,25 +82,13 @@ void printHelp() {
       "  --horizon <t>       run end (default 900)\n"
       "  --seed <s>          experiment seed (default 1)\n"
       "  --chain             chain-attach overlay (grows the diameter)\n"
-      "  --trace-out <path>  dump the trace\n"
-      "  --trace-format text|columnar  archive format (default text)\n"
+      "  --trace-out <path>  archive the trace (columnar)\n"
       "\n"
       "analysis mode (see also --help output header):\n"
       "  dyndist-query query <filter|group-by|top-k|stats> <trace-file>\n"
       "    [--kind k] [--subject p] [--peer p] [--msg m] [--key k]\n"
       "    [--from t] [--to t] [--by field] [--bucket w] [--k n]\n"
       "    [--limit n] [--threads n]\n");
-}
-
-/// Parses a full nonnegative decimal \p Text; rejects overflow (strtoull
-/// would silently saturate to UINT64_MAX) and trailing garbage.
-bool parseU64Checked(const char *Text, uint64_t &Out) {
-  if (*Text < '0' || *Text > '9')
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  Out = std::strtoull(Text, &End, 10);
-  return errno != ERANGE && End != Text && *End == '\0';
 }
 
 /// Splits "name:number"; returns true and fills \p Num on match.
@@ -111,6 +101,54 @@ bool splitSpec(const std::string &Arg, const char *Name, uint64_t &Num) {
   return true;
 }
 
+/// Reads flag values off argv. Every numeric value goes through the checked
+/// parsers: a missing, garbage or out-of-range value is a usage error.
+struct FlagReader {
+  int Argc;
+  char **Argv;
+
+  /// The value after the flag at \p I, advancing \p I onto it.
+  const char *next(int &I) const {
+    if (I + 1 >= Argc)
+      usageError(std::string("missing value after ") + Argv[I]);
+    return Argv[++I];
+  }
+
+  uint64_t nextU64(int &I, uint64_t Max = UINT64_MAX) const {
+    int At = I;
+    uint64_t V = 0;
+    if (!parseU64Checked(next(I), V) || V > Max)
+      badValue(At);
+    return V;
+  }
+
+  /// A signed int: an optional '-' before a checked magnitude.
+  int nextInt(int &I) const {
+    int At = I;
+    const char *Text = next(I);
+    bool Negative = *Text == '-';
+    uint64_t Magnitude = 0;
+    if (!parseU64Checked(Text + Negative, Magnitude) ||
+        Magnitude > uint64_t(INT_MAX) + Negative)
+      badValue(At);
+    return static_cast<int>(Negative ? -int64_t(Magnitude)
+                                     : int64_t(Magnitude));
+  }
+
+  /// A finite rate or duration; positive unless \p AllowZero.
+  double nextDouble(int &I, bool AllowZero) const {
+    int At = I;
+    double V = 0;
+    if (!parseDoubleChecked(next(I), V) || (V == 0 && !AllowZero))
+      badValue(At);
+    return V;
+  }
+
+  [[noreturn]] void badValue(int At) const {
+    usageError(std::string("bad numeric value after ") + Argv[At]);
+  }
+};
+
 /// Runs the analysis mode: dyndist-query query <subcommand> <file> [opts].
 int runQueryMode(int argc, char **argv) {
   if (argc < 4)
@@ -121,52 +159,40 @@ int runQueryMode(int argc, char **argv) {
   TraceFilter Filter;
   QueryOptions Opts;
   GroupField Field = GroupField::Kind;
-
-  auto NextArg = [&](int &I) -> const char * {
-    if (I + 1 >= argc)
-      usageError(std::string("missing value after ") + argv[I]);
-    return argv[++I];
-  };
-  auto NextU64 = [&](int &I) -> uint64_t {
-    int At = I;
-    uint64_t V = 0;
-    if (!parseU64Checked(NextArg(I), V))
-      usageError(std::string("bad numeric value after ") + argv[At]);
-    return V;
-  };
+  const FlagReader Flags{argc, argv};
 
   for (int I = 4; I < argc; ++I) {
     std::string Arg = argv[I];
     if (Arg == "--kind") {
       TraceKind K;
-      std::string Name = NextArg(I);
+      std::string Name = Flags.next(I);
       if (!traceKindFromName(Name, K))
         usageError("unknown trace kind '" + Name + "'");
       Filter.Kind = K;
     } else if (Arg == "--subject") {
-      Filter.Subject = NextU64(I);
+      Filter.Subject = Flags.nextU64(I);
     } else if (Arg == "--peer") {
-      Filter.Peer = NextU64(I);
+      Filter.Peer = Flags.nextU64(I);
     } else if (Arg == "--msg") {
-      Filter.Msg = static_cast<int>(std::strtoll(NextArg(I), nullptr, 10));
+      Filter.Msg = Flags.nextInt(I);
     } else if (Arg == "--key") {
-      Filter.Key = std::string(NextArg(I));
+      Filter.Key = std::string(Flags.next(I));
     } else if (Arg == "--from") {
-      Filter.FromTime = NextU64(I);
+      Filter.FromTime = Flags.nextU64(I);
     } else if (Arg == "--to") {
-      Filter.ToTime = NextU64(I);
+      Filter.ToTime = Flags.nextU64(I);
     } else if (Arg == "--by") {
-      std::string Name = NextArg(I);
+      std::string Name = Flags.next(I);
       if (!groupFieldFromName(Name, Field))
         usageError("unknown group field '" + Name + "'");
     } else if (Arg == "--bucket") {
-      Opts.TimeBucketWidth = NextU64(I);
+      Opts.TimeBucketWidth = Flags.nextU64(I);
     } else if (Arg == "--k") {
-      Opts.TopK = static_cast<size_t>(NextU64(I));
+      Opts.TopK = static_cast<size_t>(Flags.nextU64(I));
     } else if (Arg == "--limit") {
-      Opts.Limit = NextU64(I);
+      Opts.Limit = Flags.nextU64(I);
     } else if (Arg == "--threads") {
-      Opts.Threads = static_cast<unsigned>(NextU64(I));
+      Opts.Threads = static_cast<unsigned>(Flags.nextU64(I, UINT_MAX));
     } else {
       usageError("unknown query option '" + Arg + "'");
     }
@@ -212,13 +238,7 @@ int main(int argc, char **argv) {
   Cfg.Gossip.Rounds = 50;
   Cfg.Gossip.RoundEvery = 2;
   std::string TraceOut;
-  bool TraceColumnarFmt = false;
-
-  auto NextArg = [&](int &I) -> std::string {
-    if (I + 1 >= argc)
-      usageError(std::string("missing value after ") + argv[I]);
-    return argv[++I];
-  };
+  const FlagReader Flags{argc, argv};
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
@@ -227,7 +247,7 @@ int main(int argc, char **argv) {
       return 0;
     }
     if (Arg == "--arrival") {
-      std::string Spec = NextArg(I);
+      std::string Spec = Flags.next(I);
       uint64_t N = 0;
       if (Spec == "infinite")
         Cfg.Class.Arrival = ArrivalModel::infiniteArrival();
@@ -240,7 +260,7 @@ int main(int argc, char **argv) {
       else
         usageError("unknown arrival spec '" + Spec + "'");
     } else if (Arg == "--diameter") {
-      std::string Spec = NextArg(I);
+      std::string Spec = Flags.next(I);
       uint64_t D = 0;
       if (Spec == "bounded")
         Cfg.Class.Knowledge = KnowledgeModel::boundedUnknownDiameter();
@@ -251,7 +271,7 @@ int main(int argc, char **argv) {
       else
         usageError("unknown diameter spec '" + Spec + "'");
     } else if (Arg == "--algorithm") {
-      std::string Spec = NextArg(I);
+      std::string Spec = Flags.next(I);
       if (Spec == "auto") {
         Cfg.UseRecommended = true;
       } else {
@@ -266,31 +286,24 @@ int main(int argc, char **argv) {
           usageError("unknown algorithm '" + Spec + "'");
       }
     } else if (Arg == "--join-rate") {
-      Cfg.Churn.JoinRate = std::atof(NextArg(I).c_str());
+      // Zero is a static system: no joins after the initial population.
+      Cfg.Churn.JoinRate = Flags.nextDouble(I, /*AllowZero=*/true);
     } else if (Arg == "--mean-session") {
-      Cfg.Churn.MeanSession = std::atof(NextArg(I).c_str());
+      Cfg.Churn.MeanSession = Flags.nextDouble(I, /*AllowZero=*/false);
     } else if (Arg == "--quiesce-at") {
-      Cfg.Churn.QuiesceAt = std::strtoull(NextArg(I).c_str(), nullptr, 10);
+      Cfg.Churn.QuiesceAt = Flags.nextU64(I);
     } else if (Arg == "--members") {
-      Cfg.InitialMembers = std::strtoull(NextArg(I).c_str(), nullptr, 10);
+      Cfg.InitialMembers = Flags.nextU64(I);
     } else if (Arg == "--query-at") {
-      Cfg.QueryAt = std::strtoull(NextArg(I).c_str(), nullptr, 10);
+      Cfg.QueryAt = Flags.nextU64(I);
     } else if (Arg == "--horizon") {
-      Cfg.Horizon = std::strtoull(NextArg(I).c_str(), nullptr, 10);
+      Cfg.Horizon = Flags.nextU64(I);
     } else if (Arg == "--seed") {
-      Cfg.Seed = std::strtoull(NextArg(I).c_str(), nullptr, 10);
+      Cfg.Seed = Flags.nextU64(I);
     } else if (Arg == "--chain") {
       Cfg.Attach = AttachMode::Chain;
     } else if (Arg == "--trace-out") {
-      TraceOut = NextArg(I);
-    } else if (Arg == "--trace-format") {
-      std::string Fmt = NextArg(I);
-      if (Fmt == "columnar")
-        TraceColumnarFmt = true;
-      else if (Fmt == "text")
-        TraceColumnarFmt = false;
-      else
-        usageError("unknown trace format '" + Fmt + "'");
+      TraceOut = Flags.next(I);
     } else {
       usageError("unknown option '" + Arg + "'");
     }
@@ -322,15 +335,12 @@ int main(int argc, char **argv) {
   std::printf("verdict      : %s\n", R.Verdict.valid() ? "VALID" : "INVALID");
 
   if (!TraceOut.empty() && R.RecordedTrace) {
-    Status S = TraceColumnarFmt
-                   ? writeColumnarTraceFile(*R.RecordedTrace, TraceOut)
-                   : writeTraceFile(*R.RecordedTrace, TraceOut);
-    if (!S) {
+    if (Status S = writeColumnarTraceFile(*R.RecordedTrace, TraceOut); !S) {
       std::fprintf(stderr, "dyndist-query: %s\n", S.error().str().c_str());
       return 2;
     }
     std::printf("trace        : %zu events -> %s\n",
-                R.RecordedTrace->events().size(), TraceOut.c_str());
+                R.RecordedTrace->records().size(), TraceOut.c_str());
   }
   return R.Verdict.valid() ? 0 : 1;
 }

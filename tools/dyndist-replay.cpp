@@ -4,8 +4,9 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Loads a trace archived by dyndist-query --trace-out (or TraceIO), extracts
-// its membership schedule — every join, leave, and crash at its original
+// Loads a columnar trace archived by dyndist-query --trace-out (or
+// writeColumnarTraceFile / a ColumnarTraceWriter sink), extracts its
+// membership schedule — every join, leave, and crash at its original
 // instant — and replays it against a chosen algorithm. Churn becomes a
 // controlled variable: the same recorded world, any algorithm, paired
 // comparisons across builds.
@@ -17,9 +18,10 @@
 //                                     longest-lived member)
 //     --query-at <t>                  issue time (default 200)
 //     --horizon <t>                   run end (default: trace end + 500)
-//     --degree <k>                    overlay degree (default 3)
-//     --trace-format auto|text|columnar  input format (default auto:
-//                                        sniff the columnar magic)
+//     --degree <k>                    overlay degree >= 1 (default 3)
+//
+// Every numeric flag is checked: garbage and out-of-range values are
+// refused with exit 2.
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,7 +32,7 @@
 #include "dyndist/core/OneTimeQuery.h"
 #include "dyndist/graph/Overlay.h"
 #include "dyndist/sim/TraceColumnar.h"
-#include "dyndist/sim/TraceIO.h"
+#include "dyndist/support/StringUtils.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -66,7 +68,7 @@ ProcessId longestLivedMember(const Trace &T, SimTime Horizon) {
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string TracePath, Algorithm = "flood", TraceFormat = "auto";
+  std::string TracePath, Algorithm = "flood";
   uint64_t Ttl = 8;
   ProcessId Issuer = InvalidProcess;
   SimTime QueryAt = 200;
@@ -78,6 +80,13 @@ int main(int argc, char **argv) {
       usageError(std::string("missing value after ") + argv[I]);
     return argv[++I];
   };
+  auto NextU64 = [&](int &I, uint64_t Min = 0) -> uint64_t {
+    int At = I;
+    uint64_t V = 0;
+    if (!parseU64Checked(NextArg(I).c_str(), V) || V < Min)
+      usageError(std::string("bad numeric value after ") + argv[At]);
+    return V;
+  };
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
     if (Arg == "--trace")
@@ -85,38 +94,28 @@ int main(int argc, char **argv) {
     else if (Arg == "--algorithm")
       Algorithm = NextArg(I);
     else if (Arg == "--ttl")
-      Ttl = std::strtoull(NextArg(I).c_str(), nullptr, 10);
+      Ttl = NextU64(I);
     else if (Arg == "--issuer")
-      Issuer = std::strtoull(NextArg(I).c_str(), nullptr, 10);
+      Issuer = NextU64(I);
     else if (Arg == "--query-at")
-      QueryAt = std::strtoull(NextArg(I).c_str(), nullptr, 10);
+      QueryAt = NextU64(I);
     else if (Arg == "--horizon")
-      Horizon = std::strtoull(NextArg(I).c_str(), nullptr, 10);
+      Horizon = NextU64(I);
     else if (Arg == "--degree")
-      Degree = std::strtoull(NextArg(I).c_str(), nullptr, 10);
-    else if (Arg == "--trace-format")
-      TraceFormat = NextArg(I);
+      Degree = NextU64(I, /*Min=*/1);
     else
       usageError("unknown option '" + Arg + "'");
   }
   if (TracePath.empty())
     usageError("--trace <file> is required");
 
-  Result<Trace> Loaded = [&]() -> Result<Trace> {
-    if (TraceFormat == "auto")
-      return readAnyTraceFile(TracePath);
-    if (TraceFormat == "text")
-      return readTraceFile(TracePath);
-    if (TraceFormat == "columnar")
-      return readColumnarTraceFile(TracePath);
-    usageError("unknown trace format '" + TraceFormat + "'");
-  }();
+  Result<Trace> Loaded = readColumnarTraceFile(TracePath);
   if (!Loaded.ok())
     usageError(Loaded.error().str());
   const Trace &Source = *Loaded;
   auto Schedule = extractMembershipSchedule(Source);
   SimTime TraceEnd =
-      Source.events().empty() ? 0 : Source.events().back().Time;
+      Source.records().empty() ? 0 : Source.records().back().Time;
   if (Horizon == 0)
     Horizon = TraceEnd + 500;
   if (Issuer == InvalidProcess)
@@ -125,7 +124,7 @@ int main(int argc, char **argv) {
     usageError("trace contains no members to issue from");
 
   std::printf("trace        : %s (%zu events, %zu membership changes)\n",
-              TracePath.c_str(), Source.events().size(), Schedule.size());
+              TracePath.c_str(), Source.records().size(), Schedule.size());
   std::printf("issuer       : %llu (longest-lived unless overridden)\n",
               (unsigned long long)Issuer);
 
