@@ -91,7 +91,8 @@ OverlayReport drive(AttachMode Mode, size_t Degree, size_t Initial,
 //
 // Measures the overlay substrate itself: churn absorption (join/leave with
 // the patch repair rule), neighbor-list iteration (the inner loop of every
-// broadcast), BFS connectivity, and a full-stack digest-gossip run over a
+// broadcast), BFS connectivity, the exact diameter the admissibility
+// monitor samples, and a full-stack digest-gossip run over a
 // churn-maintained overlay. Run with any --benchmark_* flag to execute
 // only this section; tools/dyndist-bench-report --graph merges the JSON
 // into BENCH_kernel.json.
@@ -168,6 +169,40 @@ void BM_GraphBfs(benchmark::State &State) {
   State.SetItemsProcessed(static_cast<int64_t>(Nodes));
 }
 BENCHMARK(BM_GraphBfs)->Unit(benchmark::kMillisecond);
+
+/// A churned overlay of exactly \p Members nodes: \p Members joins, then
+/// 4 * Members steps that each remove a random member and join a fresh one.
+Graph steadyChurnedGraph(AttachMode Mode, size_t Members) {
+  DynamicOverlay O(3, Rng(42), Mode);
+  Rng R(42 ^ 0xabcdefULL);
+  ProcessId Next = 0;
+  for (size_t I = 0; I != Members; ++I)
+    O.join(Next++);
+  for (size_t Step = 0; Step != 4 * Members; ++Step) {
+    NeighborView Nodes = O.graph().nodesView();
+    O.leave(Nodes[static_cast<size_t>(R.nextBelow(Nodes.size()))]);
+    O.join(Next++);
+  }
+  return O.graph();
+}
+
+/// The admissibility monitor's sample: exact diameter of a churned overlay.
+/// Random attach at n = 150 is the E1 hot case (expander-like, D ~ 5);
+/// chain attach at n = 160 is the long-path case.
+void BM_GraphDiameter(benchmark::State &State, AttachMode Mode,
+                      size_t Members) {
+  const Graph G = steadyChurnedGraph(Mode, Members);
+  for (auto _ : State) {
+    auto D = diameter(G);
+    benchmark::DoNotOptimize(D);
+  }
+  // items_per_second is diameter() calls/sec.
+  State.SetItemsProcessed(static_cast<int64_t>(State.iterations()));
+}
+BENCHMARK_CAPTURE(BM_GraphDiameter, random_n150, AttachMode::Random, 150)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_GraphDiameter, chain_n160, AttachMode::Chain, 160)
+    ->Unit(benchmark::kMicrosecond);
 
 /// Full stack: digest-mode gossip over a churn-maintained overlay — the
 /// protocol hot path the flat adjacency representation exists for (digest

@@ -80,6 +80,88 @@ size_t bfsDense(const Graph &G, ProcessId Source, BfsScratch &S) {
   return S.Order.size();
 }
 
+/// Word-parallel multi-source BFS state (MS-BFS), over compact node
+/// indices: index I is the I-th node of the centre BFS's discovery order.
+/// Bit J of a node's word stands for source J of the current 64-source
+/// block. Resized upward only, like BfsScratch.
+struct SweepScratch {
+  std::vector<uint32_t> Index;   ///< Slot -> compact index.
+  std::vector<uint32_t> Offsets; ///< CSR row starts, N + 1 entries.
+  std::vector<uint32_t> Adj;     ///< CSR neighbor indices, 2E entries.
+  std::vector<uint64_t> Seen;    ///< Sources that have reached the node.
+  std::vector<uint64_t> Frontier; ///< Sources that reached it last round.
+  std::vector<uint64_t> Next;     ///< Sources reaching it this round.
+};
+
+thread_local SweepScratch TLSweep;
+
+/// Exact diameter of the connected graph \p G given bounds Lb <= D <= Ub,
+/// with \p Centre holding a BFS from the node the bounds were taken around.
+/// A diametral pair longer than Lb has an endpoint at depth >= (Lb + 1) / 2
+/// (rounded up) from the centre, so only those nodes are sources; they are
+/// a suffix of the discovery order. The result is the largest eccentricity
+/// among them, or Lb when none exceeds it.
+uint64_t sweepDiameter(const Graph &G, const BfsScratch &Centre, uint64_t Lb,
+                       uint64_t Ub) {
+  SweepScratch &W = TLSweep;
+  const std::vector<uint32_t> &Order = Centre.Order;
+  size_t N = Order.size();
+  if (W.Index.size() < G.slotTableSize())
+    W.Index.resize(G.slotTableSize());
+  for (size_t I = 0; I != N; ++I)
+    W.Index[Order[I]] = static_cast<uint32_t>(I);
+  W.Offsets.resize(N + 1);
+  W.Adj.clear();
+  for (size_t I = 0; I != N; ++I) {
+    W.Offsets[I] = static_cast<uint32_t>(W.Adj.size());
+    for (ProcessId Nbr : G.slotNeighbors(Order[I]))
+      W.Adj.push_back(W.Index[G.slotOf(Nbr)]);
+  }
+  W.Offsets[N] = static_cast<uint32_t>(W.Adj.size());
+  W.Seen.resize(N);
+  W.Frontier.resize(N);
+  W.Next.resize(N);
+
+  size_t First = 0;
+  while (First != N && Centre.Dist[Order[First]] < (Lb + 2) / 2)
+    ++First;
+  uint64_t Best = Lb;
+  for (size_t Base = First; Base < N && Best < Ub; Base += 64) {
+    size_t Width = std::min<size_t>(64, N - Base);
+    uint64_t Full = Width == 64 ? ~uint64_t(0) : (uint64_t(1) << Width) - 1;
+    std::fill(W.Seen.begin(), W.Seen.end(), uint64_t(0));
+    std::fill(W.Frontier.begin(), W.Frontier.end(), uint64_t(0));
+    for (size_t J = 0; J != Width; ++J)
+      W.Seen[Base + J] = W.Frontier[Base + J] = uint64_t(1) << J;
+    size_t FullNodes = Width == 1 ? 1 : 0; // A lone source knows itself.
+    uint64_t Rounds = 0;
+    // Each round pulls the neighbors' last-round bits into every node that
+    // has not heard from the whole block yet; the graph is connected, so
+    // every round until the last one adds a bit somewhere.
+    while (FullNodes != N) {
+      ++Rounds;
+      for (size_t V = 0; V != N; ++V) {
+        uint64_t Known = W.Seen[V];
+        uint64_t In = 0;
+        if (Known != Full) {
+          for (uint32_t E = W.Offsets[V], End = W.Offsets[V + 1]; E != End;
+               ++E)
+            In |= W.Frontier[W.Adj[E]];
+          In &= ~Known;
+          if (In != 0) {
+            W.Seen[V] = Known | In;
+            FullNodes += (Known | In) == Full;
+          }
+        }
+        W.Next[V] = In;
+      }
+      W.Frontier.swap(W.Next);
+    }
+    Best = std::max(Best, Rounds);
+  }
+  return Best;
+}
+
 } // namespace
 
 std::map<ProcessId, uint64_t> dyndist::bfsDistances(const Graph &G,
@@ -147,16 +229,41 @@ std::optional<uint64_t> dyndist::eccentricity(const Graph &G,
 }
 
 std::optional<uint64_t> dyndist::diameter(const Graph &G) {
-  if (G.nodeCount() == 0)
+  size_t N = G.nodeCount();
+  if (N == 0)
     return std::nullopt;
-  uint64_t Diam = 0;
-  for (ProcessId P : G.nodesView()) {
-    auto Ecc = eccentricity(G, P);
-    if (!Ecc)
-      return std::nullopt;
-    Diam = std::max(Diam, *Ecc);
+  BfsScratch &S = TLScratch;
+  // Connectivity check; the BFS doubles as the first sweep.
+  if (bfsDense(G, G.nodesView().front(), S) != N)
+    return std::nullopt;
+
+  // 4-sweep: two double sweeps, the second started from the midpoint of
+  // the first one's longest path. Every eccentricity seen is a lower bound;
+  // the last midpoint is the centre the upper bound is taken around.
+  uint64_t Lb = 0;
+  for (int Round = 0; Round != 2; ++Round) {
+    uint32_t Far = S.Order.back(); // BFS order: distances never decrease.
+    Lb = std::max(Lb, S.Dist[Far]);
+    bfsDense(G, G.slotId(Far), S);
+    uint32_t Mid = S.Order.back();
+    Lb = std::max(Lb, S.Dist[Mid]);
+    for (uint64_t Up = S.Dist[Mid] / 2; Up != 0; --Up)
+      Mid = S.Parent[Mid];
+    bfsDense(G, G.slotId(Mid), S);
   }
-  return Diam;
+
+  // Depth gate: any two nodes are at most 2e apart through the centre, and
+  // at most 2e - 1 apart unless two distinct nodes sit at depth e.
+  uint64_t Ecc = S.Dist[S.Order.back()];
+  Lb = std::max(Lb, Ecc);
+  size_t AtEcc = 0;
+  for (auto It = S.Order.rbegin(); It != S.Order.rend() && S.Dist[*It] == Ecc;
+       ++It)
+    ++AtEcc;
+  uint64_t Ub = 2 * Ecc - (AtEcc == 1 && Ecc != 0 ? 1 : 0);
+  if (Lb >= Ub)
+    return Lb;
+  return sweepDiameter(G, S, Lb, Ub);
 }
 
 std::vector<ProcessId> dyndist::ballAround(const Graph &G, ProcessId Source,

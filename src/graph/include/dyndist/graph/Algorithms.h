@@ -41,8 +41,16 @@ std::vector<std::vector<ProcessId>> connectedComponents(const Graph &G);
 /// unreachable) or Source is unknown.
 std::optional<uint64_t> eccentricity(const Graph &G, ProcessId Source);
 
-/// Exact diameter via all-sources BFS; nullopt when disconnected or empty.
-/// O(V * E) — fine at experiment scales (thousands of nodes).
+/// Exact diameter; nullopt when disconnected or empty. One BFS checks
+/// connectivity; the 4-sweep (Magnien, Latapy and Habib, JEA 2009, as
+/// extended by Crescenzi et al., TCS 2013) then gives a lower bound Lb and a
+/// centre u of eccentricity e. Every pair is at most 2e apart through u, and
+/// at most 2e - 1 apart when a single node sits at depth e; when Lb reaches
+/// that bound (every path and tree-like overlay) the answer costs five BFS,
+/// O(V + E). Otherwise a word-parallel multi-source BFS (MS-BFS, Then et
+/// al., PVLDB 2014) sweeps 64 sources per pass from the nodes deep enough
+/// to end a longer path: O(ceil(V / 64) * D * (V + E)) word operations.
+/// Scratch is thread-local; steady-state calls allocate nothing.
 std::optional<uint64_t> diameter(const Graph &G);
 
 /// Nodes within \p MaxHops of \p Source (Source included), ascending. This

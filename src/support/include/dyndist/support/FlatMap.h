@@ -43,16 +43,6 @@ public:
   using iterator = typename Storage::iterator;
   using const_iterator = typename Storage::const_iterator;
 
-  FlatMap() = default;
-  FlatMap(FlatMap &&) = default;
-  FlatMap &operator=(FlatMap &&) = default;
-  // Copies carry the entries only, never the merge scratch.
-  FlatMap(const FlatMap &Other) : Entries(Other.Entries) {}
-  FlatMap &operator=(const FlatMap &Other) {
-    Entries = Other.Entries;
-    return *this;
-  }
-
   iterator begin() { return Entries.begin(); }
   iterator end() { return Entries.end(); }
   const_iterator begin() const { return Entries.begin(); }
@@ -132,36 +122,51 @@ public:
 
   iterator erase(const_iterator It) { return Entries.erase(It); }
 
-  /// Linear two-pointer union with \p Other: keys already present keep
-  /// their resident value (the emplace-loop semantics), absent keys are
-  /// inserted in order. One pass, at most one reallocation — the whole
-  /// point of keeping both sides sorted.
+  /// Linear union with \p Other: keys already present keep their resident
+  /// value (the emplace-loop semantics), absent keys are inserted in order.
+  /// A read-only first pass counts the absent keys, so the common
+  /// Other-is-a-subset case writes nothing; otherwise the map grows once
+  /// and the two sorted runs merge backwards in place.
   void mergeFrom(const FlatMap &Other) {
-    if (Other.empty())
-      return;
-    if (Entries.empty()) {
-      Entries = Other.Entries;
-      return;
-    }
-    Scratch.clear();
-    Scratch.reserve(Entries.size() + Other.Entries.size());
+    size_t Fresh = 0;
     const_iterator A = Entries.begin(), AEnd = Entries.end();
     const_iterator B = Other.Entries.begin(), BEnd = Other.Entries.end();
-    while (A != AEnd || B != BEnd) {
-      if (B == BEnd || (A != AEnd && A->first < B->first)) {
-        Scratch.push_back(*A++);
-      } else if (A == AEnd || B->first < A->first) {
-        Scratch.push_back(*B++);
+    while (B != BEnd) {
+      if (A == AEnd) {
+        Fresh += static_cast<size_t>(BEnd - B);
+        break;
+      }
+      if (A->first < B->first) {
+        ++A;
+      } else if (B->first < A->first) {
+        ++Fresh;
+        ++B;
       } else {
-        Scratch.push_back(*A++); // Resident value wins on key collision.
+        ++A;
         ++B;
       }
     }
-    Entries.clear();
-    Entries.reserve(Scratch.size());
-    for (const value_type &E : Scratch)
-      Entries.push_back(E);
-    Scratch.clear(); // Contents copied out; capacity retained.
+    if (Fresh == 0)
+      return;
+    size_t Resident = Entries.size();
+    Entries.resize(Resident + Fresh);
+    iterator Out = Entries.end();
+    iterator Res = Entries.begin() + static_cast<ptrdiff_t>(Resident);
+    B = Other.Entries.end();
+    // Out - Res is the count of absent keys still to place, so the
+    // residents below Res are in position once it reaches 0.
+    while (Out != Res) {
+      const value_type &Top = *(B - 1);
+      if (Res != Entries.begin() && !((Res - 1)->first < Top.first)) {
+        if (Top.first == (Res - 1)->first)
+          --B; // Resident value wins on key collision.
+        else
+          *--Out = *--Res;
+      } else {
+        *--Out = Top;
+        --B;
+      }
+    }
   }
 
   friend bool operator==(const FlatMap &L, const FlatMap &R) {
@@ -181,10 +186,6 @@ private:
   }
 
   Storage Entries;
-  /// Merge buffer, retained so steady-state mergeFrom() allocates nothing.
-  /// Always a plain vector: it is transient, so it must not widen a slab
-  /// record when Storage is an InlineVec.
-  std::vector<value_type> Scratch;
 };
 
 } // namespace dyndist

@@ -25,6 +25,7 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <new>
 #include <type_traits>
 #include <utility>
 
@@ -91,6 +92,14 @@ public:
   void reserve(size_t N) {
     if (N > Cap)
       grow(N);
+  }
+
+  /// Grows or shrinks to \p N elements; new elements are value-initialized.
+  void resize(size_t N) {
+    reserve(N);
+    for (size_t I = Size; I < N; ++I)
+      new (Data + I) T();
+    Size = static_cast<uint32_t>(N);
   }
 
   void push_back(const T &V) {

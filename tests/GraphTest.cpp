@@ -13,7 +13,9 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
+#include <string>
 
 using namespace dyndist;
 
@@ -506,4 +508,151 @@ TEST(Graph, SlotRecyclingKeepsDenseIndexConsistent) {
   }
   // slotTableSize never exceeds the peak population: slots are recycled.
   EXPECT_EQ(G.slotTableSize(), 8u);
+}
+
+namespace {
+
+/// All-sources reference: the largest eccentricity, nullopt when empty or
+/// disconnected.
+std::optional<uint64_t> allSourcesDiameter(const Graph &G) {
+  if (G.nodeCount() == 0)
+    return std::nullopt;
+  uint64_t Diam = 0;
+  for (ProcessId P : G.nodesView()) {
+    auto Ecc = eccentricity(G, P);
+    if (!Ecc)
+      return std::nullopt;
+    Diam = std::max(Diam, *Ecc);
+  }
+  return Diam;
+}
+
+Graph makeStar(size_t N) {
+  Graph G;
+  for (ProcessId P = 0; P != N; ++P)
+    G.addNode(P);
+  for (ProcessId P = 1; P < N; ++P)
+    G.addEdge(0, P);
+  return G;
+}
+
+Graph makeRandomTree(size_t N, Rng &R) {
+  Graph G;
+  for (ProcessId P = 0; P != N; ++P) {
+    G.addNode(P);
+    if (P != 0)
+      G.addEdge(P, static_cast<ProcessId>(R.nextBelow(P)));
+  }
+  return G;
+}
+
+/// Removes a random third of the nodes, then re-adds all but one of them
+/// with fresh random edges: recycled slots leave slot order different from
+/// id order, and one freed slot stays a hole in the slot table.
+void punchSlotHoles(Graph &G, Rng &R) {
+  std::vector<ProcessId> Nodes = G.nodes();
+  std::vector<ProcessId> Gone;
+  for (ProcessId P : Nodes)
+    if (R.nextBelow(3) == 0 && G.removeNode(P))
+      Gone.push_back(P);
+  if (!Gone.empty())
+    Gone.pop_back();
+  // Free slots are reused last-in first-out, so re-adding in ascending id
+  // order hands the smallest id the slot of the largest.
+  std::vector<ProcessId> Present = G.nodes();
+  for (ProcessId P : Gone) {
+    G.addNode(P);
+    for (int Link = 0; Link != 2 && !Present.empty(); ++Link) {
+      ProcessId Peer = R.pick(Present);
+      if (!G.hasEdge(P, Peer))
+        G.addEdge(P, Peer);
+    }
+    Present.push_back(P);
+  }
+}
+
+} // namespace
+
+TEST(Algorithms, DiameterMatchesAllSourcesReference) {
+  std::vector<std::pair<std::string, Graph>> Cases;
+  Cases.emplace_back("empty", Graph());
+  for (size_t N : {1, 2, 3, 7, 8, 63, 64, 65, 129, 160, 161}) {
+    std::string Tag = std::to_string(N);
+    Cases.emplace_back("path" + Tag, makeLine(N));
+    Cases.emplace_back("star" + Tag, makeStar(N));
+    Cases.emplace_back("complete" + Tag, makeComplete(std::min<size_t>(N, 70)));
+    if (N >= 3)
+      Cases.emplace_back("ring" + Tag, makeRing(N));
+  }
+  for (auto [W, H] : {std::pair<size_t, size_t>{3, 3}, {4, 7}, {8, 8},
+                      {9, 15}, {13, 10}})
+    Cases.emplace_back("torus" + std::to_string(W) + "x" + std::to_string(H),
+                       makeTorus(W, H));
+  // The 4-sweep's lower bound here is 3 against a diameter of 4, with two
+  // nodes at the centre's depth: only the word-parallel sweep finds it.
+  Graph Underestimated;
+  for (ProcessId P = 0; P != 9; ++P)
+    Underestimated.addNode(P);
+  for (auto [A, B] : {std::pair<ProcessId, ProcessId>{0, 4}, {0, 6}, {0, 7},
+                      {1, 2}, {1, 5}, {1, 7}, {1, 8}, {3, 5}, {4, 5}, {6, 8}})
+    Underestimated.addEdge(A, B);
+  EXPECT_EQ(diameter(Underestimated), 4u);
+  for (const auto &[Name, G] : Cases)
+    EXPECT_EQ(diameter(G), allSourcesDiameter(G)) << Name;
+
+  // Small dense draws: the shapes where the 4-sweep bound is most often
+  // short of the diameter.
+  for (uint64_t Seed = 1; Seed <= 3000; ++Seed) {
+    Rng R(Seed);
+    size_t N = 4 + static_cast<size_t>(R.nextBelow(12));
+    Graph G = makeErdosRenyi(N, 0.15 + 0.5 * R.nextDouble(), R,
+                             /*ForceConnected=*/false);
+    ASSERT_EQ(diameter(G), allSourcesDiameter(G)) << "small seed " << Seed;
+  }
+
+  for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
+    Rng R(Seed);
+    size_t N = std::vector<size_t>{2, 5, 17, 63, 64, 65, 100, 129}[Seed % 8];
+    std::vector<std::pair<std::string, Graph>> Drawn;
+    Drawn.emplace_back("tree", makeRandomTree(N, R));
+    // Sparse G(n, p) around the connectivity threshold: some draws split.
+    Drawn.emplace_back("gnp", makeErdosRenyi(N, 2.0 / double(N), R,
+                                             /*ForceConnected=*/false));
+    double Dense = std::min(1.0, 6.0 / double(N));
+    Drawn.emplace_back("gnp-connected", makeErdosRenyi(N, Dense, R));
+    Graph Holes = makeErdosRenyi(N, Dense, R);
+    punchSlotHoles(Holes, R);
+    Drawn.emplace_back("slot-holes", std::move(Holes));
+    for (const auto &[Name, G] : Drawn)
+      ASSERT_EQ(diameter(G), allSourcesDiameter(G))
+          << Name << " n=" << N << " seed " << Seed;
+  }
+
+  // Churned overlays, sampled the way the admissibility monitor samples
+  // them; RandomRewire at degree 1 disconnects.
+  for (uint64_t Seed = 1; Seed <= 6; ++Seed)
+    for (AttachMode Mode : {AttachMode::Chain, AttachMode::Random})
+      for (RepairMode Repair :
+           {RepairMode::PatchPath, RepairMode::RandomRewire})
+        for (size_t Degree : {1, 3}) {
+          DynamicOverlay O(Degree, Rng(Seed), Mode, Repair);
+          Rng R(Seed * 31 + Degree);
+          ProcessId Next = 0;
+          for (size_t I = 0; I != 40; ++I)
+            O.join(Next++);
+          for (int Step = 0; Step != 600; ++Step) {
+            if (O.graph().nodeCount() <= 3 || R.nextBernoulli(0.55)) {
+              O.join(Next++);
+            } else {
+              ProcessId Victim = R.pick(O.graph().nodes());
+              O.leave(Victim);
+            }
+            if (Step % 16 != 0)
+              continue;
+            ASSERT_EQ(diameter(O.graph()), allSourcesDiameter(O.graph()))
+                << "overlay mode " << int(Mode) << " repair " << int(Repair)
+                << " degree " << Degree << " seed " << Seed << " step "
+                << Step;
+          }
+        }
 }

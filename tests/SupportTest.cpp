@@ -4,6 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "dyndist/support/FlatMap.h"
+#include "dyndist/support/InlineVec.h"
 #include "dyndist/support/Logging.h"
 #include "dyndist/support/Random.h"
 #include "dyndist/support/Result.h"
@@ -12,8 +14,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 using namespace dyndist;
 
@@ -324,4 +331,99 @@ TEST(Logging, SinkRedirection) {
   Logger::setSink(nullptr);
   Logger::setLevel(LogLevel::Warn);
   std::fclose(Tmp);
+}
+
+namespace {
+
+using Entry = std::pair<uint32_t, int64_t>;
+using Ref = std::map<uint32_t, int64_t>;
+
+template <typename MapT> MapT flatOf(const Ref &M) {
+  MapT Out;
+  for (const auto &[K, V] : M)
+    Out.emplace(K, V);
+  return Out;
+}
+
+template <typename MapT> Ref refOf(const MapT &M) {
+  return Ref(M.begin(), M.end());
+}
+
+/// Merges \p Other into \p Into both ways — FlatMap::mergeFrom and the
+/// std::map emplace loop — and checks they agree entry for entry.
+template <typename MapT>
+void expectMergeMatchesEmplaceLoop(const Ref &Into, const Ref &Other,
+                                   const std::string &What) {
+  MapT Flat = flatOf<MapT>(Into);
+  Flat.mergeFrom(flatOf<MapT>(Other));
+  Ref Expected = Into;
+  for (const auto &[K, V] : Other)
+    Expected.emplace(K, V); // The resident value wins.
+  EXPECT_EQ(Flat.size(), Expected.size()) << What;
+  EXPECT_EQ(refOf(Flat), Expected) << What;
+  EXPECT_TRUE(std::is_sorted(Flat.begin(), Flat.end())) << What;
+}
+
+template <typename MapT> void checkMergeFrom() {
+  // Residents carry even values, incoming entries odd ones, so a collision
+  // that kept the incoming value shows up as an odd value.
+  auto Keys = [](std::vector<uint32_t> Ks, int64_t Tag) {
+    Ref M;
+    for (uint32_t K : Ks)
+      M.emplace(K, int64_t(K) * 2 + Tag);
+    return M;
+  };
+  const Ref Mid = Keys({10, 20, 30}, 0);
+  const std::vector<std::pair<std::string, std::pair<Ref, Ref>>> Cases = {
+      {"both empty", {{}, {}}},
+      {"empty into", {{}, Keys({1, 2, 3}, 1)}},
+      {"empty other", {Mid, {}}},
+      {"equal", {Mid, Keys({10, 20, 30}, 1)}},
+      {"subset", {Mid, Keys({20}, 1)}},
+      {"superset", {Mid, Keys({5, 10, 15, 20, 25, 30, 35}, 1)}},
+      {"disjoint", {Mid, Keys({11, 21, 31}, 1)}},
+      {"all before", {Mid, Keys({1, 2, 3}, 1)}},
+      {"all after", {Mid, Keys({40, 50}, 1)}},
+      {"interleaved", {Mid, Keys({5, 20, 25, 40}, 1)}},
+  };
+  for (const auto &[Name, Sides] : Cases)
+    expectMergeMatchesEmplaceLoop<MapT>(Sides.first, Sides.second, Name);
+
+  Rng R(0x5eed);
+  for (int Trial = 0; Trial != 400; ++Trial) {
+    Ref Into, Other;
+    uint32_t Span = 1 + static_cast<uint32_t>(R.nextBelow(64));
+    for (uint64_t I = 0, E = R.nextBelow(40); I != E; ++I)
+      Into.emplace(static_cast<uint32_t>(R.nextBelow(Span)), 2 * int64_t(I));
+    for (uint64_t I = 0, E = R.nextBelow(40); I != E; ++I)
+      Other.emplace(static_cast<uint32_t>(R.nextBelow(Span)),
+                    2 * int64_t(I) + 1);
+    expectMergeMatchesEmplaceLoop<MapT>(Into, Other,
+                                        "trial " + std::to_string(Trial));
+  }
+}
+
+} // namespace
+
+TEST(FlatMap, MergeFromMatchesEmplaceLoopVectorStorage) {
+  checkMergeFrom<FlatMap<uint32_t, int64_t>>();
+}
+
+TEST(FlatMap, MergeFromMatchesEmplaceLoopInlineStorage) {
+  // Inline capacity 8: the random maps cross from the inline buffer to the
+  // heap inside mergeFrom's resize.
+  checkMergeFrom<FlatMap<uint32_t, int64_t, InlineVec<Entry, 8>>>();
+}
+
+TEST(InlineVec, ResizeValueInitializesAndSpills) {
+  InlineVec<Entry, 2> V;
+  V.push_back({7, 7});
+  V.resize(5);
+  ASSERT_EQ(V.size(), 5u);
+  EXPECT_EQ(V[0], Entry(7, 7));
+  for (uint32_t I = 1; I != 5; ++I)
+    EXPECT_EQ(V[I], Entry(0, 0));
+  V.resize(1);
+  EXPECT_EQ(V.size(), 1u);
+  EXPECT_EQ(V.back(), Entry(7, 7));
 }
