@@ -14,8 +14,9 @@
 //
 // The seed axis is sharded across threads by SweepRunner (--threads N /
 // DYNDIST_THREADS); the aggregate is byte-identical at any thread count.
-// Run with any --benchmark_* flag to execute only the BM_SweepSolvability
-// wall-clock section (seed sweeps at 1/2/4/hw threads), which
+// Run with any --benchmark_* flag to execute only the wall-clock section:
+// BM_SweepSolvability (a flooding cell's seed sweep at 1/2/4/hw threads)
+// and BM_SweepGossipCell (a gossip cell's sweep, one thread), which
 // tools/dyndist-bench-report --sweep merges into BENCH_kernel.json.
 //
 //===----------------------------------------------------------------------===//
@@ -30,6 +31,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <string_view>
@@ -111,11 +113,9 @@ std::vector<CellOutcome> sweepCell(const SystemClass &Class, int Seeds,
 // second. Registered dynamically so the ladder can include the host's
 // hardware concurrency.
 
-void BM_SweepSolvability(benchmark::State &State) {
+void sweepCellBench(benchmark::State &State, const SystemClass &Class) {
   unsigned Threads = static_cast<unsigned>(State.range(0));
   const int Seeds = 32;
-  SystemClass Class{ArrivalModel::boundedConcurrency(B),
-                    KnowledgeModel::knownDiameter(D)};
   uint64_t Ran = 0;
   for (auto _ : State) {
     auto Outcomes = sweepCell(Class, Seeds, Threads);
@@ -123,6 +123,24 @@ void BM_SweepSolvability(benchmark::State &State) {
     benchmark::DoNotOptimize(Outcomes);
   }
   State.SetItemsProcessed(static_cast<int64_t>(Ran));
+}
+
+void BM_SweepSolvability(benchmark::State &State) {
+  sweepCellBench(State, SystemClass{ArrivalModel::boundedConcurrency(B),
+                                    KnowledgeModel::knownDiameter(D)});
+}
+
+// The flooding cell above runs no gossip handler. This one is the E1 cell
+// whose recommended algorithm is best-effort gossip (M^inf x D-bounded),
+// in its adversarial regime, so its rate moves with the gossip actors'
+// merge and send costs.
+void BM_SweepGossipCell(benchmark::State &State) {
+  SystemClass Class{ArrivalModel::infiniteArrival(),
+                    KnowledgeModel::boundedUnknownDiameter()};
+  assert(recommendedAlgorithm(Class) ==
+             RecommendedAlgorithm::GossipBestEffort &&
+         "the gossip sweep row must sweep a gossip cell");
+  sweepCellBench(State, Class);
 }
 
 // --- Short-run sweep throughput (fresh vs arena reuse) --------------------
@@ -197,6 +215,12 @@ void registerSweepBenchmarks() {
     Ladder.push_back(HW);
   for (unsigned T : Ladder)
     Bench->Arg(static_cast<int64_t>(T));
+
+  benchmark::RegisterBenchmark("BM_SweepGossipCell", BM_SweepGossipCell)
+      ->ArgName("threads")
+      ->Unit(benchmark::kMillisecond)
+      ->UseRealTime()
+      ->Arg(1);
 
   auto *Short = benchmark::RegisterBenchmark("BM_SweepShortRuns",
                                              BM_SweepShortRuns);

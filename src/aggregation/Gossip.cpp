@@ -10,6 +10,15 @@
 
 using namespace dyndist;
 
+void GossipActor::onStart(Context &Ctx) {
+  AggregationActor::onStart(Ctx);
+  GossipValueTable &Table = *Values;
+  ProcessId Self = Ctx.self();
+  if (Table.size() <= Self)
+    Table.resize(Self + 1);
+  Table[Self] = Value;
+}
+
 void GossipActor::onMessage(Context &Ctx, ProcessId From,
                             const MessageBody &Body) {
   switch (Body.kind()) {
@@ -18,7 +27,7 @@ void GossipActor::onMessage(Context &Ctx, ProcessId From,
     return;
   case MsgGossipPush: {
     const auto &Push = bodyAs<GossipPushMsg>(Body);
-    merge(Push.Known);
+    Known.unionWith(Push.Known);
     infect(Ctx, Push.QueryId);
     Ctx.send(From, makeBody<GossipPullMsg>(Push.QueryId, Known));
     return;
@@ -26,31 +35,15 @@ void GossipActor::onMessage(Context &Ctx, ProcessId From,
   case MsgGossipPull: {
     const auto &Pull = bodyAs<GossipPullMsg>(Body);
     if (Infected && Pull.QueryId == QueryId)
-      merge(Pull.Known);
+      Known.unionWith(Pull.Known);
     return;
   }
   case MsgGossipDigest: {
     const auto &Digest = bodyAs<GossipDigestMsg>(Body);
     infect(Ctx, Digest.QueryId);
-    // Entries the sender lacks; identities we lack. Both inputs ascend
-    // (Known is a sorted map, KnownIds a sorted vector), so one two-pointer
-    // merge replaces the per-id tree lookups; outputs are built in order.
-    Contributions Missing;
-    std::vector<ProcessId> Want;
-    auto KIt = Known.begin(), KEnd = Known.end();
-    auto DIt = Digest.KnownIds.begin(), DEnd = Digest.KnownIds.end();
-    while (KIt != KEnd || DIt != DEnd) {
-      if (DIt == DEnd || (KIt != KEnd && KIt->first < *DIt)) {
-        Missing.emplace_hint(Missing.end(), KIt->first, KIt->second);
-        ++KIt;
-      } else if (KIt == KEnd || *DIt < KIt->first) {
-        Want.push_back(*DIt);
-        ++DIt;
-      } else {
-        ++KIt;
-        ++DIt;
-      }
-    }
+    // Entries the sender lacks; identities we lack.
+    DenseBitSet Missing = DenseBitSet::difference(Known, Digest.KnownIds);
+    DenseBitSet Want = DenseBitSet::difference(Digest.KnownIds, Known);
     if (!Missing.empty() || !Want.empty())
       Ctx.send(From, makeBody<GossipDeltaMsg>(Digest.QueryId,
                                               std::move(Missing),
@@ -61,18 +54,12 @@ void GossipActor::onMessage(Context &Ctx, ProcessId From,
     const auto &Delta = bodyAs<GossipDeltaMsg>(Body);
     if (!Infected || Delta.QueryId != QueryId)
       return;
-    merge(Delta.Entries);
-    // Serve the peer's wants (second half of the exchange).
-    Contributions Wanted;
-    for (ProcessId P : Delta.WantIds) {
-      auto It = Known.find(P);
-      if (It != Known.end())
-        Wanted.emplace(It->first, It->second);
-    }
-    if (!Wanted.empty())
-      Ctx.send(From, makeBody<GossipDeltaMsg>(Delta.QueryId,
-                                              std::move(Wanted),
-                                              std::vector<ProcessId>()));
+    Known.unionWith(Delta.Entries);
+    // Serve the peer's wants (second half of the exchange). They are ids
+    // of our own digest, and Known only grows, so we hold every one.
+    if (!Delta.WantIds.empty())
+      Ctx.send(From, makeBody<GossipDeltaMsg>(Delta.QueryId, Delta.WantIds,
+                                              DenseBitSet()));
     return;
   }
   default:
@@ -90,19 +77,13 @@ void GossipActor::startQuery(Context &Ctx) {
 }
 
 void GossipActor::infect(Context &Ctx, uint64_t Qid) {
-  Known.emplace(Ctx.self(), Value);
+  Known.insert(Ctx.self());
   if (Infected)
     return;
   Infected = true;
   QueryId = Qid;
   RoundsLeft = Config->Rounds;
   RoundTimer = Ctx.setTimer(Config->RoundEvery);
-}
-
-void GossipActor::merge(const Contributions &Other) {
-  // Both sides are sorted flat vectors: one linear two-pointer union,
-  // resident entries winning on collision (the emplace-loop semantics).
-  Known.mergeFrom(Other);
 }
 
 void GossipActor::gossipRound(Context &Ctx) {
@@ -112,20 +93,10 @@ void GossipActor::gossipRound(Context &Ctx) {
   size_t Degree = Ctx.neighborCount();
   if (Degree != 0) {
     // One payload per round, shared by every fan-out target: the content
-    // (and thus every weight/stat) is identical for all of them, so
-    // rebuilding it per target was pure waste.
-    MessageRef Payload;
-    if (Config->DigestMode) {
-      std::vector<ProcessId> Ids;
-      Ids.reserve(Known.size());
-      for (const auto &[P, V] : Known) {
-        (void)V;
-        Ids.push_back(P); // Known ascends, so Ids is sorted.
-      }
-      Payload = makeBody<GossipDigestMsg>(QueryId, std::move(Ids));
-    } else {
-      Payload = makeBody<GossipPushMsg>(QueryId, Known);
-    }
+    // (and thus every weight/stat) is identical for all of them.
+    MessageRef Payload = Config->DigestMode
+                             ? makeBody<GossipDigestMsg>(QueryId, Known)
+                             : makeBody<GossipPushMsg>(QueryId, Known);
     for (size_t I = 0, E = std::min(Config->FanOut, Degree); I != E; ++I)
       Ctx.send(Ctx.neighborAt(
                    static_cast<size_t>(Ctx.rng().nextBelow(Degree))),
@@ -142,7 +113,14 @@ void GossipActor::onTimer(Context &Ctx, TimerId Id) {
   }
   if (Id == ReportTimer && Issuing && !Reported) {
     Reported = true;
-    reportResult(Ctx, Known, Config->Aggregate);
+    // Join the ids to their inputs once, for the checker-format report.
+    const GossipValueTable &Table = *Values;
+    Contributions Report;
+    Report.reserve(Known.count());
+    Known.forEach([&](uint64_t P) {
+      Report.emplace_hint(Report.end(), P, Table[P]);
+    });
+    reportResult(Ctx, Report, Config->Aggregate);
   }
 }
 
@@ -150,7 +128,8 @@ std::function<std::unique_ptr<Actor>()>
 dyndist::makeGossipFactory(std::shared_ptr<const GossipConfig> Config,
                            std::function<int64_t()> NextValue) {
   assert(Config && NextValue && "factory needs config and value source");
-  return [Config, NextValue]() {
-    return std::make_unique<GossipActor>(Config, NextValue());
+  auto Values = std::make_shared<GossipValueTable>();
+  return [Config, Values, NextValue]() {
+    return std::make_unique<GossipActor>(Config, Values, NextValue());
   };
 }

@@ -48,8 +48,8 @@ inline const char *const OtqResultKey = "otq.result";   ///< Aggregate is V.
 /// report time. Carrying the full map (not just the folded value) is what
 /// lets the checker audit completeness and invention. Stored as a sorted
 /// flat vector: enumeration ascends exactly like the std::map it replaced
-/// (experiment outputs are byte-identical), while merges are linear
-/// two-pointer passes and the whole set lives in one allocation.
+/// (experiment outputs are byte-identical), and the whole set lives in one
+/// allocation.
 using Contributions = FlatMap<ProcessId, int64_t>;
 
 /// The aggregate functions f(v_1, ...) of the query: commutative and

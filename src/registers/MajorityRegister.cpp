@@ -33,11 +33,19 @@ MajorityRegister::MajorityRegister(
   (void)AllowUnderprovisioned;
 }
 
+// Only real replies count toward a quorum: a ⊥ (responsive-crash answer)
+// is treated like the silence of a nonresponsive crash. With at most t
+// failed bases, n-t correct ones still answer for real, so await returns
+// under exactly the liveness condition of the nonresponsive model.
+
 void MajorityRegister::quorumWrite(TaggedValue V) {
   auto Latch = std::make_shared<QuorumLatch>(Bases.size() - Tolerated);
   for (auto &B : Bases) {
     ++BaseOps;
-    B->asyncWrite(V, [Latch](bool) { Latch->arrive(); });
+    B->asyncWrite(V, [Latch](bool Ack) {
+      if (Ack)
+        Latch->arrive();
+    });
   }
   Latch->await();
 }
@@ -48,11 +56,12 @@ TaggedValue MajorityRegister::quorumRead() {
   for (auto &B : Bases) {
     ++BaseOps;
     B->asyncRead([Latch, Best](std::optional<TaggedValue> V) {
-      if (V)
-        Latch->withLock([&] {
-          if (V->Seq > Best->Seq)
-            *Best = *V;
-        });
+      if (!V)
+        return;
+      Latch->withLock([&] {
+        if (V->Seq > Best->Seq)
+          *Best = *V;
+      });
       Latch->arrive();
     });
   }

@@ -21,6 +21,11 @@
 /// readers: once a read returns, a quorum holds a value at least as fresh,
 /// so no later read can return an older one.
 ///
+/// Quorums count real replies only. Caller-supplied bases may be
+/// responsive-crash objects, which answer ⊥ once crashed; a ⊥ is treated
+/// as silence, so a "majority" can never be made of ⊥s, and with at most
+/// t failed bases the n-t correct ones always answer.
+///
 /// The constructor accepts any (n, t). With n < 2t+1 the quorums stop
 /// intersecting and the construction is *incorrect* — kept constructible
 /// (behind an explicit flag) because the test suite and experiment E6 use
@@ -73,10 +78,10 @@ public:
 
 private:
   /// Issues reads to every base and returns the max-Seq answer among the
-  /// first n-t completions.
+  /// first n-t real (non-⊥) replies.
   TaggedValue quorumRead();
 
-  /// Issues writes of \p V to every base and blocks for n-t acks.
+  /// Issues writes of \p V to every base and blocks for n-t real acks.
   void quorumWrite(TaggedValue V);
 
   std::vector<std::shared_ptr<BaseRegister>> Bases;

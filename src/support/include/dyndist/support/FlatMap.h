@@ -10,12 +10,11 @@
 /// ordered by key. Enumeration ascends exactly like std::map, so code (and
 /// recorded traces) that iterate a FlatMap produce byte-identical output to
 /// the tree-map implementation they replace — while lookups are a cache-
-/// friendly binary search over one allocation, clear() retains capacity,
-/// and whole-map unions are linear two-pointer merges instead of per-key
-/// tree inserts.
+/// friendly binary search over one allocation and clear() retains
+/// capacity.
 ///
 /// Intended for the small-to-medium keyed aggregates of the protocol layer
-/// (gossip contribution sets, peer-sampling views, heard-from tables):
+/// (contribution sets, peer-sampling views, heard-from tables):
 /// populations up to a few thousand keys where contiguity beats the
 /// tree's per-node pointer chasing at every size.
 ///
@@ -121,53 +120,6 @@ public:
   }
 
   iterator erase(const_iterator It) { return Entries.erase(It); }
-
-  /// Linear union with \p Other: keys already present keep their resident
-  /// value (the emplace-loop semantics), absent keys are inserted in order.
-  /// A read-only first pass counts the absent keys, so the common
-  /// Other-is-a-subset case writes nothing; otherwise the map grows once
-  /// and the two sorted runs merge backwards in place.
-  void mergeFrom(const FlatMap &Other) {
-    size_t Fresh = 0;
-    const_iterator A = Entries.begin(), AEnd = Entries.end();
-    const_iterator B = Other.Entries.begin(), BEnd = Other.Entries.end();
-    while (B != BEnd) {
-      if (A == AEnd) {
-        Fresh += static_cast<size_t>(BEnd - B);
-        break;
-      }
-      if (A->first < B->first) {
-        ++A;
-      } else if (B->first < A->first) {
-        ++Fresh;
-        ++B;
-      } else {
-        ++A;
-        ++B;
-      }
-    }
-    if (Fresh == 0)
-      return;
-    size_t Resident = Entries.size();
-    Entries.resize(Resident + Fresh);
-    iterator Out = Entries.end();
-    iterator Res = Entries.begin() + static_cast<ptrdiff_t>(Resident);
-    B = Other.Entries.end();
-    // Out - Res is the count of absent keys still to place, so the
-    // residents below Res are in position once it reaches 0.
-    while (Out != Res) {
-      const value_type &Top = *(B - 1);
-      if (Res != Entries.begin() && !((Res - 1)->first < Top.first)) {
-        if (Top.first == (Res - 1)->first)
-          --B; // Resident value wins on key collision.
-        else
-          *--Out = *--Res;
-      } else {
-        *--Out = Top;
-        --B;
-      }
-    }
-  }
 
   friend bool operator==(const FlatMap &L, const FlatMap &R) {
     return L.Entries == R.Entries;

@@ -13,9 +13,10 @@
 /// keep that capacity across clear()/reset() (the slab recycling
 /// discipline: clearing retains capacity).
 ///
-/// Deliberately minimal: exactly the std::vector subset FlatMap and the
-/// slab-backed protocol state use. Elements must be trivially copyable —
-/// growth and erasure are memmoves, never element-wise construction.
+/// Deliberately minimal: exactly the std::vector subset FlatMap,
+/// DenseBitSet and the slab-backed protocol state use. Elements must be
+/// trivially copyable — growth and erasure are memmoves, never
+/// element-wise construction.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +26,6 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
-#include <new>
 #include <type_traits>
 #include <utility>
 
@@ -92,14 +92,6 @@ public:
   void reserve(size_t N) {
     if (N > Cap)
       grow(N);
-  }
-
-  /// Grows or shrinks to \p N elements; new elements are value-initialized.
-  void resize(size_t N) {
-    reserve(N);
-    for (size_t I = Size; I < N; ++I)
-      new (Data + I) T();
-    Size = static_cast<uint32_t>(N);
   }
 
   void push_back(const T &V) {

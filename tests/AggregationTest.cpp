@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "dyndist/aggregation/Echo.h"
+#include "dyndist/aggregation/Experiment.h"
 #include "dyndist/aggregation/Flooding.h"
 #include "dyndist/aggregation/Gossip.h"
 #include "dyndist/aggregation/Token.h"
@@ -13,6 +14,7 @@
 #include "dyndist/core/Solvability.h"
 #include "dyndist/graph/Algorithms.h"
 #include "dyndist/graph/Generators.h"
+#include "dyndist/runtime/SweepRunner.h"
 
 #include <gtest/gtest.h>
 
@@ -631,4 +633,190 @@ TEST(GossipDigest, PayloadAccountingIsPopulated) {
   S.run(L);
   // Gossip payloads carry the contribution map: units exceed messages.
   EXPECT_GT(S.stats().PayloadUnits, S.stats().MessagesSent);
+}
+
+//===----------------------------------------------------------------------===//
+// Gossip reports and payload pins
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The issuer's report as the checker reads it: the included pids in
+/// report order, folded with FNV-1a, and the aggregate.
+struct GossipReport {
+  size_t Included = 0;
+  uint64_t IncludeFnv = 1469598103934665603ULL;
+  int64_t Aggregate = 0;
+  uint64_t PayloadUnits = 0;
+};
+
+ChurnDriver::ActorFactory gossipFactory(std::function<int64_t()> Values,
+                                        AggregateKind Kind, bool Digest) {
+  auto Cfg = std::make_shared<GossipConfig>();
+  Cfg->ReportAfter = 60;
+  Cfg->Rounds = 30;
+  Cfg->RoundEvery = 2;
+  Cfg->Aggregate = Kind;
+  Cfg->DigestMode = Digest;
+  return makeGossipFactory(Cfg, std::move(Values));
+}
+
+/// A churny gossip run (joins and crashes throughout) over \p Factory's
+/// actors.
+GossipReport runChurnyGossip(const ChurnDriver::ActorFactory &Factory,
+                             uint64_t Seed, size_t Members = 24) {
+  DynamicSystemConfig SysCfg;
+  SysCfg.Seed = Seed;
+  SysCfg.InitialMembers = Members;
+  SysCfg.Churn.JoinRate = 0.3;
+  SysCfg.Churn.MeanSession = 90;
+  SysCfg.Churn.CrashFraction = 0.3;
+  SysCfg.Churn.Horizon = 400;
+  SysCfg.DiameterSampleEvery = 0;
+  DynamicSystem Sys(SysCfg, Factory);
+  ProcessId Issuer = Sys.sim().spawn(Sys.churn().makeActor());
+  scheduleQueryStart(Sys.sim(), 150, Issuer);
+  RunLimits L;
+  L.MaxTime = 600;
+  Sys.run(L);
+
+  GossipReport Out;
+  const Trace &T = Sys.sim().trace();
+  uint32_t Include = T.keys().find(OtqIncludeKey);
+  uint32_t Result = T.keys().find(OtqResultKey);
+  for (const TraceRecord &R : T.records()) {
+    if (R.kind() != TraceKind::Observe || R.subject() != Issuer)
+      continue;
+    if (R.keyId() == Include) {
+      ++Out.Included;
+      Out.IncludeFnv =
+          (Out.IncludeFnv ^ static_cast<uint64_t>(R.Value)) * 1099511628211ULL;
+    } else if (R.keyId() == Result) {
+      Out.Aggregate = R.Value;
+    }
+  }
+  Out.PayloadUnits = Sys.sim().stats().PayloadUnits;
+  return Out;
+}
+
+/// Inputs that neither ascend with the pid nor stay distinct: any mix-up
+/// of which input belongs to which pid moves Sum, Min or Max.
+std::function<int64_t()> scrambledValue() {
+  auto K = std::make_shared<int64_t>(0);
+  return [K] { return (++*K * 7919) % 97 - 48; };
+}
+
+} // namespace
+
+TEST(Gossip, ReportsPinnedContributionsUnderChurn) {
+  struct Case {
+    const char *Name;
+    bool Scrambled;
+    AggregateKind Kind;
+    bool Digest;
+    GossipReport Want;
+  };
+  // Recorded from the sorted-map implementation the bitset replaced.
+  const Case Cases[] = {
+      {"scrambled-sum", true, AggregateKind::Sum, false,
+       {34, 0xf43ad8fb14cdbea3ULL, 3, 319508}},
+      {"scrambled-min", true, AggregateKind::Min, false,
+       {34, 0xf43ad8fb14cdbea3ULL, -46, 319508}},
+      {"scrambled-max", true, AggregateKind::Max, true,
+       {34, 0xf43ad8fb14cdbea3ULL, 47, 99657}},
+      {"scrambled-sum-digest", true, AggregateKind::Sum, true,
+       {34, 0xf43ad8fb14cdbea3ULL, 3, 99657}},
+      {"ones-sum", false, AggregateKind::Sum, false,
+       {34, 0xf43ad8fb14cdbea3ULL, 34, 319508}},
+      {"ones-count-digest", false, AggregateKind::Count, true,
+       {34, 0xf43ad8fb14cdbea3ULL, 34, 99657}},
+  };
+  for (const Case &C : Cases) {
+    GossipReport Got = runChurnyGossip(
+        gossipFactory(C.Scrambled ? scrambledValue() : onesValue(), C.Kind,
+                      C.Digest),
+        /*Seed=*/0x60551);
+    EXPECT_EQ(Got.Included, C.Want.Included) << C.Name;
+    EXPECT_EQ(Got.IncludeFnv, C.Want.IncludeFnv) << C.Name;
+    EXPECT_EQ(Got.Aggregate, C.Want.Aggregate) << C.Name;
+    EXPECT_EQ(Got.PayloadUnits, C.Want.PayloadUnits) << C.Name;
+  }
+}
+
+TEST(Gossip, ReusedFactoryReadsOnlyThisRunsValues) {
+  // One factory serves a larger run, then a smaller one. Its value source
+  // keeps counting, so every pid's input differs between the runs: a
+  // report that read a value left over from the first run would differ
+  // from a fresh factory whose source starts where the shared one stood.
+  auto Counter = std::make_shared<int64_t>(0);
+  auto Shared = gossipFactory([Counter] { return ++*Counter; },
+                              AggregateKind::Sum, /*Digest=*/false);
+  runChurnyGossip(Shared, /*Seed=*/5, /*Members=*/60);
+  auto Resumed = std::make_shared<int64_t>(*Counter);
+  GossipReport Reused = runChurnyGossip(Shared, /*Seed=*/6, /*Members=*/12);
+  GossipReport Fresh =
+      runChurnyGossip(gossipFactory([Resumed] { return ++*Resumed; },
+                                    AggregateKind::Sum, /*Digest=*/false),
+                      /*Seed=*/6, /*Members=*/12);
+  EXPECT_GT(Fresh.Included, 1u);
+  EXPECT_EQ(Reused.Included, Fresh.Included);
+  EXPECT_EQ(Reused.IncludeFnv, Fresh.IncludeFnv);
+  EXPECT_EQ(Reused.Aggregate, Fresh.Aggregate);
+  EXPECT_EQ(Reused.PayloadUnits, Fresh.PayloadUnits);
+}
+
+TEST(GossipDigest, E4PayloadUnitsPinned) {
+  // E4's gossip rows at three of its seeds (same master seed, config and
+  // join rates as bench_churn_gossip): totals over the seeds of payload
+  // units and messages sent, full-state and digest mode.
+  auto Totals = [](bool Digest, double JoinRate) {
+    SweepConfig Sweep;
+    Sweep.MasterSeed = 0xE4;
+    Sweep.SeedCount = 3;
+    Sweep.Threads = 1;
+    auto Runs = runSeedSweep<ExperimentResult>(Sweep, [&](SweepSeed Seed) {
+      ExperimentConfig Cfg;
+      Cfg.Seed = Seed.Value;
+      Cfg.Class = {ArrivalModel::boundedConcurrency(40),
+                   KnowledgeModel::knownDiameter(10)};
+      Cfg.UseRecommended = false;
+      Cfg.Algorithm = RecommendedAlgorithm::GossipBestEffort;
+      Cfg.InitialMembers = 24;
+      Cfg.Churn.JoinRate = JoinRate;
+      Cfg.Churn.MeanSession = JoinRate > 0 ? 24.0 / JoinRate : 1e9;
+      Cfg.Churn.Horizon = 600;
+      Cfg.QueryAt = 200;
+      Cfg.Horizon = 1200;
+      Cfg.Gossip.ReportAfter = 60;
+      Cfg.Gossip.Rounds = 30;
+      Cfg.Gossip.RoundEvery = 2;
+      Cfg.Gossip.DigestMode = Digest;
+      return runQueryExperiment(Cfg);
+    });
+    std::pair<uint64_t, uint64_t> Sum{0, 0};
+    for (const ExperimentResult &R : Runs) {
+      Sum.first += R.Stats.PayloadUnits;
+      Sum.second += R.Stats.MessagesSent;
+    }
+    return Sum;
+  };
+  struct Row {
+    bool Digest;
+    double JoinRate;
+    uint64_t Units, Messages;
+  };
+  // Recorded from the sorted-map implementation the bitset replaced.
+  const Row Rows[] = {
+      {false, 0.0, 203233, 4500},
+      {false, 0.4, 2588289, 16534},
+      {true, 0.0, 58955, 3537},
+      {true, 0.4, 819628, 18401},
+  };
+  for (const Row &R : Rows) {
+    auto [Units, Messages] = Totals(R.Digest, R.JoinRate);
+    EXPECT_EQ(Units, R.Units)
+        << "digest=" << R.Digest << " rate=" << R.JoinRate;
+    EXPECT_EQ(Messages, R.Messages)
+        << "digest=" << R.Digest << " rate=" << R.JoinRate;
+  }
 }

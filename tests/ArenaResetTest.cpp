@@ -149,7 +149,18 @@ TEST(ArenaReset, ByteIdenticalToFreshAcrossFamiliesAndShards) {
             << " seed=" << Seed;
       }
     }
-    EXPECT_EQ(Arena.epoch(), 6u) << "shards=" << Shards;
+    // Gossip's pid -> value table outlives a run inside the arena's
+    // factory: a larger run, then a smaller one, must still match fresh.
+    for (size_t Members : {48u, 12u}) {
+      ExperimentConfig Cfg =
+          baseConfig(RecommendedAlgorithm::GossipBestEffort, Shards,
+                     TraceLevel::Full, 13);
+      Cfg.InitialMembers = Members;
+      EXPECT_EQ(digestOf(runQueryExperiment(Cfg)),
+                digestOf(runQueryExperiment(Cfg, &Arena)))
+          << "shards=" << Shards << " gossip members=" << Members;
+    }
+    EXPECT_EQ(Arena.epoch(), 8u) << "shards=" << Shards;
   }
 }
 

@@ -144,6 +144,44 @@ TEST(MajorityRegister, OperationsBlockWhileQuorumSuspended) {
   Runner.joinAll();
 }
 
+/// Caller-supplied responsive-crash bases answer ⊥ once crashed. A ⊥ is
+/// not a reply: counting it toward the read quorum would let {⊥, stale}
+/// pass for a majority and return a value older than a completed write.
+TEST(MajorityRegister, BottomRepliesDoNotFormAQuorum) {
+  auto B0 = std::make_shared<BaseRegister>(FailureMode::Responsive);
+  auto B1 = std::make_shared<BaseRegister>(FailureMode::Responsive);
+  auto B2 = std::make_shared<BaseRegister>(FailureMode::Responsive);
+  MajorityRegister R({B0, B1, B2}, /*Tolerated=*/1);
+
+  // The write completes on {B0, B2}; at B1 it stays pending.
+  B1->suspend();
+  R.write(42);
+  ASSERT_EQ(B1->deferredCount(), 1u);
+  B0->crash(); // From now on B0 answers ⊥: one failure, within t.
+  B2->suspend();
+
+  std::atomic<bool> ReadDone{false};
+  int64_t Got = -1;
+  ThreadRunner Runner;
+  Runner.spawn([&] {
+    Got = R.read(0);
+    ReadDone = true;
+  });
+  // Serve the read at B1 ahead of the pending write: a stale {0, 0}.
+  ASSERT_TRUE(eventually([&] { return B1->deferredCount() == 2; }));
+  B1->resumeOne(1);
+  B1->resume();
+  // ⊥ from B0 plus B1's stale pair is one real reply, not a quorum.
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_FALSE(ReadDone.load());
+
+  B2->resume(); // The second real reply carries the completed write.
+  ASSERT_TRUE(eventually([&] { return ReadDone.load(); }));
+  Runner.joinAll();
+  EXPECT_EQ(Got, 42);
+  EXPECT_EQ(R.read(0), 42);
+}
+
 TEST(MajorityRegister, StressMultiReaderWithCrashesIsAtomic) {
   for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
     MajorityRegister R(5, 2);

@@ -157,6 +157,69 @@ TEST(ShardedKernel, ExperimentTraceShardInvariant) {
   EXPECT_TRUE(scheduleStatsEqual(Stats1, StatsInline));
 }
 
+namespace {
+
+/// A churny gossip experiment at shard count \p Shards, digested to its
+/// serialized trace plus stats.
+std::pair<std::string, SimStats> gossipExperimentDigest(unsigned Shards,
+                                                        bool Digest) {
+  ExperimentConfig Cfg;
+  Cfg.Seed = 23;
+  Cfg.Class.Arrival = ArrivalModel::infiniteArrival();
+  Cfg.UseRecommended = false;
+  Cfg.Algorithm = RecommendedAlgorithm::GossipBestEffort;
+  Cfg.InitialMembers = 24;
+  Cfg.OverlayDegree = 3;
+  Cfg.Churn.JoinRate = 0.3;
+  Cfg.Churn.MeanSession = 100;
+  Cfg.Churn.CrashFraction = 0.3;
+  Cfg.QueryAt = 80;
+  Cfg.Horizon = 240;
+  Cfg.Gossip.ReportAfter = 60;
+  Cfg.Gossip.Rounds = 30;
+  Cfg.Gossip.RoundEvery = 2;
+  Cfg.Gossip.DigestMode = Digest;
+  Cfg.KeepTrace = true;
+  Cfg.Shards = Shards;
+  ExperimentResult R = runQueryExperiment(Cfg);
+  EXPECT_TRUE(R.RecordedTrace.has_value());
+  return {traceToJsonLines(*R.RecordedTrace), R.Stats};
+}
+
+} // namespace
+
+TEST(ShardedKernel, GossipTraceShardInvariant) {
+  // Pinned trace digests, recorded from the sorted-map contribution sets
+  // the bitset replaced: the legacy kernel (shards 0) runs its own
+  // schedule, every sharded count runs one shared schedule.
+  struct Pin {
+    bool Digest;
+    uint64_t Legacy, Sharded;
+  };
+  const Pin Pins[] = {
+      {false, 0xaa0c6671f9b05d01ULL, 0x415d885b55dd86a8ULL},
+      {true, 0x33a1b2a6882e302dULL, 0xf1dde8e4bdd3dc41ULL},
+  };
+  for (const Pin &P : Pins) {
+    auto [Trace0, Stats0] = gossipExperimentDigest(0, P.Digest);
+    auto [Trace1, Stats1] = gossipExperimentDigest(1, P.Digest);
+    auto [Trace2, Stats2] = gossipExperimentDigest(2, P.Digest);
+    auto [Trace4, Stats4] = gossipExperimentDigest(4, P.Digest);
+    EXPECT_EQ(fnv1a(Trace0), P.Legacy) << "digest=" << P.Digest;
+    EXPECT_EQ(fnv1a(Trace1), P.Sharded) << "digest=" << P.Digest;
+    EXPECT_EQ(Trace1, Trace2);
+    EXPECT_EQ(Trace1, Trace4);
+    EXPECT_TRUE(scheduleStatsEqual(Stats1, Stats2));
+    EXPECT_TRUE(scheduleStatsEqual(Stats1, Stats4));
+
+    ASSERT_EQ(setenv("DYNDIST_SHARD_THREADS", "1", 1), 0);
+    auto [TraceInline, StatsInline] = gossipExperimentDigest(4, P.Digest);
+    unsetenv("DYNDIST_SHARD_THREADS");
+    EXPECT_EQ(fnv1a(Trace1), fnv1a(TraceInline));
+    EXPECT_TRUE(scheduleStatsEqual(Stats1, StatsInline));
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Slab-backed membership state vs a std::set reference under churn
 //===----------------------------------------------------------------------===//
@@ -303,13 +366,15 @@ TEST(ShardedKernel, SlabFlatMapMatchesMapReferenceRandomized) {
       Stale.push_back(Lives[I].H);
       Lives.erase(Lives.begin() + static_cast<long>(I));
     } else if (Roll < 16 && Lives.size() > 1) {
-      // Merge a random other record in (the gossip-union path).
+      // Merge a random other record in, one emplace per entry.
       size_t A = static_cast<size_t>(R.nextBelow(Lives.size()));
       size_t B = static_cast<size_t>(R.nextBelow(Lives.size()));
       if (A != B) {
-        Slab.at(Lives[A].H).V.mergeFrom(Slab.at(Lives[B].H).V);
+        View &Into = Slab.at(Lives[A].H).V;
+        for (const auto &[K, Val] : Slab.at(Lives[B].H).V)
+          Into.emplace(K, Val);
         for (const auto &[K, Val] : Lives[B].Ref)
-          Lives[A].Ref.emplace(K, Val); // Resident wins, like mergeFrom.
+          Lives[A].Ref.emplace(K, Val); // Resident wins in both.
         CheckEqual(Lives[A]);
       }
     } else {

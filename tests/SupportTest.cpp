@@ -4,8 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "dyndist/support/FlatMap.h"
-#include "dyndist/support/InlineVec.h"
+#include "dyndist/support/DenseBitSet.h"
 #include "dyndist/support/Logging.h"
 #include "dyndist/support/Random.h"
 #include "dyndist/support/Result.h"
@@ -16,7 +15,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <iterator>
 #include <set>
 #include <string>
 #include <utility>
@@ -335,95 +334,96 @@ TEST(Logging, SinkRedirection) {
 
 namespace {
 
-using Entry = std::pair<uint32_t, int64_t>;
-using Ref = std::map<uint32_t, int64_t>;
+using IdSet = std::set<uint64_t>;
 
-template <typename MapT> MapT flatOf(const Ref &M) {
-  MapT Out;
-  for (const auto &[K, V] : M)
-    Out.emplace(K, V);
+DenseBitSet bitsOf(const IdSet &S) {
+  DenseBitSet B;
+  for (uint64_t I : S)
+    B.insert(I);
+  return B;
+}
+
+/// Members in the order forEach yields them.
+std::vector<uint64_t> membersOf(const DenseBitSet &B) {
+  std::vector<uint64_t> Out;
+  B.forEach([&](uint64_t I) { Out.push_back(I); });
   return Out;
 }
 
-template <typename MapT> Ref refOf(const MapT &M) {
-  return Ref(M.begin(), M.end());
+/// Checks \p B against \p Ref: ascending enumeration, popcount and
+/// emptiness.
+void expectSameSet(const DenseBitSet &B, const IdSet &Ref,
+                   const std::string &What) {
+  EXPECT_EQ(membersOf(B), std::vector<uint64_t>(Ref.begin(), Ref.end()))
+      << What;
+  EXPECT_EQ(B.count(), Ref.size()) << What;
+  EXPECT_EQ(B.empty(), Ref.empty()) << What;
 }
 
-/// Merges \p Other into \p Into both ways — FlatMap::mergeFrom and the
-/// std::map emplace loop — and checks they agree entry for entry.
-template <typename MapT>
-void expectMergeMatchesEmplaceLoop(const Ref &Into, const Ref &Other,
-                                   const std::string &What) {
-  MapT Flat = flatOf<MapT>(Into);
-  Flat.mergeFrom(flatOf<MapT>(Other));
-  Ref Expected = Into;
-  for (const auto &[K, V] : Other)
-    Expected.emplace(K, V); // The resident value wins.
-  EXPECT_EQ(Flat.size(), Expected.size()) << What;
-  EXPECT_EQ(refOf(Flat), Expected) << What;
-  EXPECT_TRUE(std::is_sorted(Flat.begin(), Flat.end())) << What;
-}
+/// Runs every binary operation on (\p A, \p B) against std::set.
+void checkPair(const IdSet &A, const IdSet &B, const std::string &What) {
+  DenseBitSet BA = bitsOf(A), BB = bitsOf(B);
+  expectSameSet(BA, A, What + " build");
 
-template <typename MapT> void checkMergeFrom() {
-  // Residents carry even values, incoming entries odd ones, so a collision
-  // that kept the incoming value shows up as an odd value.
-  auto Keys = [](std::vector<uint32_t> Ks, int64_t Tag) {
-    Ref M;
-    for (uint32_t K : Ks)
-      M.emplace(K, int64_t(K) * 2 + Tag);
-    return M;
-  };
-  const Ref Mid = Keys({10, 20, 30}, 0);
-  const std::vector<std::pair<std::string, std::pair<Ref, Ref>>> Cases = {
-      {"both empty", {{}, {}}},
-      {"empty into", {{}, Keys({1, 2, 3}, 1)}},
-      {"empty other", {Mid, {}}},
-      {"equal", {Mid, Keys({10, 20, 30}, 1)}},
-      {"subset", {Mid, Keys({20}, 1)}},
-      {"superset", {Mid, Keys({5, 10, 15, 20, 25, 30, 35}, 1)}},
-      {"disjoint", {Mid, Keys({11, 21, 31}, 1)}},
-      {"all before", {Mid, Keys({1, 2, 3}, 1)}},
-      {"all after", {Mid, Keys({40, 50}, 1)}},
-      {"interleaved", {Mid, Keys({5, 20, 25, 40}, 1)}},
-  };
-  for (const auto &[Name, Sides] : Cases)
-    expectMergeMatchesEmplaceLoop<MapT>(Sides.first, Sides.second, Name);
+  bool Subset = std::includes(B.begin(), B.end(), A.begin(), A.end());
+  EXPECT_EQ(BA.isSubsetOf(BB), Subset) << What;
 
-  Rng R(0x5eed);
-  for (int Trial = 0; Trial != 400; ++Trial) {
-    Ref Into, Other;
-    uint32_t Span = 1 + static_cast<uint32_t>(R.nextBelow(64));
-    for (uint64_t I = 0, E = R.nextBelow(40); I != E; ++I)
-      Into.emplace(static_cast<uint32_t>(R.nextBelow(Span)), 2 * int64_t(I));
-    for (uint64_t I = 0, E = R.nextBelow(40); I != E; ++I)
-      Other.emplace(static_cast<uint32_t>(R.nextBelow(Span)),
-                    2 * int64_t(I) + 1);
-    expectMergeMatchesEmplaceLoop<MapT>(Into, Other,
-                                        "trial " + std::to_string(Trial));
-  }
+  IdSet Union = A, Diff;
+  Union.insert(B.begin(), B.end());
+  std::set_difference(A.begin(), A.end(), B.begin(), B.end(),
+                      std::inserter(Diff, Diff.end()));
+
+  DenseBitSet Merged = BA;
+  Merged.unionWith(BB);
+  expectSameSet(Merged, Union, What + " union");
+  // The subset early exit: merging a subset changes nothing.
+  Merged.unionWith(BA);
+  Merged.unionWith(BB);
+  expectSameSet(Merged, Union, What + " union again");
+  expectSameSet(DenseBitSet::difference(BA, BB), Diff, What + " difference");
 }
 
 } // namespace
 
-TEST(FlatMap, MergeFromMatchesEmplaceLoopVectorStorage) {
-  checkMergeFrom<FlatMap<uint32_t, int64_t>>();
-}
+TEST(DenseBitSet, MatchesStdSetReferenceRandomized) {
+  // Word and inline-capacity edges: 64 ids per word, 1024 ids inline.
+  const IdSet Edges = {0, 1, 63, 64, 65, 127, 128, 511, 512, 513, 1023,
+                       1024, 1025, 4097};
+  const std::vector<std::pair<std::string, std::pair<IdSet, IdSet>>> Cases = {
+      {"both empty", {{}, {}}},
+      {"empty into", {{}, {63, 64, 65}}},
+      {"empty other", {{511, 512, 513}, {}}},
+      {"word edge", {{63}, {64}}},
+      {"equal", {Edges, Edges}},
+      {"subset", {{64, 512}, Edges}},
+      {"superset", {Edges, {0, 1025}}},
+      {"beyond inline", {{3}, {1024, 1025, 70000}}},
+      {"disjoint", {{0, 64, 512}, {1, 65, 513}}},
+  };
+  for (const auto &[Name, Sides] : Cases) {
+    checkPair(Sides.first, Sides.second, Name);
+    checkPair(Sides.second, Sides.first, Name + " swapped");
+  }
 
-TEST(FlatMap, MergeFromMatchesEmplaceLoopInlineStorage) {
-  // Inline capacity 8: the random maps cross from the inline buffer to the
-  // heap inside mergeFrom's resize.
-  checkMergeFrom<FlatMap<uint32_t, int64_t, InlineVec<Entry, 8>>>();
-}
+  Rng R(0x5eed);
+  for (int Trial = 0; Trial != 400; ++Trial) {
+    // Spans cross one word, the inline buffer, and well past it.
+    const uint64_t Spans[] = {64, 600, 1100, 5000};
+    uint64_t Span = Spans[R.nextBelow(4)];
+    IdSet A, B;
+    for (uint64_t I = 0, E = R.nextBelow(60); I != E; ++I)
+      A.insert(R.nextBelow(Span));
+    for (uint64_t I = 0, E = R.nextBelow(60); I != E; ++I)
+      B.insert(R.nextBelow(Span));
+    if (R.nextBelow(4) == 0)
+      B.insert(A.begin(), A.end()); // A subset of B.
+    checkPair(A, B, "trial " + std::to_string(Trial));
+  }
 
-TEST(InlineVec, ResizeValueInitializesAndSpills) {
-  InlineVec<Entry, 2> V;
-  V.push_back({7, 7});
-  V.resize(5);
-  ASSERT_EQ(V.size(), 5u);
-  EXPECT_EQ(V[0], Entry(7, 7));
-  for (uint32_t I = 1; I != 5; ++I)
-    EXPECT_EQ(V[I], Entry(0, 0));
-  V.resize(1);
-  EXPECT_EQ(V.size(), 1u);
-  EXPECT_EQ(V.back(), Entry(7, 7));
+  // Trailing zero words carry no meaning.
+  DenseBitSet Wide =
+      DenseBitSet::difference(bitsOf({3, 5000}), bitsOf({5000}));
+  expectSameSet(Wide, {3}, "trailing zeros");
+  EXPECT_TRUE(Wide.isSubsetOf(bitsOf({3})));
+  EXPECT_TRUE(DenseBitSet::difference(Wide, bitsOf({3})).empty());
 }
