@@ -142,8 +142,8 @@ Cell sweep(RecommendedAlgorithm Algo, double JoinRate, int Seeds,
 // with any --benchmark_* flag to execute only this section, e.g.:
 //   bench_churn_gossip --benchmark_filter=BM_Kernel
 //     --benchmark_out=churn_gossip.json --benchmark_out_format=json
-// tools/dyndist-bench-report drives exactly that and merges the JSON into
-// BENCH_kernel.json.
+// `tools/dyndist-bench-report kernel` drives exactly that (the section is
+// declared in bench/gates.json).
 
 KernelLoadConfig churnGossipLoad() {
   KernelLoadConfig Cfg;
@@ -182,8 +182,8 @@ BENCHMARK_CAPTURE(BM_KernelChurnGossip, n1000_trace_full, TraceLevel::Full)
 // the ladder: 0 is the legacy single-stream kernel (a different schedule,
 // kept as the reference point), 1/2/4 select the sharded engine, whose
 // schedule — and therefore whose event count — is byte-identical at every
-// rung. tools/dyndist-bench-report --shard runs exactly these and merges
-// them into BENCH_kernel.json with speedup_vs_1_shard per rung.
+// rung. `tools/dyndist-bench-report shard` runs exactly these; the floors
+// and the n = 10^6 peak-RSS budget are gates in bench/gates.json.
 
 KernelLoadConfig largeLoad(size_t Processes, SimTime Horizon,
                            unsigned Shards) {
@@ -268,9 +268,9 @@ BENCHMARK(BM_KernelShardedMillion)
 // of BM_KernelChurnGossip through the columnar archive writer, and
 // aggregate the archived file back through the sharded query engine. The
 // record stream is captured once (in memory) so items/sec is purely the
-// writer's encode + write cost, not kernel time. tools/dyndist-bench-report
-// --trace runs these and merges them into BENCH_kernel.json, gating the
-// sink on an absolute records/s floor.
+// writer's encode + write cost, not kernel time. `tools/dyndist-bench-report
+// trace` runs these; bench/gates.json gates the sink on an absolute
+// records/s floor.
 
 /// TraceSink that keeps every record as an owned TraceEvent (capture
 /// fixture).
@@ -379,10 +379,10 @@ BENCHMARK(BM_QueryAggregate)
 //
 // Micro-benchmarks for the per-message and per-timer allocation cost of the
 // kernel hot path, written against the public API only so the identical
-// code measures the shared_ptr/std::function implementation (captured in
-// bench/message_baseline_shared_ptr.json) and the pooled intrusive-refcount
-// / SBO-callable implementation alike. tools/dyndist-bench-report --message
-// runs exactly these sections and merges them into BENCH_kernel.json.
+// code measures the shared_ptr/std::function implementation (recorded as
+// message_baseline in BENCH_kernel.json) and the pooled intrusive-refcount
+// / SBO-callable implementation alike. `tools/dyndist-bench-report message`
+// runs exactly these; their floors are gates in bench/gates.json.
 
 // Three payload shapes spanning the body pool's size buckets, mirroring the
 // protocol mix: a bare scalar (heartbeat-like), a mid-size fixed slice

@@ -90,7 +90,7 @@ Point runOnce(Graph Topology, uint64_t Ttl, uint64_t Seed) {
 // processes: a burst of seeds fans out multiplicatively until the TTL is
 // spent, stressing queue push/pop and message dispatch with no timer
 // traffic. Run with any --benchmark_* flag to execute only this section;
-// tools/dyndist-bench-report merges the JSON into BENCH_kernel.json.
+// `tools/dyndist-bench-report kernel` runs it.
 
 KernelLoadConfig floodLoad() {
   KernelLoadConfig Cfg;

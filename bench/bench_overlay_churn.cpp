@@ -94,8 +94,7 @@ OverlayReport drive(AttachMode Mode, size_t Degree, size_t Initial,
 // broadcast), BFS connectivity, the exact diameter the admissibility
 // monitor samples, and a full-stack digest-gossip run over a
 // churn-maintained overlay. Run with any --benchmark_* flag to execute
-// only this section; tools/dyndist-bench-report --graph merges the JSON
-// into BENCH_kernel.json.
+// only this section; `tools/dyndist-bench-report graph` reports it.
 
 constexpr size_t ChurnInitial = 64;
 constexpr size_t ChurnSteps = 4096;

@@ -16,8 +16,7 @@
 // DYNDIST_THREADS); every row pairs the same derived seeds against every
 // query time, and the aggregate is byte-identical at any thread count.
 // Run with any --benchmark_* flag to execute only the BM_SweepQuiescence
-// wall-clock section, merged into BENCH_kernel.json by
-// tools/dyndist-bench-report --sweep.
+// wall-clock section, which `tools/dyndist-bench-report sweep` reports.
 //
 //===----------------------------------------------------------------------===//
 

@@ -17,7 +17,7 @@
 // Run with any --benchmark_* flag to execute only the wall-clock section:
 // BM_SweepSolvability (a flooding cell's seed sweep at 1/2/4/hw threads)
 // and BM_SweepGossipCell (a gossip cell's sweep, one thread), which
-// tools/dyndist-bench-report --sweep merges into BENCH_kernel.json.
+// `tools/dyndist-bench-report sweep` reports.
 //
 //===----------------------------------------------------------------------===//
 
@@ -154,8 +154,8 @@ void BM_SweepGossipCell(benchmark::State &State) {
 // per seed — on the sharded rungs that includes spawning and joining the
 // shard worker pool every run — while reuse=1 recycles one arena shell
 // (parked workers included) across the whole sweep. items/sec is runs per
-// second; dyndist-bench-report --sweep-reuse gates the shards:8 reuse/fresh
-// ratio.
+// second; the sweep_reuse section of bench/gates.json gates the shards:8
+// reuse/fresh ratio.
 
 ExperimentConfig shortRunConfig(uint64_t Seed, unsigned Shards) {
   ExperimentConfig Cfg;

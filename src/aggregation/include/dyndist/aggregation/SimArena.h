@@ -20,8 +20,9 @@
 /// single carve-out is SimStats::BodyPoolHits/Misses, cumulative
 /// allocation-economy counters that legitimately differ between a cold and
 /// a warm pool (the same carve-out the sharded kernel's shard-count
-/// invariance makes). Pinned by ArenaResetTest golden digests and the
-/// `dyndist-kernel-smoke --reset-cmp` gate in verify.sh.
+/// invariance makes). Pinned by ArenaResetTest golden digests
+/// (ArenaReset.ByteIdenticalToFreshAcrossFamiliesAndShards covers shard
+/// counts 0, 1, 2, 4 and 8).
 ///
 /// One constraint is structural: the kernel's shard count is fixed at
 /// construction (Simulator::setShards is once-only), so an arena asked for

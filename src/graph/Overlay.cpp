@@ -100,10 +100,6 @@ void DynamicOverlay::leave(ProcessId P) {
 
 void DynamicOverlay::seed(Graph Initial) { G = std::move(Initial); }
 
-std::vector<ProcessId> DynamicOverlay::neighborsOf(ProcessId P) const {
-  return G.neighbors(P);
-}
-
 void DynamicOverlay::reset(size_t NewTargetDegree, Rng NewR,
                            AttachMode NewMode, RepairMode NewRepair) {
   assert(NewTargetDegree >= 1 && "overlay target degree must be >= 1");

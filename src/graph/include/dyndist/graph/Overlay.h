@@ -79,10 +79,8 @@ public:
   /// Current overlay.
   const Graph &graph() const { return G; }
 
-  /// TopologyProvider: neighbors of \p P (copy-returning compatibility
-  /// path plus the zero-copy accessors, all answered straight from the
-  /// flat adjacency).
-  std::vector<ProcessId> neighborsOf(ProcessId P) const override;
+  /// TopologyProvider: neighbors of \p P, answered straight from the flat
+  /// adjacency.
   size_t neighborCountOf(ProcessId P) const override { return G.degree(P); }
   ProcessId neighborAtOf(ProcessId P, size_t I) const override {
     return G.neighborView(P)[I];

@@ -12,6 +12,20 @@ using namespace dyndist;
 
 BaseRegister::BaseRegister(FailureMode Mode) : Mode(Mode) {}
 
+TaggedValue BaseRegister::readLocked() const {
+  TaggedValue Freshest = Slots.front();
+  for (const TaggedValue &V : Slots)
+    if (V.Seq > Freshest.Seq)
+      Freshest = V;
+  return Freshest;
+}
+
+void BaseRegister::writeLocked(size_t Slot, TaggedValue V) {
+  if (Slot >= Slots.size())
+    Slots.resize(Slot + 1);
+  Slots[Slot] = V;
+}
+
 void BaseRegister::asyncRead(ReadCallback Done) {
   assert(Done && "read needs a completion callback");
   std::optional<TaggedValue> Inline;
@@ -20,7 +34,7 @@ void BaseRegister::asyncRead(ReadCallback Done) {
     std::lock_guard<std::mutex> Lock(Mutex);
     switch (State) {
     case ObjectState::Ok:
-      Inline = Cell;
+      Inline = readLocked();
       CompleteInline = true;
       break;
     case ObjectState::Suspended: {
@@ -44,7 +58,8 @@ void BaseRegister::asyncRead(ReadCallback Done) {
     Done(Inline);
 }
 
-void BaseRegister::asyncWrite(TaggedValue V, WriteCallback Done) {
+void BaseRegister::asyncWrite(TaggedValue V, WriteCallback Done,
+                              size_t Slot) {
   assert(Done && "write needs a completion callback");
   bool CompleteInline = false;
   bool Ack = false;
@@ -52,7 +67,7 @@ void BaseRegister::asyncWrite(TaggedValue V, WriteCallback Done) {
     std::lock_guard<std::mutex> Lock(Mutex);
     switch (State) {
     case ObjectState::Ok:
-      Cell = V;
+      writeLocked(Slot, V);
       Ack = true;
       CompleteInline = true;
       break;
@@ -60,6 +75,7 @@ void BaseRegister::asyncWrite(TaggedValue V, WriteCallback Done) {
       Pending P;
       P.IsRead = false;
       P.WriteValue = V;
+      P.WriteSlot = Slot;
       P.WriteDone = std::move(Done);
       Deferred.push_back(std::move(P));
       return;
@@ -122,9 +138,9 @@ void BaseRegister::resume() {
       P = std::move(Deferred.front());
       Deferred.erase(Deferred.begin());
       if (P.IsRead) {
-        ReadResult = Cell;
+        ReadResult = readLocked();
       } else {
-        Cell = P.WriteValue;
+        writeLocked(P.WriteSlot, P.WriteValue);
         Ack = true;
       }
     }
@@ -146,9 +162,9 @@ void BaseRegister::resumeOne(size_t Index) {
     P = std::move(Deferred[Index]);
     Deferred.erase(Deferred.begin() + static_cast<long>(Index));
     if (P.IsRead) {
-      ReadResult = Cell;
+      ReadResult = readLocked();
     } else {
-      Cell = P.WriteValue;
+      writeLocked(P.WriteSlot, P.WriteValue);
       Ack = true;
     }
   }

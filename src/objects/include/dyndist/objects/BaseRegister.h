@@ -8,6 +8,13 @@
 /// The unreliable base register: a shared (sequence, value) cell that may
 /// crash responsively or nonresponsively, and that an adversary may suspend.
 ///
+/// The cell is an array of single-writer slots. A write stores into one
+/// slot (slot 0 unless the caller names another); a read returns the pair
+/// with the highest sequence number over all slots. No operation compares
+/// before it stores, so the object stays a plain read/write register: a
+/// client that owns a slot can never overwrite another client's pair.
+/// Constructions with a single writer per object only ever use slot 0.
+///
 /// The invocation interface is asynchronous: an operation either completes
 /// inline (the normal case — the callback runs before the call returns),
 /// completes later (the object was suspended and is resumed), or never
@@ -27,6 +34,7 @@
 
 #include "dyndist/objects/Failures.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -56,12 +64,13 @@ public:
 
   explicit BaseRegister(FailureMode Mode = FailureMode::Responsive);
 
-  /// Reads the cell. Completion semantics per class comment.
+  /// Reads the cell: the highest-Seq pair over all slots (the lowest slot
+  /// on ties). Completion semantics per class comment.
   void asyncRead(ReadCallback Done);
 
-  /// Writes the cell (last-write-wins on Seq ties does not apply: the cell
-  /// stores exactly what is written; tag discipline is the caller's).
-  void asyncWrite(TaggedValue V, WriteCallback Done);
+  /// Writes slot \p Slot of the cell. The slot stores exactly what is
+  /// written, older or not; tag discipline is the caller's.
+  void asyncWrite(TaggedValue V, WriteCallback Done, size_t Slot = 0);
 
   /// Crashes the object (idempotent). Pending suspended operations are
   /// answered ⊥ under Responsive mode and dropped under Nonresponsive.
@@ -102,14 +111,20 @@ private:
   struct Pending {
     bool IsRead;
     TaggedValue WriteValue; ///< Valid when !IsRead.
+    size_t WriteSlot = 0;   ///< Valid when !IsRead.
     ReadCallback ReadDone;
     WriteCallback WriteDone;
   };
 
+  /// The highest-Seq pair over the slots. Caller holds Mutex.
+  TaggedValue readLocked() const;
+  /// Stores \p V into slot \p Slot. Caller holds Mutex.
+  void writeLocked(size_t Slot, TaggedValue V);
+
   FailureMode Mode;
   mutable std::mutex Mutex;
   ObjectState State = ObjectState::Ok;
-  TaggedValue Cell;
+  std::vector<TaggedValue> Slots = std::vector<TaggedValue>(1);
   std::vector<Pending> Deferred;
   uint64_t Dropped = 0;
 };

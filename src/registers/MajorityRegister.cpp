@@ -38,14 +38,17 @@ MajorityRegister::MajorityRegister(
 // failed bases, n-t correct ones still answer for real, so await returns
 // under exactly the liveness condition of the nonresponsive model.
 
-void MajorityRegister::quorumWrite(TaggedValue V) {
+void MajorityRegister::quorumWrite(TaggedValue V, size_t Slot) {
   auto Latch = std::make_shared<QuorumLatch>(Bases.size() - Tolerated);
   for (auto &B : Bases) {
     ++BaseOps;
-    B->asyncWrite(V, [Latch](bool Ack) {
-      if (Ack)
-        Latch->arrive();
-    });
+    B->asyncWrite(
+        V,
+        [Latch](bool Ack) {
+          if (Ack)
+            Latch->arrive();
+        },
+        Slot);
   }
   Latch->await();
 }
@@ -73,13 +76,12 @@ TaggedValue MajorityRegister::quorumRead() {
 
 void MajorityRegister::write(int64_t Value) {
   TaggedValue V{NextSeq.fetch_add(1) + 1, Value};
-  quorumWrite(V);
+  quorumWrite(V, /*Slot=*/0);
 }
 
 int64_t MajorityRegister::read(size_t ReaderIndex) {
-  (void)ReaderIndex; // No per-reader state: write-back serves all readers.
   TaggedValue Freshest = quorumRead();
-  if (WriteBack)
-    quorumWrite(Freshest); // Later reads cannot see older values.
+  if (WriteBack) // Later reads cannot see older values.
+    quorumWrite(Freshest, /*Slot=*/ReaderIndex + 1);
   return Freshest.Value;
 }

@@ -21,6 +21,14 @@
 /// readers: once a read returns, a quorum holds a value at least as fresh,
 /// so no later read can return an older one.
 ///
+/// Base registers are plain (a write stores, never compares), so each
+/// client writes its own slot of every base object: the writer slot 0,
+/// reader i slot i + 1 (BaseRegister's slot array). A base read answers
+/// the highest Seq over the slots. A reader delayed between its two
+/// phases therefore writes back an old pair only into its own slot, never
+/// over a newer pair a completed write left in slot 0. Each phase is still
+/// one invocation per base object.
+///
 /// Quorums count real replies only. Caller-supplied bases may be
 /// responsive-crash objects, which answer ⊥ once crashed; a ⊥ is treated
 /// as silence, so a "majority" can never be made of ⊥s, and with at most
@@ -81,8 +89,9 @@ private:
   /// first n-t real (non-⊥) replies.
   TaggedValue quorumRead();
 
-  /// Issues writes of \p V to every base and blocks for n-t real acks.
-  void quorumWrite(TaggedValue V);
+  /// Issues writes of \p V into slot \p Slot of every base and blocks for
+  /// n-t real acks.
+  void quorumWrite(TaggedValue V, size_t Slot);
 
   std::vector<std::shared_ptr<BaseRegister>> Bases;
   size_t Tolerated;

@@ -75,9 +75,6 @@ public:
   SimTime now() const override { return Now; }
   ProcessId self() const override { return P; }
 
-  std::vector<ProcessId> neighbors() const override {
-    return E.S.neighborsOf(P);
-  }
   size_t neighborCount() const override { return E.S.neighborCount(P); }
   ProcessId neighborAt(size_t I) const override {
     return E.S.neighborAt(P, I);
@@ -168,9 +165,6 @@ public:
   SimTime now() const override { return E.S.Clock; }
   ProcessId self() const override { return P; }
 
-  std::vector<ProcessId> neighbors() const override {
-    return E.S.neighborsOf(P);
-  }
   size_t neighborCount() const override { return E.S.neighborCount(P); }
   ProcessId neighborAt(size_t I) const override {
     return E.S.neighborAt(P, I);

@@ -44,10 +44,6 @@ public:
   SimTime now() const override { return S.Clock; }
   ProcessId self() const override { return P; }
 
-  std::vector<ProcessId> neighbors() const override {
-    return S.neighborsOf(P);
-  }
-
   size_t neighborCount() const override { return S.neighborCount(P); }
 
   ProcessId neighborAt(size_t I) const override { return S.neighborAt(P, I); }
@@ -281,18 +277,6 @@ void Simulator::leave(ProcessId P) {
 void Simulator::crash(ProcessId P) {
   BodyPool::Scope PoolScope(Bodies); // The down-hook may makeBody().
   markDown(P, /*Crashed=*/true);
-}
-
-std::vector<ProcessId> Simulator::neighborsOf(ProcessId P) const {
-  if (Topology)
-    return Topology->neighborsOf(P);
-  // Default: full mesh over up processes (the static-knowledge corner).
-  std::vector<ProcessId> Out;
-  Out.reserve(UpSet.size());
-  for (ProcessId Q : UpSet)
-    if (Q != P)
-      Out.push_back(Q);
-  return Out;
 }
 
 size_t Simulator::neighborCount(ProcessId P) const {

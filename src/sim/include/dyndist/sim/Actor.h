@@ -23,7 +23,6 @@
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
 namespace dyndist {
 
@@ -39,29 +38,18 @@ public:
   /// The identity of the running actor.
   virtual ProcessId self() const = 0;
 
-  /// Identities of the actor's current overlay neighbors. This is the only
+  /// Number of current overlay neighbors. Neighbors are the only
   /// membership information an actor ever gets: the geographical dimension
   /// of the paper ("each entity knows only a few other entities").
-  /// Copy-returning compatibility API; hot paths should use the zero-copy
-  /// neighborCount()/neighborAt()/forEachNeighbor() accessors below.
-  virtual std::vector<ProcessId> neighbors() const = 0;
-
-  /// Number of current neighbors. Default falls back to a neighbors() copy;
-  /// kernel-backed contexts override with an O(1) count.
-  virtual size_t neighborCount() const { return neighbors().size(); }
+  virtual size_t neighborCount() const = 0;
 
   /// The \p I-th neighbor in ascending-id order (I < neighborCount()).
-  /// Default falls back to a neighbors() copy; kernel-backed contexts
-  /// override with an allocation-free lookup.
-  virtual ProcessId neighborAt(size_t I) const { return neighbors()[I]; }
+  virtual ProcessId neighborAt(size_t I) const = 0;
 
   /// Invokes \p F for each current neighbor in ascending-id order without
   /// materializing the list. \p F must not mutate membership or topology
   /// (no leaveSystem(), no churn) while iterating.
-  virtual void forEachNeighbor(FunctionRef<void(ProcessId)> F) const {
-    for (ProcessId N : neighbors())
-      F(N);
-  }
+  virtual void forEachNeighbor(FunctionRef<void(ProcessId)> F) const = 0;
 
   /// Sends \p Body to \p To with model-sampled latency.
   virtual void send(ProcessId To, MessageRef Body) = 0;
@@ -88,24 +76,15 @@ public:
 
   /// Allocation-free observe: records with a key id previously obtained
   /// from traceKeyId(). Protocols that observe a fixed key pre-intern it
-  /// once (typically in onStart) and pass the id on the hot path. The base
-  /// default records with an empty key (id 0); kernel-backed contexts
-  /// override with the real id-resolved path.
-  virtual void observe(uint32_t KeyId, int64_t Value) {
-    (void)KeyId;
-    observe(std::string(), Value);
-  }
+  /// once (typically in onStart) and pass the id on the hot path.
+  virtual void observe(uint32_t KeyId, int64_t Value) = 0;
 
   /// Interns \p Key into the simulator's trace key table and returns its
   /// dense id for use with observe(uint32_t, int64_t). Stable for the whole
   /// run (the table survives Trace::clear()). In sharded runs this must be
   /// called from a serial phase (onStart/onStop); lane-phase hooks can only
-  /// look up keys already interned. The base default returns 0 (the empty
-  /// key), matching the base observe(uint32_t) fallback.
-  virtual uint32_t traceKeyId(const std::string &Key) {
-    (void)Key;
-    return 0;
-  }
+  /// look up keys already interned.
+  virtual uint32_t traceKeyId(const std::string &Key) = 0;
 
   /// Departs the system gracefully at the current instant; no further hooks
   /// run for this actor.

@@ -60,29 +60,16 @@ class TopologyProvider {
 public:
   virtual ~TopologyProvider();
 
-  /// Current neighbors of \p P among up processes. Copy-returning
-  /// compatibility API; hot paths go through the accessors below.
-  virtual std::vector<ProcessId> neighborsOf(ProcessId P) const = 0;
+  /// Number of current neighbors of \p P among up processes.
+  virtual size_t neighborCountOf(ProcessId P) const = 0;
 
-  /// Number of current neighbors of \p P. Default materializes a copy;
-  /// providers with contiguous adjacency override with O(1).
-  virtual size_t neighborCountOf(ProcessId P) const {
-    return neighborsOf(P).size();
-  }
-
-  /// The \p I-th neighbor of \p P in ascending-id order. Default
-  /// materializes a copy; override for allocation-free lookup.
-  virtual ProcessId neighborAtOf(ProcessId P, size_t I) const {
-    return neighborsOf(P)[I];
-  }
+  /// The \p I-th neighbor of \p P in ascending-id order.
+  virtual ProcessId neighborAtOf(ProcessId P, size_t I) const = 0;
 
   /// Invokes \p F for each neighbor of \p P in ascending-id order. \p F
   /// must not mutate the topology.
   virtual void forEachNeighborOf(ProcessId P,
-                                 FunctionRef<void(ProcessId)> F) const {
-    for (ProcessId N : neighborsOf(P))
-      F(N);
-  }
+                                 FunctionRef<void(ProcessId)> F) const = 0;
 };
 
 class Simulator;
@@ -310,13 +297,10 @@ public:
   /// protocol traffic). The sender is recorded as \p To itself.
   void injectStimulus(ProcessId To, MessageRef Body);
 
-  /// Neighborhood of \p P under the installed topology provider.
-  std::vector<ProcessId> neighborsOf(ProcessId P) const;
-
-  /// Allocation-free topology accessors: degree of \p P, its \p I-th
-  /// neighbor (ascending), and in-place visitation. Under the default full
-  /// mesh these read the up-set directly (skipping \p P itself); with a
-  /// provider installed they forward to its zero-copy overrides.
+  /// Topology accessors: degree of \p P, its \p I-th neighbor
+  /// (ascending), and in-place visitation. Under the default full mesh
+  /// these read the up-set directly (skipping \p P itself); with a provider
+  /// installed they forward to it.
   size_t neighborCount(ProcessId P) const;
   ProcessId neighborAt(ProcessId P, size_t I) const;
   void forEachNeighbor(ProcessId P, FunctionRef<void(ProcessId)> F) const;

@@ -134,9 +134,10 @@ constexpr RecommendedAlgorithm Families[] = {
 // The core pin: one arena serves every (family, seed) cell in sequence —
 // so all but the very first run go through the reset path, and family
 // transitions exercise the factory swap — and every cell must digest
-// identically to its fresh-constructed twin.
+// identically to its fresh-constructed twin. Shards 8 is the rung the
+// sweep_reuse bench gate measures.
 TEST(ArenaReset, ByteIdenticalToFreshAcrossFamiliesAndShards) {
-  for (unsigned Shards : {0u, 1u, 2u, 4u}) {
+  for (unsigned Shards : {0u, 1u, 2u, 4u, 8u}) {
     SimArena Arena;
     for (RecommendedAlgorithm Algo : Families) {
       for (uint64_t Seed : {11ull, 12ull}) {

@@ -190,7 +190,7 @@ public:
   void onTimer(Context &Ctx, TimerId Id) override {
     MembershipActor::onTimer(Ctx, Id);
     LastView = liveView(Ctx);
-    LastRawNeighbors = Ctx.neighbors().size();
+    LastRawNeighbors = Ctx.neighborCount();
   }
 
   std::vector<ProcessId> LastView;

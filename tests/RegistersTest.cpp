@@ -31,6 +31,18 @@ bool eventually(const std::function<bool()> &Pred) {
   return false;
 }
 
+/// Yields until \p B withholds exactly \p N operations (or ~60s elapsed):
+/// the adversary's view of how far a blocked client has got.
+bool deferredReaches(const BaseRegister &B, size_t N) {
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (B.deferredCount() != N)
+    if (std::chrono::steady_clock::now() > Deadline)
+      return false;
+    else
+      std::this_thread::yield();
+  return true;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -282,6 +294,53 @@ TEST(MajorityRegister, ProperlyProvisionedResistsTheSameAdversary) {
   B0->resume();
   B1->resume();
   Runner.joinAll();
+}
+
+/// Regression: a reader delayed between its quorum read and its write-back
+/// must not bury a newer completed write. Five bases, t = 2: the reader
+/// picks #3, then the writer's #4 lands on the majority {B0, B1, B2} ahead
+/// of the reader's write-back of #3 to those same bases. With one shared
+/// cell per base the write-back overwrote #4 there, and a later read
+/// served by that majority returned #3.
+TEST(MajorityRegister, DelayedWriteBackCannotBuryACompletedWrite) {
+  std::vector<std::shared_ptr<BaseRegister>> B;
+  for (int I = 0; I != 5; ++I)
+    B.push_back(std::make_shared<BaseRegister>(FailureMode::Nonresponsive));
+  MajorityRegister R(B, /*Tolerated=*/2);
+  for (int64_t V = 1; V <= 3; ++V)
+    R.write(V);
+
+  // The reader's phase 1 is answered by B3, B4 and then B0 ...
+  for (int I = 0; I != 3; ++I)
+    B[I]->suspend();
+  int64_t Delayed = -1;
+  ThreadRunner Reader;
+  Reader.spawn([&] { Delayed = R.read(0); });
+  ASSERT_TRUE(deferredReaches(*B[2], 1));
+  B[0]->resumeOne(0);
+  // ... and its write-back of #3 waits at B0, B1 and B2.
+  ASSERT_TRUE(deferredReaches(*B[2], 2));
+
+  // Write #4 completes, applied on B0, B1 and B2 before the write-back.
+  ThreadRunner Writer;
+  Writer.spawn([&] { R.write(4); });
+  ASSERT_TRUE(deferredReaches(*B[2], 3));
+  B[0]->resumeOne(1); // B0 withholds [write-back #3, write #4].
+  B[1]->resumeOne(2); // B1 and B2: [read, write-back #3, write #4].
+  B[2]->resumeOne(2);
+  Writer.joinAll();
+  // Now the delayed write-back lands on the same majority.
+  for (int I = 0; I != 3; ++I)
+    B[I]->resume();
+  Reader.joinAll();
+  EXPECT_EQ(Delayed, 3); // Concurrent with write #4: legal.
+
+  // A read that begins after write #4 completed, served by {B0, B1, B2}.
+  B[3]->suspend();
+  B[4]->suspend();
+  EXPECT_EQ(R.read(1), 4);
+  B[3]->resume();
+  B[4]->resume();
 }
 
 //===----------------------------------------------------------------------===//

@@ -127,6 +127,48 @@ void writeFileBytes(const std::string &Path,
   std::fclose(F);
 }
 
+/// The gossip + churn KernelLoad the trace contracts are pinned at.
+KernelLoadConfig kernelLoad(size_t Processes, unsigned Shards) {
+  KernelLoadConfig Cfg;
+  Cfg.Processes = Processes;
+  Cfg.Horizon = 60;
+  Cfg.GossipEvery = 4;
+  Cfg.GossipFanout = 2;
+  Cfg.ChurnEvery = 25;
+  Cfg.Shards = Shards;
+  return Cfg;
+}
+
+/// Forwards one event at a time: the inherited appendBatch() materializes
+/// each record and calls append(), so a run through this sink feeds the
+/// writer exactly the per-event protocol.
+class PerEventSink final : public TraceSink {
+public:
+  explicit PerEventSink(ColumnarTraceWriter &W) : W(W) {}
+  void append(const TraceEvent &E) override { W.append(E); }
+
+private:
+  ColumnarTraceWriter &W;
+};
+
+/// Runs \p Cfg at \p Level into a columnar archive at \p Path and returns
+/// the file's bytes. With \p PerEvent the writer sits behind PerEventSink;
+/// otherwise it is the run's sink and takes the kernel's batches (up to
+/// 64K records each).
+std::vector<unsigned char> archiveRun(KernelLoadConfig Cfg, TraceLevel Level,
+                                      const std::string &Path,
+                                      bool PerEvent = false) {
+  ColumnarTraceWriter W;
+  EXPECT_TRUE(W.open(Path).ok());
+  PerEventSink Forward(W);
+  Cfg.Sink = PerEvent ? static_cast<TraceSink *>(&Forward) : &W;
+  runKernelLoad(Cfg, Level);
+  EXPECT_TRUE(W.close().ok());
+  auto Bytes = readFileBytes(Path);
+  std::remove(Path.c_str());
+  return Bytes;
+}
+
 } // namespace
 
 // Property: Trace -> columnar -> Trace is the identity, and the JSON-lines
@@ -202,7 +244,9 @@ TEST(TraceColumnar, MultiChunkFramingAndMetadata) {
 
 // The chunk framing is a pure function of the event stream: writing the
 // same events through a sink one-by-one or via writeColumnarTraceFile
-// produces byte-identical files.
+// produces byte-identical files. Live input too: an n = 10^4 run streamed
+// into the writer as its sink (kernel batches of up to 64K records) equals
+// the same run through a sink that forwards one event at a time.
 TEST(TraceColumnar, FramingIsAppendScheduleInvariant) {
   FileGuard G;
   Trace T = randomTrace(7, 70'000);
@@ -221,6 +265,14 @@ TEST(TraceColumnar, FramingIsAppendScheduleInvariant) {
   auto Bytes2 = readFileBytes(Path2);
   std::remove(Path2.c_str());
   EXPECT_EQ(Bytes1, Bytes2);
+
+  for (unsigned K : {1u, 2u, 4u}) {
+    auto Batched = archiveRun(kernelLoad(10'000, K), TraceLevel::Full, Path2);
+    auto PerEvent = archiveRun(kernelLoad(10'000, K), TraceLevel::Full, Path2,
+                               /*PerEvent=*/true);
+    EXPECT_GT(Batched.size(), 40u);
+    EXPECT_EQ(Batched, PerEvent) << "shards=" << K;
+  }
 }
 
 // A kernel run with a columnar sink streams exactly the events an
@@ -253,30 +305,47 @@ TEST(TraceColumnar, SinkMatchesInMemoryTraceInLiveSimulator) {
   std::remove(SinkPath.c_str());
 }
 
-// Sharded runs produce byte-identical columnar files at any K (the same
-// contract dyndist-kernel-smoke --trace-digest pins at scale).
+// Sharded runs produce byte-identical columnar files at any K, at Full and
+// at Lifecycle tracing, for n = 300 and n = 10^4. And TraceLevel changes
+// recording, never the schedule: the lifecycle-kind projection of the Full
+// file, rewritten through a fresh writer, is the Lifecycle file byte for
+// byte.
 TEST(TraceColumnar, ShardCountInvariantFiles) {
   FileGuard G;
-  std::vector<unsigned char> Reference;
-  for (unsigned K : {1u, 2u, 4u}) {
-    KernelLoadConfig Cfg;
-    Cfg.Processes = 300;
-    Cfg.Horizon = 60;
-    Cfg.GossipEvery = 4;
-    Cfg.GossipFanout = 2;
-    Cfg.ChurnEvery = 25;
-    Cfg.Shards = K;
-    ColumnarTraceWriter W;
-    ASSERT_TRUE(W.open(TestPath).ok());
-    Cfg.Sink = &W;
-    runKernelLoad(Cfg, TraceLevel::Full);
-    ASSERT_TRUE(W.close().ok());
-    auto Bytes = readFileBytes(TestPath);
-    EXPECT_GT(Bytes.size(), 40u);
-    if (Reference.empty())
-      Reference = Bytes;
-    else
-      EXPECT_EQ(Bytes, Reference) << "shards=" << K;
+  std::string ProjPath = std::string(TestPath) + ".proj";
+  for (size_t Processes : {size_t(300), size_t(10'000)}) {
+    std::vector<unsigned char> Full, Lifecycle;
+    for (unsigned K : {1u, 2u, 4u}) {
+      auto F = archiveRun(kernelLoad(Processes, K), TraceLevel::Full, TestPath);
+      auto L = archiveRun(kernelLoad(Processes, K), TraceLevel::Lifecycle,
+                          TestPath);
+      EXPECT_GT(F.size(), 40u);
+      if (Full.empty()) {
+        Full = std::move(F);
+        Lifecycle = std::move(L);
+        continue;
+      }
+      EXPECT_EQ(F, Full) << "n=" << Processes << " shards=" << K;
+      EXPECT_EQ(L, Lifecycle) << "n=" << Processes << " shards=" << K;
+    }
+
+    writeFileBytes(TestPath, Full);
+    auto Reader = ColumnarTraceReader::open(TestPath);
+    ASSERT_TRUE(Reader.ok()) << Reader.error().str();
+    ColumnarTraceWriter Proj;
+    ASSERT_TRUE(Proj.open(ProjPath).ok());
+    for (size_t C = 0, N = (*Reader)->chunkCount(); C != N; ++C) {
+      Status S = (*Reader)->scanChunk(C, [&](const TraceEventView &V) {
+        if (V.Kind == TraceKind::Join || V.Kind == TraceKind::Leave ||
+            V.Kind == TraceKind::Crash || V.Kind == TraceKind::Observe)
+          Proj.append({V.Kind, V.Time, V.Subject, V.Peer, V.MsgKind,
+                       std::string(V.Key), V.Value});
+      });
+      ASSERT_TRUE(S.ok()) << S.error().str();
+    }
+    ASSERT_TRUE(Proj.close().ok());
+    EXPECT_EQ(readFileBytes(ProjPath), Lifecycle) << "n=" << Processes;
+    std::remove(ProjPath.c_str());
   }
 }
 

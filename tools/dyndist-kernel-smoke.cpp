@@ -14,57 +14,27 @@
 //
 // tools/verify.sh drives this twice: at n = 10^5 in the plain pass, and
 // threaded-vs-inline (DYNDIST_SHARD_THREADS=1) under ThreadSanitizer,
-// comparing the two outputs byte-for-byte.
+// comparing the two outputs byte-for-byte. The columnar-trace and
+// arena-reset contracts are ctests (TraceColumnar.ShardCountInvariantFiles,
+// TraceColumnar.FramingIsAppendScheduleInvariant and
+// ArenaReset.ByteIdenticalToFreshAcrossFamiliesAndShards).
 //
 //   dyndist-kernel-smoke [options]
 //     --processes <n>     initial population      (default 100000)
 //     --horizon <t>       run end                 (default 60)
 //     --shards <list>     comma list, e.g. 0,1,2,4 (default 1,2,4)
-//     --gossip-every <g>  gossip timer period     (default 4)
-//     --fanout <f>        gossip fanout           (default 2)
-//     --churn-every <c>   crash/respawn period    (default 25)
-//     --seed <s>          workload seed           (default 42)
-//     --trace-digest      columnar trace-digest mode (see below)
-//     --trace-out <path>  archive mode: one run, columnar trace to <path>
+//     --trace-out <path>  archive mode (see below)
 //
-// --trace-digest switches from schedule-counter digests to whole-file
-// columnar trace digests: each sharded rung streams the workload through a
-// ColumnarTraceWriter sink at TraceLevel::Full and ::Lifecycle and prints
-// an FNV-1a digest of each file's bytes. All rungs must produce identical
-// files (the sharded schedule is byte-identical at any K, and the chunk
-// framing is a pure function of the event stream); additionally, the
-// lifecycle-kind projection of the Full file rewritten through a fresh
-// writer must equal the Lifecycle file byte-for-byte (TraceLevel changes
-// recording, never the schedule). Exit 1 on the first mismatch.
+// The workload gossips every 4 ticks with fanout 2 and crashes/respawns
+// every 25 ticks, from seed 42.
 //
 // --trace-out <path> is the archive mode verify.sh uses to fabricate large
 // query fixtures: one run at the first listed shard count, streamed
 // through a columnar sink to <path> at TraceLevel::Full, event count on
 // stdout. No invariance comparison — just the file.
 //
-// --trace-cmp pins the batched sink path against the per-event one: for
-// each listed shard count the workload runs twice at TraceLevel::Full,
-// once with the ColumnarTraceWriter installed directly (records arrive in
-// ~64K appendBatch() batches) and once through a wrapper that forces the
-// per-event append(TraceEvent) path. The two files must be byte-identical
-// — batch boundaries carry no meaning in the columnar format. Exit 1 on
-// the first digest mismatch.
-//
-// --reset-cmp pins the SimArena run-reuse contract: for each listed shard
-// count (including the legacy K=0 kernel) it runs the flood/echo/gossip
-// query experiments over several seeds twice — once fresh-constructed per
-// run, once recycling a single arena across every run — and compares
-// in-memory FNV-1a digests covering the full trace record bytes, the
-// interned key table, the schedule counters, and the verdict. The arena
-// path must be byte-identical to the fresh path (the BodyPoolHits/Misses
-// allocation-economy counters excepted; they are excluded from the
-// digest, as in the K-invariance digest above). Exit 1 on the first
-// mismatch.
-//
 //===----------------------------------------------------------------------===//
 
-#include "dyndist/aggregation/Experiment.h"
-#include "dyndist/aggregation/SimArena.h"
 #include "dyndist/runtime/KernelLoad.h"
 #include "dyndist/sim/TraceColumnar.h"
 
@@ -144,7 +114,7 @@ Digest digestOf(const KernelLoadResult &R) {
           R.Stop,                  R.PendingTimers};
 }
 
-/// FNV-1a over the whole file; the digest the columnar pins compare.
+/// FNV-1a over the whole file, printed with the archive.
 bool fileDigest(const char *Path, uint64_t &Out) {
   std::FILE *F = std::fopen(Path, "rb");
   if (!F)
@@ -163,18 +133,18 @@ bool fileDigest(const char *Path, uint64_t &Out) {
   return !Bad;
 }
 
-/// Streams one workload run through a columnar sink at \p Level and fills
-/// the file's digest. Returns false (with a message) on any failure.
-bool runWithColumnarSink(KernelLoadConfig Cfg, TraceLevel Level,
-                         const char *Path, uint64_t &DigestOut,
-                         uint64_t &EventsOut) {
+/// Streams one workload run through a columnar sink at TraceLevel::Full
+/// and fills the file's digest. Returns false (with a message) on any
+/// failure.
+bool writeArchive(KernelLoadConfig Cfg, const char *Path, uint64_t &DigestOut,
+                  uint64_t &EventsOut) {
   ColumnarTraceWriter W;
   if (Status S = W.open(Path); !S) {
     std::fprintf(stderr, "dyndist-kernel-smoke: %s\n", S.error().str().c_str());
     return false;
   }
   Cfg.Sink = &W;
-  runKernelLoad(Cfg, Level);
+  runKernelLoad(Cfg, TraceLevel::Full);
   EventsOut = W.eventsWritten();
   if (Status S = W.close(); !S) {
     std::fprintf(stderr, "dyndist-kernel-smoke: %s\n", S.error().str().c_str());
@@ -187,324 +157,6 @@ bool runWithColumnarSink(KernelLoadConfig Cfg, TraceLevel Level,
   return true;
 }
 
-/// Forces the per-event path of \p W: the inherited default appendBatch()
-/// materializes each record into a TraceEvent and calls append(), so a run
-/// through this sink exercises exactly the legacy one-virtual-call-per-
-/// record protocol against the same writer.
-class PerEventSink final : public TraceSink {
-public:
-  explicit PerEventSink(ColumnarTraceWriter &W) : W(W) {}
-  void append(const TraceEvent &E) override { W.append(E); }
-
-private:
-  ColumnarTraceWriter &W;
-};
-
-int runTraceCmpMode(KernelLoadConfig Cfg,
-                    const std::vector<unsigned> &Shards) {
-  const char *BatchPath = "kernel-smoke-batched.dytr";
-  const char *EventPath = "kernel-smoke-perevent.dytr";
-  auto Cleanup = [&] {
-    std::remove(BatchPath);
-    std::remove(EventPath);
-  };
-  for (unsigned K : Shards) {
-    Cfg.Shards = K;
-    uint64_t BatchDigest = 0, BatchEvents = 0;
-    if (!runWithColumnarSink(Cfg, TraceLevel::Full, BatchPath, BatchDigest,
-                             BatchEvents)) {
-      Cleanup();
-      return 2;
-    }
-
-    ColumnarTraceWriter W;
-    if (Status S = W.open(EventPath); !S) {
-      std::fprintf(stderr, "dyndist-kernel-smoke: %s\n",
-                   S.error().str().c_str());
-      Cleanup();
-      return 2;
-    }
-    PerEventSink Wrapper(W);
-    KernelLoadConfig EventCfg = Cfg;
-    EventCfg.Sink = &Wrapper;
-    runKernelLoad(EventCfg, TraceLevel::Full);
-    uint64_t EventEvents = W.eventsWritten();
-    if (Status S = W.close(); !S) {
-      std::fprintf(stderr, "dyndist-kernel-smoke: %s\n",
-                   S.error().str().c_str());
-      Cleanup();
-      return 2;
-    }
-    uint64_t EventDigest = 0;
-    if (!fileDigest(EventPath, EventDigest)) {
-      std::fprintf(stderr, "dyndist-kernel-smoke: cannot digest %s\n",
-                   EventPath);
-      Cleanup();
-      return 2;
-    }
-
-    std::printf("shards=%u batched=%016llx (%llu events) "
-                "per-event=%016llx (%llu events)\n",
-                K, (unsigned long long)BatchDigest,
-                (unsigned long long)BatchEvents,
-                (unsigned long long)EventDigest,
-                (unsigned long long)EventEvents);
-    if (BatchDigest != EventDigest || BatchEvents != EventEvents) {
-      std::fprintf(stderr,
-                   "dyndist-kernel-smoke: shards=%u batched columnar file "
-                   "differs from per-event file — batch boundaries leaked "
-                   "into the encoding\n",
-                   K);
-      Cleanup();
-      return 1;
-    }
-  }
-  Cleanup();
-  return 0;
-}
-
-int runTraceDigestMode(KernelLoadConfig Cfg,
-                       const std::vector<unsigned> &Shards) {
-  const char *FullPath = "kernel-smoke-full.dytr";
-  const char *LifePath = "kernel-smoke-lifecycle.dytr";
-  const char *ProjPath = "kernel-smoke-projected.dytr";
-  auto Cleanup = [&] {
-    std::remove(FullPath);
-    std::remove(LifePath);
-    std::remove(ProjPath);
-  };
-
-  bool HaveReference = false;
-  uint64_t RefFull = 0, RefLife = 0;
-  unsigned ReferenceK = 0;
-  for (unsigned K : Shards) {
-    if (K == 0)
-      continue; // The digest pin is a sharded-schedule contract.
-    Cfg.Shards = K;
-    uint64_t FullDigest = 0, LifeDigest = 0, FullEvents = 0, LifeEvents = 0;
-    if (!runWithColumnarSink(Cfg, TraceLevel::Full, FullPath, FullDigest,
-                             FullEvents) ||
-        !runWithColumnarSink(Cfg, TraceLevel::Lifecycle, LifePath, LifeDigest,
-                             LifeEvents)) {
-      Cleanup();
-      return 2;
-    }
-    std::printf("shards=%u full=%016llx (%llu events) "
-                "lifecycle=%016llx (%llu events)\n",
-                K, (unsigned long long)FullDigest,
-                (unsigned long long)FullEvents,
-                (unsigned long long)LifeDigest,
-                (unsigned long long)LifeEvents);
-    if (!HaveReference) {
-      HaveReference = true;
-      RefFull = FullDigest;
-      RefLife = LifeDigest;
-      ReferenceK = K;
-    } else if (FullDigest != RefFull || LifeDigest != RefLife) {
-      std::fprintf(stderr,
-                   "dyndist-kernel-smoke: shards=%u columnar digest differs "
-                   "from shards=%u — K-invariance violated\n",
-                   K, ReferenceK);
-      Cleanup();
-      return 1;
-    }
-  }
-  if (!HaveReference) {
-    Cleanup();
-    return 0;
-  }
-
-  // TraceLevel invariance: projecting the Full file down to lifecycle
-  // kinds and re-encoding must reproduce the Lifecycle file exactly
-  // (framing is a pure function of the event stream).
-  auto Reader = ColumnarTraceReader::open(FullPath);
-  if (!Reader) {
-    std::fprintf(stderr, "dyndist-kernel-smoke: %s\n",
-                 Reader.error().str().c_str());
-    Cleanup();
-    return 2;
-  }
-  ColumnarTraceWriter Proj;
-  if (Status S = Proj.open(ProjPath); !S) {
-    std::fprintf(stderr, "dyndist-kernel-smoke: %s\n", S.error().str().c_str());
-    Cleanup();
-    return 2;
-  }
-  for (size_t I = 0, N = (*Reader)->chunkCount(); I != N; ++I) {
-    Status S = (*Reader)->scanChunk(I, [&](const TraceEventView &V) {
-      if (V.Kind != TraceKind::Join && V.Kind != TraceKind::Leave &&
-          V.Kind != TraceKind::Crash && V.Kind != TraceKind::Observe)
-        return;
-      TraceEvent E;
-      E.Kind = V.Kind;
-      E.Time = V.Time;
-      E.Subject = V.Subject;
-      E.Peer = V.Peer;
-      E.MsgKind = V.MsgKind;
-      E.Key = std::string(V.Key);
-      E.Value = V.Value;
-      Proj.append(E);
-    });
-    if (!S) {
-      std::fprintf(stderr, "dyndist-kernel-smoke: %s\n",
-                   S.error().str().c_str());
-      Cleanup();
-      return 2;
-    }
-  }
-  if (Status S = Proj.close(); !S) {
-    std::fprintf(stderr, "dyndist-kernel-smoke: %s\n", S.error().str().c_str());
-    Cleanup();
-    return 2;
-  }
-  uint64_t ProjDigest = 0;
-  if (!fileDigest(ProjPath, ProjDigest)) {
-    std::fprintf(stderr, "dyndist-kernel-smoke: cannot digest %s\n", ProjPath);
-    Cleanup();
-    return 2;
-  }
-  std::printf("projection=%016llx\n", (unsigned long long)ProjDigest);
-  if (ProjDigest != RefLife) {
-    std::fprintf(stderr,
-                 "dyndist-kernel-smoke: lifecycle projection of the Full "
-                 "trace differs from the Lifecycle trace — TraceLevel "
-                 "invariance violated\n");
-    Cleanup();
-    return 1;
-  }
-  Cleanup();
-  return 0;
-}
-
-// --- --reset-cmp: fresh vs arena-reused experiment byte-identity ----------
-
-/// Incremental FNV-1a accumulator for the in-memory result digests.
-struct Fnv1a {
-  uint64_t H = 1469598103934665603ULL;
-
-  void bytes(const void *Data, size_t Size) {
-    const unsigned char *P = static_cast<const unsigned char *>(Data);
-    for (size_t I = 0; I != Size; ++I) {
-      H ^= P[I];
-      H *= 1099511628211ULL;
-    }
-  }
-  void u64(uint64_t V) { bytes(&V, sizeof(V)); }
-};
-
-/// Digest of everything a run's output the reset contract pins down: the
-/// verdict, the schedule counters (BodyPoolHits/Misses excluded — the
-/// arena's pool economy legitimately differs cold vs warm), the membership
-/// census fields, the full trace record bytes, and the interned key table
-/// (ids and strings — interning order is part of byte-identity).
-uint64_t experimentDigest(const ExperimentResult &R) {
-  Fnv1a F;
-  F.u64(R.ClassAdmissible);
-  F.u64(R.QueryIssued);
-  F.u64(R.Verdict.Terminated);
-  F.u64(R.Verdict.ResponseTime);
-  F.u64(R.Verdict.Complete);
-  F.u64(R.Verdict.NoInvention);
-  F.u64(R.Verdict.AggregateConsistent);
-  F.u64(R.Verdict.Missed.size());
-  for (ProcessId P : R.Verdict.Missed)
-    F.u64(P);
-  F.u64(R.Verdict.Invented.size());
-  for (ProcessId P : R.Verdict.Invented)
-    F.u64(P);
-  F.bytes(&R.Verdict.Coverage, sizeof(R.Verdict.Coverage));
-  F.u64(R.Verdict.IncludedCount);
-  F.u64(R.Verdict.RequiredCount);
-  F.u64(static_cast<uint64_t>(R.Verdict.Aggregate));
-  F.u64(R.Stats.MessagesSent);
-  F.u64(R.Stats.MessagesDelivered);
-  F.u64(R.Stats.MessagesDropped);
-  F.u64(R.Stats.PayloadUnits);
-  F.u64(R.Stats.TimersFired);
-  F.u64(R.Stats.EventsExecuted);
-  F.u64(R.Stats.InlineFnHeapFallbacks);
-  F.u64(R.MaxDiameter);
-  F.u64(R.DisconnectedSamples);
-  F.u64(R.Arrivals);
-  F.u64(R.MembersAtQuery);
-  F.u64(R.MembersAtResponse);
-  if (R.RecordedTrace) {
-    const Trace &T = *R.RecordedTrace;
-    F.u64(T.records().size());
-    if (!T.records().empty())
-      F.bytes(T.records().data(),
-              T.records().size() * sizeof(TraceRecord));
-    F.u64(T.keys().size());
-    for (uint32_t Id = 1; Id <= T.keys().size(); ++Id) {
-      std::string_view Name = T.keys().name(Id);
-      F.u64(Name.size());
-      F.bytes(Name.data(), Name.size());
-    }
-  }
-  return F.H;
-}
-
-int runResetCmpMode(uint64_t BaseSeed, const std::vector<unsigned> &Shards) {
-  struct FamilyRow {
-    const char *Name;
-    RecommendedAlgorithm Algo;
-  } Families[] = {
-      {"flood", RecommendedAlgorithm::FloodingKnownDiameter},
-      {"echo", RecommendedAlgorithm::EchoTermination},
-      {"gossip", RecommendedAlgorithm::GossipBestEffort},
-  };
-  constexpr int SeedsPerFamily = 3;
-
-  int Exit = 0;
-  for (unsigned K : Shards) {
-    // One arena for the whole shard rung: every run after the first
-    // recycles the shell through reset(), and family transitions exercise
-    // the factory-swap path.
-    SimArena Arena;
-    for (const FamilyRow &Family : Families) {
-      for (int S = 0; S != SeedsPerFamily; ++S) {
-        ExperimentConfig Cfg;
-        Cfg.Seed = BaseSeed + static_cast<uint64_t>(S);
-        Cfg.Class = {ArrivalModel::boundedConcurrency(60),
-                     KnowledgeModel::knownDiameter(8)};
-        Cfg.Algorithm = Family.Algo;
-        Cfg.UseRecommended = false;
-        Cfg.InitialMembers = 30;
-        Cfg.Churn.JoinRate = 0.1;
-        Cfg.Churn.MeanSession = 200;
-        Cfg.Churn.Horizon = 240;
-        Cfg.Shards = K;
-        Cfg.QueryAt = 120;
-        Cfg.Horizon = 300;
-        Cfg.Gossip.ReportAfter = 40;
-        Cfg.Gossip.Rounds = 20;
-        Cfg.Gossip.RoundEvery = 2;
-        Cfg.KeepTrace = true;
-        Cfg.Tracing = TraceLevel::Full;
-
-        uint64_t FreshDigest = experimentDigest(runQueryExperiment(Cfg));
-        uint64_t ReusedDigest =
-            experimentDigest(runQueryExperiment(Cfg, &Arena));
-        std::printf("shards=%u algo=%-6s seed=%llu fresh=%016llx "
-                    "reused=%016llx epoch=%llu\n",
-                    K, Family.Name, (unsigned long long)Cfg.Seed,
-                    (unsigned long long)FreshDigest,
-                    (unsigned long long)ReusedDigest,
-                    (unsigned long long)Arena.epoch());
-        if (FreshDigest != ReusedDigest) {
-          std::fprintf(stderr,
-                       "dyndist-kernel-smoke: shards=%u algo=%s seed=%llu "
-                       "arena-reused run differs from fresh run — reset "
-                       "byte-identity violated\n",
-                       K, Family.Name, (unsigned long long)Cfg.Seed);
-          Exit = 1;
-        }
-      }
-    }
-  }
-  return Exit;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -514,10 +166,8 @@ int main(int argc, char **argv) {
   Cfg.GossipEvery = 4;
   Cfg.GossipFanout = 2;
   Cfg.ChurnEvery = 25;
+  Cfg.Seed = 42;
   std::vector<unsigned> Shards = {1, 2, 4};
-  bool TraceDigest = false;
-  bool TraceCmp = false;
-  bool ResetCmp = false;
   const char *TraceOut = nullptr;
 
   for (int I = 1; I < argc; ++I) {
@@ -533,27 +183,11 @@ int main(int argc, char **argv) {
       Cfg.Horizon = parseU64(next(), Arg);
     else if (std::strcmp(Arg, "--shards") == 0)
       Shards = parseShardList(next());
-    else if (std::strcmp(Arg, "--gossip-every") == 0)
-      Cfg.GossipEvery = parseU64(next(), Arg);
-    else if (std::strcmp(Arg, "--fanout") == 0)
-      Cfg.GossipFanout = static_cast<unsigned>(parseU64(next(), Arg));
-    else if (std::strcmp(Arg, "--churn-every") == 0)
-      Cfg.ChurnEvery = parseU64(next(), Arg);
-    else if (std::strcmp(Arg, "--seed") == 0)
-      Cfg.Seed = parseU64(next(), Arg);
-    else if (std::strcmp(Arg, "--trace-digest") == 0)
-      TraceDigest = true;
-    else if (std::strcmp(Arg, "--trace-cmp") == 0)
-      TraceCmp = true;
-    else if (std::strcmp(Arg, "--reset-cmp") == 0)
-      ResetCmp = true;
     else if (std::strcmp(Arg, "--trace-out") == 0)
       TraceOut = next();
     else if (std::strcmp(Arg, "--help") == 0) {
       std::printf("usage: dyndist-kernel-smoke [--processes n] [--horizon t]\n"
-                  "         [--shards 0,1,2,4] [--gossip-every g] [--fanout f]\n"
-                  "         [--churn-every c] [--seed s] [--trace-digest]\n"
-                  "         [--trace-cmp] [--reset-cmp] [--trace-out path]\n");
+                  "         [--shards 0,1,2,4] [--trace-out path]\n");
       return 0;
     } else
       usageError((std::string("unknown option ") + Arg).c_str());
@@ -562,21 +196,12 @@ int main(int argc, char **argv) {
   if (TraceOut != nullptr) {
     Cfg.Shards = Shards.front();
     uint64_t Digest = 0, Events = 0;
-    if (!runWithColumnarSink(Cfg, TraceLevel::Full, TraceOut, Digest, Events))
+    if (!writeArchive(Cfg, TraceOut, Digest, Events))
       return 2;
     std::printf("wrote %s: %llu events, digest=%016llx\n", TraceOut,
                 (unsigned long long)Events, (unsigned long long)Digest);
     return 0;
   }
-
-  if (ResetCmp)
-    return runResetCmpMode(Cfg.Seed, Shards);
-
-  if (TraceCmp)
-    return runTraceCmpMode(Cfg, Shards);
-
-  if (TraceDigest)
-    return runTraceDigestMode(Cfg, Shards);
 
   bool HaveReference = false;
   Digest Reference{};

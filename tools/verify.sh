@@ -1,24 +1,21 @@
 #!/bin/sh
-# Tier-1 verification: the dyndist-lint determinism/phase-safety pass
-# (docs/LINT.md) over src/, tools/, bench/ and tests/ — run FIRST, since
-# it needs only the dependency-free analysis library and fails in
-# milliseconds — then build + ctest in the plain configuration plus an
-# n=10^5 sharded-kernel invariance smoke, an n=10^4 columnar trace-digest
-# pin, an n=10^4 batched-vs-per-event columnar sink cmp, an arena
-# reset-vs-fresh byte-identity cmp, and a
-# >=10^7-event sharded-query thread-invariance cmp, then the
-# bench regression gate (dyndist-bench-report --check --shard --trace
-# --sweep-reuse against the checked-in message/shard baselines, the
-# columnar-sink speedup floor, and the arena-reuse sweep-throughput
-# floor, using the build-verify binaries), then a strict-warnings
-# build (-DDYNDIST_WERROR=ON, -Wall -Wextra -Werror), then the same test
-# suite under AddressSanitizer (-DDYNDIST_SANITIZE=address), under
-# UndefinedBehaviorSanitizer (-DDYNDIST_SANITIZE=undefined) — which polices
-# the flat graph's raw-pointer views, the intrusive payload refcounts, and
-# the InlineFunction buffer arithmetic — and under ThreadSanitizer
-# (-DDYNDIST_SANITIZE=thread), which keeps the SweepRunner's multi-threaded
-# seed sharding and the sharded kernel's fork-join lanes honest (including
-# a threaded-vs-inline shard digest comparison).
+# Tier-1 verification, in this order:
+#   1. dyndist-lint, the determinism/phase-safety pass (docs/LINT.md), over
+#      src/, tools/, bench/ and tests/. It needs only the dependency-free
+#      analysis library, so it runs first and fails in milliseconds.
+#   2. build-verify/: build + ctest, then two checks at scales ctest
+#      cannot afford: the n = 10^5 sharded-kernel K-invariance smoke, and
+#      a >= 10^7-event columnar archive grouped at 1 and 4 query threads
+#      (outputs compared byte for byte).
+#   3. The bench gate: dyndist-bench-report --check runs every section of
+#      bench/gates.json that carries gates, using the build-verify binaries.
+#   4. build-werror/: a strict-warnings build (-DDYNDIST_WERROR=ON).
+#   5. The suite under AddressSanitizer, UndefinedBehaviorSanitizer and
+#      ThreadSanitizer (build-asan/, build-ubsan/, build-tsan/). UBSan
+#      polices the flat graph's raw-pointer views, the intrusive payload
+#      refcounts and the InlineFunction buffer arithmetic; TSan the sweep
+#      runner's seed sharding and the sharded kernel's fork-join lanes, and
+#      the TSan pass also compares threaded-vs-inline shard digests.
 #
 # Usage: tools/verify.sh [--skip-lint] [--lint-only]
 #                        [--skip-asan] [--asan-only] [--skip-ubsan]
@@ -108,26 +105,6 @@ if [ "$RUN_PLAIN" = 1 ]; then
   echo "== sharded-kernel smoke, n=10^5 (build-verify)"
   build-verify/tools/dyndist-kernel-smoke \
     --processes 100000 --horizon 60 --shards 0,1,2,4
-  # Columnar trace-digest pin at n = 10^4: Full/Lifecycle columnar files
-  # byte-identical across shard counts, and the lifecycle projection of
-  # the Full file equal to the Lifecycle file (TraceLevel invariance).
-  # ctest covers the same contract at n = 2000.
-  echo "== columnar trace-digest smoke, n=10^4 (build-verify)"
-  build-verify/tools/dyndist-kernel-smoke \
-    --processes 10000 --horizon 60 --shards 1,2,4 --trace-digest
-  # Batched-vs-per-event sink pin at n = 10^4: streaming the trace through
-  # the columnar writer's appendBatch fast path must produce a file
-  # byte-identical to feeding it one materialized event at a time, at every
-  # shard count. ctest covers the same contract at n = 2000.
-  echo "== batched-vs-per-event columnar sink cmp, n=10^4 (build-verify)"
-  build-verify/tools/dyndist-kernel-smoke \
-    --processes 10000 --horizon 60 --shards 1,2,4 --trace-cmp
-  # Arena-reuse byte-identity: fresh-constructed query experiments and
-  # arena-reset-reused ones must digest identically for every algorithm
-  # family at every shard count (ctest covers shards 0,1,2; this adds the
-  # 4- and 8-shard rungs — 8 is the gated sweep-reuse bench config).
-  echo "== arena reset-vs-fresh cmp (build-verify)"
-  build-verify/tools/dyndist-kernel-smoke --shards 0,1,2,4,8 --reset-cmp
   # Sharded-query determinism at production scale: a >= 10^7-event
   # columnar archive aggregated at two thread counts must render
   # byte-identical output (positional slots + serial chunk-order merge).
@@ -145,12 +122,10 @@ if [ "$RUN_PLAIN" = 1 ]; then
 fi
 if [ "$RUN_BENCH_CHECK" = 1 ]; then
   # The gate needs the build-verify bench binaries; build them if this run
-  # skipped the plain pass. The throwaway report stays in build-verify/ so
-  # the checked-in BENCH_kernel.json is never clobbered by a gate run.
+  # skipped the plain pass. The throwaway report stays in build-verify/.
   [ "$RUN_PLAIN" = 1 ] || run_build build-verify
   echo "== bench regression gate (build-verify)"
-  tools/dyndist-bench-report --check --shard --trace --sweep-reuse \
-    --build-dir build-verify \
+  tools/dyndist-bench-report --check --build-dir build-verify \
     --out build-verify/bench-check.json
 fi
 [ "$RUN_WERROR" = 1 ] && run_build build-werror -DDYNDIST_WERROR=ON
