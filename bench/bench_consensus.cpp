@@ -7,7 +7,8 @@
 // Experiment E7 (claim C5, consensus): cost and robustness of the t+1
 // responsive-crash consensus chain, plus the nonresponsive dilemma table.
 //
-//  - google-benchmark section: ns per propose() for chain lengths t+1.
+//  - google-benchmark section (only with a --benchmark* flag): ns per
+//    propose() for chain lengths t+1.
 //  - table 1: base invocations per decision vs t and the number of
 //    actually-crashed objects (cost is exactly t+1 regardless of failures:
 //    responsive ⊥ answers are answers).
@@ -25,10 +26,13 @@
 #include "dyndist/runtime/ThreadRunner.h"
 #include "dyndist/support/StringUtils.h"
 
+#include "BenchBuildInfo.h"
+
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
+#include <string_view>
 #include <thread>
 
 using namespace dyndist;
@@ -236,9 +240,17 @@ void printRotatingTable() {
 } // namespace
 
 int main(int argc, char **argv) {
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
+  // Like every bench binary: the google-benchmark rows run only when a
+  // --benchmark* flag asks for them, and then alone.
+  for (int I = 1; I < argc; ++I) {
+    if (std::string_view(argv[I]).rfind("--benchmark", 0) == 0) {
+      dyndist_bench::addBuildTypeContext();
+      ::benchmark::Initialize(&argc, argv);
+      ::benchmark::RunSpecifiedBenchmarks();
+      ::benchmark::Shutdown();
+      return 0;
+    }
+  }
   printAgreementTable();
   printDilemmaTable();
   printRotatingTable();

@@ -165,7 +165,7 @@ int main(int argc, char **argv) {
   }
   std::printf("%s\n", T.render().c_str());
   std::printf("Expected shape: the valid rate is 1.00 for every row issued\n"
-              "after quiescence and drops the deeper the query is issued\n"
-              "into the churning phase.\n");
+              "after quiescence and below 1.00 for every row issued into\n"
+              "the churning phase.\n");
   return 0;
 }

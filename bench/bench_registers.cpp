@@ -7,9 +7,9 @@
 // Experiment E6 (claim C5, registers): throughput and base-object cost of
 // the register self-implementations as the failure budget t grows.
 //
-//  - google-benchmark section: ns/op for writes and reads of the t+1
-//    stack construction, the 2t+1 majority construction, and the
-//    multi-reader composition.
+//  - google-benchmark section (only with a --benchmark* flag): ns/op
+//    for writes and reads of the t+1 stack construction, the 2t+1
+//    majority construction, and the multi-reader composition.
 //  - table section: base invocations per operation (the model-level cost
 //    the constructions are compared by) and a failure-survival check —
 //    after crashing a full budget of t bases mid-run, the stress history
@@ -28,9 +28,12 @@
 #include "dyndist/runtime/StressHarness.h"
 #include "dyndist/support/StringUtils.h"
 
+#include "BenchBuildInfo.h"
+
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <string_view>
 
 using namespace dyndist;
 
@@ -193,9 +196,17 @@ void printAblationTable() {
 } // namespace
 
 int main(int argc, char **argv) {
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
+  // Like every bench binary: the google-benchmark rows run only when a
+  // --benchmark* flag asks for them, and then alone.
+  for (int I = 1; I < argc; ++I) {
+    if (std::string_view(argv[I]).rfind("--benchmark", 0) == 0) {
+      dyndist_bench::addBuildTypeContext();
+      ::benchmark::Initialize(&argc, argv);
+      ::benchmark::RunSpecifiedBenchmarks();
+      ::benchmark::Shutdown();
+      return 0;
+    }
+  }
   printCostTable();
   printSurvivalTable();
   printAblationTable();

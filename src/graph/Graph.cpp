@@ -15,6 +15,10 @@ namespace {
 
 /// Sorted-insert of \p V into \p Vec; returns false when already present.
 bool sortedInsert(std::vector<ProcessId> &Vec, ProcessId V) {
+  if (Vec.empty() || V > Vec.back()) { // Most inserts append: ids ascend.
+    Vec.push_back(V);
+    return true;
+  }
   auto It = std::lower_bound(Vec.begin(), Vec.end(), V);
   if (It != Vec.end() && *It == V)
     return false;

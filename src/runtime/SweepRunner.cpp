@@ -32,7 +32,8 @@ unsigned dyndist::resolveSweepThreads(unsigned Requested) {
   if (const char *Env = std::getenv("DYNDIST_THREADS")) {
     char *End = nullptr;
     unsigned long Value = std::strtoul(Env, &End, 10);
-    if (End && End != Env && *End == '\0' && Value > 0 && Value < 1024)
+    if (End && End != Env && *End == '\0' && Value > 0 &&
+        Value < SweepThreadLimit)
       return static_cast<unsigned>(Value);
   }
   unsigned HW = std::thread::hardware_concurrency();
@@ -56,7 +57,7 @@ unsigned dyndist::sweepThreadsFromArgs(int &Argc, char **Argv) {
     char *End = nullptr;
     unsigned long Parsed = std::strtoul(Value.c_str(), &End, 10);
     if (End && End != Value.c_str() && *End == '\0' && Parsed > 0 &&
-        Parsed < 1024)
+        Parsed < SweepThreadLimit)
       Result = static_cast<unsigned>(Parsed);
   }
   Argc = Out;

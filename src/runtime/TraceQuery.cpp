@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 
 using namespace dyndist;
 
@@ -40,106 +41,183 @@ bool dyndist::groupFieldFromName(const std::string &Name, GroupField &Out) {
 
 namespace {
 
-/// Runs \p Scan once per filter-surviving chunk on a WorkerPool (slot
-/// order positional: slot J is the J-th surviving chunk in file order),
-/// then hands the slots to \p Merge serially in that same order. The first
-/// scan error in chunk order wins, matching what a serial run would hit.
-template <typename Partial, typename ScanFn, typename MergeFn>
-Status scanAndMerge(const TraceQuerySource &Src, const TraceFilter &Filter,
-                    unsigned Threads, ScanFn Scan, MergeFn Merge) {
-  std::vector<size_t> Eligible;
+/// A worker's decode buffers, reused across chunks and queries.
+thread_local ColumnBatch TLBatch;
+thread_local std::vector<uint32_t> TLRows;
+
+/// The rows of \p B that \p F keeps, ascending, in \p Rows. Times ascend
+/// within a chunk, so the time window is a row range found by binary
+/// search; each set field then narrows it in one pass.
+const std::vector<uint32_t> &selectRows(const ColumnBatch &B,
+                                        const TraceFilter &F,
+                                        std::vector<uint32_t> &Rows) {
+  const auto &Time = B.Time;
+  auto Begin = std::lower_bound(Time.begin(), Time.end(), F.FromTime);
+  auto End = std::upper_bound(Begin, Time.end(), F.ToTime);
+  Rows.resize(static_cast<size_t>(End - Begin));
+  std::iota(Rows.begin(), Rows.end(),
+            static_cast<uint32_t>(Begin - Time.begin()));
+  auto Narrow = [&Rows](auto Keep) {
+    size_t N = 0;
+    for (uint32_t I : Rows) {
+      Rows[N] = I;
+      N += Keep(I);
+    }
+    Rows.resize(N);
+  };
+  if (F.Kind) {
+    const auto Kind = static_cast<uint8_t>(*F.Kind);
+    Narrow([&](uint32_t I) { return B.Kind[I] == Kind; });
+  }
+  if (F.Subject)
+    Narrow([&](uint32_t I) { return B.Subject[I] == *F.Subject; });
+  if (F.Peer)
+    Narrow([&](uint32_t I) { return B.Peer[I] == *F.Peer; });
+  if (F.Msg)
+    Narrow([&](uint32_t I) { return B.Msg[I] == *F.Msg; });
+  if (F.Key) {
+    // Resolved once per chunk: which string-table ids name the key.
+    std::vector<uint8_t> Match(B.Strings.size() + 1);
+    for (uint32_t Id = 0; Id != Match.size(); ++Id)
+      Match[Id] = B.keyName(Id) == *F.Key;
+    Narrow([&](uint32_t I) { return Match[B.KeyId[I]] != 0; });
+  }
+  return Rows;
+}
+
+/// Decodes every chunk the filter's frame check keeps and calls Scan(P,
+/// Batch, Rows) with the rows the filter keeps. P is Out[J] for the J-th
+/// kept chunk with \p PerChunk (output joined in chunk order), else the
+/// worker's own partial (aggregates are order-free). Job W takes kept
+/// chunks W, W + Jobs, ...; the first error in chunk order wins.
+template <typename Partial, typename ScanFn>
+Status scanChunks(const TraceQuerySource &Src, const TraceFilter &Filter,
+                  unsigned Threads, bool PerChunk, std::vector<Partial> &Out,
+                  ScanFn Scan) {
+  std::vector<size_t> Chunks;
   for (size_t I = 0, N = Src.chunkCount(); I != N; ++I)
     if (Filter.mayMatchChunk(Src.chunk(I)))
-      Eligible.push_back(I);
+      Chunks.push_back(I);
+  const size_t NumChunks = Chunks.size();
+  const auto Jobs = static_cast<unsigned>(std::clamp<size_t>(
+      resolveSweepThreads(Threads), 1, std::max<size_t>(1, NumChunks)));
+  Out.assign(PerChunk ? NumChunks : Jobs, Partial());
+  std::vector<std::optional<Error>> Errors(NumChunks);
 
-  std::vector<Partial> Partials(Eligible.size());
-  std::vector<std::optional<Error>> Errors(Eligible.size());
-
-  auto RunOne = [&](unsigned J) {
-    Status S = Src.scanChunk(Eligible[J], [&](const TraceEventView &V) {
-      if (Filter.matches(V))
-        Scan(V, Partials[J]);
-    });
-    if (!S)
-      Errors[J] = S.error();
+  auto RunJob = [&](unsigned J) {
+    for (size_t C = J; C < NumChunks; C += Jobs) {
+      if (Status St = Src.decodeChunk(Chunks[C], TLBatch); !St) {
+        Errors[C] = St.error();
+        return;
+      }
+      Scan(Out[PerChunk ? C : J], TLBatch, selectRows(TLBatch, Filter, TLRows));
+    }
   };
-
-  Threads = std::max(1u, resolveSweepThreads(Threads));
-  if (Threads <= 1 || Eligible.size() <= 1) {
-    for (unsigned J = 0; J != Eligible.size(); ++J)
-      RunOne(J);
+  if (Jobs == 1) {
+    RunJob(0);
   } else {
     WorkerPool Pool;
-    Pool.ensureWorkers(
-        std::min<unsigned>(Threads, (unsigned)Eligible.size()) - 1);
-    Pool.run(static_cast<unsigned>(Eligible.size()), RunOne);
+    Pool.ensureWorkers(Jobs - 1);
+    Pool.run(Jobs, RunJob);
   }
-
   for (auto &E : Errors)
     if (E)
       return *E;
-  for (size_t J = 0; J != Partials.size(); ++J)
-    Merge(Partials[J]);
   return Status::success();
 }
 
-/// Ordered group identity. Numeric fields order by Num (msg uses an
-/// offset-binary transform so negative kinds sort before positive); the
-/// key field orders by Str.
-struct GroupKey {
-  uint64_t Num = 0;
-  std::string Str;
+/// Per-group aggregate: count, value sum, time extent. The sum wraps
+/// (two's complement), so every fold order gives the same bits.
+struct GroupAgg {
+  uint64_t Count = 0;
+  uint64_t ValueSum = 0;
+  uint64_t MinTime = ~0ULL;
+  uint64_t MaxTime = 0;
 
-  bool operator<(const GroupKey &O) const {
-    return Num != O.Num ? Num < O.Num : Str < O.Str;
+  void add(uint64_t Time, int64_t Value) {
+    ++Count;
+    ValueSum += static_cast<uint64_t>(Value);
+    MinTime = std::min(MinTime, Time);
+    MaxTime = std::max(MaxTime, Time);
+  }
+
+  void fold(const GroupAgg &O) {
+    Count += O.Count;
+    ValueSum += O.ValueSum;
+    MinTime = std::min(MinTime, O.MinTime);
+    MaxTime = std::max(MaxTime, O.MaxTime);
   }
 };
 
-GroupKey groupKeyOf(GroupField Field, const TraceEventView &V,
-                    uint64_t BucketWidth) {
-  GroupKey K;
-  switch (Field) {
-  case GroupField::Kind:
-    K.Num = static_cast<uint64_t>(V.Kind);
-    break;
-  case GroupField::Subject:
-    K.Num = V.Subject;
-    break;
-  case GroupField::Peer:
-    K.Num = V.Peer;
-    break;
-  case GroupField::Msg:
-    K.Num = static_cast<uint64_t>(static_cast<int64_t>(V.MsgKind)) ^
-            (1ULL << 63);
-    break;
-  case GroupField::Key:
-    K.Str.assign(V.Key);
-    break;
-  case GroupField::TimeBucket:
-    K.Num = BucketWidth ? V.Time / BucketWidth * BucketWidth : V.Time;
-    break;
-  }
-  return K;
-}
+/// One worker's groups. Kind, subject and peer values below the events the
+/// query decodes fold into Dense by value, so a crafted id never sizes an
+/// allocation; larger ones (InvalidProcess too), offset-binary msg kinds
+/// and time buckets into the ordered Sparse; keys into Named.
+struct Groups {
+  std::vector<GroupAgg> Dense;
+  std::map<uint64_t, GroupAgg> Sparse;
+  std::map<std::string, GroupAgg> Named;
 
-/// Renders a group value for output rows.
-std::string renderGroup(GroupField Field, const GroupKey &K) {
+  void fold(const Groups &O) {
+    if (Dense.size() < O.Dense.size())
+      Dense.resize(O.Dense.size());
+    for (size_t I = 0; I != O.Dense.size(); ++I)
+      Dense[I].fold(O.Dense[I]);
+    for (const auto &[K, A] : O.Sparse)
+      Sparse[K].fold(A);
+    for (const auto &[K, A] : O.Named)
+      Named[K].fold(A);
+  }
+};
+
+void foldChunk(Groups &G, GroupField Field, uint64_t Limit,
+               uint64_t BucketWidth, const ColumnBatch &B,
+               const std::vector<uint32_t> &Rows) {
+  const uint64_t *Time = B.Time.data();
+  const int64_t *Value = B.Value.data();
+  // Folds each row into its group Num(I): Dense when below DenseLimit,
+  // else Sparse, through a one-group cache (time buckets come in runs).
+  auto Fold = [&](uint64_t DenseLimit, auto Num) {
+    GroupAgg *Last = nullptr;
+    uint64_t LastNum = 0;
+    for (uint32_t I : Rows) {
+      const uint64_t N = Num(I);
+      GroupAgg *A = Last;
+      if (N < DenseLimit) {
+        if (N >= G.Dense.size())
+          G.Dense.resize(N + 1);
+        A = &G.Dense[N];
+      } else if (!Last || N != LastNum) {
+        A = Last = &G.Sparse[N];
+        LastNum = N;
+      }
+      A->add(Time[I], Value[I]);
+    }
+  };
   switch (Field) {
   case GroupField::Kind:
-    return traceKindName(static_cast<TraceKind>(K.Num));
+    return Fold(Limit, [&](uint32_t I) { return uint64_t(B.Kind[I]); });
   case GroupField::Subject:
+    return Fold(Limit, [&](uint32_t I) { return B.Subject[I]; });
   case GroupField::Peer:
-  case GroupField::TimeBucket:
-    return format("%llu", (unsigned long long)K.Num);
+    return Fold(Limit, [&](uint32_t I) { return B.Peer[I]; });
   case GroupField::Msg:
-    return format("%lld", (long long)(int64_t)(K.Num ^ (1ULL << 63)));
-  case GroupField::Key: {
-    std::string Out;
-    appendEscapedTraceString(Out, K.Str);
-    return Out;
+    return Fold(0, [&](uint32_t I) {
+      return static_cast<uint64_t>(int64_t(B.Msg[I])) ^ (1ULL << 63);
+    });
+  case GroupField::TimeBucket:
+    return Fold(0, [&](uint32_t I) {
+      return BucketWidth ? Time[I] / BucketWidth * BucketWidth : Time[I];
+    });
+  case GroupField::Key:
+    // Chunk-local ids (bounded by the string table) in Dense, then names.
+    Fold(~0ULL, [&](uint32_t I) { return uint64_t(B.KeyId[I]); });
+    for (uint32_t Id = 0; Id != G.Dense.size(); ++Id)
+      if (G.Dense[Id].Count)
+        G.Named[std::string(B.keyName(Id))].fold(G.Dense[Id]);
+    G.Dense.clear();
+    return;
   }
-  }
-  return "?";
 }
 
 const char *groupFieldLabel(GroupField Field) {
@@ -160,45 +238,81 @@ const char *groupFieldLabel(GroupField Field) {
   return "?";
 }
 
-/// Per-group aggregate: count, value sum, time extent.
-struct GroupAgg {
-  uint64_t Count = 0;
-  int64_t ValueSum = 0;
-  uint64_t MinTime = ~0ULL;
-  uint64_t MaxTime = 0;
-
-  void add(const TraceEventView &V) {
-    ++Count;
-    ValueSum += V.Value;
-    MinTime = std::min(MinTime, (uint64_t)V.Time);
-    MaxTime = std::max(MaxTime, (uint64_t)V.Time);
-  }
-
-  void fold(const GroupAgg &O) {
-    Count += O.Count;
-    ValueSum += O.ValueSum;
-    MinTime = std::min(MinTime, O.MinTime);
-    MaxTime = std::max(MaxTime, O.MaxTime);
-  }
+/// One output group: its rendered value and aggregate.
+struct GroupRow {
+  std::string Label;
+  GroupAgg Agg;
 };
 
-using GroupMap = std::map<GroupKey, GroupAgg>;
+/// Renders a numeric group value.
+std::string renderGroup(GroupField Field, uint64_t Num) {
+  switch (Field) {
+  case GroupField::Kind:
+    return traceKindName(static_cast<TraceKind>(Num));
+  case GroupField::Msg:
+    return format("%lld", (long long)(int64_t)(Num ^ (1ULL << 63)));
+  default:
+    return format("%llu", (unsigned long long)Num);
+  }
+}
 
-Status aggregateGroups(const TraceQuerySource &Src, const TraceFilter &Filter,
-                       GroupField Field, const QueryOptions &Opts,
-                       GroupMap &Out) {
-  return scanAndMerge<GroupMap>(
-      Src, Filter, Opts.Threads,
-      [&](const TraceEventView &V, GroupMap &P) {
-        P[groupKeyOf(Field, V, Opts.TimeBucketWidth)].add(V);
-      },
-      [&](GroupMap &P) {
-        for (auto &[K, A] : P) {
-          auto [It, Inserted] = Out.try_emplace(K, A);
-          if (!Inserted)
-            It->second.fold(A);
-        }
+/// The matching events folded by each of \p Fields, one Groups per field,
+/// in a single scan.
+Result<std::vector<Groups>> foldGroups(const TraceQuerySource &Src,
+                                       const TraceFilter &Filter,
+                                       const std::vector<GroupField> &Fields,
+                                       const QueryOptions &Opts) {
+  uint64_t Limit = 0; // The events the scan decodes: Groups' dense bound.
+  for (size_t I = 0; I != Src.chunkCount(); ++I)
+    if (Filter.mayMatchChunk(Src.chunk(I)))
+      Limit += Src.chunk(I).EventCount;
+  std::vector<std::vector<Groups>> Parts;
+  Status S = scanChunks(
+      Src, Filter, Opts.Threads, /*PerChunk=*/false, Parts,
+      [&](std::vector<Groups> &G, const ColumnBatch &B,
+          const std::vector<uint32_t> &Rows) {
+        G.resize(Fields.size());
+        for (size_t F = 0; F != Fields.size(); ++F)
+          foldChunk(G[F], Fields[F], Limit, Opts.TimeBucketWidth, B, Rows);
       });
+  if (!S)
+    return S.error();
+  std::vector<Groups> &Total = Parts.front();
+  Total.resize(Fields.size()); // Empty when no chunk survived pruning.
+  for (size_t W = 1; W < Parts.size(); ++W)
+    for (size_t F = 0; F != Fields.size(); ++F)
+      Total[F].fold(Parts[W][F]);
+  return std::move(Total);
+}
+
+/// Calls Fn(Num, Agg) for each numeric group of \p G, ascending: the dense
+/// values all sit below the sparse ones.
+template <typename FnT> void forEachGroup(const Groups &G, FnT Fn) {
+  for (size_t N = 0; N != G.Dense.size(); ++N)
+    if (G.Dense[N].Count)
+      Fn(uint64_t(N), G.Dense[N]);
+  for (const auto &[N, A] : G.Sparse)
+    Fn(N, A);
+}
+
+/// The groups of matching events by \p Field, sorted by group value.
+Result<std::vector<GroupRow>> aggregateGroups(const TraceQuerySource &Src,
+                                              const TraceFilter &Filter,
+                                              GroupField Field,
+                                              const QueryOptions &Opts) {
+  auto Folded = foldGroups(Src, Filter, {Field}, Opts);
+  if (!Folded)
+    return Folded.error();
+  const Groups &G = Folded->front();
+  std::vector<GroupRow> Rows;
+  forEachGroup(G, [&](uint64_t N, const GroupAgg &A) {
+    Rows.push_back({renderGroup(Field, N), A});
+  });
+  for (const auto &[Key, A] : G.Named) {
+    Rows.push_back({std::string(), A});
+    appendEscapedTraceString(Rows.back().Label, Key);
+  }
+  return Rows;
 }
 
 } // namespace
@@ -210,28 +324,29 @@ Status aggregateGroups(const TraceQuerySource &Src, const TraceFilter &Filter,
 Result<std::string> dyndist::queryFilter(const TraceQuerySource &Src,
                                          const TraceFilter &Filter,
                                          const QueryOptions &Opts) {
-  std::string Out;
-  uint64_t Emitted = 0;
-  Status S = scanAndMerge<std::string>(
-      Src, Filter, Opts.Threads,
-      [](const TraceEventView &V, std::string &P) {
-        appendTraceJsonLine(P, V);
-      },
-      [&](std::string &P) {
-        if (Emitted >= Opts.Limit)
-          return;
-        // Count lines in this partial; take only up to the limit.
-        size_t Pos = 0;
-        while (Pos < P.size() && Emitted < Opts.Limit) {
-          size_t End = P.find('\n', Pos);
-          End = End == std::string::npos ? P.size() : End + 1;
-          Out.append(P, Pos, End - Pos);
-          Pos = End;
-          ++Emitted;
-        }
+  std::vector<std::string> Parts;
+  Status S = scanChunks(
+      Src, Filter, Opts.Threads, /*PerChunk=*/true, Parts,
+      [](std::string &P, const ColumnBatch &B,
+         const std::vector<uint32_t> &Rows) {
+        for (uint32_t I : Rows)
+          appendTraceJsonLine(P, B.view(I));
       });
   if (!S)
     return S.error();
+  std::string Out;
+  uint64_t Emitted = 0;
+  for (const std::string &P : Parts) {
+    // Take this chunk's lines only up to the limit.
+    size_t Pos = 0;
+    while (Pos < P.size() && Emitted < Opts.Limit) {
+      size_t End = P.find('\n', Pos);
+      End = End == std::string::npos ? P.size() : End + 1;
+      Out.append(P, Pos, End - Pos);
+      Pos = End;
+      ++Emitted;
+    }
+  }
   return Out;
 }
 
@@ -239,16 +354,16 @@ Result<std::string> dyndist::queryGroupBy(const TraceQuerySource &Src,
                                           const TraceFilter &Filter,
                                           GroupField Field,
                                           const QueryOptions &Opts) {
-  GroupMap Groups;
-  if (Status S = aggregateGroups(Src, Filter, Field, Opts, Groups); !S)
-    return S.error();
+  auto Rows = aggregateGroups(Src, Filter, Field, Opts);
+  if (!Rows)
+    return Rows.error();
   std::string Out =
       format("%s\tcount\tvalue_sum\tt_min\tt_max\n", groupFieldLabel(Field));
-  for (const auto &[K, A] : Groups)
-    Out += format("%s\t%llu\t%lld\t%llu\t%llu\n",
-                  renderGroup(Field, K).c_str(), (unsigned long long)A.Count,
-                  (long long)A.ValueSum, (unsigned long long)A.MinTime,
-                  (unsigned long long)A.MaxTime);
+  for (const GroupRow &R : *Rows)
+    Out += format("%s\t%llu\t%lld\t%llu\t%llu\n", R.Label.c_str(),
+                  (unsigned long long)R.Agg.Count, (long long)R.Agg.ValueSum,
+                  (unsigned long long)R.Agg.MinTime,
+                  (unsigned long long)R.Agg.MaxTime);
   return Out;
 }
 
@@ -256,85 +371,53 @@ Result<std::string> dyndist::queryTopK(const TraceQuerySource &Src,
                                        const TraceFilter &Filter,
                                        GroupField Field,
                                        const QueryOptions &Opts) {
-  GroupMap Groups;
-  if (Status S = aggregateGroups(Src, Filter, Field, Opts, Groups); !S)
-    return S.error();
-  std::vector<const GroupMap::value_type *> Rows;
-  Rows.reserve(Groups.size());
-  for (const auto &Entry : Groups)
-    Rows.push_back(&Entry);
-  // Descending count; the map's key order breaks ties ascending, and
-  // stable_sort preserves it.
-  std::stable_sort(Rows.begin(), Rows.end(), [](const auto *A, const auto *B) {
-    return A->second.Count > B->second.Count;
-  });
-  if (Rows.size() > Opts.TopK)
-    Rows.resize(Opts.TopK);
+  auto Rows = aggregateGroups(Src, Filter, Field, Opts);
+  if (!Rows)
+    return Rows.error();
+  // Descending count; the rows arrive in ascending group value, and
+  // stable_sort keeps that order among ties.
+  std::stable_sort(Rows->begin(), Rows->end(),
+                   [](const GroupRow &A, const GroupRow &B) {
+                     return A.Agg.Count > B.Agg.Count;
+                   });
+  if (Rows->size() > Opts.TopK)
+    Rows->resize(Opts.TopK);
   std::string Out = format("%s\tcount\n", groupFieldLabel(Field));
-  for (const auto *Row : Rows)
-    Out += format("%s\t%llu\n", renderGroup(Field, Row->first).c_str(),
-                  (unsigned long long)Row->second.Count);
+  for (const GroupRow &R : *Rows)
+    Out += format("%s\t%llu\n", R.Label.c_str(),
+                  (unsigned long long)R.Agg.Count);
   return Out;
 }
 
 Result<std::string> dyndist::queryStats(const TraceQuerySource &Src,
                                         const TraceFilter &Filter,
                                         const QueryOptions &Opts) {
-  struct StatsPartial {
-    uint64_t Events = 0;
-    uint64_t KindCounts[7] = {};
-    uint64_t MinTime = ~0ULL;
-    uint64_t MaxTime = 0;
-    int64_t ValueSum = 0;
-    std::vector<ProcessId> Subjects; ///< Sorted unique after finish().
-
-    void finish() {
-      std::sort(Subjects.begin(), Subjects.end());
-      Subjects.erase(std::unique(Subjects.begin(), Subjects.end()),
-                     Subjects.end());
-    }
-  };
-
-  StatsPartial Totals;
-  std::vector<ProcessId> AllSubjects;
-  Status S = scanAndMerge<StatsPartial>(
-      Src, Filter, Opts.Threads,
-      [](const TraceEventView &V, StatsPartial &P) {
-        ++P.Events;
-        ++P.KindCounts[static_cast<unsigned>(V.Kind)];
-        P.MinTime = std::min(P.MinTime, (uint64_t)V.Time);
-        P.MaxTime = std::max(P.MaxTime, (uint64_t)V.Time);
-        P.ValueSum += V.Value;
-        P.Subjects.push_back(V.Subject);
-      },
-      [&](StatsPartial &P) {
-        P.finish();
-        Totals.Events += P.Events;
-        for (unsigned K = 0; K != 7; ++K)
-          Totals.KindCounts[K] += P.KindCounts[K];
-        Totals.MinTime = std::min(Totals.MinTime, P.MinTime);
-        Totals.MaxTime = std::max(Totals.MaxTime, P.MaxTime);
-        Totals.ValueSum += P.ValueSum;
-        AllSubjects.insert(AllSubjects.end(), P.Subjects.begin(),
-                           P.Subjects.end());
-      });
-  if (!S)
-    return S.error();
-  std::sort(AllSubjects.begin(), AllSubjects.end());
-  AllSubjects.erase(std::unique(AllSubjects.begin(), AllSubjects.end()),
-                    AllSubjects.end());
+  // One scan: the kind groups give the totals, the subject groups the
+  // distinct-subject count.
+  auto Folded = foldGroups(Src, Filter,
+                           {GroupField::Kind, GroupField::Subject}, Opts);
+  if (!Folded)
+    return Folded.error();
+  GroupAgg All;
+  uint64_t KindCounts[7] = {};
+  forEachGroup((*Folded)[0], [&](uint64_t Kind, const GroupAgg &A) {
+    All.fold(A);
+    KindCounts[Kind] = A.Count;
+  });
+  size_t Subjects = 0;
+  forEachGroup((*Folded)[1], [&](uint64_t, const GroupAgg &) { ++Subjects; });
 
   std::string Out;
-  Out += format("events\t%llu\n", (unsigned long long)Totals.Events);
-  if (Totals.Events > 0) {
-    Out += format("t_min\t%llu\n", (unsigned long long)Totals.MinTime);
-    Out += format("t_max\t%llu\n", (unsigned long long)Totals.MaxTime);
+  Out += format("events\t%llu\n", (unsigned long long)All.Count);
+  if (All.Count > 0) {
+    Out += format("t_min\t%llu\n", (unsigned long long)All.MinTime);
+    Out += format("t_max\t%llu\n", (unsigned long long)All.MaxTime);
   }
-  Out += format("subjects\t%zu\n", AllSubjects.size());
-  Out += format("value_sum\t%lld\n", (long long)Totals.ValueSum);
+  Out += format("subjects\t%zu\n", Subjects);
+  Out += format("value_sum\t%lld\n", (long long)All.ValueSum);
   for (unsigned K = 0; K != 7; ++K)
     Out += format("kind_%s\t%llu\n",
                   traceKindName(static_cast<TraceKind>(K)),
-                  (unsigned long long)Totals.KindCounts[K]);
+                  (unsigned long long)KindCounts[K]);
   return Out;
 }

@@ -65,9 +65,13 @@ struct SweepConfig {
 /// shard's stream never depends on thread identity or execution order.
 uint64_t deriveSweepSeed(uint64_t MasterSeed, uint64_t SeedIndex);
 
+/// Thread-count inputs (DYNDIST_THREADS, --threads) must be below this.
+constexpr unsigned SweepThreadLimit = 1024;
+
 /// Resolves the worker count: \p Requested when > 0, else the
-/// DYNDIST_THREADS environment variable when set to a positive integer,
-/// else std::thread::hardware_concurrency() (minimum 1).
+/// DYNDIST_THREADS environment variable when set to a positive integer
+/// below SweepThreadLimit, else std::thread::hardware_concurrency()
+/// (minimum 1).
 unsigned resolveSweepThreads(unsigned Requested);
 
 /// Strips a leading-anywhere "--threads N" / "--threads=N" flag from

@@ -6,22 +6,22 @@
 ///
 /// \file
 /// Parallel filter/aggregation over archived traces: the analysis engine
-/// behind `dyndist-query query ...`. A query runs in three phases, the same
-/// shape as a distributed scan-and-merge (one scanner per data shard, one
-/// serial master merge):
+/// behind `dyndist-query query ...`. A query runs in three phases, the
+/// shape of a distributed scan-and-merge, a column at a time (X100-style;
+/// Boncz et al., CIDR 2005):
 ///
 ///   1. Prune: chunk frame metadata (min/max time, kind bitmap) eliminates
 ///      chunks that cannot contain a matching event.
-///   2. Scan: surviving chunks are decoded in parallel on a WorkerPool,
-///      each producing an independent partial result in its own slot.
-///   3. Merge: partials fold serially in chunk-index order.
+///   2. Scan: each WorkerPool job decodes its share of the surviving chunks
+///      into reused typed arrays, selects the matching rows (the time
+///      window is a binary-searched row range), and folds them into one
+///      partial per worker: dense arrays for small kind/subject/peer
+///      values, ordered maps for the rest.
+///   3. Merge: aggregates are order-free, so the partials fold in any
+///      order; filter output is kept per chunk and joined in chunk order.
 ///
-/// Because slot assignment is positional and the merge order is fixed, the
-/// rendered output is byte-identical at any thread count — the same
+/// So the rendered output is byte-identical at any thread count — the same
 /// determinism contract SweepRunner established for seed sweeps.
-///
-/// The source is a columnar archive, scanned chunk-at-a-time straight off
-/// the mmap.
 ///
 //===----------------------------------------------------------------------===//
 

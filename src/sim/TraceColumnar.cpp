@@ -64,12 +64,23 @@ uint64_t getU64(const unsigned char *P) {
   return V;
 }
 
-void putVarint(std::string &Out, uint64_t V) {
+constexpr size_t MaxVarintBytes = 10;
+
+/// Writes \p V as a varint at \p P, which has room for MaxVarintBytes;
+/// returns the byte past it.
+unsigned char *putVarint(unsigned char *P, uint64_t V) {
   while (V >= 0x80) {
-    Out += static_cast<char>((V & 0x7F) | 0x80);
+    *P++ = static_cast<unsigned char>((V & 0x7F) | 0x80);
     V >>= 7;
   }
-  Out += static_cast<char>(V);
+  *P++ = static_cast<unsigned char>(V);
+  return P;
+}
+
+void putVarint(std::string &Out, uint64_t V) {
+  unsigned char B[MaxVarintBytes];
+  Out.append(reinterpret_cast<const char *>(B),
+             static_cast<size_t>(putVarint(B, V) - B));
 }
 
 uint64_t zigzag(int64_t V) {
@@ -81,32 +92,58 @@ int64_t unzigzag(uint64_t V) {
   return static_cast<int64_t>((V >> 1) ^ (~(V & 1) + 1));
 }
 
-/// Bounds-checked varint decoder over one column block.
-struct VarintCursor {
-  const unsigned char *P;
-  const unsigned char *End;
-
-  bool next(uint64_t &Out) {
-    uint64_t V = 0;
-    unsigned Shift = 0;
-    while (P < End) {
-      unsigned char B = *P++;
-      if (Shift >= 63 && B > 1)
-        return false; // > 64 bits of payload.
-      V |= static_cast<uint64_t>(B & 0x7F) << Shift;
-      if (!(B & 0x80)) {
-        Out = V;
-        return true;
-      }
-      Shift += 7;
-      if (Shift > 63)
-        return false;
-    }
-    return false; // Ran off the block.
-  }
-
-  bool done() const { return P == End; }
+/// A decoded varint and the byte past it; Next is null for a bad encoding.
+struct Varint {
+  const unsigned char *Next;
+  uint64_t Value;
 };
+
+/// Decodes the varint at \p P in a block ending at \p End. Near the end it
+/// decodes a zero-padded copy, so running off the block shows as a varint
+/// that ends in the padding.
+Varint getVarint(const unsigned char *P, const unsigned char *End) {
+  const auto Left = static_cast<size_t>(End - P);
+  unsigned char Pad[MaxVarintBytes] = {};
+  const unsigned char *Q =
+      Left >= MaxVarintBytes ? P : static_cast<unsigned char *>(
+                                       std::memcpy(Pad, P, Left));
+  uint64_t V = 0;
+  for (unsigned Byte = 0; Byte != MaxVarintBytes; ++Byte) {
+    const uint64_t B = Q[Byte];
+    // The tenth byte carries bit 63 only.
+    if (Byte == MaxVarintBytes - 1 && B > 1)
+      break;
+    V |= (B & 0x7F) << (7 * Byte);
+    if (B < 0x80)
+      return Byte < Left ? Varint{P + Byte + 1, V} : Varint{nullptr, 0};
+  }
+  return {nullptr, 0};
+}
+
+/// Decodes the block [\p P, \p End) as exactly \p Count varints, handing
+/// the I-th to Put(I, V). Returns the corruption, or null.
+template <typename PutFn>
+const char *decodeVarints(const unsigned char *P, const unsigned char *End,
+                          uint32_t Count, PutFn Put) {
+  for (uint32_t I = 0; I != Count; ++I) {
+    // One- and two-byte varints, the bulk of every column, decode inline.
+    uint64_t V;
+    if (P != End && P[0] < 0x80) {
+      V = *P++;
+    } else if (End - P >= 2 && P[1] < 0x80) {
+      V = (P[0] & 0x7F) | uint64_t(P[1]) << 7;
+      P += 2;
+    } else {
+      Varint Long = getVarint(P, End);
+      if (!Long.Next)
+        return "truncated column block";
+      P = Long.Next;
+      V = Long.Value;
+    }
+    Put(I, V);
+  }
+  return P == End ? nullptr : "trailing bytes in column block";
+}
 
 Error corrupt(const std::string &What) {
   return Error(Error::Code::InvalidArgument, "corrupt columnar trace: " + What);
@@ -134,6 +171,12 @@ Status ColumnarTraceWriter::open(const std::string &Path) {
   if (!File)
     return Error(Error::Code::InvalidArgument,
                  "cannot open for writing: " + TempPath);
+  for (size_t C = 0; C != NumColumns; ++C) {
+    if (!ColData[C]) // Default-initialized: no page is touched until used.
+      ColData[C].reset(new unsigned char[EventsPerChunk * MaxVarintBytes]);
+    ColSize[C] = 0;
+  }
+  StrTab.clear();
   WriteFailed = false;
   OrderViolated = false;
   IdOutOfRange = false;
@@ -144,6 +187,8 @@ Status ColumnarTraceWriter::open(const std::string &Path) {
   Index.clear();
   KeyTable.clear();
   BatchIdMap.clear();
+  OwnKeys = TraceKeyTable();
+  OwnIdMap.clear();
   TotalEvents = 0;
   if (std::fwrite(FileMagic, 1, sizeof(FileMagic), File) != sizeof(FileMagic))
     WriteFailed = true;
@@ -152,99 +197,101 @@ Status ColumnarTraceWriter::open(const std::string &Path) {
 }
 
 void ColumnarTraceWriter::append(const TraceEvent &E) {
-  if (!File)
-    return;
   // An id no TraceRecord can hold would make the file unreadable: refuse
   // it here, deferred like a misordered record.
   if (!TraceRecord::fits(E.Subject) || !TraceRecord::fits(E.Peer)) {
     IdOutOfRange = true;
     return;
   }
-  // PrevTime carries across chunk flushes so cross-chunk regressions are
-  // caught too (PrevTime starts at 0; SimTime is unsigned).
-  if (TotalEvents > 0 && E.Time < PrevTime) {
-    OrderViolated = true;
-    return;
-  }
-  uint64_t Delta = ChunkEvents == 0 ? 0 : E.Time - PrevTime;
-  if (ChunkEvents == 0)
-    ChunkMinTime = E.Time;
-  PrevTime = E.Time;
-  Kinds += static_cast<char>(static_cast<uint8_t>(E.Kind));
-  KindMask |= 1u << static_cast<unsigned>(E.Kind);
-  putVarint(Times, Delta);
-  // +1 wraps InvalidProcess (~0) to 0: one byte instead of ten.
-  putVarint(Subjects, E.Subject + 1);
-  putVarint(Peers, E.Peer + 1);
-  putVarint(Msgs, zigzag(E.MsgKind));
-  if (E.Key.empty()) {
-    KeyIds += '\0'; // varint 0 = empty key.
-  } else {
-    auto [It, Inserted] = KeyTable.try_emplace(E.Key, ChunkStrings + 1);
-    if (Inserted) {
-      ++ChunkStrings;
-      putVarint(StrTab, E.Key.size());
-      StrTab += E.Key;
-    }
-    putVarint(KeyIds, It->second);
-  }
-  putVarint(Values, zigzag(E.Value));
-  ++ChunkEvents;
-  ++TotalEvents;
-  if (ChunkEvents == EventsPerChunk)
-    flushChunk();
+  const TraceRecord R =
+      TraceRecord::make(E.Kind, E.Time, E.Subject, E.Peer, E.MsgKind,
+                        OwnKeys.intern(E.Key), E.Value);
+  appendBatch(&R, 1, OwnKeys);
 }
 
 void ColumnarTraceWriter::appendBatch(const TraceRecord *R, size_t N,
                                       const TraceKeyTable &Keys) {
   if (!File)
     return;
-  if (BatchIdMap.size() < Keys.size() + 1)
-    BatchIdMap.resize(Keys.size() + 1, 0);
-  for (size_t I = 0; I != N; ++I) {
-    const TraceRecord &Rec = R[I];
-    // Same deferred order check as append(): drop the offender, latch the
-    // error for close().
-    if (TotalEvents > 0 && Rec.Time < PrevTime) {
+  std::vector<uint32_t> &IdMap = &Keys == &OwnKeys ? OwnIdMap : BatchIdMap;
+  if (IdMap.size() < Keys.size() + 1)
+    IdMap.resize(Keys.size() + 1, 0);
+  size_t I = 0;
+  while (I != N) {
+    // PrevTime carries across chunk flushes, so cross-chunk regressions
+    // are caught too (it starts at 0; SimTime is unsigned).
+    if (R[I].Time < PrevTime) {
       OrderViolated = true;
+      ++I;
       continue;
     }
-    uint64_t Delta = ChunkEvents == 0 ? 0 : Rec.Time - PrevTime;
-    if (ChunkEvents == 0)
-      ChunkMinTime = Rec.Time;
-    PrevTime = Rec.Time;
-    Kinds += static_cast<char>(static_cast<uint8_t>(Rec.kind()));
-    KindMask |= 1u << static_cast<unsigned>(Rec.kind());
-    putVarint(Times, Delta);
-    // widen() + 1 reproduces the per-event bytes: InvalidProcess wraps to 0.
-    putVarint(Subjects, Rec.subject() + 1);
-    putVarint(Peers, Rec.peer() + 1);
-    putVarint(Msgs, zigzag(Rec.MsgKind));
-    uint32_t TableId = Rec.keyId();
-    if (TableId == 0) {
-      KeyIds += '\0'; // varint 0 = empty key.
-    } else {
-      uint32_t ChunkId = BatchIdMap[TableId];
-      if (ChunkId == 0) {
-        std::string_view Name = Keys.name(TableId);
-        auto [It, Inserted] =
-            KeyTable.try_emplace(std::string(Name), ChunkStrings + 1);
-        if (Inserted) {
-          ++ChunkStrings;
-          putVarint(StrTab, Name.size());
-          StrTab += Name;
-        }
-        ChunkId = It->second;
-        BatchIdMap[TableId] = ChunkId;
-      }
-      putVarint(KeyIds, ChunkId);
-    }
-    putVarint(Values, zigzag(Rec.Value));
-    ++ChunkEvents;
-    ++TotalEvents;
-    if (ChunkEvents == EventsPerChunk)
-      flushChunk();
+    // The longest in-order run from I that fits the open chunk.
+    const size_t Room = EventsPerChunk - ChunkEvents;
+    size_t J = I + 1;
+    while (J != N && J - I != Room && R[J].Time >= R[J - 1].Time)
+      ++J;
+    encodeRun(R + I, J - I, Keys, IdMap);
+    I = J;
   }
+}
+
+void ColumnarTraceWriter::encodeRun(const TraceRecord *R, size_t M,
+                                    const TraceKeyTable &Keys,
+                                    std::vector<uint32_t> &IdMap) {
+  // Writes Value(R[I]) as a varint for each record, into column C.
+  auto Encode = [&](Column C, auto Value) {
+    unsigned char *P = ColData[C].get() + ColSize[C];
+    for (size_t I = 0; I != M; ++I)
+      P = putVarint(P, Value(R[I]));
+    ColSize[C] = static_cast<size_t>(P - ColData[C].get());
+  };
+
+  // Locals, not members: the byte stores may alias any member.
+  unsigned char *K = ColData[KindCol].get() + ColSize[KindCol];
+  uint32_t Mask = 0;
+  for (size_t I = 0; I != M; ++I) {
+    K[I] = static_cast<uint8_t>(R[I].kind());
+    Mask |= 1u << K[I];
+  }
+  ColSize[KindCol] += M;
+  KindMask |= Mask;
+
+  if (ChunkEvents == 0)
+    ChunkMinTime = PrevTime = R[0].Time; // The first delta is 0.
+  uint64_t Prev = PrevTime;
+  Encode(TimeCol, [&Prev](const TraceRecord &X) {
+    uint64_t Delta = X.Time - Prev;
+    Prev = X.Time;
+    return Delta;
+  });
+  PrevTime = Prev;
+  // Ids are stored + 1; the u32 increment wraps InvalidProcess (UINT32_MAX)
+  // to 0: one byte instead of ten.
+  Encode(SubjectCol,
+         [](const TraceRecord &X) { return uint32_t(X.SubjectId + 1u); });
+  Encode(PeerCol, [](const TraceRecord &X) { return uint32_t(X.PeerId + 1u); });
+  Encode(MsgCol, [](const TraceRecord &X) { return zigzag(X.MsgKind); });
+  Encode(KeyCol, [&](const TraceRecord &X) -> uint64_t {
+    const uint32_t TableId = X.keyId();
+    if (TableId == 0 || IdMap[TableId] != 0)
+      return IdMap[TableId]; // IdMap[0] stays 0: the empty key.
+    // First use in this chunk: number the name by first appearance.
+    std::string_view Name = Keys.name(TableId);
+    auto [It, Inserted] = KeyTable.try_emplace(std::string(Name),
+                                               ChunkStrings + 1);
+    if (Inserted) {
+      ++ChunkStrings;
+      putVarint(StrTab, Name.size());
+      StrTab += Name;
+    }
+    return IdMap[TableId] = It->second;
+  });
+  Encode(ValueCol, [](const TraceRecord &X) { return zigzag(X.Value); });
+
+  ChunkEvents += static_cast<uint32_t>(M);
+  TotalEvents += M;
+  if (ChunkEvents == EventsPerChunk)
+    flushChunk();
 }
 
 void ColumnarTraceWriter::flushChunk() {
@@ -256,8 +303,10 @@ void ColumnarTraceWriter::flushChunk() {
   putVarint(Scratch, ChunkStrings);
   Scratch += StrTab;
 
-  const std::string *Blocks[NumBlocks] = {&Kinds, &Times,  &Subjects, &Peers,
-                                          &Msgs,  &KeyIds, &Values,   &Scratch};
+  std::string_view Blocks[NumBlocks];
+  for (size_t C = 0; C != NumColumns; ++C)
+    Blocks[C] = {reinterpret_cast<const char *>(ColData[C].get()), ColSize[C]};
+  Blocks[NumColumns] = Scratch;
   std::string Header;
   Header.reserve(ChunkHeaderBytes);
   putU32(Header, ChunkMagic);
@@ -265,8 +314,8 @@ void ColumnarTraceWriter::flushChunk() {
   putU64(Header, ChunkMinTime);
   putU64(Header, PrevTime);
   putU32(Header, KindMask);
-  for (const std::string *B : Blocks)
-    putU32(Header, static_cast<uint32_t>(B->size()));
+  for (std::string_view B : Blocks)
+    putU32(Header, static_cast<uint32_t>(B.size()));
 
   ColumnarChunkInfo Info;
   Info.Offset = FileOffset;
@@ -279,23 +328,19 @@ void ColumnarTraceWriter::flushChunk() {
   if (std::fwrite(Header.data(), 1, Header.size(), File) != Header.size())
     WriteFailed = true;
   FileOffset += Header.size();
-  for (const std::string *B : Blocks) {
-    if (!B->empty() &&
-        std::fwrite(B->data(), 1, B->size(), File) != B->size())
+  for (std::string_view B : Blocks) {
+    if (!B.empty() &&
+        std::fwrite(B.data(), 1, B.size(), File) != B.size())
       WriteFailed = true;
-    FileOffset += B->size();
+    FileOffset += B.size();
   }
 
-  Kinds.clear();
-  Times.clear();
-  Subjects.clear();
-  Peers.clear();
-  Msgs.clear();
-  KeyIds.clear();
-  Values.clear();
+  std::fill(std::begin(ColSize), std::end(ColSize), 0);
   StrTab.clear();
   KeyTable.clear();
   std::fill(BatchIdMap.begin(), BatchIdMap.end(), 0u);
+  OwnKeys = TraceKeyTable(); // Per chunk, so it never nears MaxKeys.
+  OwnIdMap.clear();
   ChunkEvents = 0;
   ChunkStrings = 0;
   KindMask = 0;
@@ -363,58 +408,40 @@ ColumnarTraceReader::open(const std::string &Path) {
   std::shared_ptr<ColumnarTraceReader> R(new ColumnarTraceReader());
 
 #if DYNDIST_HAVE_MMAP
-  int Fd = ::open(Path.c_str(), O_RDONLY);
-  if (Fd < 0)
-    return Error(Error::Code::InvalidArgument,
-                 "cannot open for reading: " + Path);
-  struct stat St;
-  if (::fstat(Fd, &St) != 0) {
-    ::close(Fd);
-    return Error(Error::Code::InvalidArgument, "cannot stat: " + Path);
-  }
-  R->Size = static_cast<size_t>(St.st_size);
-  if (R->Size > 0) {
-    void *Map = ::mmap(nullptr, R->Size, PROT_READ, MAP_PRIVATE, Fd, 0);
-    if (Map != MAP_FAILED) {
-      R->Data = static_cast<const unsigned char *>(Map);
-      R->Mapped = true;
-    }
-  }
-  if (!R->Mapped && R->Size > 0) {
-    // mmap refused (unusual filesystem): fall back to buffering.
-    R->Owned.resize(R->Size);
-    size_t Got = 0;
-    while (Got < R->Size) {
-      ssize_t N = ::read(Fd, R->Owned.data() + Got, R->Size - Got);
-      if (N <= 0) {
-        ::close(Fd);
-        return Error(Error::Code::InvalidArgument,
-                     "read error (not EOF) in " + Path);
+  if (int Fd = ::open(Path.c_str(), O_RDONLY); Fd >= 0) {
+    struct stat St;
+    if (::fstat(Fd, &St) == 0 && St.st_size > 0) {
+      void *Map = ::mmap(nullptr, static_cast<size_t>(St.st_size), PROT_READ,
+                         MAP_PRIVATE, Fd, 0);
+      if (Map != MAP_FAILED) {
+        R->Data = static_cast<const unsigned char *>(Map);
+        R->Size = static_cast<size_t>(St.st_size);
+        R->Mapped = true;
       }
-      Got += static_cast<size_t>(N);
     }
+    ::close(Fd);
+  }
+#endif
+  if (!R->Mapped) {
+    // No mmap (platform, filesystem, or an empty file): buffer the file.
+    std::FILE *F = std::fopen(Path.c_str(), "rb");
+    if (!F)
+      return Error(Error::Code::InvalidArgument,
+                   "cannot open for reading: " + Path);
+    char Buffer[65536];
+    size_t Got;
+    while ((Got = std::fread(Buffer, 1, sizeof(Buffer), F)) > 0)
+      R->Owned.insert(R->Owned.end(), Buffer, Buffer + Got);
+    bool ReadError = std::ferror(F) != 0;
+    std::fclose(F);
+    if (ReadError)
+      return Error(Error::Code::InvalidArgument,
+                   "read error (not EOF) in " + Path);
+    R->Size = R->Owned.size();
     R->Data = R->Owned.data();
   }
-  ::close(Fd);
-#else
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return Error(Error::Code::InvalidArgument,
-                 "cannot open for reading: " + Path);
-  char Buffer[65536];
-  size_t Got;
-  while ((Got = std::fread(Buffer, 1, sizeof(Buffer), F)) > 0)
-    R->Owned.insert(R->Owned.end(), Buffer, Buffer + Got);
-  bool ReadError = std::ferror(F) != 0;
-  std::fclose(F);
-  if (ReadError)
-    return Error(Error::Code::InvalidArgument,
-                 "read error (not EOF) in " + Path);
-  R->Size = R->Owned.size();
-  R->Data = R->Owned.data();
-#endif
 
-  // Frame validation. Everything scanChunk trusts is established here.
+  // Frame validation. Everything decodeChunk trusts is established here.
   if (R->Size < sizeof(FileMagic) + TailBytes)
     return corrupt("file shorter than magic + tail");
   if (std::memcmp(R->Data, FileMagic, sizeof(FileMagic)) != 0)
@@ -489,85 +516,86 @@ ColumnarTraceReader::open(const std::string &Path) {
   return R;
 }
 
-Status ColumnarTraceReader::scanChunk(
-    size_t I, FunctionRef<void(const TraceEventView &)> Visit) const {
+Status ColumnarTraceReader::decodeChunk(size_t I, ColumnBatch &Out) const {
   if (I >= Index.size())
     return corrupt("chunk index out of range");
   const ColumnarChunkInfo &Info = Index[I];
   const unsigned char *H = Data + Info.Offset;
-  uint32_t Count = Info.EventCount;
+  const uint32_t Count = Info.EventCount;
+  const unsigned char *Block[NumBlocks + 1] = {H + ChunkHeaderBytes};
+  for (size_t B = 0; B < NumBlocks; ++B)
+    Block[B + 1] = Block[B] + getU32(H + 28 + 4 * B);
 
-  const unsigned char *Block[NumBlocks];
-  const unsigned char *Cursor = H + ChunkHeaderBytes;
-  uint32_t Bytes[NumBlocks];
-  for (size_t B = 0; B < NumBlocks; ++B) {
-    Bytes[B] = getU32(H + 28 + 4 * B);
-    Block[B] = Cursor;
-    Cursor += Bytes[B];
-  }
-
-  // Decode the string table: spans into the mapped bytes, no copies.
-  VarintCursor St{Block[7], Block[7] + Bytes[7]};
-  uint64_t NumStrings = 0;
-  if (!St.next(NumStrings) || NumStrings > Count)
+  // The string table: spans into the mapped bytes, no copies.
+  Varint Strings = getVarint(Block[7], Block[8]);
+  if (!Strings.Next || Strings.Value > Count)
     return corrupt("bad string table count");
-  std::vector<std::string_view> Strings;
-  Strings.reserve(NumStrings);
-  for (uint64_t S = 0; S < NumStrings; ++S) {
-    uint64_t Len = 0;
-    if (!St.next(Len) || Len > static_cast<uint64_t>(St.End - St.P))
+  Out.Strings.clear();
+  const unsigned char *P = Strings.Next;
+  for (uint64_t S = 0; S != Strings.Value; ++S) {
+    Varint Len = getVarint(P, Block[8]);
+    if (!Len.Next || Len.Value > static_cast<uint64_t>(Block[8] - Len.Next))
       return corrupt("bad string table entry");
-    Strings.emplace_back(reinterpret_cast<const char *>(St.P),
-                         static_cast<size_t>(Len));
-    St.P += Len;
+    Out.Strings.emplace_back(reinterpret_cast<const char *>(Len.Next),
+                             static_cast<size_t>(Len.Value));
+    P = Len.Next + Len.Value;
   }
-  if (!St.done())
+  if (P != Block[8])
     return corrupt("trailing bytes in string table");
 
-  const unsigned char *KindP = Block[0];
-  VarintCursor TimeC{Block[1], Block[1] + Bytes[1]};
-  VarintCursor SubjC{Block[2], Block[2] + Bytes[2]};
-  VarintCursor PeerC{Block[3], Block[3] + Bytes[3]};
-  VarintCursor MsgC{Block[4], Block[4] + Bytes[4]};
-  VarintCursor KeyC{Block[5], Block[5] + Bytes[5]};
-  VarintCursor ValC{Block[6], Block[6] + Bytes[6]};
+  // Kinds: one byte per event (open() pinned the block size).
+  Out.Kind.assign(Block[0], Block[0] + Count);
+  if (*std::max_element(Out.Kind.begin(), Out.Kind.end()) >
+      static_cast<uint8_t>(TraceKind::Observe))
+    return corrupt("bad kind byte");
 
-  uint64_t Time = Info.MinTime;
-  for (uint32_t E = 0; E < Count; ++E) {
-    TraceEventView V;
-    uint8_t KindByte = KindP[E];
-    if (KindByte > static_cast<uint8_t>(TraceKind::Observe))
-      return corrupt("bad kind byte");
-    V.Kind = static_cast<TraceKind>(KindByte);
-
-    uint64_t Delta = 0, Subj = 0, Peer = 0, Msg = 0, KeyId = 0, Val = 0;
-    if (!TimeC.next(Delta) || !SubjC.next(Subj) || !PeerC.next(Peer) ||
-        !MsgC.next(Msg) || !KeyC.next(KeyId) || !ValC.next(Val))
-      return corrupt("truncated column block");
-    if (E == 0 && Delta != 0)
-      return corrupt("first time delta nonzero");
-    Time += Delta;
-    if (Time > Info.MaxTime)
-      return corrupt("event time beyond chunk max");
-    V.Time = Time;
-    V.Subject = Subj - 1; // 0 wraps back to InvalidProcess.
-    V.Peer = Peer - 1;
-    int64_t MsgSigned = unzigzag(Msg);
-    if (MsgSigned < INT32_MIN || MsgSigned > INT32_MAX)
-      return corrupt("msg kind out of int range");
-    V.MsgKind = static_cast<int>(MsgSigned);
-    if (KeyId > NumStrings)
-      return corrupt("key id out of range");
-    if (KeyId != 0)
-      V.Key = Strings[KeyId - 1];
-    V.Value = unzigzag(Val);
-    Visit(V);
-  }
-  if (Time != Info.MaxTime)
+  // Decodes varint block B into Col, each value through Map.
+  auto Column = [&](size_t B, auto &Col, auto Map) {
+    Col.resize(Count);
+    auto *To = Col.data();
+    return decodeVarints(Block[B], Block[B + 1], Count,
+                         [&](uint32_t E, uint64_t V) { To[E] = Map(V); });
+  };
+  // Times: a running sum of deltas that may not pass the chunk max.
+  uint64_t T = Info.MinTime;
+  bool Beyond = false;
+  if (const char *Bad = Column(1, Out.Time, [&](uint64_t Delta) {
+        Beyond |= Delta > Info.MaxTime - T;
+        return T += Delta;
+      }))
+    return corrupt(Bad);
+  if (Out.Time[0] != Info.MinTime)
+    return corrupt("first time delta nonzero");
+  if (Beyond)
+    return corrupt("event time beyond chunk max");
+  if (T != Info.MaxTime)
     return corrupt("last event time disagrees with chunk max");
-  if (!TimeC.done() || !SubjC.done() || !PeerC.done() || !MsgC.done() ||
-      !KeyC.done() || !ValC.done())
-    return corrupt("trailing bytes in column block");
+
+  auto Id = [](uint64_t V) { return V - 1; }; // Stored + 1: 0 wraps back.
+  bool MsgOutOfRange = false;
+  uint64_t MaxKey = 0;
+  const char *Bad = Column(2, Out.Subject, Id);
+  if (!Bad)
+    Bad = Column(3, Out.Peer, Id);
+  if (!Bad)
+    Bad = Column(4, Out.Msg, [&](uint64_t V) {
+      const int64_t Msg = unzigzag(V);
+      MsgOutOfRange |= Msg != static_cast<int32_t>(Msg);
+      return static_cast<int32_t>(Msg);
+    });
+  if (!Bad)
+    Bad = Column(5, Out.KeyId, [&](uint64_t V) {
+      MaxKey = std::max(MaxKey, V);
+      return static_cast<uint32_t>(V);
+    });
+  if (!Bad)
+    Bad = Column(6, Out.Value, [](uint64_t V) { return unzigzag(V); });
+  if (Bad)
+    return corrupt(Bad);
+  if (MsgOutOfRange)
+    return corrupt("msg kind out of int range");
+  if (MaxKey > Strings.Value)
+    return corrupt("key id out of range");
   return Status::success();
 }
 
@@ -592,37 +620,28 @@ Result<Trace> dyndist::readColumnarTraceFile(const std::string &Path) {
   if (!Reader)
     return Reader.error();
   Trace T;
-  // The first record that cannot enter a Trace; scanning stops there.
-  const char *Bad = nullptr;
-  for (size_t I = 0, N = (*Reader)->chunkCount(); I < N && !Bad; ++I) {
-    Status S = (*Reader)->scanChunk(I, [&](const TraceEventView &V) {
-      if (Bad)
-        return;
-      if (!TraceRecord::fits(V.Subject) || !TraceRecord::fits(V.Peer)) {
-        Bad = "process id out of range";
-        return;
-      }
+  ColumnBatch B;
+  for (size_t C = 0, N = (*Reader)->chunkCount(); C != N; ++C) {
+    if (Status S = (*Reader)->decodeChunk(C, B); !S)
+      return S.error();
+    for (size_t I = 0; I != B.size(); ++I) {
+      // The first record that cannot enter a Trace fails the read.
+      const TraceEventView V = B.view(I);
+      if (!TraceRecord::fits(V.Subject) || !TraceRecord::fits(V.Peer))
+        return corrupt("process id out of range");
       if ((V.Kind == TraceKind::Leave || V.Kind == TraceKind::Crash) &&
-          T.presence().find(V.Subject) == T.presence().end()) {
-        Bad = "leave or crash of a process that never joined";
-        return;
-      }
+          T.presence().find(V.Subject) == T.presence().end())
+        return corrupt("leave or crash of a process that never joined");
       std::string Key(V.Key);
       if (T.keys().size() == TraceKeyTable::MaxKeys && !Key.empty() &&
-          T.keys().find(Key) == 0) {
-        Bad = "more distinct keys than a trace can intern";
-        return;
-      }
+          T.keys().find(Key) == 0)
+        return corrupt("more distinct keys than a trace can intern");
       T.appendRecord(TraceRecord::make(V.Kind, V.Time, V.Subject, V.Peer,
                                        V.MsgKind, T.keys().intern(Key),
                                        V.Value));
-    });
-    if (!S)
-      return S.error();
+    }
   }
-  if (Bad)
-    return corrupt(Bad);
-  // open() and scanChunk() already enforce time order; the trace's own
+  // open() and decodeChunk() already enforce time order; the trace's own
   // latch is the backstop.
   if (T.timeOrderViolated())
     return corrupt("events out of time order");

@@ -16,6 +16,10 @@
 /// fixed-size index footer at the end of the file lets an mmap reader
 /// locate every chunk in O(1) without scanning.
 ///
+/// Both sides work a column at a time: the writer encodes each run of
+/// in-order records column by column, and the one decoder, decodeChunk(),
+/// fills typed arrays that queries and readColumnarTraceFile() read.
+///
 /// Byte layout (all integers little-endian):
 ///
 ///   file   := magic8 "DYTRCOL1" , chunk* , index , tail32
@@ -49,12 +53,12 @@
 
 #include "dyndist/sim/Trace.h"
 #include "dyndist/sim/TraceSink.h"
-#include "dyndist/support/FunctionRef.h"
 #include "dyndist/support/Result.h"
 
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -96,12 +100,12 @@ public:
   /// close().
   void append(const TraceEvent &E) override;
 
-  /// Batched POD entry point: encodes straight from the record batch,
-  /// mapping interned table ids onto the per-chunk string table (ids map
-  /// 1:1 in first-appearance order, so the emitted bytes are identical to
-  /// feeding the same record stream through append() one event at a time).
-  /// All batches of one file must resolve against the same key table; the
-  /// per-event path may interleave freely.
+  /// Batched POD entry point, and the one encoder: each in-order run is
+  /// encoded column by column, interned table ids mapped onto the per-chunk
+  /// string table in first-appearance order (so the bytes equal feeding
+  /// the same records through append() one at a time). All batches of one
+  /// file must resolve against the same key table; the per-event path may
+  /// interleave freely.
   void appendBatch(const TraceRecord *R, size_t N,
                    const TraceKeyTable &Keys) override;
 
@@ -113,6 +117,14 @@ public:
   uint64_t eventsWritten() const { return TotalEvents; }
 
 private:
+  enum Column { KindCol, TimeCol, SubjectCol, PeerCol, MsgCol, KeyCol, ValueCol,
+                NumColumns };
+
+  /// Encodes \p M in-order records that fit the open chunk, column by
+  /// column; flushes the chunk when it is full. \p IdMap caches \p Keys'
+  /// ids -> chunk string ids (0 = not yet seen this chunk).
+  void encodeRun(const TraceRecord *R, size_t M, const TraceKeyTable &Keys,
+                 std::vector<uint32_t> &IdMap);
   void flushChunk();
 
   std::FILE *File = nullptr;
@@ -123,14 +135,20 @@ private:
   bool IdOutOfRange = false;
 
   // Open-chunk accumulation state.
-  std::string Kinds, Times, Subjects, Peers, Msgs, KeyIds, Values, StrTab;
+  /// Column blocks, each allocated once with room for a full chunk of its
+  /// widest encoding, so encoders write through a raw cursor unchecked.
+  std::unique_ptr<unsigned char[]> ColData[NumColumns];
+  size_t ColSize[NumColumns] = {};
+  std::string StrTab;
   // dyndist-lint: allow(D1) try_emplace/clear only; chunk string ids are
   // assigned in first-appearance order, never by hash iteration
   std::unordered_map<std::string, uint32_t> KeyTable;
-  /// appendBatch()'s table-id -> chunk-string-id cache; 0 = not yet seen
-  /// this chunk. KeyTable stays authoritative (mixed append paths cohere);
-  /// the cache skips its string hashing on repeat keys. Reset per chunk.
+  /// appendBatch()'s id cache, over the caller's key table. KeyTable stays
+  /// authoritative, so the two append paths may interleave.
   std::vector<uint32_t> BatchIdMap;
+  /// append()'s own key table for appendBatch() (reset per chunk) and cache.
+  TraceKeyTable OwnKeys;
+  std::vector<uint32_t> OwnIdMap;
   uint32_t ChunkEvents = 0;
   uint32_t ChunkStrings = 0;
   uint64_t ChunkMinTime = 0;
@@ -143,14 +161,37 @@ private:
   std::string Scratch;
 };
 
+/// One chunk decoded column by column (ColumnarTraceReader::decodeChunk):
+/// row I of each array is the chunk's I-th event, so Time ascends. Ids are
+/// 64-bit, a stored 0 being InvalidProcess (TraceRecord::fits is the
+/// consumer's check); KeyId 0 is the empty key, else a 1-based index into
+/// Strings, views into the mapped file. Refilling reuses the storage.
+struct ColumnBatch {
+  std::vector<uint8_t> Kind;
+  std::vector<uint64_t> Time, Subject, Peer;
+  std::vector<int32_t> Msg;
+  std::vector<uint32_t> KeyId;
+  std::vector<int64_t> Value;
+  std::vector<std::string_view> Strings;
+
+  size_t size() const { return Kind.size(); }
+  std::string_view keyName(uint32_t Id) const {
+    return Id == 0 ? std::string_view() : Strings[Id - 1];
+  }
+  TraceEventView view(size_t I) const {
+    return {static_cast<TraceKind>(Kind[I]), Time[I], Subject[I], Peer[I],
+            Msg[I], keyName(KeyId[I]), Value[I]};
+  }
+};
+
 /// Random-access columnar reader over an mmap'ed (or, when mmap is
 /// unavailable, fully buffered) file. open() validates the whole frame
 /// structure — magic, tail, index bounds, chunk headers, cross-chunk time
-/// monotonicity — so scanChunk only has to bounds-check varint payloads.
+/// monotonicity — and decodeChunk() validates the column payloads.
 ///
-/// scanChunk is const and touches only immutable state: any number of
-/// threads may scan distinct (or the same) chunks concurrently, which is
-/// what the sharded query engine does.
+/// decodeChunk is const and touches only immutable reader state: any number
+/// of threads may decode distinct (or the same) chunks concurrently into
+/// their own batches, which is what the sharded query engine does.
 class ColumnarTraceReader {
 public:
   /// Opens and validates \p Path. Returns a shared handle so query workers
@@ -166,13 +207,10 @@ public:
   const ColumnarChunkInfo &chunk(size_t I) const { return Index[I]; }
   uint64_t totalEvents() const { return Total; }
 
-  /// Decodes chunk \p I in event order, calling \p Visit once per event.
-  /// The TraceEventView's Key points into the mapped file and is valid only
-  /// during the visit. Ids are decoded as stored, full 64-bit: consumers
-  /// that build TraceRecords check TraceRecord::fits themselves. Fails
-  /// with InvalidArgument on corrupt column data.
-  Status scanChunk(size_t I,
-                   FunctionRef<void(const TraceEventView &)> Visit) const;
+  /// Decodes chunk \p I into \p Out, one column at a time, validating
+  /// every column. Corrupt data is an InvalidArgument error ("corrupt
+  /// columnar trace: ..."), never an assert; \p Out is then unspecified.
+  Status decodeChunk(size_t I, ColumnBatch &Out) const;
 
 private:
   ColumnarTraceReader() = default;

@@ -64,6 +64,32 @@ TEST(Graph, NeighborsSortedAndQueries) {
   EXPECT_EQ(G.nodes(), (std::vector<ProcessId>{1, 3, 5, 9}));
 }
 
+// Node and neighbor lists stay sorted and duplicate-free whether ids
+// arrive ascending (the append fast path), descending, or repeated.
+TEST(Graph, SortedInsertAscendingDescendingAndDuplicate) {
+  const std::vector<ProcessId> Ascending = {0, 1, 2, 7, 8, 20};
+  const std::vector<ProcessId> Descending(Ascending.rbegin(),
+                                          Ascending.rend());
+  const std::vector<ProcessId> Mixed = {8, 20, 0, 20, 7, 0, 1, 2, 8};
+  for (const auto *Order : {&Ascending, &Descending, &Mixed}) {
+    Graph G;
+    std::set<ProcessId> Seen;
+    for (ProcessId P : *Order)
+      EXPECT_EQ(G.addNode(P), Seen.insert(P).second) << P;
+    EXPECT_EQ(G.nodes(), Ascending);
+    // Hub 100 joins after every other id, then links to them in the same
+    // order: its neighbor list grows through the same three patterns.
+    G.addNode(100);
+    Seen.clear();
+    for (ProcessId P : *Order)
+      EXPECT_EQ(G.addEdge(100, P), Seen.insert(P).second) << P;
+    EXPECT_EQ(G.neighbors(100), Ascending);
+    EXPECT_EQ(G.neighbors(0), std::vector<ProcessId>{100});
+    EXPECT_EQ(G.edgeCount(), Ascending.size());
+    EXPECT_TRUE(G.checkConsistency());
+  }
+}
+
 TEST(Algorithms, BfsDistancesOnLine) {
   Graph G = makeLine(5);
   auto D = bfsDistances(G, 0);

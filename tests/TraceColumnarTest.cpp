@@ -8,6 +8,7 @@
 
 #include "TraceTestUtil.h"
 #include "dyndist/runtime/KernelLoad.h"
+#include "dyndist/runtime/TraceQuery.h"
 #include "dyndist/sim/Simulator.h"
 #include "dyndist/sim/TraceIO.h"
 #include "dyndist/support/Random.h"
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <unordered_set>
 
 #include <unistd.h>
@@ -219,25 +221,22 @@ TEST(TraceColumnar, MultiChunkFramingAndMetadata) {
             Events - 2 * ColumnarTraceWriter::EventsPerChunk);
 
   size_t At = 0;
+  ColumnBatch B;
   for (size_t C = 0; C != 3; ++C) {
     const ColumnarChunkInfo &Info = (*Reader)->chunk(C);
-    uint32_t Mask = 0;
-    SimTime MinT = ~0ULL, MaxT = 0;
-    size_t Count = 0;
-    Status S = (*Reader)->scanChunk(C, [&](const TraceEventView &V) {
-      const TraceRecord &E = T.records()[At++];
-      ASSERT_EQ(V.Time, E.Time);
-      ASSERT_EQ(V.Key, T.keys().name(E.keyId()));
-      Mask |= 1u << static_cast<unsigned>(V.Kind);
-      MinT = std::min(MinT, V.Time);
-      MaxT = std::max(MaxT, V.Time);
-      ++Count;
-    });
+    Status S = (*Reader)->decodeChunk(C, B);
     ASSERT_TRUE(S.ok()) << S.error().str();
-    EXPECT_EQ(Count, Info.EventCount);
+    ASSERT_EQ(B.size(), Info.EventCount);
+    uint32_t Mask = 0;
+    for (size_t I = 0; I != B.size(); ++I) {
+      const TraceRecord &E = T.records()[At++];
+      ASSERT_EQ(B.Time[I], E.Time);
+      ASSERT_EQ(B.view(I).Key, T.keys().name(E.keyId()));
+      Mask |= 1u << B.Kind[I];
+    }
     EXPECT_EQ(Mask, Info.KindMask);
-    EXPECT_EQ(MinT, Info.MinTime);
-    EXPECT_EQ(MaxT, Info.MaxTime);
+    EXPECT_EQ(B.Time.front(), Info.MinTime);
+    EXPECT_EQ(B.Time.back(), Info.MaxTime);
   }
   EXPECT_EQ(At, Events);
 }
@@ -334,14 +333,17 @@ TEST(TraceColumnar, ShardCountInvariantFiles) {
     ASSERT_TRUE(Reader.ok()) << Reader.error().str();
     ColumnarTraceWriter Proj;
     ASSERT_TRUE(Proj.open(ProjPath).ok());
+    ColumnBatch B;
     for (size_t C = 0, N = (*Reader)->chunkCount(); C != N; ++C) {
-      Status S = (*Reader)->scanChunk(C, [&](const TraceEventView &V) {
+      Status S = (*Reader)->decodeChunk(C, B);
+      ASSERT_TRUE(S.ok()) << S.error().str();
+      for (size_t I = 0; I != B.size(); ++I) {
+        TraceEventView V = B.view(I);
         if (V.Kind == TraceKind::Join || V.Kind == TraceKind::Leave ||
             V.Kind == TraceKind::Crash || V.Kind == TraceKind::Observe)
           Proj.append({V.Kind, V.Time, V.Subject, V.Peer, V.MsgKind,
                        std::string(V.Key), V.Value});
-      });
-      ASSERT_TRUE(S.ok()) << S.error().str();
+      }
     }
     ASSERT_TRUE(Proj.close().ok());
     EXPECT_EQ(readFileBytes(ProjPath), Lifecycle) << "n=" << Processes;
@@ -451,7 +453,7 @@ TEST(TraceColumnar, CorruptColumnPayloadRejectedCleanly) {
 
   // Flip bytes inside the first chunk's column payload (past the 60-byte
   // chunk header at offset 8). Frame metadata stays intact, so open()
-  // succeeds and the damage must surface as a scanChunk error or as
+  // succeeds and the damage must surface as a decodeChunk error or as
   // different-but-bounded decoded values — never a crash or overrun.
   size_t PayloadStart = 8 + 60;
   Rng R(17);
@@ -463,15 +465,12 @@ TEST(TraceColumnar, CorruptColumnPayloadRejectedCleanly) {
     auto Opened = ColumnarTraceReader::open(TestPath);
     if (!Opened.ok())
       continue; // Damage hit something open() validates: fine.
-    size_t Seen = 0;
-    Status S = (*Opened)->scanChunk(0, [&](const TraceEventView &V) {
-      ++Seen;
-      (void)V;
-    });
+    ColumnBatch B;
+    Status S = (*Opened)->decodeChunk(0, B);
     // Either a clean decode error or a full decode; both are acceptable,
     // crashing is not.
     if (S.ok()) {
-      EXPECT_EQ(Seen, (*Opened)->chunk(0).EventCount);
+      EXPECT_EQ(B.size(), (*Opened)->chunk(0).EventCount);
     }
     // The same holds when the damaged records are rebuilt into a Trace: a
     // flipped id or kind is an error, never an assert.
@@ -497,56 +496,76 @@ void putLE(std::vector<unsigned char> &Out, uint64_t V, int Bytes) {
     Out.push_back(static_cast<unsigned char>(V >> (8 * I)));
 }
 
-/// A hand-built, frame-valid one-event archive (time 0, no key, msg and
-/// value 0) whose subject and peer columns hold the raw varints \p Subject
-/// and \p Peer (stored as id + 1; 0 is InvalidProcess).
-std::vector<unsigned char> craftOneEventFile(TraceKind Kind, uint64_t Subject,
-                                             uint64_t Peer) {
-  std::vector<std::vector<unsigned char>> Blocks(8);
-  Blocks[0].push_back(static_cast<unsigned char>(Kind));
-  putVarint(Blocks[1], 0); // Time delta.
-  putVarint(Blocks[2], Subject);
-  putVarint(Blocks[3], Peer);
-  for (size_t B = 4; B != 8; ++B)
-    putVarint(Blocks[B], 0); // Msg, key id, value, string-table count.
+/// The payload of a hand-built one-chunk archive: its eight blocks and
+/// the frame's event count and time extent.
+struct CraftedChunk {
+  std::vector<std::vector<unsigned char>> Blocks;
+  uint32_t Events = 1;
+  uint64_t MinTime = 0, MaxTime = 0;
+};
 
-  const uint32_t KindMask = 1u << static_cast<unsigned>(Kind);
+/// One event (time 0, no key, msg and value 0) whose subject and peer
+/// columns hold the raw varints \p Subject and \p Peer (stored as id + 1;
+/// 0 is InvalidProcess).
+CraftedChunk oneEventChunk(TraceKind Kind, uint64_t Subject, uint64_t Peer) {
+  CraftedChunk C;
+  C.Blocks.resize(8);
+  C.Blocks[0].push_back(static_cast<unsigned char>(Kind));
+  putVarint(C.Blocks[1], 0); // Time delta.
+  putVarint(C.Blocks[2], Subject);
+  putVarint(C.Blocks[3], Peer);
+  for (size_t B = 4; B != 8; ++B)
+    putVarint(C.Blocks[B], 0); // Msg, key id, value, string-table count.
+  return C;
+}
+
+/// Frames \p C as a valid archive: file magic, chunk header, blocks,
+/// index and tail all agree, so only the column payload can be wrong.
+std::vector<unsigned char> craftFile(const CraftedChunk &C) {
+  uint32_t KindMask = 0;
+  for (unsigned char K : C.Blocks[0])
+    KindMask |= K < 32 ? 1u << K : 0;
   std::vector<unsigned char> F = {'D', 'Y', 'T', 'R', 'C', 'O', 'L', '1'};
-  for (char C : {'C', 'H', 'N', 'K'})
-    F.push_back(static_cast<unsigned char>(C));
-  putLE(F, 1, 4); // EventCount.
-  putLE(F, 0, 8); // MinTime.
-  putLE(F, 0, 8); // MaxTime.
+  for (char Ch : {'C', 'H', 'N', 'K'})
+    F.push_back(static_cast<unsigned char>(Ch));
+  putLE(F, C.Events, 4);
+  putLE(F, C.MinTime, 8);
+  putLE(F, C.MaxTime, 8);
   putLE(F, KindMask, 4);
-  for (const auto &B : Blocks)
+  for (const auto &B : C.Blocks)
     putLE(F, B.size(), 4);
-  for (const auto &B : Blocks)
+  for (const auto &B : C.Blocks)
     F.insert(F.end(), B.begin(), B.end());
   const uint64_t IndexOffset = F.size();
   putLE(F, 8, 8); // Chunk offset, right after the file magic.
-  putLE(F, 0, 8);
-  putLE(F, 0, 8);
-  putLE(F, 1, 4);
+  putLE(F, C.MinTime, 8);
+  putLE(F, C.MaxTime, 8);
+  putLE(F, C.Events, 4);
   putLE(F, KindMask, 4);
   putLE(F, IndexOffset, 8);
   putLE(F, 1, 8); // ChunkCount.
-  putLE(F, 1, 8); // TotalEvents.
-  for (char C : {'D', 'Y', 'T', 'R', 'C', 'I', 'D', 'X'})
-    F.push_back(static_cast<unsigned char>(C));
+  putLE(F, C.Events, 8); // TotalEvents.
+  for (char Ch : {'D', 'Y', 'T', 'R', 'C', 'I', 'D', 'X'})
+    F.push_back(static_cast<unsigned char>(Ch));
   return F;
 }
 
-/// Writes \p Bytes and expects the frame and the scan to accept them while
+std::vector<unsigned char> craftOneEventFile(TraceKind Kind, uint64_t Subject,
+                                             uint64_t Peer) {
+  return craftFile(oneEventChunk(Kind, Subject, Peer));
+}
+
+/// Writes \p Bytes and expects the frame and the decoder to accept them while
 /// readColumnarTraceFile refuses them as corrupt.
-void expectScanOkButReadRefused(const std::vector<unsigned char> &Bytes,
+void expectDecodeOkButReadRefused(const std::vector<unsigned char> &Bytes,
                                 const char *Label) {
   writeFileBytes(TestPath, Bytes);
   auto Reader = ColumnarTraceReader::open(TestPath);
   ASSERT_TRUE(Reader.ok()) << Label << ": " << Reader.error().str();
-  size_t Seen = 0;
-  Status S = (*Reader)->scanChunk(0, [&](const TraceEventView &) { ++Seen; });
+  ColumnBatch B;
+  Status S = (*Reader)->decodeChunk(0, B);
   EXPECT_TRUE(S.ok()) << Label;
-  EXPECT_EQ(Seen, 1u) << Label;
+  EXPECT_EQ(B.size(), 1u) << Label;
   auto Back = readColumnarTraceFile(TestPath);
   ASSERT_FALSE(Back.ok()) << Label;
   EXPECT_NE(Back.error().Message.find("corrupt"), std::string::npos) << Label;
@@ -554,16 +573,16 @@ void expectScanOkButReadRefused(const std::vector<unsigned char> &Bytes,
 
 } // namespace
 
-// Regression: the scan decodes ids into 64 bits, and readColumnarTraceFile
+// Regression: the decoder reads ids into 64 bits, and readColumnarTraceFile
 // fed an id no TraceRecord can hold straight into the narrowing assert.
 // Such a file is now a corrupt-file error; the writer refuses to produce
 // one in the first place.
 TEST(TraceColumnar, OutOfRangeProcessIdRejected) {
   FileGuard G;
   const uint64_t TooBig = 1ULL << 32; // Decodes to id 2^32 - 1.
-  expectScanOkButReadRefused(craftOneEventFile(TraceKind::Join, TooBig, 0),
+  expectDecodeOkButReadRefused(craftOneEventFile(TraceKind::Join, TooBig, 0),
                              "subject 2^32 - 1");
-  expectScanOkButReadRefused(craftOneEventFile(TraceKind::Send, 1, TooBig),
+  expectDecodeOkButReadRefused(craftOneEventFile(TraceKind::Send, 1, TooBig),
                              "peer 2^32 - 1");
 
   // The largest id a record holds still reads back.
@@ -591,8 +610,148 @@ TEST(TraceColumnar, OutOfRangeProcessIdRejected) {
 // error.
 TEST(TraceColumnar, UnjoinedLeaveRejected) {
   FileGuard G;
-  expectScanOkButReadRefused(craftOneEventFile(TraceKind::Leave, 2, 0),
+  expectDecodeOkButReadRefused(craftOneEventFile(TraceKind::Leave, 2, 0),
                              "leave of 1");
-  expectScanOkButReadRefused(craftOneEventFile(TraceKind::Crash, 2, 0),
+  expectDecodeOkButReadRefused(craftOneEventFile(TraceKind::Crash, 2, 0),
                              "crash of 1");
+}
+
+// Every error the column decoder returns, one frame-valid file each: open()
+// accepts the frame, decodeChunk names the damage, and
+// readColumnarTraceFile and all four query kinds refuse the file as
+// corrupt.
+TEST(TraceColumnar, EveryDecoderErrorIsCleanOnEveryReadPath) {
+  FileGuard G;
+  using Damage = std::function<void(CraftedChunk &)>;
+  const std::pair<const char *, Damage> Cases[] = {
+      {"bad string table count", [](CraftedChunk &C) { C.Blocks[7] = {2}; }},
+      {"bad string table entry",
+       [](CraftedChunk &C) { C.Blocks[7] = {1, 5, 'a'}; }},
+      {"trailing bytes in string table",
+       [](CraftedChunk &C) { C.Blocks[7] = {0, 0}; }},
+      {"bad kind byte", [](CraftedChunk &C) { C.Blocks[0] = {7}; }},
+      {"truncated column block", [](CraftedChunk &C) { C.Blocks[2].clear(); }},
+      // Ten bytes, so the varint decodes in place and still overflows.
+      {"truncated column block",
+       [](CraftedChunk &C) {
+         C.Blocks[6].assign(9, 0x80);
+         C.Blocks[6].push_back(0x02);
+       }},
+      {"trailing bytes in column block",
+       [](CraftedChunk &C) { C.Blocks[6].push_back(0); }},
+      {"first time delta nonzero",
+       [](CraftedChunk &C) {
+         C.Blocks[1] = {1};
+         C.MaxTime = 1;
+       }},
+      {"event time beyond chunk max",
+       [](CraftedChunk &C) {
+         for (auto &B : C.Blocks)
+           B.push_back(0);
+         C.Blocks[1].back() = 5; // Second event at time 5 ...
+         C.Blocks[2].back() = 3;
+         C.Blocks[7].pop_back();
+         C.Events = 2;
+         C.MaxTime = 3; // ... past the frame's max.
+       }},
+      {"last event time disagrees with chunk max",
+       [](CraftedChunk &C) { C.MaxTime = 5; }},
+      {"msg kind out of int range",
+       [](CraftedChunk &C) {
+         C.Blocks[4].clear();
+         putVarint(C.Blocks[4], 1ULL << 32); // zigzag(2^31).
+       }},
+      {"key id out of range", [](CraftedChunk &C) { C.Blocks[5] = {1}; }},
+  };
+  for (const auto &[Message, Damage] : Cases) {
+    CraftedChunk C = oneEventChunk(TraceKind::Join, 2, 0);
+    Damage(C);
+    writeFileBytes(TestPath, craftFile(C));
+    auto Src = TraceQuerySource::open(TestPath);
+    ASSERT_TRUE(Src.ok()) << Message << ": " << Src.error().str();
+    ColumnBatch B;
+    Status S = (*Src)->decodeChunk(0, B);
+    ASSERT_FALSE(S.ok()) << Message;
+    EXPECT_NE(S.error().Message.find(Message), std::string::npos)
+        << Message << " vs " << S.error().Message;
+
+    auto Back = readColumnarTraceFile(TestPath);
+    ASSERT_FALSE(Back.ok()) << Message;
+    EXPECT_NE(Back.error().Message.find(Message), std::string::npos)
+        << Message;
+    const TraceFilter All;
+    const QueryOptions O;
+    Result<std::string> Answers[] = {
+        queryFilter(**Src, All, O),
+        queryGroupBy(**Src, All, GroupField::Kind, O),
+        queryTopK(**Src, All, GroupField::Subject, O),
+        queryStats(**Src, All, O)};
+    for (const auto &A : Answers) {
+      ASSERT_FALSE(A.ok()) << Message;
+      EXPECT_NE(A.error().Message.find("corrupt"), std::string::npos)
+          << Message;
+    }
+  }
+
+  // The one error no file can cause.
+  writeFileBytes(TestPath, craftOneEventFile(TraceKind::Join, 2, 0));
+  auto Src = TraceQuerySource::open(TestPath);
+  ASSERT_TRUE(Src.ok());
+  ColumnBatch B;
+  EXPECT_TRUE((*Src)->decodeChunk(0, B).ok());
+  Status S = (*Src)->decodeChunk(1, B);
+  ASSERT_FALSE(S.ok());
+  EXPECT_NE(S.error().Message.find("chunk index out of range"),
+            std::string::npos);
+}
+
+// A subject of 2^60 sizes no dense array: group-by and stats answer it
+// from their ordered overflow (under ASan a huge allocation would abort).
+TEST(TraceColumnar, HugeSubjectIdQueriedWithoutHugeAllocation) {
+  FileGuard G;
+  const uint64_t Huge = 1ULL << 60;
+  writeFileBytes(TestPath, craftOneEventFile(TraceKind::Join, Huge + 1, 0));
+  auto Src = TraceQuerySource::open(TestPath);
+  ASSERT_TRUE(Src.ok()) << Src.error().str();
+  const TraceFilter All;
+  const QueryOptions O;
+  auto By = queryGroupBy(**Src, All, GroupField::Subject, O);
+  ASSERT_TRUE(By.ok()) << By.error().str();
+  EXPECT_EQ(*By, "subject\tcount\tvalue_sum\tt_min\tt_max\n" +
+                     std::to_string(Huge) + "\t1\t0\t0\t0\n");
+  auto Peers = queryTopK(**Src, All, GroupField::Peer, O);
+  ASSERT_TRUE(Peers.ok());
+  EXPECT_EQ(*Peers,
+            "peer\tcount\n" + std::to_string(InvalidProcess) + "\t1\n");
+  auto Stats = queryStats(**Src, All, O);
+  ASSERT_TRUE(Stats.ok()) << Stats.error().str();
+  EXPECT_NE(Stats->find("events\t1\n"), std::string::npos);
+  EXPECT_NE(Stats->find("subjects\t1\n"), std::string::npos);
+}
+
+// The batch path's order latch: a record whose time goes backwards, inside
+// a batch or at a batch boundary, is dropped alone and fails close().
+TEST(TraceColumnar, BatchOutOfOrderRejectedAtClose) {
+  FileGuard G;
+  const TraceKeyTable Keys;
+  auto Batch = [](std::initializer_list<SimTime> Times) {
+    std::vector<TraceRecord> Out;
+    for (SimTime T : Times)
+      Out.push_back(TraceRecord::make(TraceKind::Send, T, 1, 2));
+    return Out;
+  };
+  const std::vector<std::vector<TraceRecord>> Inside = {Batch({5, 6, 3, 7})};
+  const std::vector<std::vector<TraceRecord>> Boundary = {Batch({5, 7}),
+                                                          Batch({1, 8})};
+  for (const auto *Batches : {&Inside, &Boundary}) {
+    ColumnarTraceWriter W;
+    ASSERT_TRUE(W.open(TestPath).ok());
+    for (const auto &B : *Batches)
+      W.appendBatch(B.data(), B.size(), Keys);
+    EXPECT_EQ(W.eventsWritten(), 3u); // Only the offender is dropped...
+    Status S = W.close();             // ...and the close reports it.
+    ASSERT_FALSE(S.ok());
+    EXPECT_NE(S.error().Message.find("out of time order"), std::string::npos);
+    EXPECT_EQ(std::fopen(TestPath, "r"), nullptr); // Nothing left behind.
+  }
 }

@@ -406,3 +406,267 @@ TEST(TraceQuery, FilterExportEqualsTraceToJsonLines) {
     }
   }
 }
+
+//===----------------------------------------------------------------------===//
+// Byte-for-byte oracle: every query shape against a brute-force fold over
+// the in-memory records.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+constexpr size_t OracleChunk = ColumnarTraceWriter::EventsPerChunk;
+/// Four subjects that tie for the top count, their events split across
+/// the first chunk boundary; the last one is the largest id a record holds.
+constexpr ProcessId TiedSubjects[] = {(1u << 20) + 7, (1u << 20) + 3, 1u << 21,
+                                      (1ULL << 32) - 2};
+const char *const OracleKeys[] = {"zeta", "alpha", "Mid", "be\"ta", "k\n"};
+constexpr size_t NumOracleKeys = std::size(OracleKeys);
+
+/// A three-chunk trace built to catch order bugs: InvalidProcess peers,
+/// subjects at and above 2^20, negative msg kinds, keys whose
+/// first-appearance order differs from their string order and from chunk
+/// to chunk, and a top-count tie whose events straddle a chunk boundary.
+Trace buildOracleTrace() {
+  Rng R(21);
+  Trace T;
+  std::unordered_set<ProcessId> Joined;
+  SimTime Clock = 0;
+  const size_t Events = 2 * OracleChunk + 20'000;
+  const size_t TieBegin = OracleChunk - 8'000, TieEnd = OracleChunk + 8'000;
+  for (size_t I = 0; I != Events; ++I) {
+    if (R.nextBernoulli(0.1))
+      Clock += R.nextBelow(40);
+    TraceEvent E;
+    E.Kind = static_cast<TraceKind>(R.nextBelow(7));
+    E.Time = Clock;
+    E.Subject = I >= TieBegin && I < TieEnd ? TiedSubjects[I % 4]
+                : R.nextBernoulli(0.02) ? (1u << 20) + R.nextBelow(3)
+                                        : R.nextBelow(50);
+    if (E.Kind == TraceKind::Leave || E.Kind == TraceKind::Crash) {
+      if (!Joined.count(E.Subject))
+        E.Kind = TraceKind::Join;
+      else
+        Joined.erase(E.Subject);
+    }
+    if (E.Kind == TraceKind::Join)
+      Joined.insert(E.Subject);
+    E.Peer = R.nextBernoulli(0.2) ? InvalidProcess : R.nextBelow(60);
+    E.MsgKind = static_cast<int>(R.nextBelow(7)) - 3;
+    // Each chunk opens with every key, in reversed pool order rotated by
+    // the chunk index.
+    const size_t InChunk = I % OracleChunk, Chunk = I / OracleChunk;
+    if (InChunk < NumOracleKeys)
+      E.Key = OracleKeys[(NumOracleKeys - 1 - InChunk + Chunk) % NumOracleKeys];
+    else if (R.nextBernoulli(0.3))
+      E.Key = OracleKeys[R.nextBelow(NumOracleKeys)];
+    E.Value = static_cast<int64_t>(R.nextBelow(2000)) - 1000;
+    T.append(std::move(E));
+  }
+  return T;
+}
+
+struct OracleAgg {
+  uint64_t Count = 0;
+  int64_t Sum = 0;
+  SimTime Min = ~0ULL, Max = 0;
+};
+
+/// group-by and top-k text for one field, folded into a std::map keyed by
+/// the field's natural value type and rendered with \p Render.
+template <typename K, typename KeyFn, typename RenderFn>
+std::string bruteGroups(const Trace &T, const TraceFilter &F,
+                        const char *Label, size_t TopK, KeyFn Key,
+                        RenderFn Render) {
+  std::map<K, OracleAgg> Groups;
+  for (size_t I = 0; I != T.records().size(); ++I) {
+    TraceEventView V = viewAt(T, I);
+    if (!F.matches(V))
+      continue;
+    OracleAgg &A = Groups[Key(V)];
+    ++A.Count;
+    A.Sum += V.Value;
+    A.Min = std::min(A.Min, V.Time);
+    A.Max = std::max(A.Max, V.Time);
+  }
+  std::string GroupBy =
+      std::string(Label) + "\tcount\tvalue_sum\tt_min\tt_max\n";
+  std::vector<std::pair<K, uint64_t>> Counts;
+  for (const auto &[G, A] : Groups) {
+    GroupBy += Render(G) + "\t" + std::to_string(A.Count) + "\t" +
+               std::to_string(A.Sum) + "\t" + std::to_string(A.Min) + "\t" +
+               std::to_string(A.Max) + "\n";
+    Counts.emplace_back(G, A.Count);
+  }
+  std::stable_sort(Counts.begin(), Counts.end(),
+                   [](const auto &X, const auto &Y) {
+                     return X.second > Y.second;
+                   });
+  std::string Top = std::string(Label) + "\tcount\n";
+  for (size_t I = 0; I != std::min(TopK, Counts.size()); ++I)
+    Top += Render(Counts[I].first) + "\t" + std::to_string(Counts[I].second) +
+           "\n";
+  return GroupBy + Top;
+}
+
+/// The expected queryGroupBy + queryTopK text for \p Field.
+std::string bruteGroupQueries(const Trace &T, const TraceFilter &F,
+                              GroupField Field, const QueryOptions &O) {
+  auto Num = [](uint64_t N) { return std::to_string(N); };
+  switch (Field) {
+  case GroupField::Kind:
+    return bruteGroups<int>(
+        T, F, "kind", O.TopK,
+        [](const TraceEventView &V) { return static_cast<int>(V.Kind); },
+        [](int K) { return std::string(traceKindName(TraceKind(K))); });
+  case GroupField::Subject:
+    return bruteGroups<uint64_t>(
+        T, F, "subject", O.TopK,
+        [](const TraceEventView &V) { return V.Subject; }, Num);
+  case GroupField::Peer:
+    return bruteGroups<uint64_t>(
+        T, F, "peer", O.TopK, [](const TraceEventView &V) { return V.Peer; },
+        Num);
+  case GroupField::Msg:
+    return bruteGroups<int>(
+        T, F, "msg", O.TopK,
+        [](const TraceEventView &V) { return V.MsgKind; },
+        [](int M) { return std::to_string(M); });
+  case GroupField::Key:
+    return bruteGroups<std::string>(
+        T, F, "key", O.TopK,
+        [](const TraceEventView &V) { return std::string(V.Key); },
+        [](const std::string &K) {
+          std::string Out;
+          appendEscapedTraceString(Out, K);
+          return Out;
+        });
+  case GroupField::TimeBucket:
+    return bruteGroups<uint64_t>(
+        T, F, "time_bucket", O.TopK,
+        [&O](const TraceEventView &V) {
+          return V.Time / O.TimeBucketWidth * O.TimeBucketWidth;
+        },
+        Num);
+  }
+  return "?";
+}
+
+/// The expected queryStats text.
+std::string bruteStats(const Trace &T, const TraceFilter &F) {
+  uint64_t Events = 0, Kinds[7] = {};
+  SimTime Min = ~0ULL, Max = 0;
+  int64_t Sum = 0;
+  std::set<ProcessId> Subjects;
+  for (size_t I = 0; I != T.records().size(); ++I) {
+    TraceEventView V = viewAt(T, I);
+    if (!F.matches(V))
+      continue;
+    ++Events;
+    ++Kinds[static_cast<unsigned>(V.Kind)];
+    Min = std::min(Min, V.Time);
+    Max = std::max(Max, V.Time);
+    Sum += V.Value;
+    Subjects.insert(V.Subject);
+  }
+  std::string Out = "events\t" + std::to_string(Events) + "\n";
+  if (Events > 0)
+    Out += "t_min\t" + std::to_string(Min) + "\nt_max\t" +
+           std::to_string(Max) + "\n";
+  Out += "subjects\t" + std::to_string(Subjects.size()) + "\n";
+  Out += "value_sum\t" + std::to_string(Sum) + "\n";
+  for (unsigned K = 0; K != 7; ++K)
+    Out += std::string("kind_") + traceKindName(static_cast<TraceKind>(K)) +
+           "\t" + std::to_string(Kinds[K]) + "\n";
+  return Out;
+}
+
+/// The expected queryFilter text.
+std::string bruteFilter(const Trace &T, const TraceFilter &F) {
+  std::string Out;
+  for (size_t I = 0; I != T.records().size(); ++I)
+    if (F.matches(viewAt(T, I)))
+      appendTraceJsonLine(Out, viewAt(T, I));
+  return Out;
+}
+
+/// EXPECT_EQ for long texts: reports the first differing line, since
+/// gtest's diff of two multi-megabyte strings is quadratic.
+::testing::AssertionResult sameText(const std::string &Got,
+                                    const std::string &Want) {
+  if (Got == Want)
+    return ::testing::AssertionSuccess();
+  const size_t Common = Got.size() < Want.size() ? Got.size() : Want.size();
+  size_t At = 0;
+  while (At != Common && Got[At] == Want[At])
+    ++At;
+  const size_t Line = At == 0 ? 0 : Want.rfind('\n', At - 1) + 1;
+  return ::testing::AssertionFailure()
+         << "first difference at byte " << At << "\n  got:  "
+         << Got.substr(Line, 100) << "\n  want: " << Want.substr(Line, 100);
+}
+
+} // namespace
+
+TEST(TraceQuery, EveryQueryShapeMatchesBruteForceByteForByte) {
+  FileGuard G;
+  const Trace T = buildOracleTrace();
+  ASSERT_TRUE(writeColumnarTraceFile(T, ColPath).ok());
+  auto Src = TraceQuerySource::open(ColPath);
+  ASSERT_TRUE(Src.ok()) << Src.error().str();
+  ASSERT_EQ((*Src)->chunkCount(), 3u);
+
+  const SimTime Boundary = T.records()[OracleChunk].Time;
+  std::vector<std::pair<const char *, TraceFilter>> Filters(7);
+  Filters[0].first = "none";
+  Filters[1].first = "kind";
+  Filters[1].second.Kind = TraceKind::Deliver;
+  Filters[2].first = "subject";
+  Filters[2].second.Subject = TiedSubjects[1];
+  Filters[3].first = "peer";
+  Filters[3].second.Peer = InvalidProcess;
+  Filters[4].first = "msg";
+  Filters[4].second.Msg = -2;
+  Filters[5].first = "key";
+  Filters[5].second.Key = "Mid";
+  Filters[6].first = "window";
+  Filters[6].second.FromTime = Boundary - 300;
+  Filters[6].second.ToTime = Boundary + 300;
+
+  QueryOptions O;
+  O.TopK = 3; // Cuts through the four-way tie.
+  O.TimeBucketWidth = 250;
+  for (const auto &[Name, F] : Filters) {
+    std::string Want[8];
+    for (unsigned Field = 0; Field != 6; ++Field)
+      Want[Field] = bruteGroupQueries(T, F, GroupField(Field), O);
+    Want[6] = bruteStats(T, F);
+    Want[7] = bruteFilter(T, F);
+    // Two threads split three chunks unevenly: one worker takes two.
+    for (unsigned Threads : {1u, 2u, 4u}) {
+      O.Threads = Threads;
+      for (unsigned Field = 0; Field != 6; ++Field) {
+        auto By = queryGroupBy(**Src, F, GroupField(Field), O);
+        auto Top = queryTopK(**Src, F, GroupField(Field), O);
+        ASSERT_TRUE(By.ok() && Top.ok());
+        EXPECT_TRUE(sameText(*By + *Top, Want[Field]))
+            << "filter " << Name << " field " << Field << " threads "
+            << Threads;
+      }
+      auto Stats = queryStats(**Src, F, O);
+      auto Filtered = queryFilter(**Src, F, O);
+      ASSERT_TRUE(Stats.ok() && Filtered.ok());
+      EXPECT_TRUE(sameText(*Stats, Want[6]))
+          << "filter " << Name << " threads " << Threads;
+      EXPECT_TRUE(sameText(*Filtered, Want[7]))
+          << "filter " << Name << " threads " << Threads;
+    }
+  }
+
+  // The fixture exercises what it claims: the tie leads the subject top-k,
+  // cut at its three lowest ids.
+  O.Threads = 1;
+  auto Top = queryTopK(**Src, TraceFilter(), GroupField::Subject, O);
+  ASSERT_TRUE(Top.ok());
+  EXPECT_EQ(*Top, "subject\tcount\n1048579\t4000\n1048583\t4000\n"
+                  "2097152\t4000\n");
+}

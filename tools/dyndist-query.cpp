@@ -42,11 +42,12 @@
 //     --bucket <w>        time bucket width for --by time (default 100)
 //     --k <n>             top-k group count               (default 10)
 //     --limit <n>         filter output cap               (default all)
-//     --threads <n>       scan concurrency (0 = auto)     (default 1)
+//     --threads <n>       scan concurrency, < 1024 (0 = auto) (default 1)
 //
 //===----------------------------------------------------------------------===//
 
 #include "dyndist/aggregation/Experiment.h"
+#include "dyndist/runtime/SweepRunner.h"
 #include "dyndist/runtime/TraceQuery.h"
 #include "dyndist/sim/TraceColumnar.h"
 #include "dyndist/sim/TraceIO.h"
@@ -192,7 +193,8 @@ int runQueryMode(int argc, char **argv) {
     } else if (Arg == "--limit") {
       Opts.Limit = Flags.nextU64(I);
     } else if (Arg == "--threads") {
-      Opts.Threads = static_cast<unsigned>(Flags.nextU64(I, UINT_MAX));
+      Opts.Threads =
+          static_cast<unsigned>(Flags.nextU64(I, SweepThreadLimit - 1));
     } else {
       usageError("unknown query option '" + Arg + "'");
     }

@@ -5,8 +5,8 @@
 #      analysis library, so it runs first and fails in milliseconds.
 #   2. build-verify/: build + ctest, then two checks at scales ctest
 #      cannot afford: the n = 10^5 sharded-kernel K-invariance smoke, and
-#      a >= 10^7-event columnar archive grouped at 1 and 4 query threads
-#      (outputs compared byte for byte).
+#      every query kind over a >= 10^7-event columnar archive at 1 and 4
+#      query threads (outputs compared byte for byte).
 #   3. The bench gate: dyndist-bench-report --check runs every section of
 #      bench/gates.json that carries gates, using the build-verify binaries.
 #   4. build-werror/: a strict-warnings build (-DDYNDIST_WERROR=ON).
@@ -97,6 +97,19 @@ if [ "$RUN_LINT" = 1 ]; then
   echo "== dyndist-lint over src/ tools/ bench/ tests/"
   build-verify/tools/dyndist-lint --root .
 fi
+# query_threads_cmp SUBCOMMAND ARGS...: runs the query over
+# build-verify/query-big.dytr at 1 and 4 threads; the outputs must match.
+query_threads_cmp() {
+  echo "   query $*"
+  sub=$1
+  shift
+  for t in 1 4; do
+    build-verify/tools/dyndist-query query "$sub" build-verify/query-big.dytr \
+      "$@" --threads "$t" > "build-verify/query-big-t$t.txt"
+  done
+  cmp build-verify/query-big-t1.txt build-verify/query-big-t4.txt
+}
+
 if [ "$RUN_PLAIN" = 1 ]; then
   run_suite build-verify
   # Sharded-kernel K-invariance at benchmark scale (n = 10^5): every
@@ -105,18 +118,20 @@ if [ "$RUN_PLAIN" = 1 ]; then
   echo "== sharded-kernel smoke, n=10^5 (build-verify)"
   build-verify/tools/dyndist-kernel-smoke \
     --processes 100000 --horizon 60 --shards 0,1,2,4
-  # Sharded-query determinism at production scale: a >= 10^7-event
-  # columnar archive aggregated at two thread counts must render
-  # byte-identical output (positional slots + serial chunk-order merge).
+  # Sharded-query determinism at production scale: over a >= 10^7-event
+  # columnar archive, every query kind renders byte-identical output at 1
+  # and 4 threads (per-worker partials merged order-free, filter output in
+  # chunk order).
   echo "== sharded trace-query thread-invariance, >=10^7 events (build-verify)"
   build-verify/tools/dyndist-kernel-smoke \
     --processes 100000 --horizon 120 --shards 4 \
     --trace-out build-verify/query-big.dytr
-  build-verify/tools/dyndist-query query group-by build-verify/query-big.dytr \
-    --by subject --threads 1 > build-verify/query-big-t1.txt
-  build-verify/tools/dyndist-query query group-by build-verify/query-big.dytr \
-    --by subject --threads 4 > build-verify/query-big-t4.txt
-  cmp build-verify/query-big-t1.txt build-verify/query-big-t4.txt
+  for by in subject kind peer key; do
+    query_threads_cmp group-by --by "$by"
+  done
+  query_threads_cmp top-k --by subject --kind deliver
+  query_threads_cmp stats
+  query_threads_cmp filter --from 60 --to 60
   rm -f build-verify/query-big.dytr \
     build-verify/query-big-t1.txt build-verify/query-big-t4.txt
 fi
