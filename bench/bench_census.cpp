@@ -18,6 +18,8 @@
 #include "dyndist/support/Stats.h"
 #include "dyndist/support/StringUtils.h"
 
+#include "BenchArgs.h"
+
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -67,7 +69,8 @@ std::vector<CensusPoint> runSeries(uint64_t Seed, double JoinRate,
 } // namespace
 
 int main(int argc, char **argv) {
-  uint64_t Rounds = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 10;
+  uint64_t Rounds = static_cast<uint64_t>(
+      dyndist_bench::benchCountArg(argc, argv, 10));
 
   std::printf("E9: repeated census over a churning system "
               "(%llu rounds, period 60)\n\n",

@@ -23,6 +23,7 @@
 #include "dyndist/support/Stats.h"
 #include "dyndist/support/StringUtils.h"
 
+#include "BenchArgs.h"
 #include "BenchBuildInfo.h"
 
 #include <benchmark/benchmark.h>
@@ -543,7 +544,7 @@ int main(int argc, char **argv) {
   }
 
   SweepThreads = sweepThreadsFromArgs(argc, argv);
-  int Seeds = argc > 1 ? std::atoi(argv[1]) : 12;
+  int Seeds = dyndist_bench::benchCountArg(argc, argv, 12);
 
   std::printf("E4: algorithm behavior vs churn rate (%d seeds/point, "
               "%u threads)\n\n",

@@ -22,12 +22,12 @@
 #include "dyndist/runtime/SweepRunner.h"
 #include "dyndist/support/StringUtils.h"
 
+#include "BenchArgs.h"
 #include "BenchBuildInfo.h"
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <string_view>
 
 using namespace dyndist;
@@ -136,7 +136,7 @@ int main(int argc, char **argv) {
   }
 
   SweepThreads = sweepThreadsFromArgs(argc, argv);
-  int Seeds = argc > 1 ? std::atoi(argv[1]) : 10;
+  int Seeds = dyndist_bench::benchCountArg(argc, argv, 10);
 
   std::printf("E2: flooding coverage and cost vs TTL (claim C1); "
               "%d seeds/point, %u threads\n\n",

@@ -27,8 +27,9 @@
 #include "dyndist/runtime/SweepRunner.h"
 #include "dyndist/support/StringUtils.h"
 
+#include "BenchArgs.h"
+
 #include <cstdio>
-#include <cstdlib>
 
 using namespace dyndist;
 
@@ -75,7 +76,7 @@ double validRate(const ExperimentConfig &Base, int Seeds) {
 
 int main(int argc, char **argv) {
   SweepThreads = sweepThreadsFromArgs(argc, argv);
-  int Seeds = argc > 1 ? std::atoi(argv[1]) : 12;
+  int Seeds = dyndist_bench::benchCountArg(argc, argv, 12);
 
   std::printf("E5: axis orthogonality (%d seeds per point, %u threads)\n\n",
               Seeds, resolveSweepThreads(SweepThreads));

@@ -20,12 +20,12 @@
 #include "dyndist/support/Stats.h"
 #include "dyndist/support/StringUtils.h"
 
+#include "BenchArgs.h"
 #include "BenchBuildInfo.h"
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <string_view>
 
 using namespace dyndist;
@@ -261,7 +261,8 @@ int main(int argc, char **argv) {
     }
   }
 
-  size_t Steps = argc > 1 ? static_cast<size_t>(std::atoi(argv[1])) : 2000;
+  size_t Steps = static_cast<size_t>(
+      dyndist_bench::benchCountArg(argc, argv, 2000));
 
   std::printf("E8: overlay diameter/degree under churn (%zu events, "
               "join probability 0.5, initial population 32)\n\n",

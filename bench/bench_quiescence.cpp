@@ -26,13 +26,13 @@
 #include "dyndist/support/Stats.h"
 #include "dyndist/support/StringUtils.h"
 
+#include "BenchArgs.h"
 #include "BenchBuildInfo.h"
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string_view>
 #include <vector>
 
@@ -130,7 +130,7 @@ int main(int argc, char **argv) {
   }
 
   unsigned Threads = sweepThreadsFromArgs(argc, argv);
-  int Seeds = argc > 1 ? std::atoi(argv[1]) : 15;
+  int Seeds = dyndist_bench::benchCountArg(argc, argv, 15);
 
   std::printf("E3: echo-wave query vs quiescence (claim C2); churn "
               "quiesces at t=%llu, %d seeds per row, %u threads\n\n",

@@ -10,7 +10,8 @@
 // spec. Expected shape: ~1.0 in every cell the oracle calls solvable (and
 // in quiescent-solvable cells run in their quiescent regime), well below
 // 1.0 in the unsolvable cells, where the recommended entry is best-effort
-// gossip and the spec cannot be met in every run.
+// gossip and the spec cannot be met in every run. Exits 1 when any row's
+// oracle-agrees column reads NO.
 //
 // The seed axis is sharded across threads by SweepRunner (--threads N /
 // DYNDIST_THREADS); the aggregate is byte-identical at any thread count.
@@ -26,6 +27,7 @@
 #include "dyndist/runtime/SweepRunner.h"
 #include "dyndist/support/StringUtils.h"
 
+#include "BenchArgs.h"
 #include "BenchBuildInfo.h"
 
 #include <benchmark/benchmark.h>
@@ -33,7 +35,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <cstdlib>
 #include <string_view>
 #include <vector>
 
@@ -170,8 +171,8 @@ ExperimentConfig shortRunConfig(uint64_t Seed, unsigned Shards) {
   Cfg.Horizon = 30;
   Cfg.QueryAt = Cfg.Horizon + 1;
   // Throughput regime: nothing reads the diameter column here, so skip the
-  // all-sources-BFS monitor that would otherwise dominate every short run
-  // (identically in both the fresh and reused paths).
+  // diameter monitor, a CSR copy and at least one BFS per changed overlay,
+  // in both the fresh and reused paths.
   Cfg.DiameterSampleEvery = 0;
   return Cfg;
 }
@@ -256,7 +257,7 @@ int main(int argc, char **argv) {
   // 100 seeds per cell: the unsolvable cells fail at ~1% per run, so small
   // sweeps under-sample them to a fake 1.00 valid-rate. Sharded across
   // threads this costs what 20 seeds used to serially.
-  int Seeds = argc > 1 ? std::atoi(argv[1]) : 100;
+  int Seeds = dyndist_bench::benchCountArg(argc, argv, 100);
 
   std::printf("E1: one-time-query solvability matrix "
               "(%d seeds per cell; n=%llu, b=%llu, D=%llu; %u threads)\n\n",
@@ -266,6 +267,7 @@ int main(int argc, char **argv) {
   Table T;
   T.setHeader({"class", "oracle", "algorithm", "runs", "terminated",
                "valid-rate", "mean-coverage", "oracle-agrees"});
+  bool AllAgree = true;
 
   for (const SystemClass &Class : canonicalClassGrid(FiniteN, B, D)) {
     int Admissible = 0, Terminated = 0, Valid = 0;
@@ -288,6 +290,7 @@ int main(int argc, char **argv) {
     double ValidRate = Admissible ? double(Valid) / Admissible : 0.0;
     bool Agrees = Oracle == Solvability::Unsolvable ? ValidRate < 1.0
                                                     : ValidRate == 1.0;
+    AllAgree = AllAgree && Agrees;
     T.addRow({Class.name(), solvabilityName(Oracle),
               algorithmName(recommendedAlgorithm(Class)),
               format("%d", Admissible),
@@ -297,5 +300,6 @@ int main(int argc, char **argv) {
               Agrees ? "yes" : "NO"});
   }
   std::printf("%s\n", T.render().c_str());
-  return 0;
+  // E1's claim as a gate: a row the oracle disagrees with fails the run.
+  return AllAgree ? 0 : 1;
 }

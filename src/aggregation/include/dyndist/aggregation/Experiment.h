@@ -53,8 +53,9 @@ struct ExperimentConfig {
   SimTime QueryAt = 200;
   SimTime Horizon = 900;
 
-  /// Overlay diameter sampling period for the admissibility monitor
-  /// (exact all-sources BFS per sample, so it dominates short runs).
+  /// Overlay diameter sampling period for the admissibility monitor (a
+  /// CSR copy and at least one BFS per sample of a changed overlay, a cost
+  /// that dominates short runs; see DynamicSystem::DiameterSample).
   /// 0 disables sampling: MaxDiameter reads 0 and a disclosed diameter
   /// bound is accepted unaudited — throughput sweeps that don't consume
   /// the diameter column opt out of paying for it.

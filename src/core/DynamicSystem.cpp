@@ -64,6 +64,7 @@ void DynamicSystem::reset(const DynamicSystemConfig &NewConfig) {
   Overlay.attachTo(Sim);
   Driver->reset(Config.Class.Arrival, Config.Churn, Sim.rng().split());
   Samples.clear();
+  SampledCentre = InvalidProcess;
   Driver->populateInitial(Sim, Config.InitialMembers);
   Driver->start(Sim);
   if (Config.DiameterSampleEvery > 0 && Config.MonitorUntil > 0)
@@ -80,11 +81,17 @@ void DynamicSystem::armMonitor(SimTime At) {
   if (At > Config.MonitorUntil)
     return;
   Sim.scheduleAt(At, [this](Simulator &S) {
-    DiameterSample Sample;
+    const Graph &G = Overlay.graph();
+    // An unchanged overlay repeats the last sample; a changed one matters
+    // to readers only through a diameter above the running max.
+    DiameterSample Sample = Samples.empty() ? DiameterSample() : Samples.back();
+    if (Samples.empty() || G.epoch() != SampledEpoch) {
+      auto Diam = diameterAbove(G, Sample.RunningMax, SampledCentre);
+      Sample.Connected = Diam.has_value();
+      Sample.RunningMax = std::max(Sample.RunningMax, Diam.value_or(0));
+      SampledEpoch = G.epoch();
+    }
     Sample.Time = S.now();
-    auto Diam = diameter(Overlay.graph());
-    Sample.Connected = Diam.has_value();
-    Sample.Diameter = Diam.value_or(0);
     Samples.push_back(Sample);
     armMonitor(S.now() + Config.DiameterSampleEvery);
   });
@@ -95,14 +102,6 @@ std::optional<uint64_t> DynamicSystem::grantedTtl() const {
 }
 
 StopReason DynamicSystem::run(RunLimits Limits) { return Sim.run(Limits); }
-
-uint64_t DynamicSystem::maxObservedDiameter() const {
-  uint64_t Best = 0;
-  for (const DiameterSample &S : Samples)
-    if (S.Connected)
-      Best = std::max(Best, S.Diameter);
-  return Best;
-}
 
 size_t DynamicSystem::disconnectedSamples() const {
   size_t N = 0;
@@ -117,6 +116,8 @@ Status DynamicSystem::checkClassAdmissible() const {
     return S;
   if (Config.Class.Knowledge.Diameter == DiameterKnowledge::KnownBound) {
     uint64_t Bound = Config.Class.Knowledge.DiameterBound;
+    // Until the first violation the running max is within the bound, so
+    // the first sample past it carries its own exact diameter.
     for (const DiameterSample &S : Samples) {
       if (!S.Connected)
         return Error(Error::Code::ProtocolViolation,
@@ -124,12 +125,12 @@ Status DynamicSystem::checkClassAdmissible() const {
                             "disconnected at t=%llu",
                             static_cast<unsigned long long>(Bound),
                             static_cast<unsigned long long>(S.Time)));
-      if (S.Diameter > Bound)
+      if (S.RunningMax > Bound)
         return Error(Error::Code::ProtocolViolation,
                      format("disclosed diameter bound %llu exceeded: %llu "
                             "at t=%llu",
                             static_cast<unsigned long long>(Bound),
-                            static_cast<unsigned long long>(S.Diameter),
+                            static_cast<unsigned long long>(S.RunningMax),
                             static_cast<unsigned long long>(S.Time)));
     }
   }

@@ -85,11 +85,15 @@ struct DynamicSystemConfig {
 /// An assembled, runnable dynamic system.
 class DynamicSystem {
 public:
-  /// One diameter sample of the overlay.
+  /// One diameter sample of the overlay. A sample records what its readers
+  /// use, not the diameter itself: the largest diameter of any connected
+  /// sample so far, this one included. A sample above every earlier one
+  /// (the first past a disclosed bound, say) therefore holds its exact
+  /// diameter, and the others need only prove they cannot raise the max.
   struct DiameterSample {
     SimTime Time = 0;
     bool Connected = false;
-    uint64_t Diameter = 0; ///< Valid when Connected.
+    uint64_t RunningMax = 0; ///< Max diameter over connected samples so far.
   };
 
   /// Builds the system: spawns the initial population (actors from
@@ -145,7 +149,9 @@ public:
   }
 
   /// Largest diameter among connected samples (0 when none).
-  uint64_t maxObservedDiameter() const;
+  uint64_t maxObservedDiameter() const {
+    return Samples.empty() ? 0 : Samples.back().RunningMax;
+  }
 
   /// Number of samples that found the overlay disconnected.
   size_t disconnectedSamples() const;
@@ -163,6 +169,8 @@ private:
   DynamicOverlay Overlay;
   std::unique_ptr<ChurnDriver> Driver;
   std::vector<DiameterSample> Samples;
+  uint64_t SampledEpoch = 0;  ///< Overlay epoch at the last sample.
+  ProcessId SampledCentre = InvalidProcess; ///< diameterAbove() hint.
 };
 
 } // namespace dyndist

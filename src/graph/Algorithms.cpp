@@ -9,7 +9,9 @@
 // grown to the graph's slot-table size, and "visited" is one stamp compare
 // instead of a map lookup. The public map-returning wrappers materialize
 // their results from the scratch, preserving the original (ascending,
-// deterministic) output contracts byte for byte.
+// deterministic) output contracts byte for byte. The diameter kernel, which
+// runs several BFS per call, first copies the graph into a compact CSR
+// array and runs them all over that.
 //
 //===----------------------------------------------------------------------===//
 
@@ -80,87 +82,126 @@ size_t bfsDense(const Graph &G, ProcessId Source, BfsScratch &S) {
   return S.Order.size();
 }
 
-/// Word-parallel multi-source BFS state (MS-BFS), over compact node
-/// indices: index I is the I-th node of the centre BFS's discovery order.
-/// Bit J of a node's word stands for source J of the current 64-source
-/// block. Resized upward only, like BfsScratch.
-struct SweepScratch {
-  std::vector<uint32_t> Index;   ///< Slot -> compact index.
-  std::vector<uint32_t> Offsets; ///< CSR row starts, N + 1 entries.
-  std::vector<uint32_t> Adj;     ///< CSR neighbor indices, 2E entries.
-  std::vector<uint64_t> Seen;    ///< Sources that have reached the node.
-  std::vector<uint64_t> Frontier; ///< Sources that reached it last round.
-  std::vector<uint64_t> Next;     ///< Sources reaching it this round.
+/// Per-call diameter state over compact node indices 0..N-1 (the rank of
+/// each node in the graph's ascending node set). One CSR copy of the graph
+/// serves every BFS of a call and the word-parallel sweep after them.
+/// Capacity only grows, like BfsScratch's.
+struct DiameterScratch {
+  std::vector<uint32_t> Index;    ///< ProcessId -> compact index.
+  std::vector<uint32_t> Offsets;  ///< CSR row starts, N + 1 entries.
+  std::vector<uint32_t> Adj;      ///< CSR neighbor indices, 2E entries.
+  std::vector<uint32_t> Dist;     ///< Hop distance of the last BFS.
+  std::vector<uint32_t> Order;    ///< Discovery order of the last BFS.
+  std::vector<uint32_t> Sources;  ///< MS-BFS sources.
+  std::vector<uint64_t> Seen;     ///< MS-BFS: sources that reached the node.
+  std::vector<uint64_t> Frontier; ///< MS-BFS: sources that reached it last.
+  std::vector<uint64_t> Next;     ///< MS-BFS: sources reaching it this round.
+
+  static constexpr uint32_t Unseen = ~0u;
+
+  /// Copies the non-empty graph \p G into the CSR arrays. Ids index
+  /// Index directly: ids are dense, like the graph's own id table.
+  void build(const Graph &G) {
+    NeighborView Nodes = G.nodesView();
+    size_t N = Nodes.size();
+    if (Index.size() <= Nodes.back())
+      Index.resize(Nodes.back() + 1);
+    for (size_t I = 0; I != N; ++I)
+      Index[Nodes[I]] = static_cast<uint32_t>(I);
+    Offsets.resize(N + 1);
+    Adj.resize(2 * G.edgeCount());
+    uint32_t E = 0;
+    for (size_t I = 0; I != N; ++I) {
+      Offsets[I] = E;
+      for (ProcessId Nbr : G.neighborView(Nodes[I]))
+        Adj[E++] = Index[Nbr];
+    }
+    Offsets[N] = E;
+    Dist.resize(N);
+    Order.resize(N);
+  }
+
+  /// BFS from compact node \p Src; returns the number of nodes reached,
+  /// which are Order[0, count) in nondecreasing distance.
+  size_t bfs(uint32_t Src) {
+    std::fill(Dist.begin(), Dist.end(), Unseen);
+    Dist[Src] = 0;
+    Order[0] = Src;
+    size_t Tail = 1;
+    for (size_t Head = 0; Head != Tail; ++Head) {
+      uint32_t Cur = Order[Head];
+      uint32_t Next = Dist[Cur] + 1;
+      for (uint32_t E = Offsets[Cur], End = Offsets[Cur + 1]; E != End; ++E) {
+        uint32_t Nbr = Adj[E];
+        if (Dist[Nbr] == Unseen) {
+          Dist[Nbr] = Next;
+          Order[Tail++] = Nbr;
+        }
+      }
+    }
+    return Tail;
+  }
+
+  /// A node halfway along a shortest path from the last BFS's source to
+  /// \p Far: walks \p Far's distance halved steps back toward the source.
+  uint32_t midpoint(uint32_t Far) const {
+    uint32_t Cur = Far;
+    for (uint32_t Up = Dist[Far] / 2; Up != 0; --Up)
+      for (uint32_t E = Offsets[Cur];; ++E)
+        if (Dist[Adj[E]] + 1 == Dist[Cur]) {
+          Cur = Adj[E];
+          break;
+        }
+    return Cur;
+  }
+
+  /// Largest eccentricity among Sources, or \p Best when none exceeds it;
+  /// stops once \p Ub is reached. MS-BFS (Then et al., PVLDB 2014): bit J
+  /// of a node's word stands for source J of the current 64-source block,
+  /// and each round pulls the neighbors' last-round bits into every node
+  /// that has not heard from the whole block yet. The graph is connected,
+  /// so every round until the last adds a bit somewhere.
+  uint64_t sweep(uint64_t Best, uint64_t Ub) {
+    size_t N = Order.size();
+    Seen.resize(N);
+    Frontier.resize(N);
+    Next.resize(N);
+    for (size_t Base = 0; Base < Sources.size() && Best < Ub; Base += 64) {
+      size_t Width = std::min<size_t>(64, Sources.size() - Base);
+      uint64_t Full = Width == 64 ? ~uint64_t(0) : (uint64_t(1) << Width) - 1;
+      std::fill(Seen.begin(), Seen.end(), uint64_t(0));
+      std::fill(Frontier.begin(), Frontier.end(), uint64_t(0));
+      for (size_t J = 0; J != Width; ++J) {
+        uint32_t Source = Sources[Base + J];
+        Seen[Source] = Frontier[Source] = uint64_t(1) << J;
+      }
+      size_t FullNodes = Width == 1 ? 1 : 0; // A lone source knows itself.
+      uint64_t Rounds = 0;
+      while (FullNodes != N) {
+        ++Rounds;
+        for (size_t V = 0; V != N; ++V) {
+          uint64_t Known = Seen[V];
+          uint64_t In = 0;
+          if (Known != Full) {
+            for (uint32_t E = Offsets[V], End = Offsets[V + 1]; E != End; ++E)
+              In |= Frontier[Adj[E]];
+            In &= ~Known;
+            if (In != 0) {
+              Seen[V] = Known | In;
+              FullNodes += (Known | In) == Full;
+            }
+          }
+          Next[V] = In;
+        }
+        Frontier.swap(Next);
+      }
+      Best = std::max(Best, Rounds);
+    }
+    return Best;
+  }
 };
 
-thread_local SweepScratch TLSweep;
-
-/// Exact diameter of the connected graph \p G given bounds Lb <= D <= Ub,
-/// with \p Centre holding a BFS from the node the bounds were taken around.
-/// A diametral pair longer than Lb has an endpoint at depth >= (Lb + 1) / 2
-/// (rounded up) from the centre, so only those nodes are sources; they are
-/// a suffix of the discovery order. The result is the largest eccentricity
-/// among them, or Lb when none exceeds it.
-uint64_t sweepDiameter(const Graph &G, const BfsScratch &Centre, uint64_t Lb,
-                       uint64_t Ub) {
-  SweepScratch &W = TLSweep;
-  const std::vector<uint32_t> &Order = Centre.Order;
-  size_t N = Order.size();
-  if (W.Index.size() < G.slotTableSize())
-    W.Index.resize(G.slotTableSize());
-  for (size_t I = 0; I != N; ++I)
-    W.Index[Order[I]] = static_cast<uint32_t>(I);
-  W.Offsets.resize(N + 1);
-  W.Adj.clear();
-  for (size_t I = 0; I != N; ++I) {
-    W.Offsets[I] = static_cast<uint32_t>(W.Adj.size());
-    for (ProcessId Nbr : G.slotNeighbors(Order[I]))
-      W.Adj.push_back(W.Index[G.slotOf(Nbr)]);
-  }
-  W.Offsets[N] = static_cast<uint32_t>(W.Adj.size());
-  W.Seen.resize(N);
-  W.Frontier.resize(N);
-  W.Next.resize(N);
-
-  size_t First = 0;
-  while (First != N && Centre.Dist[Order[First]] < (Lb + 2) / 2)
-    ++First;
-  uint64_t Best = Lb;
-  for (size_t Base = First; Base < N && Best < Ub; Base += 64) {
-    size_t Width = std::min<size_t>(64, N - Base);
-    uint64_t Full = Width == 64 ? ~uint64_t(0) : (uint64_t(1) << Width) - 1;
-    std::fill(W.Seen.begin(), W.Seen.end(), uint64_t(0));
-    std::fill(W.Frontier.begin(), W.Frontier.end(), uint64_t(0));
-    for (size_t J = 0; J != Width; ++J)
-      W.Seen[Base + J] = W.Frontier[Base + J] = uint64_t(1) << J;
-    size_t FullNodes = Width == 1 ? 1 : 0; // A lone source knows itself.
-    uint64_t Rounds = 0;
-    // Each round pulls the neighbors' last-round bits into every node that
-    // has not heard from the whole block yet; the graph is connected, so
-    // every round until the last one adds a bit somewhere.
-    while (FullNodes != N) {
-      ++Rounds;
-      for (size_t V = 0; V != N; ++V) {
-        uint64_t Known = W.Seen[V];
-        uint64_t In = 0;
-        if (Known != Full) {
-          for (uint32_t E = W.Offsets[V], End = W.Offsets[V + 1]; E != End;
-               ++E)
-            In |= W.Frontier[W.Adj[E]];
-          In &= ~Known;
-          if (In != 0) {
-            W.Seen[V] = Known | In;
-            FullNodes += (Known | In) == Full;
-          }
-        }
-        W.Next[V] = In;
-      }
-      W.Frontier.swap(W.Next);
-    }
-    Best = std::max(Best, Rounds);
-  }
-  return Best;
-}
+thread_local DiameterScratch TLDiameter;
 
 } // namespace
 
@@ -228,42 +269,70 @@ std::optional<uint64_t> dyndist::eccentricity(const Graph &G,
   return Ecc;
 }
 
-std::optional<uint64_t> dyndist::diameter(const Graph &G) {
+std::optional<uint64_t> dyndist::diameterAbove(const Graph &G, uint64_t Floor,
+                                               ProcessId &Centre) {
   size_t N = G.nodeCount();
   if (N == 0)
     return std::nullopt;
-  BfsScratch &S = TLScratch;
-  // Connectivity check; the BFS doubles as the first sweep.
-  if (bfsDense(G, G.nodesView().front(), S) != N)
+  DiameterScratch &W = TLDiameter;
+  W.build(G);
+
+  // Connectivity check, from the hint: a previous centre usually still has
+  // a small eccentricity, so this BFS alone often bounds the diameter.
+  const bool Hinted = G.hasNode(Centre);
+  uint32_t Src = Hinted ? W.Index[Centre] : 0;
+  if (W.bfs(Src) != N)
     return std::nullopt;
 
-  // 4-sweep: two double sweeps, the second started from the midpoint of
-  // the first one's longest path. Every eccentricity seen is a lower bound;
-  // the last midpoint is the centre the upper bound is taken around.
-  uint64_t Lb = 0;
-  for (int Round = 0; Round != 2; ++Round) {
-    uint32_t Far = S.Order.back(); // BFS order: distances never decrease.
-    Lb = std::max(Lb, S.Dist[Far]);
-    bfsDense(G, G.slotId(Far), S);
-    uint32_t Mid = S.Order.back();
-    Lb = std::max(Lb, S.Dist[Mid]);
-    for (uint64_t Up = S.Dist[Mid] / 2; Up != 0; --Up)
-      Mid = S.Parent[Mid];
-    bfsDense(G, G.slotId(Mid), S);
+  // Every BFS from a node u of eccentricity e bounds the diameter: e <= D,
+  // and D <= 2e, or 2e - 1 when a single node sits at depth e (any other
+  // pair meets through u with one end shallower). The 4-sweep (Magnien,
+  // Latapy and Habib, JEA 2009; Crescenzi et al., TCS 2013) runs two
+  // double sweeps, each from the farthest node of the last BFS and then
+  // from the midpoint of that BFS's longest path. A hint stands in for the
+  // first double sweep's midpoint, so a hinted call runs only the second.
+  // After every BFS the bounds may settle the answer: Lb >= Ub is exact,
+  // and Ub <= Floor is all a caller who already saw Floor needs.
+  uint64_t Lb = 0, Ub = ~uint64_t(0);
+  auto Bound = [&](uint32_t Source) {
+    uint64_t Ecc = W.Dist[W.Order[N - 1]];
+    size_t AtEcc = 0;
+    for (size_t I = N; I != 0 && W.Dist[W.Order[I - 1]] == Ecc; --I)
+      ++AtEcc;
+    Lb = std::max(Lb, Ecc);
+    uint64_t SourceUb = 2 * Ecc - (AtEcc == 1 && Ecc != 0 ? 1 : 0);
+    if (SourceUb < Ub) {
+      Ub = SourceUb;
+      Centre = G.nodesView()[Source];
+    }
+    return Ub <= std::max(Lb, Floor);
+  };
+  if (Bound(Src))
+    return Lb;
+  for (int Round = Hinted ? 1 : 0; Round != 2; ++Round) {
+    uint32_t Far = W.Order[N - 1];
+    W.bfs(Far);
+    if (Bound(Far))
+      return Lb;
+    uint32_t Mid = W.midpoint(W.Order[N - 1]);
+    W.bfs(Mid);
+    if (Bound(Mid))
+      return Lb;
   }
 
-  // Depth gate: any two nodes are at most 2e apart through the centre, and
-  // at most 2e - 1 apart unless two distinct nodes sit at depth e.
-  uint64_t Ecc = S.Dist[S.Order.back()];
-  Lb = std::max(Lb, Ecc);
-  size_t AtEcc = 0;
-  for (auto It = S.Order.rbegin(); It != S.Order.rend() && S.Dist[*It] == Ecc;
-       ++It)
-    ++AtEcc;
-  uint64_t Ub = 2 * Ecc - (AtEcc == 1 && Ecc != 0 ? 1 : 0);
-  if (Lb >= Ub)
-    return Lb;
-  return sweepDiameter(G, S, Lb, Ub);
+  // A pair longer than T = max(Lb, Floor) has an endpoint at depth
+  // >= ceil((T + 1) / 2) from the last BFS's source: only those nodes can
+  // lift the answer above T, so they are the word-parallel sweep's sources.
+  uint64_t T = std::max(Lb, Floor);
+  W.Sources.clear();
+  for (size_t I = N; I != 0 && W.Dist[W.Order[I - 1]] >= (T + 2) / 2; --I)
+    W.Sources.push_back(W.Order[I - 1]);
+  return W.sweep(Lb, Ub);
+}
+
+std::optional<uint64_t> dyndist::diameter(const Graph &G) {
+  ProcessId Centre = InvalidProcess;
+  return diameterAbove(G, 0, Centre);
 }
 
 std::vector<ProcessId> dyndist::ballAround(const Graph &G, ProcessId Source,

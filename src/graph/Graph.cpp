@@ -56,6 +56,7 @@ bool Graph::addNode(ProcessId P) {
   assert(Slots[S].Nbrs.empty() && "recycled slot carries stale neighbors");
   SlotOfId[P] = S;
   sortedInsert(NodeIds, P);
+  ++Epoch.Value;
   return true;
 }
 
@@ -73,6 +74,7 @@ bool Graph::removeNode(ProcessId P) {
   FreeSlots.push_back(S);
   SlotOfId[P] = NoSlot;
   sortedErase(NodeIds, P);
+  ++Epoch.Value;
   return true;
 }
 
@@ -85,6 +87,7 @@ bool Graph::addEdge(ProcessId A, ProcessId B) {
     return false;
   sortedInsert(Slots[SB].Nbrs, A);
   ++Edges;
+  ++Epoch.Value;
   return true;
 }
 
@@ -95,6 +98,7 @@ bool Graph::removeEdge(ProcessId A, ProcessId B) {
     return false;
   sortedErase(Slots[SB].Nbrs, A);
   --Edges;
+  ++Epoch.Value;
   return true;
 }
 
@@ -127,6 +131,7 @@ void Graph::clear() {
   std::fill(SlotOfId.begin(), SlotOfId.end(), NoSlot);
   NodeIds.clear();
   Edges = 0;
+  ++Epoch.Value;
 }
 
 bool Graph::checkConsistency() const {

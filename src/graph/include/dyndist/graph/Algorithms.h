@@ -41,16 +41,33 @@ std::vector<std::vector<ProcessId>> connectedComponents(const Graph &G);
 /// unreachable) or Source is unknown.
 std::optional<uint64_t> eccentricity(const Graph &G, ProcessId Source);
 
-/// Exact diameter; nullopt when disconnected or empty. One BFS checks
-/// connectivity; the 4-sweep (Magnien, Latapy and Habib, JEA 2009, as
-/// extended by Crescenzi et al., TCS 2013) then gives a lower bound Lb and a
-/// centre u of eccentricity e. Every pair is at most 2e apart through u, and
-/// at most 2e - 1 apart when a single node sits at depth e; when Lb reaches
-/// that bound (every path and tree-like overlay) the answer costs five BFS,
-/// O(V + E). Otherwise a word-parallel multi-source BFS (MS-BFS, Then et
-/// al., PVLDB 2014) sweeps 64 sources per pass from the nodes deep enough
-/// to end a longer path: O(ceil(V / 64) * D * (V + E)) word operations.
-/// Scratch is thread-local; steady-state calls allocate nothing.
+/// The diameter where it exceeds \p Floor: nullopt iff the graph is empty
+/// or disconnected; otherwise the exact diameter when that is above
+/// \p Floor, else some value <= Floor. A caller tracking a running maximum
+/// passes it as Floor and learns exactly what can raise it.
+///
+/// \p Centre is a hint in and a centre out: the connectivity BFS starts
+/// from it (from the smallest node when it is absent), and it returns the
+/// node with the best upper bound seen, which makes a good hint for the
+/// next call on a slightly changed graph. Only the cost depends on it.
+///
+/// The call copies the graph into one compact CSR array. Every BFS from a
+/// node u of eccentricity e bounds the diameter D: e <= D <= 2e, and
+/// D <= 2e - 1 when a single node sits at depth e. After the connectivity
+/// BFS the 4-sweep (Magnien, Latapy and Habib, JEA 2009, as extended by
+/// Crescenzi et al., TCS 2013) runs up to four more, two when a hint stands
+/// in for its first midpoint, and the call returns as soon as Lb >= Ub or
+/// Ub <= Floor. On every path and tree-like overlay that costs at most
+/// five BFS, O(V + E). Otherwise a word-parallel multi-source BFS (MS-BFS,
+/// Then et al., PVLDB 2014) sweeps 64 sources per pass from the nodes deep
+/// enough to end a path longer than max(Lb, Floor):
+/// O(ceil(V / 64) * D * (V + E)) word operations. Scratch is thread-local;
+/// steady-state calls allocate nothing.
+std::optional<uint64_t> diameterAbove(const Graph &G, uint64_t Floor,
+                                      ProcessId &Centre);
+
+/// Exact diameter; nullopt when disconnected or empty. diameterAbove() with
+/// Floor 0 and no hint.
 std::optional<uint64_t> diameter(const Graph &G);
 
 /// Nodes within \p MaxHops of \p Source (Source included), ascending. This

@@ -32,6 +32,7 @@
 
 #include "dyndist/sim/Types.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -128,6 +129,13 @@ public:
   /// Number of edges.
   size_t edgeCount() const { return Edges; }
 
+  /// Mutation epoch: bumped by every successful node or edge add/remove,
+  /// by clear(), and by assignment into this graph, so one graph object
+  /// never shows the same epoch for two different contents. Equal epochs
+  /// of one object mean an unchanged graph (the diameter monitor reuses
+  /// its last sample on that).
+  uint64_t epoch() const { return Epoch.Value; }
+
   /// Removes every node and edge. Capacity-retaining: slots (and their
   /// neighbor vectors' storage) go onto the free list ordered so that a
   /// cleared graph assigns the same slot numbers a fresh graph would —
@@ -167,11 +175,25 @@ private:
     std::vector<ProcessId> Nbrs;
   };
 
+  /// Epoch counter. Copy-constructing keeps the source's value; assigning
+  /// moves past both the old and the source value, so an epoch observed
+  /// on this object before the assignment cannot reappear after it.
+  struct MutationEpoch {
+    uint64_t Value = 0;
+    MutationEpoch() = default;
+    MutationEpoch(const MutationEpoch &) = default;
+    MutationEpoch &operator=(const MutationEpoch &O) {
+      Value = std::max(Value, O.Value) + 1;
+      return *this;
+    }
+  };
+
   std::vector<Slot> Slots;          ///< Dense node table.
   std::vector<uint32_t> FreeSlots;  ///< Recycled slot indices (LIFO).
   std::vector<uint32_t> SlotOfId;   ///< id -> slot, indexed by raw id.
   std::vector<ProcessId> NodeIds;   ///< Present ids, ascending.
   size_t Edges = 0;
+  MutationEpoch Epoch;
 };
 
 } // namespace dyndist

@@ -4,13 +4,17 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "dyndist/aggregation/Experiment.h"
+#include "dyndist/aggregation/SimArena.h"
 #include "dyndist/core/DynamicSystem.h"
 #include "dyndist/core/OneTimeQuery.h"
 #include "dyndist/core/Solvability.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
+#include <string>
 
 using namespace dyndist;
 
@@ -296,6 +300,163 @@ TEST(DynamicSystem, RandomOverlayKeepsSmallDiameterUnderChurn) {
   EXPECT_TRUE(Sys.checkClassAdmissible().ok())
       << Sys.checkClassAdmissible().error().str();
   EXPECT_EQ(Sys.disconnectedSamples(), 0u);
+}
+
+namespace {
+
+/// Everything the diameter monitor's readers see of a run.
+struct MonitorReaders {
+  size_t Samples = 0; ///< SIZE_MAX where the run does not expose it.
+  uint64_t Max = 0;
+  size_t Disconnected = 0;
+  std::string Admissibility; ///< Empty when admissible.
+
+  friend bool operator==(const MonitorReaders &,
+                         const MonitorReaders &) = default;
+};
+
+std::string str(const MonitorReaders &R) {
+  return "{" + std::to_string(R.Samples) + ", " + std::to_string(R.Max) +
+         ", " + std::to_string(R.Disconnected) + ", \"" + R.Admissibility +
+         "\"}";
+}
+
+MonitorReaders readersOf(const DynamicSystem &Sys) {
+  Status S = Sys.checkClassAdmissible();
+  return {Sys.diameterSamples().size(), Sys.maxObservedDiameter(),
+          Sys.disconnectedSamples(), S.ok() ? "" : S.error().str()};
+}
+
+MonitorReaders readersOf(const ExperimentResult &R) {
+  return {SIZE_MAX, R.MaxDiameter, R.DisconnectedSamples,
+          R.AdmissibilityError};
+}
+
+/// An E1 cell's run, configured as bench_solvability configures it.
+ExperimentConfig e1Run(const SystemClass &Class, uint64_t Seed) {
+  ExperimentConfig Cfg;
+  Cfg.Seed = Seed;
+  Cfg.Class = Class;
+  Cfg.Churn.JoinRate = 0.05;
+  Cfg.Churn.MeanSession = 400;
+  Cfg.Churn.Horizon = 600;
+  Cfg.QueryAt = 200;
+  Cfg.Horizon = 900;
+  if (Class.Arrival.Kind == ArrivalKind::FiniteArrival)
+    Cfg.Churn.QuiesceAt = 150;
+  if (Class.Arrival.Kind == ArrivalKind::InfiniteArrival &&
+      Class.Knowledge.Diameter != DiameterKnowledge::KnownBound) {
+    Cfg.Churn.JoinRate = 2.0;
+    Cfg.Churn.MeanSession = 150;
+    if (Class.Knowledge.Diameter == DiameterKnowledge::Unbounded)
+      Cfg.Attach = AttachMode::Chain;
+  }
+  Cfg.Gossip.ReportAfter = 60;
+  Cfg.Gossip.Rounds = 30;
+  Cfg.Gossip.RoundEvery = 2;
+  return Cfg;
+}
+
+/// A chain overlay that outgrows its disclosed bound of 8 a few samples in
+/// (pure growth). The max often rises by exactly 1 between samples.
+DynamicSystemConfig exceedsBoundRun() {
+  DynamicSystemConfig Cfg;
+  Cfg.Seed = 13;
+  Cfg.Class = {ArrivalModel::infiniteArrival(),
+               KnowledgeModel::knownDiameter(8)};
+  Cfg.Attach = AttachMode::Chain;
+  Cfg.InitialMembers = 4;
+  Cfg.Churn.JoinRate = 0.06;
+  Cfg.Churn.MeanSession = 1e9;
+  Cfg.Churn.Horizon = 400;
+  Cfg.MonitorUntil = 400;
+  return Cfg;
+}
+
+/// A churning system with a disclosed bound of 8, whose overlay is rebuilt
+/// as a degree-1 RandomRewire overlay before it runs. Two samples in, a
+/// repair splits it, and joins (one link each) never merge the parts.
+DynamicSystemConfig rewireRun() {
+  DynamicSystemConfig Cfg;
+  Cfg.Seed = 29;
+  Cfg.Class = {ArrivalModel::infiniteArrival(),
+               KnowledgeModel::knownDiameter(8)};
+  Cfg.InitialMembers = 24;
+  Cfg.Churn.JoinRate = 0.05;
+  Cfg.Churn.MeanSession = 2000;
+  Cfg.Churn.Horizon = 800;
+  Cfg.MonitorUntil = 800;
+  return Cfg;
+}
+
+MonitorReaders runDirect(DynamicSystem &Sys, bool Rewire) {
+  if (Rewire) {
+    DynamicOverlay &O = Sys.overlay();
+    O.reset(1, Rng(7), AttachMode::Random, RepairMode::RandomRewire);
+    for (ProcessId P : Sys.sim().upProcesses())
+      O.join(P);
+  }
+  RunLimits L;
+  L.MaxTime = 900;
+  Sys.run(L);
+  return readersOf(Sys);
+}
+
+} // namespace
+
+// The monitor's readers (sample count, max diameter, disconnected count and
+// the admissibility message with its first violation), pinned to values
+// from a monitor that computed every sample's exact diameter: skipping
+// unchanged overlays and samples that cannot raise the max must not move
+// them.
+TEST(DynamicSystem, MonitorReadersPinned) {
+  // Per cell of canonicalClassGrid(60, 28, 10), seeds 1..3. A query run
+  // does not expose its sample count (NA).
+  constexpr size_t NA = SIZE_MAX;
+  const MonitorReaders E1[9][3] = {
+      {{NA, 4, 0, ""}, {NA, 4, 0, ""}, {NA, 4, 0, ""}},
+      {{NA, 4, 0, ""}, {NA, 4, 0, ""}, {NA, 4, 0, ""}},
+      {{NA, 4, 0, ""}, {NA, 4, 0, ""}, {NA, 4, 0, ""}},
+      {{NA, 4, 0, ""}, {NA, 4, 0, ""}, {NA, 4, 0, ""}},
+      {{NA, 4, 0, ""}, {NA, 4, 0, ""}, {NA, 4, 0, ""}},
+      {{NA, 4, 0, ""}, {NA, 4, 0, ""}, {NA, 4, 0, ""}},
+      {{NA, 4, 0, ""}, {NA, 4, 0, ""}, {NA, 4, 0, ""}},
+      {{NA, 5, 0, ""}, {NA, 5, 0, ""}, {NA, 5, 0, ""}},
+      {{NA, 161, 0, ""}, {NA, 140, 0, ""}, {NA, 143, 0, ""}},
+  };
+  std::vector<SystemClass> Grid = canonicalClassGrid(60, 28, 10);
+  ASSERT_EQ(Grid.size(), 9u);
+  SimArena Arena;
+  for (size_t Cell = 0; Cell != Grid.size(); ++Cell)
+    for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
+      ExperimentConfig Cfg = e1Run(Grid[Cell], Seed);
+      MonitorReaders Fresh = readersOf(runQueryExperiment(Cfg));
+      MonitorReaders Reused = readersOf(runQueryExperiment(Cfg, &Arena));
+      EXPECT_EQ(Fresh, E1[Cell][Seed - 1])
+          << Grid[Cell].name() << " seed " << Seed << ": " << str(Fresh);
+      EXPECT_EQ(Reused, Fresh) << Grid[Cell].name() << " seed " << Seed;
+    }
+
+  auto Noops = [] { return std::make_unique<Noop>(); };
+  DynamicSystem Exceeds(exceedsBoundRun(), Noops);
+  MonitorReaders Got = runDirect(Exceeds, false);
+  EXPECT_EQ(Got, (MonitorReaders{25, 34, 0,
+                                  "protocol-violation: disclosed diameter "
+                                  "bound 8 exceeded: 9 at t=112"}))
+      << str(Got);
+  // The same shell reset for the same run sees the same samples.
+  Exceeds.reset(exceedsBoundRun());
+  EXPECT_EQ(runDirect(Exceeds, false), Got);
+
+  DynamicSystem Rewired(rewireRun(), Noops);
+  Got = runDirect(Rewired, true);
+  EXPECT_EQ(Got, (MonitorReaders{50, 8, 48,
+                                  "protocol-violation: disclosed diameter "
+                                  "bound 8 but overlay was disconnected at "
+                                  "t=48"}))
+      << str(Got);
+  EXPECT_GT(Got.Disconnected, 0u);
+  EXPECT_LT(Got.Disconnected, Got.Samples);
 }
 
 TEST(Aggregates, FoldAllKinds) {

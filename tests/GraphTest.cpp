@@ -64,6 +64,63 @@ TEST(Graph, NeighborsSortedAndQueries) {
   EXPECT_EQ(G.nodes(), (std::vector<ProcessId>{1, 3, 5, 9}));
 }
 
+TEST(Graph, EpochBumpsOnEverySuccessfulMutation) {
+  Graph G;
+  uint64_t Last = G.epoch();
+  // Expects \p Changed iff the epoch moved since the previous check.
+  auto Moved = [&](bool Changed, const char *What) {
+    uint64_t Now = G.epoch();
+    if (Changed)
+      EXPECT_GT(Now, Last) << What;
+    else
+      EXPECT_EQ(Now, Last) << What;
+    Last = Now;
+  };
+  EXPECT_TRUE(G.addNode(1));
+  Moved(true, "add node");
+  EXPECT_FALSE(G.addNode(1));
+  Moved(false, "add present node");
+  G.addNode(2);
+  G.addNode(3);
+  Moved(true, "add two nodes");
+  EXPECT_TRUE(G.addEdge(1, 2));
+  Moved(true, "add edge");
+  EXPECT_FALSE(G.addEdge(2, 1));
+  Moved(false, "add present edge");
+  EXPECT_TRUE(G.removeEdge(1, 2));
+  Moved(true, "remove edge");
+  EXPECT_FALSE(G.removeEdge(1, 2));
+  EXPECT_FALSE(G.removeEdge(1, 9));
+  Moved(false, "remove absent edges");
+  G.addEdge(2, 3);
+  Moved(true, "add edge");
+  EXPECT_TRUE(G.removeNode(3)); // Drops edge {2, 3} too.
+  Moved(true, "remove node");
+  EXPECT_FALSE(G.removeNode(3));
+  EXPECT_FALSE(G.removeNode(77));
+  Moved(false, "remove absent nodes");
+  EXPECT_TRUE(G.hasNode(2) && !G.hasEdge(1, 3) && G.degree(2) == 0);
+  Moved(false, "queries");
+  G.clear();
+  Moved(true, "clear");
+  G.clear();
+  Moved(true, "clear an empty graph");
+
+  // A copy starts at its source's epoch; assigning into a graph moves its
+  // epoch past every value it showed before, whatever the source's value.
+  Graph Other;
+  Other.addNode(5);
+  Graph Copy(Other);
+  EXPECT_EQ(Copy.epoch(), Other.epoch());
+  uint64_t Before = G.epoch();
+  G = Other;
+  EXPECT_GT(G.epoch(), std::max(Before, Other.epoch()));
+  Last = G.epoch();
+  G = Graph();
+  Moved(true, "move-assign a fresh graph");
+  EXPECT_EQ(G.nodeCount(), 0u);
+}
+
 // Node and neighbor lists stay sorted and duplicate-free whether ids
 // arrive ascending (the append fast path), descending, or repeated.
 TEST(Graph, SortedInsertAscendingDescendingAndDuplicate) {
@@ -599,65 +656,70 @@ void punchSlotHoles(Graph &G, Rng &R) {
   }
 }
 
-} // namespace
+/// A graph of diameter 4 whose 4-sweep from node 0 bounds it at 3 from
+/// below, with two nodes at the centre's depth.
+Graph makeUnderestimated() {
+  Graph G;
+  for (ProcessId P = 0; P != 9; ++P)
+    G.addNode(P);
+  for (auto [A, B] : {std::pair<ProcessId, ProcessId>{0, 4}, {0, 6}, {0, 7},
+                      {1, 2}, {1, 5}, {1, 7}, {1, 8}, {3, 5}, {4, 5}, {6, 8}})
+    G.addEdge(A, B);
+  return G;
+}
 
-TEST(Algorithms, DiameterMatchesAllSourcesReference) {
-  std::vector<std::pair<std::string, Graph>> Cases;
-  Cases.emplace_back("empty", Graph());
+/// Calls \p Check(Name, G) on every graph of the diameter corpus: fixed
+/// topologies, small dense random draws, random trees and G(n, p) draws
+/// (some split, some with slot holes), and churned overlays sampled the way
+/// the admissibility monitor samples them. Stops at the first fatal
+/// failure \p Check raises.
+template <typename Fn> void forEachDiameterCase(Fn &&Check) {
+  auto Run = [&](const std::string &Name, const Graph &G) {
+    if (!::testing::Test::HasFatalFailure())
+      Check(Name, G);
+  };
+  Run("empty", Graph());
   for (size_t N : {1, 2, 3, 7, 8, 63, 64, 65, 129, 160, 161}) {
     std::string Tag = std::to_string(N);
-    Cases.emplace_back("path" + Tag, makeLine(N));
-    Cases.emplace_back("star" + Tag, makeStar(N));
-    Cases.emplace_back("complete" + Tag, makeComplete(std::min<size_t>(N, 70)));
+    Run("path" + Tag, makeLine(N));
+    Run("star" + Tag, makeStar(N));
+    Run("complete" + Tag, makeComplete(std::min<size_t>(N, 70)));
     if (N >= 3)
-      Cases.emplace_back("ring" + Tag, makeRing(N));
+      Run("ring" + Tag, makeRing(N));
   }
   for (auto [W, H] : {std::pair<size_t, size_t>{3, 3}, {4, 7}, {8, 8},
                       {9, 15}, {13, 10}})
-    Cases.emplace_back("torus" + std::to_string(W) + "x" + std::to_string(H),
-                       makeTorus(W, H));
-  // The 4-sweep's lower bound here is 3 against a diameter of 4, with two
-  // nodes at the centre's depth: only the word-parallel sweep finds it.
-  Graph Underestimated;
-  for (ProcessId P = 0; P != 9; ++P)
-    Underestimated.addNode(P);
-  for (auto [A, B] : {std::pair<ProcessId, ProcessId>{0, 4}, {0, 6}, {0, 7},
-                      {1, 2}, {1, 5}, {1, 7}, {1, 8}, {3, 5}, {4, 5}, {6, 8}})
-    Underestimated.addEdge(A, B);
-  EXPECT_EQ(diameter(Underestimated), 4u);
-  for (const auto &[Name, G] : Cases)
-    EXPECT_EQ(diameter(G), allSourcesDiameter(G)) << Name;
+    Run("torus" + std::to_string(W) + "x" + std::to_string(H),
+        makeTorus(W, H));
+  Run("underestimated", makeUnderestimated());
 
   // Small dense draws: the shapes where the 4-sweep bound is most often
   // short of the diameter.
   for (uint64_t Seed = 1; Seed <= 3000; ++Seed) {
     Rng R(Seed);
     size_t N = 4 + static_cast<size_t>(R.nextBelow(12));
-    Graph G = makeErdosRenyi(N, 0.15 + 0.5 * R.nextDouble(), R,
-                             /*ForceConnected=*/false);
-    ASSERT_EQ(diameter(G), allSourcesDiameter(G)) << "small seed " << Seed;
+    Run("small seed " + std::to_string(Seed),
+        makeErdosRenyi(N, 0.15 + 0.5 * R.nextDouble(), R,
+                       /*ForceConnected=*/false));
   }
 
   for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
     Rng R(Seed);
     size_t N = std::vector<size_t>{2, 5, 17, 63, 64, 65, 100, 129}[Seed % 8];
-    std::vector<std::pair<std::string, Graph>> Drawn;
-    Drawn.emplace_back("tree", makeRandomTree(N, R));
+    std::string Tag = " n=" + std::to_string(N) + " seed " +
+                      std::to_string(Seed);
+    Run("tree" + Tag, makeRandomTree(N, R));
     // Sparse G(n, p) around the connectivity threshold: some draws split.
-    Drawn.emplace_back("gnp", makeErdosRenyi(N, 2.0 / double(N), R,
-                                             /*ForceConnected=*/false));
+    Run("gnp" + Tag, makeErdosRenyi(N, 2.0 / double(N), R,
+                                    /*ForceConnected=*/false));
     double Dense = std::min(1.0, 6.0 / double(N));
-    Drawn.emplace_back("gnp-connected", makeErdosRenyi(N, Dense, R));
+    Run("gnp-connected" + Tag, makeErdosRenyi(N, Dense, R));
     Graph Holes = makeErdosRenyi(N, Dense, R);
     punchSlotHoles(Holes, R);
-    Drawn.emplace_back("slot-holes", std::move(Holes));
-    for (const auto &[Name, G] : Drawn)
-      ASSERT_EQ(diameter(G), allSourcesDiameter(G))
-          << Name << " n=" << N << " seed " << Seed;
+    Run("slot-holes" + Tag, Holes);
   }
 
-  // Churned overlays, sampled the way the admissibility monitor samples
-  // them; RandomRewire at degree 1 disconnects.
+  // Churned overlays; RandomRewire at degree 1 disconnects.
   for (uint64_t Seed = 1; Seed <= 6; ++Seed)
     for (AttachMode Mode : {AttachMode::Chain, AttachMode::Random})
       for (RepairMode Repair :
@@ -677,10 +739,56 @@ TEST(Algorithms, DiameterMatchesAllSourcesReference) {
             }
             if (Step % 16 != 0)
               continue;
-            ASSERT_EQ(diameter(O.graph()), allSourcesDiameter(O.graph()))
-                << "overlay mode " << int(Mode) << " repair " << int(Repair)
-                << " degree " << Degree << " seed " << Seed << " step "
-                << Step;
+            Run("overlay mode " + std::to_string(int(Mode)) + " repair " +
+                    std::to_string(int(Repair)) + " degree " +
+                    std::to_string(Degree) + " seed " + std::to_string(Seed) +
+                    " step " + std::to_string(Step),
+                O.graph());
           }
         }
+}
+
+} // namespace
+
+TEST(Algorithms, DiameterMatchesAllSourcesReference) {
+  EXPECT_EQ(diameter(makeUnderestimated()), 4u);
+  forEachDiameterCase([](const std::string &Name, const Graph &G) {
+    ASSERT_EQ(diameter(G), allSourcesDiameter(G)) << Name;
+  });
+}
+
+TEST(Algorithms, DiameterAboveMatchesReferenceAtEveryFloor) {
+  Rng Pick(0xD1A);
+  size_t Calls = 0;
+  forEachDiameterCase([&](const std::string &Name, const Graph &G) {
+    std::optional<uint64_t> Ref = allSourcesDiameter(G);
+    // A disconnected graph has no diameter; its floors scale with its size,
+    // so the largest exceeds any distance in it.
+    uint64_t D = Ref.value_or(G.nodeCount());
+    ProcessId Absent = G.nodeCount() ? G.nodesView().back() + 1 : 7;
+    ProcessId Front = G.nodeCount() ? G.nodesView().front() : InvalidProcess;
+    ProcessId Member = G.nodeCount() ? G.nodesView()[Pick.nextBelow(
+                                           G.nodeCount())]
+                                     : InvalidProcess;
+    ProcessId Previous = InvalidProcess;
+    for (uint64_t Floor : {uint64_t(0), D ? D - 1 : 0, D, D + 1, 2 * D + 5})
+      for (ProcessId Hint :
+           {InvalidProcess, Absent, Front, Member, Previous}) {
+        ProcessId Centre = Hint;
+        std::optional<uint64_t> Got = diameterAbove(G, Floor, Centre);
+        ++Calls;
+        std::string Where = Name + " floor " + std::to_string(Floor) +
+                            " hint " + std::to_string(Hint);
+        ASSERT_EQ(Got.has_value(), Ref.has_value()) << Where;
+        if (!Ref)
+          continue;
+        if (*Ref > Floor)
+          ASSERT_EQ(*Got, *Ref) << Where;
+        else
+          ASSERT_LE(*Got, Floor) << Where;
+        ASSERT_TRUE(G.hasNode(Centre)) << Where;
+        Previous = Centre;
+      }
+  });
+  EXPECT_GT(Calls, 100000u);
 }
