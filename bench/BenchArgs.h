@@ -7,13 +7,15 @@
 /// \file
 /// Every bench main takes one optional positional argument, a count (seeds
 /// per cell, churn steps or census rounds) that scales its tables down or
-/// up. benchCountArg() is the one parser for it.
+/// up. benchCountArg() is the one parser for it. The sweeping mains also
+/// take --threads N, parsed by benchThreadsArg().
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DYNDIST_BENCH_ARGS_H
 #define DYNDIST_BENCH_ARGS_H
 
+#include "dyndist/runtime/SweepRunner.h"
 #include "dyndist/support/StringUtils.h"
 
 #include <climits>
@@ -39,6 +41,19 @@ inline int benchCountArg(int Argc, char **Argv, int Default) {
     std::exit(2);
   }
   return static_cast<int>(Count);
+}
+
+/// Strips the --threads flag from the arguments and returns its count, 0
+/// when absent. A malformed flag is a usage error: prints why and exits 2
+/// before any sweep starts, instead of running on every hardware thread.
+inline unsigned benchThreadsArg(int &Argc, char **Argv) {
+  dyndist::Result<unsigned> Threads = dyndist::sweepThreadsFromArgs(Argc, Argv);
+  if (!Threads) {
+    std::fprintf(stderr, "%s: %s\n", Argv[0],
+                 Threads.error().Message.c_str());
+    std::exit(2);
+  }
+  return *Threads;
 }
 
 } // namespace dyndist_bench

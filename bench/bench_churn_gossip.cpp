@@ -543,7 +543,7 @@ int main(int argc, char **argv) {
     }
   }
 
-  SweepThreads = sweepThreadsFromArgs(argc, argv);
+  SweepThreads = dyndist_bench::benchThreadsArg(argc, argv);
   int Seeds = dyndist_bench::benchCountArg(argc, argv, 12);
 
   std::printf("E4: algorithm behavior vs churn rate (%d seeds/point, "

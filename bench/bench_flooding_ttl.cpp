@@ -135,7 +135,7 @@ int main(int argc, char **argv) {
     }
   }
 
-  SweepThreads = sweepThreadsFromArgs(argc, argv);
+  SweepThreads = dyndist_bench::benchThreadsArg(argc, argv);
   int Seeds = dyndist_bench::benchCountArg(argc, argv, 10);
 
   std::printf("E2: flooding coverage and cost vs TTL (claim C1); "

@@ -75,7 +75,7 @@ double validRate(const ExperimentConfig &Base, int Seeds) {
 } // namespace
 
 int main(int argc, char **argv) {
-  SweepThreads = sweepThreadsFromArgs(argc, argv);
+  SweepThreads = dyndist_bench::benchThreadsArg(argc, argv);
   int Seeds = dyndist_bench::benchCountArg(argc, argv, 12);
 
   std::printf("E5: axis orthogonality (%d seeds per point, %u threads)\n\n",

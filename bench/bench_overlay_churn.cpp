@@ -186,8 +186,10 @@ Graph steadyChurnedGraph(AttachMode Mode, size_t Members) {
 }
 
 /// The admissibility monitor's sample: exact diameter of a churned overlay.
-/// Random attach at n = 150 is the E1 hot case (expander-like, D ~ 5);
-/// chain attach at n = 160 is the long-path case.
+/// Random attach at n = 28 and n = 60 are E1's M^b(28) and M^n(60)
+/// overlays, which fit the 64-node one-word adjacency rows; random attach
+/// at n = 150 is the expander-like CSR case (D ~ 5); chain attach at
+/// n = 160 is the long-path case.
 void BM_GraphDiameter(benchmark::State &State, AttachMode Mode,
                       size_t Members) {
   const Graph G = steadyChurnedGraph(Mode, Members);
@@ -198,6 +200,10 @@ void BM_GraphDiameter(benchmark::State &State, AttachMode Mode,
   // items_per_second is diameter() calls/sec.
   State.SetItemsProcessed(static_cast<int64_t>(State.iterations()));
 }
+BENCHMARK_CAPTURE(BM_GraphDiameter, random_n28, AttachMode::Random, 28)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_GraphDiameter, random_n60, AttachMode::Random, 60)
+    ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_GraphDiameter, random_n150, AttachMode::Random, 150)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_GraphDiameter, chain_n160, AttachMode::Chain, 160)

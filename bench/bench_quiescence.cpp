@@ -129,7 +129,7 @@ int main(int argc, char **argv) {
     }
   }
 
-  unsigned Threads = sweepThreadsFromArgs(argc, argv);
+  unsigned Threads = dyndist_bench::benchThreadsArg(argc, argv);
   int Seeds = dyndist_bench::benchCountArg(argc, argv, 15);
 
   std::printf("E3: echo-wave query vs quiescence (claim C2); churn "

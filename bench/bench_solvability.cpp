@@ -253,7 +253,7 @@ int main(int argc, char **argv) {
     }
   }
 
-  unsigned Threads = sweepThreadsFromArgs(argc, argv);
+  unsigned Threads = dyndist_bench::benchThreadsArg(argc, argv);
   // 100 seeds per cell: the unsolvable cells fail at ~1% per run, so small
   // sweeps under-sample them to a fake 1.00 valid-rate. Sharded across
   // threads this costs what 20 seeds used to serially.

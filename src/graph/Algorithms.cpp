@@ -10,14 +10,18 @@
 // instead of a map lookup. The public map-returning wrappers materialize
 // their results from the scratch, preserving the original (ascending,
 // deterministic) output contracts byte for byte. The diameter kernel, which
-// runs several BFS per call, first copies the graph into a compact CSR
-// array and runs them all over that.
+// runs several BFS per call, first copies the graph into a compact form and
+// runs them all over that. One routine holds its bound and source logic; it
+// is a template over two BFS engines, one per adjacency form: a graph of at
+// most 64 nodes (a machine word) gets one 64-bit neighbor row per node and
+// keeps each BFS level as a mask, a larger one gets a CSR array.
 //
 //===----------------------------------------------------------------------===//
 
 #include "dyndist/graph/Algorithms.h"
 
 #include <algorithm>
+#include <bit>
 
 using namespace dyndist;
 
@@ -82,12 +86,11 @@ size_t bfsDense(const Graph &G, ProcessId Source, BfsScratch &S) {
   return S.Order.size();
 }
 
-/// Per-call diameter state over compact node indices 0..N-1 (the rank of
-/// each node in the graph's ascending node set). One CSR copy of the graph
-/// serves every BFS of a call and the word-parallel sweep after them.
+/// BFS engine over compact node indices 0..N-1 (each node's rank in the
+/// graph's ascending node set) for graphs of any size: one CSR copy of the
+/// graph serves every BFS of a call and the word-parallel sweep after them.
 /// Capacity only grows, like BfsScratch's.
-struct DiameterScratch {
-  std::vector<uint32_t> Index;    ///< ProcessId -> compact index.
+struct CsrBfs {
   std::vector<uint32_t> Offsets;  ///< CSR row starts, N + 1 entries.
   std::vector<uint32_t> Adj;      ///< CSR neighbor indices, 2E entries.
   std::vector<uint32_t> Dist;     ///< Hop distance of the last BFS.
@@ -99,30 +102,25 @@ struct DiameterScratch {
 
   static constexpr uint32_t Unseen = ~0u;
 
-  /// Copies the non-empty graph \p G into the CSR arrays. Ids index
-  /// Index directly: ids are dense, like the graph's own id table.
-  void build(const Graph &G) {
+  /// Copies the non-empty graph \p G into the CSR arrays.
+  void build(const Graph &G, const std::vector<uint32_t> &Rank) {
     NeighborView Nodes = G.nodesView();
     size_t N = Nodes.size();
-    if (Index.size() <= Nodes.back())
-      Index.resize(Nodes.back() + 1);
-    for (size_t I = 0; I != N; ++I)
-      Index[Nodes[I]] = static_cast<uint32_t>(I);
     Offsets.resize(N + 1);
     Adj.resize(2 * G.edgeCount());
     uint32_t E = 0;
     for (size_t I = 0; I != N; ++I) {
       Offsets[I] = E;
       for (ProcessId Nbr : G.neighborView(Nodes[I]))
-        Adj[E++] = Index[Nbr];
+        Adj[E++] = Rank[Nbr];
     }
     Offsets[N] = E;
     Dist.resize(N);
     Order.resize(N);
   }
 
-  /// BFS from compact node \p Src; returns the number of nodes reached,
-  /// which are Order[0, count) in nondecreasing distance.
+  /// BFS from node \p Src; returns the number of nodes reached, which are
+  /// Order[0, count) in nondecreasing distance.
   size_t bfs(uint32_t Src) {
     std::fill(Dist.begin(), Dist.end(), Unseen);
     Dist[Src] = 0;
@@ -142,17 +140,34 @@ struct DiameterScratch {
     return Tail;
   }
 
+  // The accessors below read the last BFS, which reached every node.
+  uint32_t farthest() const { return Order.back(); }
+  uint64_t ecc() const { return Dist[farthest()]; }
+  size_t atEcc() const {
+    size_t N = Order.size(), I = N;
+    for (uint32_t Ecc = Dist[farthest()]; I != 0 && Dist[Order[I - 1]] == Ecc;)
+      --I;
+    return N - I;
+  }
+
   /// A node halfway along a shortest path from the last BFS's source to
-  /// \p Far: walks \p Far's distance halved steps back toward the source.
-  uint32_t midpoint(uint32_t Far) const {
-    uint32_t Cur = Far;
-    for (uint32_t Up = Dist[Far] / 2; Up != 0; --Up)
+  /// farthest(): walks half its distance back toward the source.
+  uint32_t midpoint() const {
+    uint32_t Cur = farthest();
+    for (uint32_t Up = Dist[Cur] / 2; Up != 0; --Up)
       for (uint32_t E = Offsets[Cur];; ++E)
         if (Dist[Adj[E]] + 1 == Dist[Cur]) {
           Cur = Adj[E];
           break;
         }
     return Cur;
+  }
+
+  /// Makes the last BFS's nodes at depth >= \p MinDepth the sweep's sources.
+  void deepSources(uint64_t MinDepth) {
+    Sources.clear();
+    for (size_t I = Order.size(); I != 0 && Dist[Order[I - 1]] >= MinDepth; --I)
+      Sources.push_back(Order[I - 1]);
   }
 
   /// Largest eccentricity among Sources, or \p Best when none exceeds it;
@@ -200,6 +215,178 @@ struct DiameterScratch {
     return Best;
   }
 };
+
+/// The same engine for graphs of at most 64 nodes, where a node set is one
+/// machine word: node I's neighbors are the bits of Row[I], and a BFS keeps
+/// its levels as masks, each the OR of the last level's rows minus the
+/// nodes already seen.
+struct MaskBfs {
+  static constexpr size_t MaxNodes = 64;
+
+  uint64_t Row[MaxNodes] = {};
+  uint64_t Level[MaxNodes] = {}; ///< The last BFS's nodes at depth D.
+  uint32_t Depth = 0;            ///< The last BFS's eccentricity.
+  uint64_t All = 0;              ///< Every node.
+  uint64_t Sources = 0;          ///< Sweep sources.
+  uint64_t Seen[MaxNodes] = {};  ///< Sweep: sources that reached the node.
+  uint64_t Words[2][MaxNodes] = {}; ///< Sweep: last and next round's bits.
+
+  static uint64_t bit(uint32_t I) { return uint64_t(1) << I; }
+  static uint32_t lowest(uint64_t Mask) { return std::countr_zero(Mask); }
+
+  /// Fills the rows of the non-empty graph \p G of at most 64 nodes.
+  void build(const Graph &G, const std::vector<uint32_t> &Rank) {
+    NeighborView Nodes = G.nodesView();
+    for (size_t I = 0; I != Nodes.size(); ++I) {
+      uint64_t R = 0;
+      for (ProcessId Nbr : G.neighborView(Nodes[I]))
+        R |= bit(Rank[Nbr]);
+      Row[I] = R;
+    }
+    All = ~uint64_t(0) >> (MaxNodes - Nodes.size());
+  }
+
+  size_t bfs(uint32_t Src) {
+    uint64_t Seen = bit(Src), Cur = Seen;
+    Depth = 0;
+    Level[0] = Cur;
+    for (;;) {
+      uint64_t Next = 0;
+      for (uint64_t B = Cur; B != 0; B &= B - 1)
+        Next |= Row[lowest(B)];
+      Next &= ~Seen;
+      if (Next == 0)
+        return std::popcount(Seen);
+      Seen |= Next;
+      Level[++Depth] = Cur = Next;
+    }
+  }
+
+  /// The deepest level's highest-ranked node.
+  uint32_t farthest() const { return 63 - std::countl_zero(Level[Depth]); }
+  uint64_t ecc() const { return Depth; }
+  size_t atEcc() const { return std::popcount(Level[Depth]); }
+
+  uint32_t midpoint() const {
+    uint32_t Cur = farthest();
+    for (uint32_t D = Depth; D != Depth - Depth / 2; --D)
+      Cur = lowest(Row[Cur] & Level[D - 1]);
+    return Cur;
+  }
+
+  void deepSources(uint64_t MinDepth) {
+    Sources = 0;
+    for (uint64_t D = MinDepth; D <= Depth; ++D)
+      Sources |= Level[D];
+  }
+
+  /// CsrBfs::sweep as one block, which no Ub can cut short, whose source
+  /// bits are the sources' own indices. Only nodes still missing a source
+  /// pull, and only from neighbors that gained a bit last round.
+  uint64_t sweep(uint64_t Best, uint64_t /*Ub*/) {
+    if (Sources == 0)
+      return Best;
+    uint64_t *Frontier = Words[0], *Next = Words[1];
+    for (uint64_t B = All; B != 0; B &= B - 1) {
+      uint32_t V = lowest(B);
+      Seen[V] = Frontier[V] = Sources & bit(V);
+    }
+    // A lone source knows itself.
+    uint64_t Pending = std::has_single_bit(Sources) ? All & ~Sources : All;
+    uint64_t Active = Sources; // Nodes whose frontier word is non-zero.
+    uint64_t Rounds = 0;
+    while (Pending != 0) {
+      ++Rounds;
+      uint64_t Gained = 0;
+      for (uint64_t P = Pending; P != 0; P &= P - 1) {
+        uint32_t V = lowest(P);
+        uint64_t In = 0;
+        for (uint64_t R = Row[V] & Active; R != 0; R &= R - 1)
+          In |= Frontier[lowest(R)];
+        In &= ~Seen[V];
+        if (In == 0)
+          continue;
+        Seen[V] |= In;
+        Next[V] = In;
+        Gained |= bit(V);
+        if (Seen[V] == Sources)
+          Pending &= ~bit(V);
+      }
+      Active = Gained;
+      std::swap(Frontier, Next);
+    }
+    return std::max(Best, Rounds);
+  }
+};
+
+/// Per-thread diameter state: the id -> rank table both engines index
+/// their nodes by, and the engines themselves.
+struct DiameterScratch {
+  std::vector<uint32_t> Rank; ///< ProcessId -> rank in the node set.
+  CsrBfs Csr;
+  MaskBfs Mask;
+
+  /// Ranks the non-empty graph \p G's nodes. Ids index Rank directly: ids
+  /// are dense, like the graph's own id table.
+  void rank(const Graph &G) {
+    NeighborView Nodes = G.nodesView();
+    if (Rank.size() <= Nodes.back())
+      Rank.resize(Nodes.back() + 1);
+    for (size_t I = 0; I != Nodes.size(); ++I)
+      Rank[Nodes[I]] = static_cast<uint32_t>(I);
+  }
+};
+
+/// diameterAbove() over either engine, which holds a copy of \p G.
+template <typename Engine>
+std::optional<uint64_t> boundDiameter(Engine &W, const Graph &G,
+                                      uint64_t Floor, uint32_t Src,
+                                      bool Hinted, ProcessId &Centre) {
+  // Connectivity check, from the hint: a previous centre usually still has
+  // a small eccentricity, so this BFS alone often bounds the diameter.
+  if (W.bfs(Src) != G.nodeCount())
+    return std::nullopt;
+
+  // Every BFS from a node u of eccentricity e bounds the diameter: e <= D,
+  // and D <= 2e, or 2e - 1 when a single node sits at depth e (any other
+  // pair meets through u with one end shallower). The 4-sweep (Magnien,
+  // Latapy and Habib, JEA 2009; Crescenzi et al., TCS 2013) runs two
+  // double sweeps, each from the farthest node of the last BFS and then
+  // from the midpoint of that BFS's longest path. A hint stands in for the
+  // first double sweep's midpoint, so a hinted call runs only the second.
+  // After every BFS the bounds may settle the answer: Lb >= Ub is exact,
+  // and Ub <= Floor is all a caller who already saw Floor needs.
+  uint64_t Lb = 0, Ub = ~uint64_t(0);
+  auto Bound = [&](uint32_t Source) {
+    uint64_t Ecc = W.ecc();
+    Lb = std::max(Lb, Ecc);
+    uint64_t SourceUb = 2 * Ecc - (W.atEcc() == 1 && Ecc != 0 ? 1 : 0);
+    if (SourceUb < Ub) {
+      Ub = SourceUb;
+      Centre = G.nodesView()[Source];
+    }
+    return Ub <= std::max(Lb, Floor);
+  };
+  if (Bound(Src))
+    return Lb;
+  for (int Round = Hinted ? 1 : 0; Round != 2; ++Round) {
+    uint32_t Far = W.farthest();
+    W.bfs(Far);
+    if (Bound(Far))
+      return Lb;
+    uint32_t Mid = W.midpoint();
+    W.bfs(Mid);
+    if (Bound(Mid))
+      return Lb;
+  }
+
+  // A pair longer than T = max(Lb, Floor) has an endpoint at depth
+  // >= ceil((T + 1) / 2) from the last BFS's source: only those nodes can
+  // lift the answer above T, so they are the word-parallel sweep's sources.
+  uint64_t T = std::max(Lb, Floor);
+  W.deepSources((T + 2) / 2);
+  return W.sweep(Lb, Ub);
+}
 
 thread_local DiameterScratch TLDiameter;
 
@@ -275,59 +462,15 @@ std::optional<uint64_t> dyndist::diameterAbove(const Graph &G, uint64_t Floor,
   if (N == 0)
     return std::nullopt;
   DiameterScratch &W = TLDiameter;
-  W.build(G);
-
-  // Connectivity check, from the hint: a previous centre usually still has
-  // a small eccentricity, so this BFS alone often bounds the diameter.
+  W.rank(G);
   const bool Hinted = G.hasNode(Centre);
-  uint32_t Src = Hinted ? W.Index[Centre] : 0;
-  if (W.bfs(Src) != N)
-    return std::nullopt;
-
-  // Every BFS from a node u of eccentricity e bounds the diameter: e <= D,
-  // and D <= 2e, or 2e - 1 when a single node sits at depth e (any other
-  // pair meets through u with one end shallower). The 4-sweep (Magnien,
-  // Latapy and Habib, JEA 2009; Crescenzi et al., TCS 2013) runs two
-  // double sweeps, each from the farthest node of the last BFS and then
-  // from the midpoint of that BFS's longest path. A hint stands in for the
-  // first double sweep's midpoint, so a hinted call runs only the second.
-  // After every BFS the bounds may settle the answer: Lb >= Ub is exact,
-  // and Ub <= Floor is all a caller who already saw Floor needs.
-  uint64_t Lb = 0, Ub = ~uint64_t(0);
-  auto Bound = [&](uint32_t Source) {
-    uint64_t Ecc = W.Dist[W.Order[N - 1]];
-    size_t AtEcc = 0;
-    for (size_t I = N; I != 0 && W.Dist[W.Order[I - 1]] == Ecc; --I)
-      ++AtEcc;
-    Lb = std::max(Lb, Ecc);
-    uint64_t SourceUb = 2 * Ecc - (AtEcc == 1 && Ecc != 0 ? 1 : 0);
-    if (SourceUb < Ub) {
-      Ub = SourceUb;
-      Centre = G.nodesView()[Source];
-    }
-    return Ub <= std::max(Lb, Floor);
-  };
-  if (Bound(Src))
-    return Lb;
-  for (int Round = Hinted ? 1 : 0; Round != 2; ++Round) {
-    uint32_t Far = W.Order[N - 1];
-    W.bfs(Far);
-    if (Bound(Far))
-      return Lb;
-    uint32_t Mid = W.midpoint(W.Order[N - 1]);
-    W.bfs(Mid);
-    if (Bound(Mid))
-      return Lb;
+  uint32_t Src = Hinted ? W.Rank[Centre] : 0;
+  if (N <= MaskBfs::MaxNodes) {
+    W.Mask.build(G, W.Rank);
+    return boundDiameter(W.Mask, G, Floor, Src, Hinted, Centre);
   }
-
-  // A pair longer than T = max(Lb, Floor) has an endpoint at depth
-  // >= ceil((T + 1) / 2) from the last BFS's source: only those nodes can
-  // lift the answer above T, so they are the word-parallel sweep's sources.
-  uint64_t T = std::max(Lb, Floor);
-  W.Sources.clear();
-  for (size_t I = N; I != 0 && W.Dist[W.Order[I - 1]] >= (T + 2) / 2; --I)
-    W.Sources.push_back(W.Order[I - 1]);
-  return W.sweep(Lb, Ub);
+  W.Csr.build(G, W.Rank);
+  return boundDiameter(W.Csr, G, Floor, Src, Hinted, Centre);
 }
 
 std::optional<uint64_t> dyndist::diameter(const Graph &G) {

@@ -51,7 +51,10 @@ std::optional<uint64_t> eccentricity(const Graph &G, ProcessId Source);
 /// node with the best upper bound seen, which makes a good hint for the
 /// next call on a slightly changed graph. Only the cost depends on it.
 ///
-/// The call copies the graph into one compact CSR array. Every BFS from a
+/// The call copies the graph into one compact array: one 64-bit neighbor
+/// row per node when it has at most 64 nodes, whose BFS levels are then
+/// single masks, else a CSR array; one routine runs the same steps over
+/// either. Every BFS from a
 /// node u of eccentricity e bounds the diameter D: e <= D <= 2e, and
 /// D <= 2e - 1 when a single node sits at depth e. After the connectivity
 /// BFS the 4-sweep (Magnien, Latapy and Habib, JEA 2009, as extended by

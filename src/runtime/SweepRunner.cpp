@@ -7,9 +7,11 @@
 #include "dyndist/runtime/SweepRunner.h"
 
 #include "dyndist/support/Random.h"
+#include "dyndist/support/StringUtils.h"
 
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <thread>
 
 using namespace dyndist;
@@ -40,27 +42,32 @@ unsigned dyndist::resolveSweepThreads(unsigned Requested) {
   return HW > 0 ? HW : 1;
 }
 
-unsigned dyndist::sweepThreadsFromArgs(int &Argc, char **Argv) {
-  unsigned Result = 0;
+Result<unsigned> dyndist::sweepThreadsFromArgs(int &Argc, char **Argv) {
+  unsigned Threads = 0;
   int Out = 1;
   for (int In = 1; In < Argc; ++In) {
-    std::string Arg = Argv[In];
-    std::string Value;
-    if (Arg == "--threads" && In + 1 < Argc) {
+    std::string_view Arg = Argv[In];
+    const char *Value = nullptr;
+    if (Arg == "--threads") {
+      if (In + 1 == Argc)
+        return Error(Error::Code::InvalidArgument, "--threads needs a value");
       Value = Argv[++In];
     } else if (Arg.rfind("--threads=", 0) == 0) {
-      Value = Arg.substr(10);
+      Value = Argv[In] + 10;
     } else {
       Argv[Out++] = Argv[In];
       continue;
     }
-    char *End = nullptr;
-    unsigned long Parsed = std::strtoul(Value.c_str(), &End, 10);
-    if (End && End != Value.c_str() && *End == '\0' && Parsed > 0 &&
-        Parsed < SweepThreadLimit)
-      Result = static_cast<unsigned>(Parsed);
+    uint64_t Parsed = 0;
+    if (!parseU64Checked(Value, Parsed) || Parsed == 0 ||
+        Parsed >= SweepThreadLimit)
+      return Error(Error::Code::InvalidArgument,
+                   "--threads must be an integer in [1, " +
+                       std::to_string(SweepThreadLimit - 1) + "], got '" +
+                       Value + "'");
+    Threads = static_cast<unsigned>(Parsed);
   }
   Argc = Out;
   Argv[Argc] = nullptr;
-  return Result;
+  return Threads;
 }

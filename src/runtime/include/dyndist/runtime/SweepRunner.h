@@ -30,6 +30,7 @@
 #define DYNDIST_RUNTIME_SWEEPRUNNER_H
 
 #include "dyndist/runtime/ThreadRunner.h"
+#include "dyndist/support/Result.h"
 
 #include <algorithm>
 #include <atomic>
@@ -75,9 +76,11 @@ constexpr unsigned SweepThreadLimit = 1024;
 unsigned resolveSweepThreads(unsigned Requested);
 
 /// Strips a leading-anywhere "--threads N" / "--threads=N" flag from
-/// (\p Argc, \p Argv) and returns the requested count; 0 when the flag is
-/// absent or malformed (i.e. "resolve automatically").
-unsigned sweepThreadsFromArgs(int &Argc, char **Argv);
+/// (\p Argc, \p Argv) and returns the requested count, 0 when the flag is
+/// absent (i.e. "resolve automatically"). A value that is not an integer in
+/// [1, SweepThreadLimit), or a trailing "--threads" with none, is an
+/// InvalidArgument error; (Argc, Argv) are then left partly stripped.
+Result<unsigned> sweepThreadsFromArgs(int &Argc, char **Argv);
 
 /// Context type for sweeps that carry no per-worker state.
 struct NoSweepContext {};

@@ -6,7 +6,7 @@
 
 #include "dyndist/sim/TraceIO.h"
 
-#include "dyndist/support/StringUtils.h"
+#include <charconv>
 
 using namespace dyndist;
 
@@ -85,13 +85,25 @@ void dyndist::appendEscapedTraceString(std::string &Out, std::string_view S) {
 }
 
 void dyndist::appendTraceJsonLine(std::string &Out, const TraceEventView &V) {
-  std::string Escaped;
-  appendEscapedTraceString(Escaped, V.Key);
-  Out += format("{\"kind\":\"%s\",\"t\":%llu,\"subject\":%llu,"
-                "\"peer\":%llu,\"msg\":%d,\"key\":\"%s\",\"value\":%lld}\n",
-                traceKindName(V.Kind), (unsigned long long)V.Time,
-                (unsigned long long)V.Subject, (unsigned long long)V.Peer,
-                V.MsgKind, Escaped.c_str(), (long long)V.Value);
+  auto Number = [&Out](auto N) {
+    char Buf[24]; // Any 64-bit integer with its sign.
+    Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), N).ptr);
+  };
+  Out += "{\"kind\":\"";
+  Out += traceKindName(V.Kind);
+  Out += "\",\"t\":";
+  Number(static_cast<unsigned long long>(V.Time));
+  Out += ",\"subject\":";
+  Number(static_cast<unsigned long long>(V.Subject));
+  Out += ",\"peer\":";
+  Number(static_cast<unsigned long long>(V.Peer));
+  Out += ",\"msg\":";
+  Number(V.MsgKind);
+  Out += ",\"key\":\"";
+  appendEscapedTraceString(Out, V.Key);
+  Out += "\",\"value\":";
+  Number(static_cast<long long>(V.Value));
+  Out += "}\n";
 }
 
 void dyndist::appendTraceJsonLine(std::string &Out, const TraceRecord &R,

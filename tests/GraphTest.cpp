@@ -668,6 +668,27 @@ Graph makeUnderestimated() {
   return G;
 }
 
+/// \p G with its node ids replaced by a random permutation of sparse ids
+/// above 10^5, so that id order and node ranks follow no pattern of \p G.
+Graph withSparseIds(const Graph &G, Rng &R) {
+  std::vector<ProcessId> Ids;
+  for (size_t I = 0; I != G.nodeCount(); ++I)
+    Ids.push_back(100003 + 7919 * static_cast<ProcessId>(I));
+  for (size_t I = Ids.size(); I > 1; --I)
+    std::swap(Ids[I - 1], Ids[R.nextBelow(I)]);
+  std::map<ProcessId, ProcessId> To;
+  for (ProcessId P : G.nodesView())
+    To.emplace(P, Ids[To.size()]);
+  Graph Out;
+  for (ProcessId P : G.nodesView())
+    Out.addNode(To[P]);
+  for (ProcessId P : G.nodesView())
+    for (ProcessId Q : G.neighborView(P))
+      if (P < Q)
+        Out.addEdge(To[P], To[Q]);
+  return Out;
+}
+
 /// Calls \p Check(Name, G) on every graph of the diameter corpus: fixed
 /// topologies, small dense random draws, random trees and G(n, p) draws
 /// (some split, some with slot holes), and churned overlays sampled the way
@@ -692,6 +713,19 @@ template <typename Fn> void forEachDiameterCase(Fn &&Check) {
     Run("torus" + std::to_string(W) + "x" + std::to_string(H),
         makeTorus(W, H));
   Run("underestimated", makeUnderestimated());
+
+  // 64 nodes fill a machine word exactly; sparse ids go through the rank
+  // table rather than mapping onto node indices.
+  {
+    Rng R(64);
+    for (auto &[Name, G] : std::vector<std::pair<std::string, Graph>>{
+             {"path", makeLine(64)},
+             {"ring", makeRing(64)},
+             {"complete", makeComplete(64)},
+             {"tree", makeRandomTree(64, R)},
+             {"gnp", makeErdosRenyi(64, 0.06, R)}})
+      Run("sparse-ids " + Name + "64", withSparseIds(G, R));
+  }
 
   // Small dense draws: the shapes where the 4-sweep bound is most often
   // short of the diameter.
@@ -791,4 +825,57 @@ TEST(Algorithms, DiameterAboveMatchesReferenceAtEveryFloor) {
       }
   });
   EXPECT_GT(Calls, 100000u);
+}
+
+TEST(Algorithms, DiameterAboveHintCrossesTheWordSizeSwitch) {
+  // Overlays grow from 50 to 80 nodes by churned joins and shrink back, so
+  // hints pass between graphs on either side of 64 nodes.
+  size_t Calls = 0, Crossings = 0;
+  for (uint64_t Seed = 1; Seed <= 4; ++Seed)
+    for (AttachMode Mode : {AttachMode::Chain, AttachMode::Random})
+      for (RepairMode Repair :
+           {RepairMode::PatchPath, RepairMode::RandomRewire})
+        for (size_t Degree : {1, 3}) {
+          DynamicOverlay O(Degree, Rng(Seed), Mode, Repair);
+          Rng R(Seed * 17 + Degree);
+          ProcessId Next = 0;
+          while (O.graph().nodeCount() != 50)
+            O.join(Next++);
+          uint64_t RunningMax = 0;
+          ProcessId Centre = InvalidProcess, ExactCentre = InvalidProcess;
+          size_t LastCount = 50;
+          bool Growing = true;
+          for (int Step = 0; Growing || O.graph().nodeCount() > 50; ++Step) {
+            ASSERT_LT(Step, 4000);
+            if (O.graph().nodeCount() >= 80)
+              Growing = false;
+            if (R.nextBernoulli(Growing ? 0.75 : 0.25))
+              O.join(Next++);
+            else
+              O.leave(R.pick(O.graph().nodes()));
+            const Graph &G = O.graph();
+            size_t Count = G.nodeCount();
+            Crossings += (LastCount <= 64) != (Count <= 64);
+            LastCount = Count;
+
+            std::optional<uint64_t> Ref = allSourcesDiameter(G);
+            std::string Where = "seed " + std::to_string(Seed) + " mode " +
+                                std::to_string(int(Mode)) + " repair " +
+                                std::to_string(int(Repair)) + " degree " +
+                                std::to_string(Degree) + " step " +
+                                std::to_string(Step);
+            std::optional<uint64_t> Got = diameterAbove(G, RunningMax, Centre);
+            ++Calls;
+            ASSERT_EQ(Got.has_value(), Ref.has_value()) << Where;
+            if (Ref && *Ref > RunningMax) {
+              ASSERT_EQ(*Got, *Ref) << Where;
+            } else if (Ref) {
+              ASSERT_LE(*Got, RunningMax) << Where;
+            }
+            RunningMax = std::max(RunningMax, Got.value_or(0));
+            ASSERT_EQ(diameterAbove(G, 0, ExactCentre), Ref) << Where;
+          }
+        }
+  EXPECT_GT(Calls, 3000u);
+  EXPECT_GE(Crossings, 64u); // Every overlay crosses both ways.
 }

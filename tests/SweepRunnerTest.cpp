@@ -155,7 +155,7 @@ TEST(SweepThreads, FlagParsingStripsAndParses) {
   char *Argv[6];
   std::memcpy(Argv, Raw, sizeof(Raw));
   int Argc = 5;
-  EXPECT_EQ(sweepThreadsFromArgs(Argc, Argv), 8u);
+  EXPECT_EQ(*sweepThreadsFromArgs(Argc, Argv), 8u);
   ASSERT_EQ(Argc, 3);
   EXPECT_STREQ(Argv[1], "30");
   EXPECT_STREQ(Argv[2], "tail");
@@ -168,7 +168,7 @@ TEST(SweepThreads, EqualsFormAndMalformed) {
     char *Argv[3];
     std::memcpy(Argv, Raw, sizeof(Raw));
     int Argc = 2;
-    EXPECT_EQ(sweepThreadsFromArgs(Argc, Argv), 6u);
+    EXPECT_EQ(*sweepThreadsFromArgs(Argc, Argv), 6u);
     EXPECT_EQ(Argc, 1);
   }
   {
@@ -176,8 +176,42 @@ TEST(SweepThreads, EqualsFormAndMalformed) {
     char *Argv[3];
     std::memcpy(Argv, Raw, sizeof(Raw));
     int Argc = 2;
-    EXPECT_EQ(sweepThreadsFromArgs(Argc, Argv), 0u);
-    EXPECT_EQ(Argc, 1);
+    Result<unsigned> Threads = sweepThreadsFromArgs(Argc, Argv);
+    ASSERT_FALSE(Threads);
+    EXPECT_EQ(Threads.error().Kind, Error::Code::InvalidArgument);
+    EXPECT_NE(Threads.error().Message.find("banana"), std::string::npos);
+  }
+}
+
+TEST(SweepThreads, RejectsOutOfRangeAndMissingValues) {
+  for (const char *Value : {"abc", "0", "-1", "+2", "1024", "", "3x"}) {
+    const char *Raw[] = {"prog", "5", "--threads", Value, nullptr};
+    char *Argv[5];
+    std::memcpy(Argv, Raw, sizeof(Raw));
+    int Argc = 4;
+    EXPECT_FALSE(sweepThreadsFromArgs(Argc, Argv)) << "'" << Value << "'";
+  }
+  {
+    const char *Raw[] = {"prog", "--threads=1023", nullptr};
+    char *Argv[3];
+    std::memcpy(Argv, Raw, sizeof(Raw));
+    int Argc = 2;
+    EXPECT_EQ(*sweepThreadsFromArgs(Argc, Argv), 1023u);
+  }
+  {
+    const char *Raw[] = {"prog", "5", "--threads", nullptr};
+    char *Argv[4];
+    std::memcpy(Argv, Raw, sizeof(Raw));
+    int Argc = 3;
+    EXPECT_FALSE(sweepThreadsFromArgs(Argc, Argv));
+  }
+  {
+    const char *Raw[] = {"prog", "5", nullptr};
+    char *Argv[3];
+    std::memcpy(Argv, Raw, sizeof(Raw));
+    int Argc = 2;
+    EXPECT_EQ(*sweepThreadsFromArgs(Argc, Argv), 0u);
+    EXPECT_EQ(Argc, 2);
   }
 }
 

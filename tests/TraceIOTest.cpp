@@ -87,6 +87,39 @@ TEST(TraceIO, FileRoundTrip) {
   EXPECT_FALSE(writeColumnarTraceFile(T, "/nonexistent/dir/x.dytr").ok());
 }
 
+// Every field at its widest: the exported line's bytes are pinned.
+TEST(TraceIO, JsonLineAtIntegerExtremes) {
+  TraceEventView V;
+  V.Kind = TraceKind::Send;
+  V.Time = UINT64_MAX;
+  V.Subject = 0;
+  V.Peer = InvalidProcess;
+  V.MsgKind = INT32_MIN;
+  V.Key = "q\"\\";
+  V.Value = INT64_MIN;
+  std::string Out = "prefix\n";
+  appendTraceJsonLine(Out, V);
+  V.MsgKind = INT32_MAX;
+  V.Value = INT64_MAX;
+  V.Key = "";
+  appendTraceJsonLine(Out, V);
+  EXPECT_EQ(Out, "prefix\n"
+                 R"({"kind":"send","t":18446744073709551615,"subject":0,)"
+                 R"("peer":)" +
+                     std::to_string(static_cast<unsigned long long>(
+                         InvalidProcess)) +
+                     R"(,"msg":-2147483648,"key":"q\"\\",)"
+                     R"("value":-9223372036854775808})"
+                     "\n"
+                     R"({"kind":"send","t":18446744073709551615,"subject":0,)"
+                     R"("peer":)" +
+                     std::to_string(static_cast<unsigned long long>(
+                         InvalidProcess)) +
+                     R"(,"msg":2147483647,"key":"",)"
+                     R"("value":9223372036854775807})"
+                     "\n");
+}
+
 // Regression: escapeString used to escape only '"' and '\\', so a key with
 // a newline split the record across two lines. Control characters must be
 // escaped in the export and survive the archive.
@@ -116,7 +149,7 @@ TEST(TraceIO, ControlCharacterKeysRoundTrip) {
             std::string("nul\x01\x1f bytes"));
 }
 
-// Regression: msg is exported with %d (negative kinds are legal), so a
+// Regression: msg is exported signed (negative kinds are legal), so a
 // negative kind must render signed and survive the archive.
 TEST(TraceIO, NegativeMsgKindRoundTrips) {
   Trace T;
