@@ -53,12 +53,15 @@ struct ExperimentConfig {
   SimTime QueryAt = 200;
   SimTime Horizon = 900;
 
-  /// Overlay diameter sampling period for the admissibility monitor (a
-  /// CSR copy and at least one BFS per sample of a changed overlay, a cost
-  /// that dominates short runs; see DynamicSystem::DiameterSample).
-  /// 0 disables sampling: MaxDiameter reads 0 and a disclosed diameter
-  /// bound is accepted unaudited — throughput sweeps that don't consume
-  /// the diameter column opt out of paying for it.
+  /// Overlay diameter sampling period for the admissibility monitor, which
+  /// watches [0, Horizon] (a copy of the overlay and at least one BFS per
+  /// sample of a changed overlay, a cost that dominates short runs; see
+  /// DynamicSystem::DiameterSample). Only a class with a disclosed bound is
+  /// sampled at this period; any other class is sampled once, at Horizon,
+  /// so its MaxDiameter is the diameter then. 0 disables sampling:
+  /// MaxDiameter reads 0 and a disclosed diameter bound is accepted
+  /// unaudited — throughput sweeps that don't consume the diameter column
+  /// opt out of paying for it.
   SimTime DiameterSampleEvery = 16;
 
   /// Flooding tuning: 0 means "use the class's derivable TTL" (falling
@@ -89,6 +92,8 @@ struct ExperimentResult {
   bool QueryIssued = false;
   QueryVerdict Verdict;
   SimStats Stats;
+  /// Over the diameter samples taken (see DiameterSampleEvery): the
+  /// largest connected diameter, and how many found the overlay split.
   uint64_t MaxDiameter = 0;
   size_t DisconnectedSamples = 0;
   uint64_t Arrivals = 0;

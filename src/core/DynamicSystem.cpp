@@ -42,8 +42,7 @@ DynamicSystem::DynamicSystem(const DynamicSystemConfig &Config,
                                          Sim.rng().split());
   Driver->populateInitial(Sim, Config.InitialMembers);
   Driver->start(Sim);
-  if (Config.DiameterSampleEvery > 0 && Config.MonitorUntil > 0)
-    armMonitor(Config.DiameterSampleEvery);
+  startMonitor();
 }
 
 void DynamicSystem::reset(const DynamicSystemConfig &NewConfig) {
@@ -64,17 +63,29 @@ void DynamicSystem::reset(const DynamicSystemConfig &NewConfig) {
   Overlay.attachTo(Sim);
   Driver->reset(Config.Class.Arrival, Config.Churn, Sim.rng().split());
   Samples.clear();
+  Disconnected = 0;
+  FirstViolation.reset();
   SampledCentre = InvalidProcess;
   Driver->populateInitial(Sim, Config.InitialMembers);
   Driver->start(Sim);
-  if (Config.DiameterSampleEvery > 0 && Config.MonitorUntil > 0)
-    armMonitor(Config.DiameterSampleEvery);
+  startMonitor();
 }
 
 void DynamicSystem::reset(const DynamicSystemConfig &NewConfig,
                           ChurnDriver::ActorFactory Factory) {
   Driver->setFactory(std::move(Factory));
   reset(NewConfig);
+}
+
+void DynamicSystem::startMonitor() {
+  if (Config.DiameterSampleEvery == 0 || Config.MonitorUntil == 0)
+    return;
+  // Only a disclosed bound is a promise the run must keep at every instant;
+  // any other class reads the diameter once, at the end of the window (a
+  // first sample at MonitorUntil never re-arms).
+  armMonitor(Config.Class.Knowledge.Diameter == DiameterKnowledge::KnownBound
+                 ? Config.DiameterSampleEvery
+                 : Config.MonitorUntil);
 }
 
 void DynamicSystem::armMonitor(SimTime At) {
@@ -93,6 +104,15 @@ void DynamicSystem::armMonitor(SimTime At) {
     }
     Sample.Time = S.now();
     Samples.push_back(Sample);
+    if (!Sample.Connected)
+      ++Disconnected;
+    // Until the first violation the running max is within the bound, so the
+    // first sample past it carries its own exact diameter.
+    if (Config.Class.Knowledge.Diameter == DiameterKnowledge::KnownBound &&
+        !FirstViolation &&
+        (!Sample.Connected ||
+         Sample.RunningMax > Config.Class.Knowledge.DiameterBound))
+      FirstViolation = Sample;
     armMonitor(S.now() + Config.DiameterSampleEvery);
   });
 }
@@ -103,36 +123,23 @@ std::optional<uint64_t> DynamicSystem::grantedTtl() const {
 
 StopReason DynamicSystem::run(RunLimits Limits) { return Sim.run(Limits); }
 
-size_t DynamicSystem::disconnectedSamples() const {
-  size_t N = 0;
-  for (const DiameterSample &S : Samples)
-    if (!S.Connected)
-      ++N;
-  return N;
-}
-
 Status DynamicSystem::checkClassAdmissible() const {
   if (Status S = Config.Class.Arrival.checkAdmissible(Sim.trace()); !S)
     return S;
-  if (Config.Class.Knowledge.Diameter == DiameterKnowledge::KnownBound) {
-    uint64_t Bound = Config.Class.Knowledge.DiameterBound;
-    // Until the first violation the running max is within the bound, so
-    // the first sample past it carries its own exact diameter.
-    for (const DiameterSample &S : Samples) {
-      if (!S.Connected)
-        return Error(Error::Code::ProtocolViolation,
-                     format("disclosed diameter bound %llu but overlay was "
-                            "disconnected at t=%llu",
-                            static_cast<unsigned long long>(Bound),
-                            static_cast<unsigned long long>(S.Time)));
-      if (S.RunningMax > Bound)
-        return Error(Error::Code::ProtocolViolation,
-                     format("disclosed diameter bound %llu exceeded: %llu "
-                            "at t=%llu",
-                            static_cast<unsigned long long>(Bound),
-                            static_cast<unsigned long long>(S.RunningMax),
-                            static_cast<unsigned long long>(S.Time)));
-    }
-  }
-  return Status::success();
+  if (!FirstViolation)
+    return Status::success();
+  const auto Bound =
+      static_cast<unsigned long long>(Config.Class.Knowledge.DiameterBound);
+  const auto At = static_cast<unsigned long long>(FirstViolation->Time);
+  if (!FirstViolation->Connected)
+    return Error(Error::Code::ProtocolViolation,
+                 format("disclosed diameter bound %llu but overlay was "
+                        "disconnected at t=%llu",
+                        Bound, At));
+  return Error(Error::Code::ProtocolViolation,
+               format("disclosed diameter bound %llu exceeded: %llu at t=%llu",
+                      Bound,
+                      static_cast<unsigned long long>(
+                          FirstViolation->RunningMax),
+                      At));
 }

@@ -10,10 +10,12 @@
 /// an arrival model, and the knowledge grants of a SystemClass — i.e. "a
 /// system of class C" that algorithms can be dropped into.
 ///
-/// Class membership is *certified, not assumed*: the system samples the
-/// overlay's diameter during the run, and checkClassAdmissible() verifies
-/// after the fact that the recorded execution really was a behavior of the
-/// declared class (arrival bounds respected, diameter promise kept).
+/// Class membership is *certified, not assumed*: checkClassAdmissible()
+/// verifies after the fact that the recorded execution really was a
+/// behavior of the declared class (arrival bounds respected, diameter
+/// promise kept). A disclosed diameter bound is audited by sampling the
+/// overlay's diameter during the run; a class that discloses none gets one
+/// sample, at the end of the monitored window, for reporting only.
 /// Experiment harnesses discard runs that fall outside their class instead
 /// of crediting or blaming algorithms for them.
 ///
@@ -76,8 +78,11 @@ struct DynamicSystemConfig {
   /// per-message Send/Deliver/Drop records for archiving and replay.
   TraceLevel Tracing = TraceLevel::Full;
 
-  /// Overlay diameter is sampled every this many ticks (0 disables) up to
-  /// MonitorUntil.
+  /// The diameter monitor: off when either field is 0. A class with a
+  /// disclosed bound (DiameterKnowledge::KnownBound) has the overlay's
+  /// diameter sampled every DiameterSampleEvery ticks up to MonitorUntil,
+  /// and checkClassAdmissible() audits every sample. No verdict of another
+  /// class reads the diameter, so it gets one exact sample at MonitorUntil.
   SimTime DiameterSampleEvery = 16;
   SimTime MonitorUntil = 0;
 };
@@ -143,7 +148,8 @@ public:
   /// Runs the kernel.
   StopReason run(RunLimits Limits = RunLimits());
 
-  /// Diameter samples recorded so far.
+  /// Diameter samples recorded so far (see DynamicSystemConfig for when
+  /// they are taken).
   const std::vector<DiameterSample> &diameterSamples() const {
     return Samples;
   }
@@ -154,7 +160,7 @@ public:
   }
 
   /// Number of samples that found the overlay disconnected.
-  size_t disconnectedSamples() const;
+  size_t disconnectedSamples() const { return Disconnected; }
 
   /// Certifies the recorded execution against the declared class: arrival
   /// admissibility plus, for a disclosed diameter bound, that every sample
@@ -162,6 +168,7 @@ public:
   Status checkClassAdmissible() const;
 
 private:
+  void startMonitor();
   void armMonitor(SimTime At);
 
   DynamicSystemConfig Config;
@@ -169,6 +176,10 @@ private:
   DynamicOverlay Overlay;
   std::unique_ptr<ChurnDriver> Driver;
   std::vector<DiameterSample> Samples;
+  size_t Disconnected = 0; ///< Samples with Connected false.
+  /// The first sample that broke a disclosed bound (disconnected, or its
+  /// running max above the bound), kept as it is taken.
+  std::optional<DiameterSample> FirstViolation;
   uint64_t SampledEpoch = 0;  ///< Overlay epoch at the last sample.
   ProcessId SampledCentre = InvalidProcess; ///< diameterAbove() hint.
 };

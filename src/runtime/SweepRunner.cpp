@@ -26,18 +26,39 @@ uint64_t dyndist::deriveSweepSeed(uint64_t MasterSeed, uint64_t SeedIndex) {
   return splitMix64(State);
 }
 
+namespace {
+
+/// \p Value as a thread count in [1, SweepThreadLimit); the error names the
+/// input it came from (\p What).
+Result<unsigned> parseSweepThreads(const char *What, const char *Value) {
+  uint64_t Parsed = 0;
+  if (!parseU64Checked(Value, Parsed) || Parsed == 0 ||
+      Parsed >= SweepThreadLimit)
+    return Error(Error::Code::InvalidArgument,
+                 std::string(What) + " must be an integer in [1, " +
+                     std::to_string(SweepThreadLimit - 1) + "], got '" +
+                     Value + "'");
+  return static_cast<unsigned>(Parsed);
+}
+
+/// The DYNDIST_THREADS environment variable: 0 when unset, an error when
+/// set to anything but a valid thread count.
+Result<unsigned> sweepThreadsFromEnv() {
+  // dyndist-lint: allow(D2) config entry point; thread count never alters
+  // schedule bytes (seed sharding is positional), only execution speed
+  const char *Env = std::getenv("DYNDIST_THREADS");
+  if (!Env)
+    return 0u;
+  return parseSweepThreads("DYNDIST_THREADS", Env);
+}
+
+} // namespace
+
 unsigned dyndist::resolveSweepThreads(unsigned Requested) {
   if (Requested > 0)
     return Requested;
-  // dyndist-lint: allow(D2) config entry point; thread count never alters
-  // schedule bytes (seed sharding is positional), only execution speed
-  if (const char *Env = std::getenv("DYNDIST_THREADS")) {
-    char *End = nullptr;
-    unsigned long Value = std::strtoul(Env, &End, 10);
-    if (End && End != Env && *End == '\0' && Value > 0 &&
-        Value < SweepThreadLimit)
-      return static_cast<unsigned>(Value);
-  }
+  if (Result<unsigned> Env = sweepThreadsFromEnv(); Env && *Env > 0)
+    return *Env;
   unsigned HW = std::thread::hardware_concurrency();
   return HW > 0 ? HW : 1;
 }
@@ -58,16 +79,17 @@ Result<unsigned> dyndist::sweepThreadsFromArgs(int &Argc, char **Argv) {
       Argv[Out++] = Argv[In];
       continue;
     }
-    uint64_t Parsed = 0;
-    if (!parseU64Checked(Value, Parsed) || Parsed == 0 ||
-        Parsed >= SweepThreadLimit)
-      return Error(Error::Code::InvalidArgument,
-                   "--threads must be an integer in [1, " +
-                       std::to_string(SweepThreadLimit - 1) + "], got '" +
-                       Value + "'");
-    Threads = static_cast<unsigned>(Parsed);
+    Result<unsigned> Parsed = parseSweepThreads("--threads", Value);
+    if (!Parsed)
+      return Parsed.error();
+    Threads = *Parsed;
   }
   Argc = Out;
   Argv[Argc] = nullptr;
+  // Without the flag the count resolves through DYNDIST_THREADS, so that
+  // input gets the same check here instead of a silent fallback later.
+  if (Threads == 0)
+    if (Result<unsigned> Env = sweepThreadsFromEnv(); !Env)
+      return Env.error();
   return Threads;
 }

@@ -72,14 +72,17 @@ constexpr unsigned SweepThreadLimit = 1024;
 /// Resolves the worker count: \p Requested when > 0, else the
 /// DYNDIST_THREADS environment variable when set to a positive integer
 /// below SweepThreadLimit, else std::thread::hardware_concurrency()
-/// (minimum 1).
+/// (minimum 1). A malformed DYNDIST_THREADS falls through to the hardware
+/// count here; mains reject it up front with sweepThreadsFromArgs().
 unsigned resolveSweepThreads(unsigned Requested);
 
 /// Strips a leading-anywhere "--threads N" / "--threads=N" flag from
 /// (\p Argc, \p Argv) and returns the requested count, 0 when the flag is
 /// absent (i.e. "resolve automatically"). A value that is not an integer in
 /// [1, SweepThreadLimit), or a trailing "--threads" with none, is an
-/// InvalidArgument error; (Argc, Argv) are then left partly stripped.
+/// InvalidArgument error; (Argc, Argv) are then left partly stripped. When
+/// the flag is absent, a set DYNDIST_THREADS that is not such an integer is
+/// the same error.
 Result<unsigned> sweepThreadsFromArgs(int &Argc, char **Argv);
 
 /// Context type for sweeps that carry no per-worker state.

@@ -10,10 +10,14 @@
 #include "dyndist/core/OneTimeQuery.h"
 #include "dyndist/core/Solvability.h"
 
+#include "GraphTestUtil.h"
+#include "TraceTestUtil.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 
 using namespace dyndist;
@@ -405,24 +409,27 @@ MonitorReaders runDirect(DynamicSystem &Sys, bool Rewire) {
 } // namespace
 
 // The monitor's readers (sample count, max diameter, disconnected count and
-// the admissibility message with its first violation), pinned to values
-// from a monitor that computed every sample's exact diameter: skipping
-// unchanged overlays and samples that cannot raise the max must not move
-// them.
+// the admissibility message with its first violation), pinned to reference
+// values. Cells 0, 3 and 6 disclose a bound and are sampled every 16 ticks:
+// their rows come from a monitor that computed every sample's exact
+// diameter, so skipping unchanged overlays and samples that cannot raise
+// the max must not move them. The other six cells are sampled once, at
+// MonitorUntil: their rows are the all-sources diameter of the overlay at
+// that instant.
 TEST(DynamicSystem, MonitorReadersPinned) {
   // Per cell of canonicalClassGrid(60, 28, 10), seeds 1..3. A query run
   // does not expose its sample count (NA).
   constexpr size_t NA = SIZE_MAX;
   const MonitorReaders E1[9][3] = {
       {{NA, 4, 0, ""}, {NA, 4, 0, ""}, {NA, 4, 0, ""}},
+      {{NA, 3, 0, ""}, {NA, 3, 0, ""}, {NA, 3, 0, ""}},
+      {{NA, 3, 0, ""}, {NA, 3, 0, ""}, {NA, 3, 0, ""}},
       {{NA, 4, 0, ""}, {NA, 4, 0, ""}, {NA, 4, 0, ""}},
+      {{NA, 2, 0, ""}, {NA, 2, 0, ""}, {NA, 3, 0, ""}},
+      {{NA, 2, 0, ""}, {NA, 2, 0, ""}, {NA, 3, 0, ""}},
       {{NA, 4, 0, ""}, {NA, 4, 0, ""}, {NA, 4, 0, ""}},
-      {{NA, 4, 0, ""}, {NA, 4, 0, ""}, {NA, 4, 0, ""}},
-      {{NA, 4, 0, ""}, {NA, 4, 0, ""}, {NA, 4, 0, ""}},
-      {{NA, 4, 0, ""}, {NA, 4, 0, ""}, {NA, 4, 0, ""}},
-      {{NA, 4, 0, ""}, {NA, 4, 0, ""}, {NA, 4, 0, ""}},
-      {{NA, 5, 0, ""}, {NA, 5, 0, ""}, {NA, 5, 0, ""}},
-      {{NA, 161, 0, ""}, {NA, 140, 0, ""}, {NA, 143, 0, ""}},
+      {{NA, 4, 0, ""}, {NA, 5, 0, ""}, {NA, 4, 0, ""}},
+      {{NA, 25, 0, ""}, {NA, 21, 0, ""}, {NA, 20, 0, ""}},
   };
   std::vector<SystemClass> Grid = canonicalClassGrid(60, 28, 10);
   ASSERT_EQ(Grid.size(), 9u);
@@ -457,6 +464,104 @@ TEST(DynamicSystem, MonitorReadersPinned) {
       << str(Got);
   EXPECT_GT(Got.Disconnected, 0u);
   EXPECT_LT(Got.Disconnected, Got.Samples);
+}
+
+namespace {
+
+/// A churning system whose membership stops changing at t=600, so the
+/// overlay at MonitorUntil (900) is the overlay the run ends with.
+DynamicSystemConfig quiescedRun(const SystemClass &Class, uint64_t Seed) {
+  DynamicSystemConfig Cfg;
+  Cfg.Seed = Seed;
+  Cfg.Class = Class;
+  Cfg.InitialMembers = 20;
+  if (Class.Knowledge.Diameter == DiameterKnowledge::Unbounded)
+    Cfg.Attach = AttachMode::Chain;
+  Cfg.Churn.JoinRate = 0.5;
+  Cfg.Churn.MeanSession = 300;
+  Cfg.Churn.Horizon = 600;
+  Cfg.Churn.QuiesceAt = 600;
+  Cfg.MonitorUntil = 900;
+  return Cfg;
+}
+
+} // namespace
+
+// No verdict of a class without a disclosed bound reads the diameter, so
+// its monitor takes one sample, at MonitorUntil, and that sample is exact.
+// A shell reset for each run agrees with a fresh construction.
+TEST(DynamicSystem, UndisclosedBoundSampledOnceAtMonitorUntil) {
+  auto Noops = [] { return std::make_unique<Noop>(); };
+  RunLimits L;
+  L.MaxTime = 900;
+  std::optional<DynamicSystem> Shell;
+  size_t Runs = 0;
+  for (const SystemClass &Class : canonicalClassGrid(60, 28, 10)) {
+    if (Class.Knowledge.Diameter == DiameterKnowledge::KnownBound)
+      continue;
+    for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
+      const DynamicSystemConfig Cfg = quiescedRun(Class, Seed);
+      DynamicSystem Fresh(Cfg, Noops);
+      Fresh.run(L);
+      ASSERT_EQ(Fresh.diameterSamples().size(), 1u) << Class.name();
+      EXPECT_EQ(Fresh.diameterSamples()[0].Time, Cfg.MonitorUntil);
+      std::optional<uint64_t> Ref = allSourcesDiameter(Fresh.overlay().graph());
+      EXPECT_EQ(Fresh.diameterSamples()[0].Connected, Ref.has_value());
+      EXPECT_EQ(Fresh.maxObservedDiameter(), Ref.value_or(0))
+          << Class.name() << " seed " << Seed;
+      EXPECT_EQ(Fresh.disconnectedSamples(), Ref ? 0u : 1u);
+
+      if (Shell)
+        Shell->reset(Cfg);
+      else
+        Shell.emplace(Cfg, Noops);
+      Shell->run(L);
+      EXPECT_EQ(readersOf(*Shell), readersOf(Fresh))
+          << Class.name() << " seed " << Seed;
+      ++Runs;
+    }
+  }
+  EXPECT_EQ(Runs, 18u);
+}
+
+// The monitor is an observer: a query run with it on takes the same steps,
+// records the same trace and reaches the same verdict as with it off. Only
+// the kernel's event count moves, by one per sample: every 16 ticks up to
+// the horizon for a disclosed bound, once at the horizon otherwise. E1's
+// fixed one-tick latency never draws from the kernel's stream; the
+// partially synchronous runs do, so a monitor that drew from it would show.
+TEST(DynamicSystem, MonitorNeverMovesTheSchedule) {
+  for (const SystemClass &Class : canonicalClassGrid(60, 28, 10))
+    for (uint64_t Seed = 1; Seed <= 3; ++Seed)
+      for (LatencyKind Latency :
+           {LatencyKind::Synchronous, LatencyKind::PartialSync}) {
+        ExperimentConfig Cfg = e1Run(Class, Seed);
+        Cfg.Latency.Kind = Latency;
+        Cfg.KeepTrace = true;
+        Cfg.DiameterSampleEvery = 16;
+        ExperimentResult On = runQueryExperiment(Cfg);
+        Cfg.DiameterSampleEvery = 0;
+        ExperimentResult Off = runQueryExperiment(Cfg);
+        SCOPED_TRACE(Class.name() + " seed " + std::to_string(Seed) +
+                     (Latency == LatencyKind::Synchronous ? " sync"
+                                                          : " psync"));
+
+        ASSERT_TRUE(On.RecordedTrace && Off.RecordedTrace);
+        expectSameRecords(*On.RecordedTrace, *Off.RecordedTrace);
+        EXPECT_EQ(On.QueryIssued, Off.QueryIssued);
+        EXPECT_EQ(On.Verdict.str(), Off.Verdict.str());
+        EXPECT_EQ(On.Verdict.Missed, Off.Verdict.Missed);
+        EXPECT_EQ(On.Verdict.Invented, Off.Verdict.Invented);
+        EXPECT_EQ(On.Stats.MessagesSent, Off.Stats.MessagesSent);
+        EXPECT_EQ(On.Stats.MessagesDelivered, Off.Stats.MessagesDelivered);
+        EXPECT_EQ(On.Stats.MessagesDropped, Off.Stats.MessagesDropped);
+        EXPECT_EQ(On.Stats.PayloadUnits, Off.Stats.PayloadUnits);
+        const uint64_t Samples =
+            Class.Knowledge.Diameter == DiameterKnowledge::KnownBound
+                ? Cfg.Horizon / 16
+                : 1;
+        EXPECT_EQ(On.Stats.EventsExecuted, Off.Stats.EventsExecuted + Samples);
+      }
 }
 
 TEST(Aggregates, FoldAllKinds) {

@@ -9,6 +9,8 @@
 #include "dyndist/graph/Generators.h"
 #include "dyndist/graph/Overlay.h"
 
+#include "GraphTestUtil.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -596,21 +598,6 @@ TEST(Graph, SlotRecyclingKeepsDenseIndexConsistent) {
 }
 
 namespace {
-
-/// All-sources reference: the largest eccentricity, nullopt when empty or
-/// disconnected.
-std::optional<uint64_t> allSourcesDiameter(const Graph &G) {
-  if (G.nodeCount() == 0)
-    return std::nullopt;
-  uint64_t Diam = 0;
-  for (ProcessId P : G.nodesView()) {
-    auto Ecc = eccentricity(G, P);
-    if (!Ecc)
-      return std::nullopt;
-    Diam = std::max(Diam, *Ecc);
-  }
-  return Diam;
-}
 
 Graph makeStar(size_t N) {
   Graph G;

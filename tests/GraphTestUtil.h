@@ -1,0 +1,40 @@
+//===- GraphTestUtil.h - shared overlay test helpers ------------*- C++ -*-===//
+//
+// Part of the dyndist project.
+//
+//===----------------------------------------------------------------------===//
+//
+// The reference the diameter kernel and the diameter monitor are checked
+// against: one BFS from every node, no bounds and no pruning.
+//
+//===----------------------------------------------------------------------===//
+
+#ifndef DYNDIST_TESTS_GRAPHTESTUTIL_H
+#define DYNDIST_TESTS_GRAPHTESTUTIL_H
+
+#include "dyndist/graph/Algorithms.h"
+
+#include <algorithm>
+#include <cstdint>
+#include <optional>
+
+namespace dyndist {
+
+/// All-sources reference: the largest eccentricity, nullopt when empty or
+/// disconnected.
+inline std::optional<uint64_t> allSourcesDiameter(const Graph &G) {
+  if (G.nodeCount() == 0)
+    return std::nullopt;
+  uint64_t Diam = 0;
+  for (ProcessId P : G.nodesView()) {
+    auto Ecc = eccentricity(G, P);
+    if (!Ecc)
+      return std::nullopt;
+    Diam = std::max(Diam, *Ecc);
+  }
+  return Diam;
+}
+
+} // namespace dyndist
+
+#endif // DYNDIST_TESTS_GRAPHTESTUTIL_H

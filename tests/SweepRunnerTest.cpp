@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <set>
 #include <stdexcept>
@@ -213,6 +214,35 @@ TEST(SweepThreads, RejectsOutOfRangeAndMissingValues) {
     EXPECT_EQ(*sweepThreadsFromArgs(Argc, Argv), 0u);
     EXPECT_EQ(Argc, 2);
   }
+}
+
+// DYNDIST_THREADS is the flag's other input and gets the same check when
+// the flag is absent; a flag that is present is the count used.
+TEST(SweepThreads, ChecksEnvironmentWhenFlagAbsent) {
+  const char *Saved = std::getenv("DYNDIST_THREADS");
+  const std::string Restore = Saved ? Saved : "";
+  auto Parse = [](const char *Flag) {
+    const char *Raw[] = {"prog", "5", Flag, nullptr};
+    char *Argv[4];
+    std::memcpy(Argv, Raw, sizeof(Raw));
+    int Argc = Flag ? 3 : 2;
+    return sweepThreadsFromArgs(Argc, Argv);
+  };
+  for (const char *Value : {"abc", "0", "1024", "", "-2"}) {
+    ::setenv("DYNDIST_THREADS", Value, 1);
+    Result<unsigned> Threads = Parse(nullptr);
+    ASSERT_FALSE(Threads) << "'" << Value << "'";
+    EXPECT_NE(Threads.error().Message.find("DYNDIST_THREADS"),
+              std::string::npos);
+    EXPECT_EQ(*Parse("--threads=3"), 3u) << "'" << Value << "'";
+  }
+  ::setenv("DYNDIST_THREADS", "7", 1);
+  EXPECT_EQ(*Parse(nullptr), 0u);
+  EXPECT_EQ(resolveSweepThreads(0), 7u);
+  ::unsetenv("DYNDIST_THREADS");
+  EXPECT_EQ(*Parse(nullptr), 0u);
+  if (Saved)
+    ::setenv("DYNDIST_THREADS", Restore.c_str(), 1);
 }
 
 TEST(SweepThreads, ResolveExplicitWinsAndFloorsAtOne) {

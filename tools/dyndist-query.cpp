@@ -326,8 +326,13 @@ int main(int argc, char **argv) {
 
   std::printf("admissible   : %s\n",
               R.ClassAdmissible ? "yes" : R.AdmissibilityError.c_str());
-  std::printf("arrivals     : %llu (peak diameter %llu)\n",
+  // Only a disclosed bound is sampled through the run; any other class is
+  // sampled once, at the horizon.
+  std::printf("arrivals     : %llu (%s diameter %llu)\n",
               (unsigned long long)R.Arrivals,
+              Cfg.Class.Knowledge.Diameter == DiameterKnowledge::KnownBound
+                  ? "peak"
+                  : "horizon",
               (unsigned long long)R.MaxDiameter);
   if (!R.QueryIssued) {
     std::printf("query        : never issued\n");
