@@ -60,6 +60,28 @@ bool Graph::addNode(ProcessId P) {
   return true;
 }
 
+void Graph::addNodeWithEdges(ProcessId P,
+                             std::span<const ProcessId> Targets) {
+  [[maybe_unused]] bool Added = addNode(P);
+  assert(Added && "addNodeWithEdges() needs an absent node");
+  std::vector<ProcessId> &Nbrs = Slots[SlotOfId[P]].Nbrs;
+  Nbrs.resize(Targets.size());
+  // Insertion sort while copying: an overlay join links a handful of
+  // targets, where this beats a general sort.
+  for (size_t I = 0; I != Targets.size(); ++I) {
+    ProcessId T = Targets[I];
+    assert(T != P && hasNode(T) && "addNodeWithEdges() targets must exist");
+    sortedInsert(Slots[SlotOfId[T]].Nbrs, P);
+    size_t J = I;
+    for (; J != 0 && Nbrs[J - 1] > T; --J)
+      Nbrs[J] = Nbrs[J - 1];
+    Nbrs[J] = T;
+  }
+  assert(std::adjacent_find(Nbrs.begin(), Nbrs.end()) == Nbrs.end() &&
+         "addNodeWithEdges() targets must be distinct");
+  Edges += Targets.size();
+}
+
 bool Graph::removeNode(ProcessId P) {
   uint32_t S = slotOf(P);
   if (S == NoSlot)

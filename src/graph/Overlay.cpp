@@ -27,8 +27,7 @@ void DynamicOverlay::join(ProcessId P) {
     ProcessId Anchor = G.hasNode(LastJoined) && LastJoined != P
                            ? LastJoined
                            : G.nodesView().back();
-    G.addNode(P);
-    G.addEdge(P, Anchor);
+    G.addNodeWithEdges(P, {&Anchor, 1});
     LastJoined = P;
     return;
   }
@@ -36,7 +35,7 @@ void DynamicOverlay::join(ProcessId P) {
   // the picks so far — O(TargetDegree^2) instead of the full membership
   // copy + Fisher-Yates shuffle this used to do (O(n) per join, and the
   // dominant cost of populating large systems). Targets are resolved
-  // against the pre-join view, which addNode would invalidate.
+  // against the pre-join view, which adding P invalidates.
   NeighborView Members = G.nodesView();
   size_t Links = std::min(TargetDegree, Members.size());
   Picks.clear();
@@ -54,9 +53,7 @@ void DynamicOverlay::join(ProcessId P) {
         Picks.push_back(T);
     }
   }
-  G.addNode(P);
-  for (ProcessId T : Picks)
-    G.addEdge(P, T);
+  G.addNodeWithEdges(P, Picks);
   LastJoined = P;
 }
 

@@ -35,6 +35,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace dyndist {
@@ -71,6 +72,14 @@ public:
 
   /// Adds a node; no-op if present. Returns true when newly added.
   bool addNode(ProcessId P);
+
+  /// Adds the absent node \p P linked to every one of \p Targets: the
+  /// same graph as addNode(P) followed by addEdge(P, T) per target, in one
+  /// step (one epoch bump). The targets must be present, distinct and
+  /// differ from \p P, in any order. P's neighbor list is built sorted at
+  /// once; each target's list takes an append when P is its largest id
+  /// (the simulator's ids ascend) and a sorted insert otherwise.
+  void addNodeWithEdges(ProcessId P, std::span<const ProcessId> Targets);
 
   /// Removes a node and all incident edges; no-op if absent. Returns true
   /// when the node existed.

@@ -41,9 +41,9 @@ Result<unsigned> parseSweepThreads(const char *What, const char *Value) {
   return static_cast<unsigned>(Parsed);
 }
 
-/// The DYNDIST_THREADS environment variable: 0 when unset, an error when
-/// set to anything but a valid thread count.
-Result<unsigned> sweepThreadsFromEnv() {
+} // namespace
+
+Result<unsigned> dyndist::sweepThreadsFromEnv() {
   // dyndist-lint: allow(D2) config entry point; thread count never alters
   // schedule bytes (seed sharding is positional), only execution speed
   const char *Env = std::getenv("DYNDIST_THREADS");
@@ -51,8 +51,6 @@ Result<unsigned> sweepThreadsFromEnv() {
     return 0u;
   return parseSweepThreads("DYNDIST_THREADS", Env);
 }
-
-} // namespace
 
 unsigned dyndist::resolveSweepThreads(unsigned Requested) {
   if (Requested > 0)

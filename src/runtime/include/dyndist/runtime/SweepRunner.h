@@ -73,8 +73,16 @@ constexpr unsigned SweepThreadLimit = 1024;
 /// DYNDIST_THREADS environment variable when set to a positive integer
 /// below SweepThreadLimit, else std::thread::hardware_concurrency()
 /// (minimum 1). A malformed DYNDIST_THREADS falls through to the hardware
-/// count here; mains reject it up front with sweepThreadsFromArgs().
+/// count here; mains reject it up front with sweepThreadsFromArgs() or
+/// sweepThreadsFromEnv().
 unsigned resolveSweepThreads(unsigned Requested);
+
+/// The DYNDIST_THREADS environment variable as a thread count: 0 when
+/// unset, an InvalidArgument error when set to anything but an integer in
+/// [1, SweepThreadLimit). The check sweepThreadsFromArgs() applies when
+/// its flag is absent; a tool whose count resolves automatically by other
+/// means calls it directly.
+Result<unsigned> sweepThreadsFromEnv();
 
 /// Strips a leading-anywhere "--threads N" / "--threads=N" flag from
 /// (\p Argc, \p Argv) and returns the requested count, 0 when the flag is

@@ -20,7 +20,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace dyndist {
@@ -78,12 +77,15 @@ static_assert(sizeof(SimEvent) == 16, "calendar nodes stay two words");
 /// backwards, so within one bucket FIFO order *is* sequence order and the
 /// (time, sequence) execution contract holds without materializing
 /// sequence numbers at all. The payoff over a per-event heap: push and pop
-/// are O(1) contiguous array moves, and ordering work (heap sift, hash
-/// lookup) is paid once per distinct instant, not once per event — under
-/// fixed latency that is once per tick for hundreds of events.
+/// are O(1) contiguous array moves, and ordering work (heap sift) is paid
+/// once per distinct instant, not once per event — under fixed latency
+/// that is once per tick for hundreds of events.
 ///
-/// Buckets and their FIFO capacity are recycled through a free list, so
-/// steady-state scheduling allocates nothing.
+/// A push finds its instant's bucket through Index, an open-addressed
+/// instant -> slot table owned by the queue. Buckets and their FIFO
+/// capacity are recycled through a free list and the table keeps its
+/// capacity, so steady-state scheduling allocates nothing, not even for a
+/// push that opens a new instant.
 struct CalendarQueue {
   enum : uint32_t { KDeliver = 0, KTimer = 1, KAction = 2 };
 
@@ -96,16 +98,27 @@ struct CalendarQueue {
   std::vector<Bucket> Buckets;       ///< Slot pool; capacity retained.
   std::vector<uint32_t> FreeBuckets; ///< Recycled Buckets slots.
   std::vector<uint32_t> TimeHeap;    ///< Bucket slots, min-heap by Time.
-  /// Instant -> bucket slot. Lookup-only (try_emplace in bucketFor, erase
-  /// in retireFront); pop order always comes from TimeHeap, never from
-  /// hash order.
-  // dyndist-lint: allow(D1) keyed access only; bucket order is TimeHeap's
-  std::unordered_map<SimTime, uint32_t> ByTime;
 
-  /// One-entry lookup cache: under fixed latency every push in a tick
-  /// targets the same instant, so this short-circuits the hash lookup.
-  SimTime CachedTime = 0;
-  uint32_t CachedBucket = UINT32_MAX;
+  static constexpr uint32_t NoBucket = UINT32_MAX;
+  static constexpr unsigned MinIndexBits = 4;
+
+  /// One instant -> bucket slot mapping of Index; empty when Slot is
+  /// NoBucket (Time is then stale and never read).
+  struct IndexEntry {
+    SimTime Time = 0;
+    uint32_t Slot = NoBucket;
+  };
+
+  /// Instant -> bucket slot for every pending instant: open addressing
+  /// with linear probing over a power-of-two table kept at most half full.
+  /// A probe starts at the Fibonacci hash of the instant (one multiply,
+  /// top IndexBits bits) and compares inline keys, so it touches no bucket.
+  /// Deletion shifts the rest of the probe run back (no tombstones), so
+  /// every live entry sits in an unbroken run from its home position.
+  /// Lookup-only: pop order always comes from TimeHeap, never from the
+  /// table's layout.
+  std::vector<IndexEntry> Index;
+  unsigned IndexBits = MinIndexBits; ///< log2(Index.size()).
 
   std::vector<ActionFn> Actions;
   std::vector<uint32_t> FreeActions;
@@ -122,6 +135,8 @@ struct CalendarQueue {
   std::vector<uint64_t> TimerLive;
   std::vector<uint64_t> TimerCancelled;
   size_t TimerPending = 0; ///< Live population count, kept incrementally.
+
+  CalendarQueue() : Index(size_t(1) << MinIndexBits) {}
 
   ~CalendarQueue() {
     // Hand parked payload references in undrained buckets back to their
@@ -143,10 +158,14 @@ struct CalendarQueue {
   /// queue's allocation order).
   // DYNDIST_SERIAL_ONLY: tears down shared queue state between runs.
   void reset() {
-    // Only slots still on the heap can hold content: retireFront() clears
-    // a bucket before free-listing it and bucketFor() hands out clean
-    // slots, so the free-listed majority needs no per-bucket touch-up —
-    // just the canonical free-list rebuild below.
+    // Only slots still on the heap can hold content or an Index entry:
+    // retireFront() clears a bucket and its entry before free-listing it
+    // and bucketFor() hands out clean slots, so the free-listed majority
+    // needs no per-bucket touch-up — just the canonical free-list rebuild
+    // below. Entries are emptied in place, without indexErase()'s shifts:
+    // nothing moves while the loop runs, so each instant is still found by
+    // scanning from its home position, past the holes already made.
+    size_t Mask = Index.size() - 1;
     for (uint32_t Slot : TimeHeap) {
       Bucket &B = Buckets[Slot];
       for (size_t I = B.Head, N = B.Fifo.size(); I != N; ++I)
@@ -154,15 +173,16 @@ struct CalendarQueue {
           MessageRef::adopt(B.Fifo[I].body());
       B.Fifo.clear(); // Capacity retained, like retireFront().
       B.Head = 0;
+      size_t At = indexHome(B.Time);
+      while (Index[At].Slot != Slot)
+        At = (At + 1) & Mask;
+      Index[At].Slot = NoBucket;
     }
     TimeHeap.clear();
-    ByTime.clear();
     FreeBuckets.resize(Buckets.size());
     for (uint32_t I = 0, N = static_cast<uint32_t>(Buckets.size()); I != N;
          ++I)
       FreeBuckets[I] = N - 1 - I;
-    CachedTime = 0;
-    CachedBucket = UINT32_MAX;
     // clear() destroys any undrained callables (their captures must not
     // leak into the next run) but keeps the vector's storage.
     Actions.clear();
@@ -182,25 +202,68 @@ struct CalendarQueue {
   /// The bucket holding instant \p Time, created (and heap-inserted) on
   /// first use.
   uint32_t bucketFor(SimTime Time) {
-    if (CachedBucket != UINT32_MAX && CachedTime == Time)
-      return CachedBucket;
-    auto [It, IsNew] = ByTime.try_emplace(Time, 0);
-    if (IsNew) {
-      uint32_t Slot;
-      if (!FreeBuckets.empty()) {
-        Slot = FreeBuckets.back();
-        FreeBuckets.pop_back();
-      } else {
-        Slot = static_cast<uint32_t>(Buckets.size());
-        Buckets.emplace_back();
-      }
-      Buckets[Slot].Time = Time;
-      It->second = Slot;
-      heapPush(Slot);
+    size_t At = indexProbe(Time);
+    if (Index[At].Slot != NoBucket)
+      return Index[At].Slot;
+    uint32_t Slot;
+    if (!FreeBuckets.empty()) {
+      Slot = FreeBuckets.back();
+      FreeBuckets.pop_back();
+    } else {
+      Slot = static_cast<uint32_t>(Buckets.size());
+      Buckets.emplace_back();
     }
-    CachedTime = Time;
-    CachedBucket = It->second;
-    return CachedBucket;
+    Buckets[Slot].Time = Time;
+    heapPush(Slot);
+    if (2 * TimeHeap.size() > Index.size())
+      growIndex(); // Re-inserts every pending instant, this one included.
+    else
+      Index[At] = {Time, Slot};
+    return Slot;
+  }
+
+  /// Home position of \p Time in Index: the top IndexBits bits of its
+  /// Fibonacci hash, which spreads consecutive instants apart.
+  size_t indexHome(SimTime Time) const {
+    return static_cast<size_t>((Time * 0x9E3779B97F4A7C15ull) >>
+                               (64 - IndexBits));
+  }
+
+  /// Position of \p Time's entry, or of the empty entry ending its probe
+  /// run when the instant is not pending.
+  size_t indexProbe(SimTime Time) const {
+    size_t Mask = Index.size() - 1;
+    size_t At = indexHome(Time);
+    while (Index[At].Slot != NoBucket && Index[At].Time != Time)
+      At = (At + 1) & Mask;
+    return At;
+  }
+
+  /// Doubles Index and re-inserts every pending instant (the TimeHeap's).
+  void growIndex() {
+    ++IndexBits;
+    Index.assign(size_t(1) << IndexBits, IndexEntry{});
+    for (uint32_t Slot : TimeHeap)
+      Index[indexProbe(Buckets[Slot].Time)] = {Buckets[Slot].Time, Slot};
+  }
+
+  /// Removes pending instant \p Time's entry. Backward-shift deletion:
+  /// each later entry of the probe run whose home does not lie in the
+  /// cyclic range (hole, entry] moves into the hole, so no lookup ever
+  /// crosses an empty entry to reach its key.
+  void indexErase(SimTime Time) {
+    size_t Mask = Index.size() - 1;
+    size_t Hole = indexProbe(Time);
+    assert(Index[Hole].Slot != NoBucket && "erasing an instant not pending");
+    for (size_t At = (Hole + 1) & Mask; Index[At].Slot != NoBucket;
+         At = (At + 1) & Mask) {
+      size_t Home = indexHome(Index[At].Time);
+      if (((At - Home) & Mask) >= ((At - Hole) & Mask)) {
+        Index[Hole] = Index[At];
+        Hole = At;
+      }
+    }
+    Index[Hole].Slot = NoBucket;
   }
 
   void push(SimTime Time, const SimEvent &E) {
@@ -227,9 +290,7 @@ struct CalendarQueue {
     uint32_t Slot = TimeHeap.front();
     Bucket &B = Buckets[Slot];
     assert(B.Head == B.Fifo.size() && "retiring a non-empty bucket");
-    ByTime.erase(B.Time);
-    if (CachedBucket == Slot)
-      CachedBucket = UINT32_MAX;
+    indexErase(B.Time);
     B.Fifo.clear();
     B.Head = 0;
     FreeBuckets.push_back(Slot);

@@ -96,6 +96,13 @@ TEST(Graph, EpochBumpsOnEverySuccessfulMutation) {
   Moved(false, "remove absent edges");
   G.addEdge(2, 3);
   Moved(true, "add edge");
+  const ProcessId Targets[] = {3, 1};
+  G.addNodeWithEdges(4, Targets);
+  Moved(true, "add node with edges");
+  G.addNodeWithEdges(5, {});
+  Moved(true, "add node with no edges");
+  EXPECT_TRUE(G.removeNode(4) && G.removeNode(5));
+  Moved(true, "remove nodes");
   EXPECT_TRUE(G.removeNode(3)); // Drops edge {2, 3} too.
   Moved(true, "remove node");
   EXPECT_FALSE(G.removeNode(3));
@@ -121,6 +128,31 @@ TEST(Graph, EpochBumpsOnEverySuccessfulMutation) {
   G = Graph();
   Moved(true, "move-assign a fresh graph");
   EXPECT_EQ(G.nodeCount(), 0u);
+}
+
+// addNodeWithEdges() equals addNode() plus one addEdge() per target, for
+// targets in any order and for a newcomer whose id is above, below or
+// between the ids already present.
+TEST(Graph, AddNodeWithEdgesMatchesAddEdgeLoop) {
+  const std::vector<ProcessId> Base = {2, 4, 6, 8, 10};
+  const std::vector<std::pair<ProcessId, std::vector<ProcessId>>> Joins = {
+      {20, {8, 2, 6}}, {1, {10, 4}}, {7, {20, 1, 6, 2}}, {0, {}}, {9, {7}}};
+  Graph Fast, Ref;
+  for (ProcessId P : Base) {
+    Fast.addNode(P);
+    Ref.addNode(P);
+  }
+  for (const auto &[P, Targets] : Joins) {
+    Fast.addNodeWithEdges(P, Targets);
+    Ref.addNode(P);
+    for (ProcessId T : Targets)
+      Ref.addEdge(P, T);
+    EXPECT_EQ(Fast.nodes(), Ref.nodes()) << P;
+    for (ProcessId Q : Ref.nodes())
+      EXPECT_EQ(Fast.neighbors(Q), Ref.neighbors(Q)) << P << " " << Q;
+    EXPECT_EQ(Fast.edgeCount(), Ref.edgeCount()) << P;
+    EXPECT_TRUE(Fast.checkConsistency()) << P;
+  }
 }
 
 // Node and neighbor lists stay sorted and duplicate-free whether ids
@@ -276,6 +308,85 @@ TEST(Overlay, JoinLinksToTargetDegree) {
   // grow afterwards).
   for (ProcessId P = 3; P != 10; ++P)
     EXPECT_GE(G.degree(P), 3u);
+}
+
+namespace {
+
+/// The overlay's join and patch-path leave rules written edge by edge with
+/// addNode/addEdge, drawing from its own copy of the overlay's stream: the
+/// reference DynamicOverlay's one-step attach must reproduce.
+struct ReferenceOverlay {
+  size_t Degree;
+  Rng R;
+  AttachMode Mode;
+  Graph G;
+  ProcessId LastJoined = InvalidProcess;
+
+  void join(ProcessId P) {
+    std::vector<ProcessId> Members = G.nodes();
+    std::vector<ProcessId> Picks;
+    if (Mode == AttachMode::Chain && !Members.empty()) {
+      Picks.push_back(G.hasNode(LastJoined) ? LastJoined : Members.back());
+    } else if (Members.size() <= Degree) {
+      Picks = Members;
+    } else {
+      while (Picks.size() != Degree) {
+        ProcessId T = Members[R.nextBelow(Members.size())];
+        if (std::find(Picks.begin(), Picks.end(), T) == Picks.end())
+          Picks.push_back(T);
+      }
+    }
+    G.addNode(P);
+    for (ProcessId T : Picks)
+      G.addEdge(P, T);
+    LastJoined = P;
+  }
+
+  void leave(ProcessId P) {
+    std::vector<ProcessId> Nbrs = G.neighbors(P);
+    for (size_t I = 0; I + 1 < Nbrs.size(); ++I)
+      G.addEdge(Nbrs[I], Nbrs[I + 1]);
+    G.removeNode(P);
+  }
+};
+
+} // namespace
+
+// DynamicOverlay::join attaches in one Graph call; the result must equal
+// the edge-by-edge reference — same adjacency, same edge count, the same
+// random draws — in both attach modes, under churn, and for hand-driven
+// joins whose ids sit below the ids already present.
+TEST(Overlay, OneStepAttachMatchesEdgeByEdgeReference) {
+  for (AttachMode Mode : {AttachMode::Random, AttachMode::Chain})
+    for (size_t Degree : {1u, 3u, 5u})
+      for (uint64_t Seed : {1u, 2u, 3u}) {
+        DynamicOverlay O(Degree, Rng(Seed), Mode);
+        ReferenceOverlay Ref{Degree, Rng(Seed), Mode, Graph()};
+        Rng Ops(Seed + 100);
+        // Ascending spawn ids from 1000; every fifth join takes a fresh
+        // id below them (5, 10, 15, ...), so target lists also take
+        // mid-list inserts.
+        ProcessId NextHigh = 1000, NextLow = 5;
+        for (int Step = 0; Step != 300; ++Step) {
+          const std::vector<ProcessId> Nodes = O.graph().nodes();
+          if (Nodes.size() > 4 && Ops.nextBelow(3) == 0) {
+            ProcessId Victim = Nodes[Ops.nextBelow(Nodes.size())];
+            O.leave(Victim);
+            Ref.leave(Victim);
+          } else {
+            ProcessId P = Step % 5 == 4 ? (NextLow += 5) : NextHigh++;
+            O.join(P);
+            Ref.join(P);
+          }
+          const Graph &G = O.graph();
+          ASSERT_EQ(G.nodes(), Ref.G.nodes()) << "step " << Step;
+          for (ProcessId P : G.nodes())
+            ASSERT_EQ(G.neighbors(P), Ref.G.neighbors(P))
+                << "step " << Step << " node " << P;
+          ASSERT_EQ(G.edgeCount(), Ref.G.edgeCount()) << "step " << Step;
+          ASSERT_TRUE(G.checkConsistency()) << "step " << Step;
+        }
+      }
 }
 
 TEST(Overlay, LeavePreservesConnectivity) {

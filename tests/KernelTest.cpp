@@ -15,8 +15,12 @@
 #include "dyndist/runtime/KernelLoad.h"
 #include "dyndist/sim/Simulator.h"
 #include "dyndist/sim/TraceIO.h"
+#include "dyndist/support/Random.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
 
 using namespace dyndist;
 
@@ -71,6 +75,66 @@ public:
   size_t Universe;
   int Rounds = 0;
   int Received = 0;
+};
+
+/// Schedules tagged actions through the public Simulator::scheduleAt and
+/// logs (time, push index) for every push and every execution. A nesting
+/// action pushes three more when it runs: one into its own instant
+/// (behind the bucket's head), one a few ticks ahead, one far ahead.
+struct CalendarLog {
+  Simulator &S;
+  Rng R;
+  std::vector<std::pair<SimTime, uint64_t>> Pushed, Ran;
+
+  void push(SimTime T, bool Nest) {
+    uint64_t Seq = Pushed.size();
+    Pushed.emplace_back(T, Seq);
+    S.scheduleAt(T, [this, T, Seq, Nest](Simulator &Sim) {
+      EXPECT_EQ(Sim.now(), T);
+      Ran.emplace_back(T, Seq);
+      if (Nest) {
+        push(T, false);
+        push(T + 1 + R.nextBelow(8), false);
+        push(T + (SimTime(1) << 36) + R.nextBelow(1 << 20), false);
+      }
+    });
+  }
+
+  /// \p N pushes at or after \p Base, mixing one-off far-future instants,
+  /// same-instant bursts, and instants that are multiples of 2^4..2^16
+  /// apart — the same residue modulo every power-of-two table size up to
+  /// their spacing.
+  void pushBatch(SimTime Base, size_t N) {
+    while (N) {
+      bool Nest = R.nextBelow(8) == 0;
+      switch (R.nextBelow(3)) {
+      case 0:
+        push(Base + 1 + R.nextBelow(SimTime(1) << 40), Nest);
+        --N;
+        break;
+      case 1: {
+        SimTime T = Base + R.nextBelow(64);
+        for (size_t Burst = 1 + R.nextBelow(16); Burst && N; --Burst, --N)
+          push(T, Nest);
+        break;
+      }
+      default:
+        push(Base + ((1 + R.nextBelow(64)) << (4 + R.nextBelow(13))), Nest);
+        --N;
+        break;
+      }
+    }
+  }
+
+  /// Everything pushed, stably sorted by time: the execution order the
+  /// (time, push order) contract promises.
+  std::vector<std::pair<SimTime, uint64_t>> expected() const {
+    std::vector<std::pair<SimTime, uint64_t>> E = Pushed;
+    std::stable_sort(E.begin(), E.end(), [](const auto &A, const auto &B) {
+      return A.first < B.first;
+    });
+    return E;
+  }
 };
 
 } // namespace
@@ -173,6 +237,48 @@ TEST(Kernel, SameTimeEventsKeepScheduleOrder) {
   ASSERT_EQ(Order.size(), 32u);
   for (int I = 0; I != 32; ++I)
     EXPECT_EQ(Order[static_cast<size_t>(I)], I);
+}
+
+// Randomized order check of the calendar through the public API: several
+// thousand distinct pending instants (the instant index grows across many
+// doublings), bursts, power-of-two-spaced instants, pushes made while
+// running, and reuse after a reset that left events pending. Execution
+// must follow a stable sort by (time, push order), and a reset must drop
+// every pending event.
+TEST(Kernel, CalendarOrderMatchesStableSortUnderRandomSchedules) {
+  for (uint64_t Seed : {1u, 2u, 3u}) {
+    Simulator S(Seed);
+    auto Log = std::make_unique<CalendarLog>(CalendarLog{S, Rng(Seed), {}, {}});
+    Log->pushBatch(0, 6000);
+    EXPECT_EQ(S.run(), StopReason::QueueExhausted);
+    EXPECT_EQ(Log->Ran, Log->expected()) << "seed " << Seed;
+
+    for (int Round = 0; Round != 3; ++Round) {
+      S.reset(Seed + 10 * Round);
+      Log = std::make_unique<CalendarLog>(
+          CalendarLog{S, Rng(Seed * 100 + Round), {}, {}});
+      Log->pushBatch(0, 3000);
+      // Stop halfway through the instants; the rest stay pending. Every
+      // event at or before the cut ran — nested pushes included — in
+      // contract order, and nothing after it.
+      const SimTime Cut = Log->expected()[Log->Pushed.size() / 2].first;
+      EXPECT_EQ(S.run(RunLimits{Cut, 50'000'000}), StopReason::TimeLimit);
+      std::vector<std::pair<SimTime, uint64_t>> Due = Log->expected();
+      Due.erase(std::find_if(Due.begin(), Due.end(),
+                             [Cut](const auto &E) { return E.first > Cut; }),
+                Due.end());
+      EXPECT_EQ(Log->Ran, Due) << "seed " << Seed << " round " << Round;
+      EXPECT_LT(Due.size(), Log->Pushed.size());
+    }
+
+    // Reuse after a reset with events still pending: none of them runs,
+    // and the fresh schedule keeps the contract.
+    S.reset(Seed);
+    Log = std::make_unique<CalendarLog>(CalendarLog{S, Rng(Seed + 7), {}, {}});
+    Log->pushBatch(0, 6000);
+    EXPECT_EQ(S.run(), StopReason::QueueExhausted);
+    EXPECT_EQ(Log->Ran, Log->expected()) << "seed " << Seed << " reused";
+  }
 }
 
 TEST(Kernel, TraceLevelsFilterRecordingOnly) {

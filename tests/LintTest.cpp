@@ -584,7 +584,7 @@ TEST(LintRealTree, ZeroUnsuppressedFindings) {
       ++Suppressed;
       EXPECT_FALSE(F.SuppressReason.empty());
     }
-  EXPECT_GE(Suppressed, 5u)
-      << "the audited allow() sites (ByTime, Ids, KeyTable, 2x getenv) "
-         "must stay visible";
+  EXPECT_EQ(Suppressed, 4u)
+      << "the audited allow() sites (Ids, KeyTable, 2x getenv) must stay "
+         "visible";
 }

@@ -42,7 +42,9 @@
 //     --bucket <w>        time bucket width for --by time (default 100)
 //     --k <n>             top-k group count               (default 10)
 //     --limit <n>         filter output cap               (default all)
-//     --threads <n>       scan concurrency, < 1024 (0 = auto) (default 1)
+//     --threads <n>       scan concurrency, < 1024 (0 = auto: a set
+//                         DYNDIST_THREADS, checked like --threads, else
+//                         the hardware count)             (default 1)
 //
 //===----------------------------------------------------------------------===//
 
@@ -199,6 +201,12 @@ int runQueryMode(int argc, char **argv) {
       usageError("unknown query option '" + Arg + "'");
     }
   }
+
+  // An automatic count resolves through DYNDIST_THREADS; a malformed
+  // value is a usage error, not a silent fall back to every hardware thread.
+  if (Opts.Threads == 0)
+    if (Result<unsigned> Env = sweepThreadsFromEnv(); !Env)
+      usageError(Env.error().str());
 
   auto Src = TraceQuerySource::open(Path);
   if (!Src.ok()) {
