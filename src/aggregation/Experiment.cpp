@@ -151,7 +151,13 @@ ExperimentResult dyndist::runQueryExperiment(const ExperimentConfig &Config,
     Sys = &*Fresh;
   }
 
-  ProcessId Issuer = Sys->sim().spawn(Sys->churn().makeActor());
+  ProcessId Issuer;
+  {
+    // Like the churn's arrivals, the issuer takes a block of the kernel's
+    // pool (the previous run's, in an arena).
+    BodyPool::Scope Pool = Sys->sim().poolScope();
+    Issuer = Sys->sim().spawn(Sys->churn().makeActor());
+  }
   scheduleQueryStart(Sys->sim(), Config.QueryAt, Issuer);
 
   RunLimits Limits;

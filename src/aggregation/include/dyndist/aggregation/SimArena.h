@@ -12,15 +12,17 @@
 /// churn driver clear logical state while retaining every capacity/page
 /// already faulted (calendar buckets, body-pool slabs, graph slot tables,
 /// trace buffers). The per-run shared_ptr config/counter churn is hoisted
-/// into the arena too: a steady-state run allocates nothing but actors.
+/// into the arena too, and the run's actors recycle the previous run's
+/// blocks of the kernel's BodyPool: a steady-state short run makes about
+/// three heap calls in all (ActorPool.WarmShortRunsMakeAtMostFiveHeapCalls).
 ///
 /// Determinism contract: an arena-reused run is byte-identical to a
 /// fresh-construction run of the same ExperimentConfig — same schedule,
 /// same trace bytes, same experiment output — at every shard count. The
-/// single carve-out is SimStats::BodyPoolHits/Misses, cumulative
-/// allocation-economy counters that legitimately differ between a cold and
-/// a warm pool (the same carve-out the sharded kernel's shard-count
-/// invariance makes). Pinned by ArenaResetTest golden digests
+/// single carve-out is SimStats::BodyPoolHits/Misses (payload and actor
+/// blocks), cumulative allocation-economy counters that legitimately
+/// differ between a cold and a warm pool (the same carve-out the sharded
+/// kernel's shard-count invariance makes). Pinned by ArenaResetTest golden digests
 /// (ArenaReset.ByteIdenticalToFreshAcrossFamiliesAndShards covers shard
 /// counts 0, 1, 2, 4 and 8).
 ///

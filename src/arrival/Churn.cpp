@@ -84,6 +84,9 @@ SimTime ChurnDriver::State::sampleSession() {
 }
 
 void ChurnDriver::State::spawnOne(Simulator &Sim) {
+  // Inside the scope the factory's actor recycles a block of Sim's pool,
+  // also for the initial population, which spawns outside run().
+  BodyPool::Scope Pool = Sim.poolScope();
   ProcessId P = Sim.spawn(Factory());
   ++Arrivals;
   SimTime Session = sampleSession();

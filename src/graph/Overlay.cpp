@@ -60,7 +60,9 @@ void DynamicOverlay::join(ProcessId P) {
 void DynamicOverlay::leave(ProcessId P) {
   if (!G.hasNode(P))
     return;
-  std::vector<ProcessId> Nbrs = G.neighbors(P);
+  // Copied: the view dies with P's edges.
+  NeighborView View = G.neighborView(P);
+  Nbrs.assign(View.begin(), View.end());
   switch (Repair) {
   case RepairMode::PatchPath:
     // Path through the (sorted) neighbor list: every route through P is

@@ -114,6 +114,8 @@ private:
   ProcessId LastJoined = InvalidProcess;
   /// Attach-target scratch, reused across joins (capacity TargetDegree).
   std::vector<ProcessId> Picks;
+  /// Copy of a leaver's neighbour list, reused across leaves.
+  std::vector<ProcessId> Nbrs;
 };
 
 } // namespace dyndist

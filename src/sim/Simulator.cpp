@@ -21,6 +21,20 @@ Context::~Context() = default;
 Actor::~Actor() = default;
 TopologyProvider::~TopologyProvider() = default;
 
+void *Actor::operator new(size_t Bytes) {
+  return BodyPool::allocateHeadered(Bytes);
+}
+
+void Actor::operator delete(void *Obj) { BodyPool::freeHeadered(Obj); }
+
+void *Actor::operator new(size_t Bytes, std::align_val_t Align) {
+  return ::operator new(Bytes, Align);
+}
+
+void Actor::operator delete(void *Obj, std::align_val_t Align) {
+  ::operator delete(Obj, Align);
+}
+
 void Actor::onStart(Context &Ctx) { (void)Ctx; }
 void Actor::onMessage(Context &Ctx, ProcessId From, const MessageBody &Body) {
   (void)Ctx;

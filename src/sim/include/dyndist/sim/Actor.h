@@ -22,6 +22,7 @@
 #include "dyndist/support/Random.h"
 
 #include <cstddef>
+#include <new>
 #include <string>
 
 namespace dyndist {
@@ -95,9 +96,23 @@ public:
 /// defaults are no-ops. One Actor instance is owned by the simulator per
 /// spawned process and lives until the run ends (even if the process
 /// crashed, so post-run state inspection is possible).
+///
+/// Actor storage comes from the active BodyPool, the one a simulator
+/// installs while it spawns or runs, so an arena's arrivals recycle the
+/// previous run's actor blocks instead of calling the heap. Outside any
+/// pool scope an actor lives on the plain heap; either way `delete` sends
+/// the block home through the header BodyPool::allocateHeadered() puts in
+/// front of it.
 class Actor {
 public:
   virtual ~Actor();
+
+  static void *operator new(size_t Bytes);
+  static void operator delete(void *Obj);
+  /// Pool blocks are only max_align_t-aligned: an over-aligned actor
+  /// bypasses the pool and its header.
+  static void *operator new(size_t Bytes, std::align_val_t Align);
+  static void operator delete(void *Obj, std::align_val_t Align);
 
   /// Runs once when the process joins the system.
   virtual void onStart(Context &Ctx);

@@ -5,25 +5,34 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A size-bucketed slab recycler for message payloads. Each Simulator owns
-/// one pool; freed bodies return to a per-bucket LIFO free list whose
-/// capacity is retained across churn, exactly like the Graph slot table —
-/// so steady-state messaging allocates nothing. The pool is strictly
-/// single-threaded (one Simulator per sweep shard, per the SweepRunner
-/// discipline), which is what makes MessageBody's non-atomic refcount safe.
+/// A size-bucketed slab recycler for message payloads and actors. Each
+/// Simulator owns one pool; freed blocks return to a per-bucket LIFO free
+/// list whose capacity is retained across churn, exactly like the Graph
+/// slot table — so steady-state messaging and arrivals allocate nothing.
+/// The pool is strictly single-threaded (one Simulator per sweep shard, per
+/// the SweepRunner discipline), which is what makes MessageBody's
+/// non-atomic refcount safe.
 ///
-/// makeBody<T>() reaches the pool through a thread-local "active pool"
-/// that the owning Simulator installs for the duration of run()/spawn()/
-/// leave() (RAII scope, nestable). Bodies created outside any simulator
-/// scope — harness setup code, tests — fall back to the plain heap and are
-/// freed there; the pool pointer recorded in each body keeps the two
-/// populations apart.
+/// makeBody<T>() and Actor's class-level operator new reach the pool
+/// through a thread-local "active pool" that the owning Simulator installs
+/// for the duration of run()/spawn()/leave() (RAII scope, nestable; the
+/// churn driver opens one with Simulator::poolScope() around its factory).
+/// Objects created outside any simulator scope — harness setup code, tests
+/// — fall back to the plain heap and are freed there. A body records its
+/// pool in itself; an actor's block carries it in a header in front of
+/// the object (allocateHeadered()). Either way the record keeps the two
+/// populations apart, and hits()/misses() count both kinds of block.
 ///
-/// Lifetime: the pool outlives its bodies. A Simulator destroyed while
-/// handles are still live (a test keeping a MessageRef around) retires the
-/// pool instead of deleting it: the pool frees its cached slabs, hands
-/// every later-returning body straight to the heap, and deletes itself
-/// when the last one comes home.
+/// Lifetime: the pool outlives its blocks. A Simulator destroyed while
+/// blocks are still live (its own actors, destroyed after it retires the
+/// pool; a test keeping a MessageRef around) retires the pool instead of
+/// deleting it: the pool frees its cached slabs, hands every
+/// later-returning block straight to the heap, and deletes itself when the
+/// last one comes home.
+///
+/// Under AddressSanitizer a cached block is poisoned while it sits on a
+/// free list, so a stale body or actor pointer into recycled storage is
+/// reported as a use-after-poison instead of reading the next tenant.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +44,17 @@
 #include <cstdint>
 #include <new>
 #include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define DYNDIST_POOL_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define DYNDIST_POOL_ASAN 1
+#endif
+#endif
+#ifdef DYNDIST_POOL_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace dyndist {
 
@@ -51,11 +71,7 @@ public:
   BodyPool(const BodyPool &) = delete;
   BodyPool &operator=(const BodyPool &) = delete;
 
-  ~BodyPool() {
-    for (auto &Bucket : Free)
-      for (void *Block : Bucket)
-        ::operator delete(Block);
-  }
+  ~BodyPool() { releaseCached(); }
 
   /// The pool installed by the innermost live Scope on this thread, or
   /// null when allocation should use the plain heap.
@@ -89,21 +105,23 @@ public:
       ++HitCount;
       void *Block = List.back();
       List.pop_back();
+      unpoison(Block, Bucket);
       return Block;
     }
     ++MissCount;
-    return ::operator new((size_t(Bucket) + 1) * Granularity);
+    return ::operator new(blockBytes(Bucket));
   }
 
   /// Returns \p Block (allocated from bucket \p Bucket) to the free list —
   /// or to the heap when the owning simulator is already gone, deleting
-  /// the retired pool once its last body is home.
+  /// the retired pool once its last block is home.
   void recycle(void *Block, uint32_t Bucket) {
     assert(Bucket < NumBuckets && "bad bucket index");
     assert(Outstanding > 0 && "recycle without allocate");
     --Outstanding;
     if (!Retired) {
       Free[Bucket].push_back(Block);
+      poison(Block, Bucket);
       return;
     }
     ::operator delete(Block);
@@ -112,7 +130,7 @@ public:
   }
 
   /// Called by the owning Simulator's destructor (pool is heap-allocated):
-  /// deletes the pool now if every body has been returned, otherwise
+  /// deletes the pool now if every block has been returned, otherwise
   /// switches it to retired self-deleting mode.
   static void retire(BodyPool *P) {
     if (P->Outstanding == 0) {
@@ -120,22 +138,82 @@ public:
       return;
     }
     // Cached slabs are useless now — no allocation will ever hit again.
-    for (auto &Bucket : P->Free) {
-      for (void *Block : Bucket)
-        ::operator delete(Block);
-      Bucket.clear();
-    }
+    P->releaseCached();
     P->Retired = true;
+  }
+
+  /// Storage for an object that is freed through a plain pointer (an
+  /// Actor, deleted by the simulator that owns it): a block of the active
+  /// pool, or of the heap outside any scope, with a Header in front that
+  /// records where it came from. Returns the address after the header.
+  static void *allocateHeadered(size_t Bytes) {
+    BodyPool *P = active();
+    uint32_t Bucket = 0;
+    void *Block = P ? P->allocate(sizeof(Header) + Bytes, Bucket) : nullptr;
+    if (!Block) { // No pool in scope, or the object is beyond pooling.
+      Block = ::operator new(sizeof(Header) + Bytes);
+      P = nullptr;
+    }
+    Header *H = ::new (Block) Header{P, Bucket};
+    return H + 1;
+  }
+
+  /// Returns an allocateHeadered() block to the pool its header names —
+  /// a retired one included — or to the heap.
+  static void freeHeadered(void *Obj) {
+    if (!Obj)
+      return;
+    Header *H = static_cast<Header *>(Obj) - 1;
+    if (H->Pool)
+      H->Pool->recycle(H, H->Bucket);
+    else
+      ::operator delete(H);
   }
 
   /// Allocations served from a free list / from fresh slabs.
   uint64_t hits() const { return HitCount; }
   uint64_t misses() const { return MissCount; }
 
-  /// Bodies currently alive out of this pool (tests).
+  /// Blocks currently alive out of this pool (tests).
   uint64_t outstanding() const { return Outstanding; }
 
 private:
+  /// Prefix of an allocateHeadered() block; a full alignment unit, so the
+  /// object behind it keeps the heap's max_align_t alignment.
+  struct alignas(std::max_align_t) Header {
+    BodyPool *Pool; ///< Recycling destination; null = heap.
+    uint32_t Bucket;
+  };
+
+  static size_t blockBytes(uint32_t Bucket) {
+    return (size_t(Bucket) + 1) * Granularity;
+  }
+
+  static void poison([[maybe_unused]] void *Block,
+                     [[maybe_unused]] uint32_t Bucket) {
+#ifdef DYNDIST_POOL_ASAN
+    ASAN_POISON_MEMORY_REGION(Block, blockBytes(Bucket));
+#endif
+  }
+
+  static void unpoison([[maybe_unused]] void *Block,
+                       [[maybe_unused]] uint32_t Bucket) {
+#ifdef DYNDIST_POOL_ASAN
+    ASAN_UNPOISON_MEMORY_REGION(Block, blockBytes(Bucket));
+#endif
+  }
+
+  /// Hands every cached block back to the heap.
+  void releaseCached() {
+    for (uint32_t B = 0; B != NumBuckets; ++B) {
+      for (void *Block : Free[B]) {
+        unpoison(Block, B);
+        ::operator delete(Block);
+      }
+      Free[B].clear();
+    }
+  }
+
   std::vector<void *> Free[NumBuckets];
   uint64_t Outstanding = 0;
   uint64_t HitCount = 0;

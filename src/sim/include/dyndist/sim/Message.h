@@ -18,9 +18,10 @@
 /// MessageRef is a one-pointer IntrusivePtr handle, so a broadcast costs a
 /// counter bump instead of shared_ptr's atomic control-block traffic. The
 /// storage behind each body comes from the owning Simulator's BodyPool
-/// (size-bucketed LIFO slab recycler) when one is in scope, making
-/// steady-state messaging allocation-free; bodies made outside any
-/// simulator scope fall back to the plain heap. Non-atomic counts are safe
+/// (size-bucketed LIFO slab recycler, which serves the simulator's actors
+/// too) when one is in scope, making steady-state messaging
+/// allocation-free; bodies made outside any simulator scope fall back to
+/// the plain heap. Non-atomic counts are safe
 /// because a body never leaves its simulator, and each SweepRunner shard
 /// runs its simulators on a single thread; the kernel asserts the
 /// no-crossing rule in debug builds (see docs/MODEL.md §7).

@@ -93,11 +93,12 @@ struct SimStats {
   uint64_t TimersFired = 0;
   uint64_t EventsExecuted = 0;
 
-  /// Allocation-economy counters: payload allocations served from the
-  /// body pool's free lists vs fresh slabs, and scheduled callables whose
-  /// captures overflowed the InlineFunction buffer onto the heap. In
-  /// steady state the first should dominate the second and the third
-  /// should stay 0 — the observable form of "messaging allocates nothing".
+  /// Allocation-economy counters: payload and actor allocations served
+  /// from the body pool's free lists vs fresh slabs, and scheduled
+  /// callables whose captures overflowed the InlineFunction buffer onto
+  /// the heap. In steady state the first should dominate the second and
+  /// the third should stay 0 — the observable form of "messaging
+  /// allocates nothing".
   uint64_t BodyPoolHits = 0;
   uint64_t BodyPoolMisses = 0;
   uint64_t InlineFnHeapFallbacks = 0;
@@ -221,6 +222,11 @@ public:
   /// Spawns a new process running \p A; it joins (and onStart runs) at the
   /// current instant. Returns its never-reused identity.
   ProcessId spawn(std::unique_ptr<Actor> A);
+
+  /// Makes this simulator's BodyPool the active one for the returned
+  /// scope's lifetime, so an actor built before spawn() takes it (a churn
+  /// arrival) draws its storage from the pool as a run-time spawn does.
+  BodyPool::Scope poolScope() { return BodyPool::Scope(Bodies); }
 
   /// Gracefully removes \p P at the current instant (onStop runs).
   void leave(ProcessId P);

@@ -42,12 +42,17 @@ uint64_t Rng::next() {
 
 uint64_t Rng::nextBelow(uint64_t Bound) {
   assert(Bound > 0 && "nextBelow() requires a positive bound");
-  // Rejection sampling to avoid modulo bias.
-  uint64_t Threshold = (0 - Bound) % Bound;
+  // Rejection sampling to avoid modulo bias: a draw is rejected iff it is
+  // below Threshold = 2^64 mod Bound. Threshold < Bound, so only a draw
+  // below Bound can be rejected, and only then is the division that
+  // computes Threshold paid (the values and draws are those of computing
+  // it up front).
   for (;;) {
     uint64_t Value = next();
-    if (Value >= Threshold)
+    if (Value >= Bound)
       return Value % Bound;
+    if (Value >= (0 - Bound) % Bound)
+      return Value;
   }
 }
 

@@ -174,6 +174,33 @@ TEST(BodyPool, FreedBlockIsReusedLifo) {
   EXPECT_EQ(Pool.misses(), 1u);
 }
 
+TEST(BodyPool, RecycledBlocksArePoisonedUnderAsan) {
+#ifndef DYNDIST_POOL_ASAN
+  GTEST_SKIP() << "the pool poisons blocks only under AddressSanitizer";
+#else
+  BodyPool Pool;
+  BodyPool::Scope Scope(&Pool);
+  const void *Body;
+  {
+    MessageRef M = makeBody<SmallValueMsg>(7);
+    Body = M.get();
+    EXPECT_FALSE(__asan_address_is_poisoned(Body));
+  }
+  EXPECT_TRUE(__asan_address_is_poisoned(Body));
+  MessageRef N = makeBody<SmallValueMsg>(8);
+  EXPECT_EQ(static_cast<const void *>(N.get()), Body);
+  EXPECT_FALSE(__asan_address_is_poisoned(Body));
+
+  // Actor blocks too: the object and the pool header in front of it.
+  struct IdleActor : Actor {};
+  auto A = std::make_unique<IdleActor>();
+  const char *Obj = reinterpret_cast<const char *>(A.get());
+  A.reset();
+  EXPECT_TRUE(__asan_address_is_poisoned(Obj));
+  EXPECT_TRUE(__asan_address_is_poisoned(Obj - 1));
+#endif
+}
+
 TEST(BodyPool, OversizedPayloadsBypassThePool) {
   static_assert(sizeof(HugeValueMsg) > BodyPool::MaxPooledBytes,
                 "test payload must exceed the pooling cutoff");

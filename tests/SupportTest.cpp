@@ -52,6 +52,41 @@ TEST(Random, NextBelowCoversAllResidues) {
   EXPECT_EQ(Seen.size(), 7u);
 }
 
+/// The rejection loop nextBelow() used before it deferred the threshold
+/// division, verbatim; counts the draws it rejects.
+static uint64_t referenceNextBelow(Rng &R, uint64_t Bound, uint64_t &Rejects) {
+  uint64_t Threshold = (0 - Bound) % Bound;
+  for (;;) {
+    uint64_t Value = R.next();
+    if (Value >= Threshold)
+      return Value % Bound;
+    ++Rejects;
+  }
+}
+
+TEST(Rng, NextBelowMatchesRejectionReference) {
+  constexpr uint64_t Top = uint64_t(1) << 63;
+  std::vector<uint64_t> Bounds = {
+      1, 2, 3, 100, (uint64_t(1) << 32) + 1, Top - 1, Top, Top + 1,
+      ~uint64_t(0)};
+  Rng Pick(2024);
+  for (int I = 0; I != 64; ++I) // Random bounds of every magnitude.
+    Bounds.push_back(std::max<uint64_t>(1, Pick.next() >> (Pick.next() % 64)));
+  uint64_t Rejects = 0;
+  for (uint64_t Bound : Bounds) {
+    Rng Fast(Bound ^ 0x5eed), Ref(Bound ^ 0x5eed);
+    for (int I = 0; I != 2000; ++I) {
+      ASSERT_EQ(Fast.nextBelow(Bound), referenceNextBelow(Ref, Bound, Rejects))
+          << "bound " << Bound << " draw " << I;
+      // Same number of raw draws consumed: the streams stay in lockstep.
+      ASSERT_EQ(Fast.next(), Ref.next()) << "bound " << Bound << " draw " << I;
+    }
+  }
+  // Above 2^63 a draw is rejected with probability (2^64 - Bound) / 2^64
+  // (about half at Top + 1), so the retry loop ran.
+  EXPECT_GT(Rejects, 500u);
+}
+
 TEST(Random, NextInRangeBounds) {
   Rng R(3);
   for (int I = 0; I != 10000; ++I) {

@@ -11,7 +11,9 @@
 #      bench/gates.json that carries gates, using the build-verify binaries.
 #   4. build-werror/: a strict-warnings build (-DDYNDIST_WERROR=ON).
 #   5. The suite under AddressSanitizer, UndefinedBehaviorSanitizer and
-#      ThreadSanitizer (build-asan/, build-ubsan/, build-tsan/). UBSan
+#      ThreadSanitizer (build-asan/, build-ubsan/, build-tsan/). ASan also
+#      sees a stale pointer into the BodyPool's recycled payload and actor
+#      blocks, which the pool poisons while they wait on a free list. UBSan
 #      polices the flat graph's raw-pointer views, the intrusive payload
 #      refcounts and the InlineFunction buffer arithmetic; TSan the sweep
 #      runner's seed sharding and the sharded kernel's fork-join lanes, and
