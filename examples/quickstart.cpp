@@ -74,7 +74,8 @@ int main(int argc, char **argv) {
               Sys.sim().trace().maxConcurrency(),
               (unsigned long long)Sys.maxObservedDiameter());
 
-  auto Issue = Sys.sim().trace().firstObservation(Issuer, OtqIssueKey);
+  auto Issue = Sys.sim().trace().firstObservationRecord(
+      Issuer, keyIdOf(TraceKey::OtqIssue));
   if (!Issue) {
     std::printf("query was never issued\n");
     return 1;

@@ -42,7 +42,7 @@ void CensusIssuerActor::startRound(Context &Ctx) {
   CurrentQueryId = (Ctx.self() << 20) ^ Ctx.now();
   Gathered.clear();
   Gathered[Ctx.self()] = Value;
-  Ctx.observe(OtqIssueKey, static_cast<int64_t>(Ctx.now()));
+  Ctx.observe(TraceKey::OtqIssue, static_cast<int64_t>(Ctx.now()));
 
   if (Config->Flood.Ttl > 0) {
     auto Req = makeBody<FloodRequestMsg>(CurrentQueryId, Ctx.self(),
@@ -82,12 +82,9 @@ std::vector<CensusPoint> dyndist::collectCensusSeries(const Trace &T,
                                                       AggregateKind Kind) {
   // Round windows: each issue record up to the next issue (or Horizon).
   std::vector<SimTime> Issues;
-  const uint32_t IssueId = T.keys().find(OtqIssueKey);
-  if (IssueId != 0)
-    for (const TraceRecord &R : T.records())
-      if (R.kind() == TraceKind::Observe && R.subject() == Issuer &&
-          R.keyId() == IssueId)
-        Issues.push_back(R.Time);
+  for (const TraceRecord &R : T.records())
+    if (R.observes(TraceKey::OtqIssue) && R.subject() == Issuer)
+      Issues.push_back(R.Time);
 
   std::vector<CensusPoint> Series;
   for (size_t I = 0; I != Issues.size(); ++I) {

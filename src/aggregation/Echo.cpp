@@ -32,7 +32,7 @@ void EchoActor::startQuery(Context &Ctx) {
     return;
   Issuing = true;
   MyQueryId = (Ctx.self() << 20) ^ Ctx.now();
-  Ctx.observe(OtqIssueKey, static_cast<int64_t>(Ctx.now()));
+  Ctx.observe(TraceKey::OtqIssue, static_cast<int64_t>(Ctx.now()));
   engage(Ctx, MyQueryId, /*Parent=*/InvalidProcess, /*Issuer=*/Ctx.self());
 }
 

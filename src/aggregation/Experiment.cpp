@@ -175,7 +175,8 @@ ExperimentResult dyndist::runQueryExperiment(const ExperimentConfig &Config,
   R.Arrivals = Sys->churn().arrivals();
   R.MembersAtQuery = Sys->sim().trace().membersCountAt(Config.QueryAt);
 
-  auto Issue = Sys->sim().trace().firstObservation(Issuer, OtqIssueKey);
+  auto Issue = Sys->sim().trace().firstObservationRecord(
+      Issuer, keyIdOf(TraceKey::OtqIssue));
   if (Issue) {
     R.QueryIssued = true;
     R.Verdict = checkOneTimeQuery(Sys->sim().trace(), Issuer, Issue->Time,

@@ -35,7 +35,7 @@ void FloodActor::startQuery(Context &Ctx) {
   // Query ids must be globally fresh: derive from (self, now).
   MyQueryId = (Ctx.self() << 20) ^ Ctx.now();
   SeenQueries.insert(MyQueryId);
-  Ctx.observe(OtqIssueKey, static_cast<int64_t>(Ctx.now()));
+  Ctx.observe(TraceKey::OtqIssue, static_cast<int64_t>(Ctx.now()));
 
   Gathered[Ctx.self()] = Value; // The issuer contributes its own value.
   if (Config->Ttl > 0) {

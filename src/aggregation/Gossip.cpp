@@ -71,7 +71,7 @@ void GossipActor::startQuery(Context &Ctx) {
   if (Issuing)
     return;
   Issuing = true;
-  Ctx.observe(OtqIssueKey, static_cast<int64_t>(Ctx.now()));
+  Ctx.observe(TraceKey::OtqIssue, static_cast<int64_t>(Ctx.now()));
   infect(Ctx, (Ctx.self() << 20) ^ Ctx.now());
   ReportTimer = Ctx.setTimer(Config->ReportAfter);
 }

@@ -9,16 +9,16 @@
 using namespace dyndist;
 
 void AggregationActor::onStart(Context &Ctx) {
-  Ctx.observe(OtqValueKey, Value);
+  Ctx.observe(TraceKey::OtqValue, Value);
 }
 
 void AggregationActor::reportResult(Context &Ctx, const Contributions &C,
                                     AggregateKind Kind) {
   for (const auto &[P, V] : C) {
     (void)V;
-    Ctx.observe(OtqIncludeKey, static_cast<int64_t>(P));
+    Ctx.observe(TraceKey::OtqInclude, static_cast<int64_t>(P));
   }
-  Ctx.observe(OtqResultKey, foldAggregate(Kind, C));
+  Ctx.observe(TraceKey::OtqResult, foldAggregate(Kind, C));
 }
 
 void dyndist::scheduleQueryStart(Simulator &S, SimTime When,

@@ -30,7 +30,7 @@ void TokenActor::startQuery(Context &Ctx) {
     return;
   Issuing = true;
   MyQueryId = (Ctx.self() << 20) ^ Ctx.now();
-  Ctx.observe(OtqIssueKey, static_cast<int64_t>(Ctx.now()));
+  Ctx.observe(TraceKey::OtqIssue, static_cast<int64_t>(Ctx.now()));
   if (Config->TimeoutAfter > 0)
     Timeout = Ctx.setTimer(Config->TimeoutAfter);
   // Hand ourselves the initial token.

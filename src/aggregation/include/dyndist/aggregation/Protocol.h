@@ -39,8 +39,9 @@ enum AggregationMsgKind : int {
   MsgToken = 40,
 };
 
-/// Additional observation key: the instant the issuer began its query.
-inline const char *const OtqIssueKey = "otq.issue";
+/// Name of the additional observation key TraceKey::OtqIssue: the instant
+/// the issuer began its query.
+inline constexpr const char *OtqIssueKey = keyNameOf(TraceKey::OtqIssue);
 
 /// Stimulus telling the receiving actor to act as the query issuer.
 /// Injected by the harness via Simulator::sendMessage(P, P, ...).

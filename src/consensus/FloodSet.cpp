@@ -45,7 +45,7 @@ void FloodSetActor::closeRound(Context &Ctx) {
   }
   assert(!Known.empty() && "a participant always knows its own value");
   Decision = *Known.begin(); // Decide the minimum.
-  Ctx.observe(FloodSetDecideKey, *Decision);
+  Ctx.observe(TraceKey::FloodSetDecide, *Decision);
 }
 
 std::function<std::unique_ptr<Actor>()>
@@ -60,11 +60,8 @@ dyndist::makeFloodSetFactory(std::shared_ptr<const FloodSetConfig> Config,
 FloodSetOutcome dyndist::collectFloodSetOutcome(const Trace &T) {
   FloodSetOutcome Out;
   Out.Participants = T.presence().size();
-  const uint32_t DecideId = T.keys().find(FloodSetDecideKey);
-  if (DecideId == 0)
-    return Out;
   for (const TraceRecord &R : T.records()) {
-    if (R.kind() != TraceKind::Observe || R.keyId() != DecideId)
+    if (!R.observes(TraceKey::FloodSetDecide))
       continue;
     ++Out.Decided;
     Out.DistinctDecisions.insert(R.Value);

@@ -20,7 +20,7 @@ void RotatingConsensusActor::onMessage(Context &Ctx, ProcessId From,
     Started = true;
     assert(!Config->Participants.empty() &&
            "participant set must be filled before starting");
-    Ctx.observe(ConsensusProposeKey, Estimate);
+    Ctx.observe(TraceKey::ConsensusPropose, Estimate);
     beginRound(Ctx);
     return;
   case MsgRcEstimate:
@@ -133,7 +133,7 @@ void RotatingConsensusActor::decide(Context &Ctx, int64_t Value) {
     return;
   Decided = Value;
   Ctx.cancelTimer(RoundTimer);
-  Ctx.observe(ConsensusDecideKey, Value);
+  Ctx.observe(TraceKey::ConsensusDecide, Value);
 }
 
 void RotatingConsensusActor::onTimer(Context &Ctx, TimerId Id) {
@@ -147,16 +147,12 @@ void RotatingConsensusActor::onTimer(Context &Ctx, TimerId Id) {
 std::vector<ConsensusRecord>
 dyndist::collectRotatingOutcome(const Trace &T) {
   std::map<ProcessId, ConsensusRecord> ByClient;
-  const uint32_t ProposeId = T.keys().find(ConsensusProposeKey);
-  const uint32_t DecideId = T.keys().find(ConsensusDecideKey);
   for (const TraceRecord &E : T.records()) {
-    if (E.kind() != TraceKind::Observe)
-      continue;
-    if (ProposeId != 0 && E.keyId() == ProposeId) {
+    if (E.observes(TraceKey::ConsensusPropose)) {
       ConsensusRecord &R = ByClient[E.subject()];
       R.Client = E.subject();
       R.Proposed = E.Value;
-    } else if (DecideId != 0 && E.keyId() == DecideId) {
+    } else if (E.observes(TraceKey::ConsensusDecide)) {
       ConsensusRecord &R = ByClient[E.subject()];
       R.Client = E.subject();
       R.Decided = true;

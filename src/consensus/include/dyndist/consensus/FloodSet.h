@@ -41,8 +41,10 @@
 
 namespace dyndist {
 
-/// Observation key under which FloodSet actors record their decision.
-inline const char *const FloodSetDecideKey = "floodset.decide";
+/// Name of the observation key TraceKey::FloodSetDecide, under which
+/// FloodSet actors record their decision.
+inline constexpr const char *FloodSetDecideKey =
+    keyNameOf(TraceKey::FloodSetDecide);
 
 /// Message kind (disjoint from the aggregation protocol family).
 enum FloodSetMsgKind : int { MsgFloodSetRound = 60 };

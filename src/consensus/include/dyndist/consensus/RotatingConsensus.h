@@ -51,9 +51,11 @@
 
 namespace dyndist {
 
-/// Observation keys.
-inline const char *const ConsensusProposeKey = "consensus.propose";
-inline const char *const ConsensusDecideKey = "consensus.decide";
+/// Observation key names (the vocabulary's ConsensusPropose/Decide).
+inline constexpr const char *ConsensusProposeKey =
+    keyNameOf(TraceKey::ConsensusPropose);
+inline constexpr const char *ConsensusDecideKey =
+    keyNameOf(TraceKey::ConsensusDecide);
 
 /// Message kinds (disjoint range 80+).
 enum RotatingMsgKind : int {

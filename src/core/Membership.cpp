@@ -22,10 +22,6 @@ size_t MembershipActor::SuspectedView::count(ProcessId P) const {
 
 void MembershipActor::onStart(Context &Ctx) {
   Handle = States->acquire(Ctx.stateSlot());
-  // Intern once while in a serial phase; the message/timer hooks run in
-  // parallel lanes where interning is off-limits.
-  SuspectKeyId = Ctx.traceKeyId(MemberSuspectKey);
-  RestoreKeyId = Ctx.traceKeyId(MemberRestoreKey);
   heartbeatRound(Ctx);
 }
 
@@ -47,7 +43,7 @@ void MembershipActor::onMessage(Context &Ctx, ProcessId From,
   if (It->Suspect) {
     It->Suspect = false;
     --S.SuspectCount;
-    Ctx.observe(RestoreKeyId, static_cast<int64_t>(From));
+    Ctx.observe(TraceKey::MemberRestore, static_cast<int64_t>(From));
   }
 }
 
@@ -103,7 +99,7 @@ void MembershipActor::heartbeatRound(Context &Ctx) {
     if (!E.Suspect) {
       E.Suspect = true;
       ++S.SuspectCount;
-      Ctx.observe(SuspectKeyId, static_cast<int64_t>(E.Pid));
+      Ctx.observe(TraceKey::MemberSuspect, static_cast<int64_t>(E.Pid));
     }
   }
 

@@ -11,8 +11,6 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <map>
-#include <set>
 
 using namespace dyndist;
 
@@ -81,68 +79,72 @@ QueryVerdict dyndist::checkOneTimeQuery(const Trace &T, ProcessId Issuer,
                                         AggregateKind Kind) {
   QueryVerdict V;
 
-  // Resolve the checker keys once; a key absent from the table means no
-  // such observation exists anywhere in the trace.
-  const uint32_t ResultId = T.keys().find(OtqResultKey);
-  const uint32_t IncludeId = T.keys().find(OtqIncludeKey);
-  const uint32_t ValueId = T.keys().find(OtqValueKey);
-
-  // Clause 1: find the first result report in [IssueTime, Horizon].
+  // One pass over the records, which ascend in time. It finds the issuer's
+  // first result in [IssueTime, Horizon] (clause 1), its includes in
+  // [IssueTime, Response] (an include at the response instant counts even
+  // when recorded after the result), and every process's first declared
+  // input, wherever in the run it was declared.
+  std::vector<ProcessId> Included;
+  std::vector<std::pair<ProcessId, int64_t>> Inputs;
   for (const TraceRecord &R : T.records()) {
-    if (R.kind() != TraceKind::Observe ||
-        R.subject() != Issuer || ResultId == 0 || R.keyId() != ResultId)
+    if (R.observes(TraceKey::OtqValue)) {
+      Inputs.emplace_back(R.subject(), R.Value);
       continue;
-    if (R.Time < IssueTime || R.Time > Horizon)
+    }
+    if (R.kind() != TraceKind::Observe || R.subject() != Issuer ||
+        R.Time < IssueTime || (V.Terminated && R.Time > V.ResponseTime))
       continue;
-    V.Terminated = true;
-    V.ResponseTime = R.Time;
-    V.Aggregate = R.Value;
-    break;
+    if (R.observes(TraceKey::OtqInclude)) {
+      Included.push_back(static_cast<ProcessId>(R.Value));
+    } else if (R.observes(TraceKey::OtqResult) && !V.Terminated &&
+               R.Time <= Horizon) {
+      V.Terminated = true;
+      V.ResponseTime = R.Time;
+      V.Aggregate = R.Value;
+    }
   }
   if (!V.Terminated)
     return V;
 
-  // Contributor set: include records by the issuer up to the response.
-  std::set<ProcessId> Included;
-  for (const TraceRecord &R : T.records()) {
-    if (R.kind() != TraceKind::Observe ||
-        R.subject() != Issuer || IncludeId == 0 || R.keyId() != IncludeId)
-      continue;
-    if (R.Time < IssueTime || R.Time > V.ResponseTime)
-      continue;
-    Included.insert(static_cast<ProcessId>(R.Value));
-  }
+  std::sort(Included.begin(), Included.end());
+  Included.erase(std::unique(Included.begin(), Included.end()),
+                 Included.end());
   V.IncludedCount = Included.size();
+  // First declaration per process: a stable sort keeps record order among
+  // one process's declarations, and unique keeps the first of each run.
+  auto ByPid = [](const auto &A, const auto &B) { return A.first < B.first; };
+  if (!std::is_sorted(Inputs.begin(), Inputs.end(), ByPid))
+    std::stable_sort(Inputs.begin(), Inputs.end(), ByPid);
+  Inputs.erase(std::unique(Inputs.begin(), Inputs.end(),
+                           [](const auto &A, const auto &B) {
+                             return A.first == B.first;
+                           }),
+               Inputs.end());
 
-  // Declared inputs: first otq.value observation per process.
-  std::map<ProcessId, int64_t> Inputs;
-  for (const TraceRecord &R : T.records()) {
-    if (R.kind() != TraceKind::Observe || ValueId == 0 ||
-        R.keyId() != ValueId)
-      continue;
-    Inputs.try_emplace(R.subject(), R.Value);
-  }
-
-  // Clause 2: completeness over the required set.
-  std::vector<ProcessId> Required =
-      T.membersThroughout(IssueTime, V.ResponseTime);
-  V.RequiredCount = Required.size();
+  // Clause 2: completeness over the required set, the members up
+  // throughout [IssueTime, Response], ascending like Presence.
+  const auto &Presence = T.presence();
   size_t Covered = 0;
-  for (ProcessId P : Required) {
-    if (Included.count(P))
+  auto Inc = Included.begin();
+  for (const auto &[P, I] : Presence) {
+    if (!I.upThroughout(IssueTime, V.ResponseTime))
+      continue;
+    ++V.RequiredCount;
+    while (Inc != Included.end() && *Inc < P)
+      ++Inc;
+    if (Inc != Included.end() && *Inc == P)
       ++Covered;
     else
       V.Missed.push_back(P);
   }
   V.Complete = V.Missed.empty();
-  V.Coverage = Required.empty()
+  V.Coverage = V.RequiredCount == 0
                    ? 1.0
                    : static_cast<double>(Covered) /
-                         static_cast<double>(Required.size());
+                         static_cast<double>(V.RequiredCount);
 
   // Clause 3: no invention — every contributor was up at some instant of
   // the query window.
-  const auto &Presence = T.presence();
   for (ProcessId P : Included) {
     auto It = Presence.find(P);
     bool Present = It != Presence.end() &&
@@ -161,13 +163,15 @@ QueryVerdict dyndist::checkOneTimeQuery(const Trace &T, ProcessId Issuer,
   } else {
     Contributions Declared;
     bool AllDeclared = true;
+    auto In = Inputs.begin();
     for (ProcessId P : Included) {
-      auto It = Inputs.find(P);
-      if (It == Inputs.end()) {
+      while (In != Inputs.end() && In->first < P)
+        ++In;
+      if (In == Inputs.end() || In->first != P) {
         AllDeclared = false;
         break;
       }
-      Declared.emplace(P, It->second);
+      Declared.emplace(P, In->second);
     }
     V.AggregateConsistent =
         AllDeclared && foldAggregate(Kind, Declared) == V.Aggregate;

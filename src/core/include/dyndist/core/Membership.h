@@ -45,9 +45,11 @@
 
 namespace dyndist {
 
-/// Observation keys recorded by the detector.
-inline const char *const MemberSuspectKey = "member.suspect";
-inline const char *const MemberRestoreKey = "member.restore";
+/// Names of the observation keys the detector records.
+inline constexpr const char *MemberSuspectKey =
+    keyNameOf(TraceKey::MemberSuspect);
+inline constexpr const char *MemberRestoreKey =
+    keyNameOf(TraceKey::MemberRestore);
 
 /// Message kind of the heartbeat (disjoint from other families).
 enum MembershipMsgKind : int { MsgHeartbeat = 70 };
@@ -155,10 +157,6 @@ private:
   /// Reused merge buffer for the per-round entry rebuild.
   std::vector<NbrEntry> MergeScratch;
   TimerId RoundTimer = 0;
-  /// Observation keys pre-interned at onStart so the hot hooks record
-  /// through the allocation-free observe(id, value) path.
-  uint32_t SuspectKeyId = 0;
-  uint32_t RestoreKeyId = 0;
 };
 
 /// Factory for ChurnDriver / manual spawns. All actors from one factory

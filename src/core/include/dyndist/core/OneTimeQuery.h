@@ -11,7 +11,7 @@
 /// over a recorded execution with query interval [Issue, Response]:
 ///
 ///  - Termination: q eventually reports a result (an Observe record with
-///    key OtqResultKey).
+///    key TraceKey::OtqResult).
 ///  - Completeness (validity, part 1): every process that is up throughout
 ///    the whole closed interval [Issue, Response] contributes to the
 ///    result.
@@ -20,10 +20,11 @@
 ///  - Aggregate consistency: the reported value equals f over the reported
 ///    contributor set's declared inputs.
 ///
-/// Processes declare their input by observing OtqValueKey once (normally at
-/// start); algorithms report the contributor set via OtqIncludeKey records
-/// and the aggregate via OtqResultKey. The checker here evaluates all four
-/// clauses purely over the trace — algorithms are never trusted.
+/// Processes declare their input by observing TraceKey::OtqValue once
+/// (normally at start); algorithms report the contributor set via
+/// TraceKey::OtqInclude records and the aggregate via TraceKey::OtqResult.
+/// The checker here evaluates all four clauses purely over the trace —
+/// algorithms are never trusted.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,10 +39,11 @@
 
 namespace dyndist {
 
-/// Observation keys of the one-time query protocol family.
-inline const char *const OtqValueKey = "otq.value";     ///< My input is V.
-inline const char *const OtqIncludeKey = "otq.include"; ///< Pid V included.
-inline const char *const OtqResultKey = "otq.result";   ///< Aggregate is V.
+/// Observation key names of the one-time query protocol family (the
+/// vocabulary's OtqValue, OtqInclude and OtqResult).
+inline constexpr const char *OtqValueKey = keyNameOf(TraceKey::OtqValue);
+inline constexpr const char *OtqIncludeKey = keyNameOf(TraceKey::OtqInclude);
+inline constexpr const char *OtqResultKey = keyNameOf(TraceKey::OtqResult);
 
 /// A partial aggregation result: contributor -> declared input value.
 /// Merging is set union; the aggregate monoid folds over the values at

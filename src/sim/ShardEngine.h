@@ -111,15 +111,11 @@ struct ShardEngine {
     /// Parked payload references to release, grouped by owning lane;
     /// double-buffered by round parity (written round R, drained R+1).
     std::vector<std::vector<const MessageBody *>> Defer[2];
-    std::vector<TraceRecord> TraceBuf; ///< POD records of this round.
+    /// POD records of this round. Observe records carry vocabulary key
+    /// ids (TraceKeys.h), so a lane never reads or grows the key table.
+    std::vector<TraceRecord> TraceBuf;
     /// (destination, record count) runs into TraceBuf, ascending.
     std::vector<std::pair<ProcessId, uint32_t>> TraceRuns;
-    /// Observe keys seen during the parallel sub-phase that were not yet
-    /// in the simulator's key table (the table is frozen while lanes run).
-    /// Each fixup is (TraceBuf index, PendingKeys index); the merge
-    /// barrier interns the strings serially and patches the records.
-    std::vector<std::string> PendingKeys;
-    std::vector<std::pair<uint32_t, uint32_t>> KeyFixups;
     std::vector<ProcessId> Leaves; ///< Deferred leaveSystem() calls.
     std::vector<uint32_t> Counts;  ///< Counting-sort histogram scratch.
     std::vector<SimEvent> Sorted;  ///< Canonically ordered bucket scratch.

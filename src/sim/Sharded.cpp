@@ -101,37 +101,12 @@ public:
   Rng &rng() override { return E.ActorRngs[P]; }
   uint32_t stateSlot() const override { return E.S.stateSlotOf(P); }
 
-  void observe(const std::string &Key, int64_t Value) override {
-    if (E.S.TraceLev == TraceLevel::Off)
-      return;
-    // The key table is frozen during the parallel sub-phase (lanes read it
-    // concurrently, only serial phases intern). A key not interned yet is
-    // recorded with id 0 and patched at the merge barrier.
-    uint32_t Id = E.S.Log.keys().find(Key);
-    if (Id == 0 && !Key.empty()) {
-      Ln.KeyFixups.push_back({static_cast<uint32_t>(Ln.TraceBuf.size()),
-                              static_cast<uint32_t>(Ln.PendingKeys.size())});
-      Ln.PendingKeys.push_back(Key);
-    }
-    Ln.TraceBuf.push_back(TraceRecord::make(TraceKind::Observe, Now, P,
-                                            InvalidProcess, 0, Id, Value));
-  }
-
-  void observe(uint32_t KeyId, int64_t Value) override {
+  void observe(TraceKey Key, int64_t Value) override {
     if (E.S.TraceLev == TraceLevel::Off)
       return;
     Ln.TraceBuf.push_back(TraceRecord::make(TraceKind::Observe, Now, P,
-                                            InvalidProcess, 0, KeyId, Value));
-  }
-
-  uint32_t traceKeyId(const std::string &Key) override {
-    // Lane hooks may only *look up*: interning would race with the other
-    // lanes reading the frozen table. Pre-intern in onStart/onStop.
-    uint32_t Id = E.S.Log.keys().find(Key);
-    assert((Id != 0 || Key.empty()) &&
-           "traceKeyId() in a lane hook requires a key already interned in "
-           "a serial phase (pre-intern in onStart)");
-    return Id;
+                                            InvalidProcess, 0, keyIdOf(Key),
+                                            Value));
   }
 
   void leaveSystem() override {
@@ -157,7 +132,7 @@ private:
 /// at leave): sends and timers go straight into the destination lane's
 /// calendar, and membership effects apply immediately.
 // DYNDIST_SERIAL_CONTEXT: only ever constructed between parallel rounds,
-// so it may intern trace keys and touch shared simulator state freely.
+// so it may touch shared simulator state freely.
 class ShardEngine::EnvContext final : public Context {
 public:
   EnvContext(ShardEngine &E, ProcessId P) : E(E), P(P) {}
@@ -183,21 +158,11 @@ public:
   Rng &rng() override { return E.ActorRngs[P]; }
   uint32_t stateSlot() const override { return E.S.stateSlotOf(P); }
 
-  void observe(const std::string &Key, int64_t Value) override {
-    if (E.S.TraceLev == TraceLevel::Off)
-      return;
-    observe(E.S.Log.keys().intern(Key), Value);
-  }
-
-  void observe(uint32_t KeyId, int64_t Value) override {
+  void observe(TraceKey Key, int64_t Value) override {
     if (E.S.TraceLev == TraceLevel::Off)
       return;
     E.S.record(TraceRecord::make(TraceKind::Observe, E.S.Clock, P,
-                                 InvalidProcess, 0, KeyId, Value));
-  }
-
-  uint32_t traceKeyId(const std::string &Key) override {
-    return E.S.Log.keys().intern(Key);
+                                 InvalidProcess, 0, keyIdOf(Key), Value));
   }
 
   void leaveSystem() override { E.S.leave(P); }
@@ -282,8 +247,6 @@ void ShardEngine::reset() {
     Ln.NextLocalTimer = 0;
     Ln.TraceBuf.clear();
     Ln.TraceRuns.clear();
-    Ln.PendingKeys.clear();
-    Ln.KeyFixups.clear();
     Ln.Leaves.clear();
     // Counts/Sorted are per-round scratch, re-sized on use; keep them.
   }
@@ -732,20 +695,6 @@ void ShardEngine::executeBucket(unsigned LaneIdx, SimTime T) {
 //===----------------------------------------------------------------------===//
 
 void ShardEngine::mergeTraces() {
-  // First patch records whose Observe key was unknown while the table was
-  // frozen: intern the stashed strings serially, before any record leaves
-  // its lane. The ids interned here may differ across shard counts (they
-  // depend on which lane reached the barrier with which key first), but
-  // every serialized form is id-independent — JSON emits the strings, the
-  // columnar writer rebuilds per-chunk ids in record order — so files stay
-  // byte-identical at any K.
-  for (Lane &Ln : Lanes) {
-    for (const std::pair<uint32_t, uint32_t> &Fix : Ln.KeyFixups)
-      Ln.TraceBuf[Fix.first].setKeyId(
-          S.Log.keys().intern(Ln.PendingKeys[Fix.second]));
-    Ln.KeyFixups.clear();
-    Ln.PendingKeys.clear();
-  }
   // Each lane's TraceRuns ascend by destination and destinations are
   // disjoint across lanes (residue classes), so a tie-free K-way merge by
   // run head reassembles the canonical record order.

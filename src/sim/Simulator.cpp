@@ -50,7 +50,7 @@ void Actor::onStop(Context &Ctx) { (void)Ctx; }
 /// Context implementation bound to one (simulator, process) pair for the
 /// duration of a single hook invocation.
 // DYNDIST_SERIAL_CONTEXT: the legacy kernel runs every hook serially, so
-// this context may intern trace keys and mutate shared state directly.
+// this context may mutate shared state directly.
 class Simulator::ContextImpl : public Context {
 public:
   ContextImpl(Simulator &S, ProcessId P) : S(S), P(P) {}
@@ -80,21 +80,11 @@ public:
 
   uint32_t stateSlot() const override { return S.stateSlotOf(P); }
 
-  void observe(const std::string &Key, int64_t Value) override {
-    if (S.TraceLev == TraceLevel::Off)
-      return;
-    observe(S.Log.keys().intern(Key), Value);
-  }
-
-  void observe(uint32_t KeyId, int64_t Value) override {
+  void observe(TraceKey Key, int64_t Value) override {
     if (S.TraceLev == TraceLevel::Off)
       return;
     S.record(TraceRecord::make(TraceKind::Observe, S.Clock, P,
-                               InvalidProcess, 0, KeyId, Value));
-  }
-
-  uint32_t traceKeyId(const std::string &Key) override {
-    return S.Log.keys().intern(Key);
+                               InvalidProcess, 0, keyIdOf(Key), Value));
   }
 
   void leaveSystem() override { S.leave(P); }

@@ -238,7 +238,6 @@ void Trace::clear() {
   Records.clear();
   Intervals.clear();
   OrderViolated = false;
-  // Keys retained: protocol-held interned ids survive a clear().
 }
 
 void Trace::resetForReuse() {

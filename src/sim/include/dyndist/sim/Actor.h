@@ -17,13 +17,13 @@
 #define DYNDIST_SIM_ACTOR_H
 
 #include "dyndist/sim/Message.h"
+#include "dyndist/sim/TraceKeys.h"
 #include "dyndist/sim/Types.h"
 #include "dyndist/support/FunctionRef.h"
 #include "dyndist/support/Random.h"
 
 #include <cstddef>
 #include <new>
-#include <string>
 
 namespace dyndist {
 
@@ -72,20 +72,11 @@ public:
   /// many processes ever existed. Stable for the process's whole lifetime.
   virtual uint32_t stateSlot() const = 0;
 
-  /// Records an algorithm output in the trace (e.g. the decided aggregate).
-  virtual void observe(const std::string &Key, int64_t Value) = 0;
-
-  /// Allocation-free observe: records with a key id previously obtained
-  /// from traceKeyId(). Protocols that observe a fixed key pre-intern it
-  /// once (typically in onStart) and pass the id on the hot path.
-  virtual void observe(uint32_t KeyId, int64_t Value) = 0;
-
-  /// Interns \p Key into the simulator's trace key table and returns its
-  /// dense id for use with observe(uint32_t, int64_t). Stable for the whole
-  /// run (the table survives Trace::clear()). In sharded runs this must be
-  /// called from a serial phase (onStart/onStop); lane-phase hooks can only
-  /// look up keys already interned.
-  virtual uint32_t traceKeyId(const std::string &Key) = 0;
+  /// Records an algorithm output (e.g. the decided aggregate) in the trace
+  /// under vocabulary key \p Key. The key's id is fixed (TraceKeys.h), so
+  /// every hook, serial or lane-phase, records without touching the key
+  /// table.
+  virtual void observe(TraceKey Key, int64_t Value) = 0;
 
   /// Departs the system gracefully at the current instant; no further hooks
   /// run for this actor.

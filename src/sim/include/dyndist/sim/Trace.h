@@ -14,8 +14,9 @@
 /// execution rather than trusted from the algorithm.
 ///
 /// Storage model: records are trivially-copyable 32-byte TraceRecords whose
-/// Observe keys are interned to dense u32 ids in the trace's TraceKeyTable.
-/// Strings cross the API boundary only — hot emission paths move PODs.
+/// Observe keys are dense u32 ids in the trace's TraceKeyTable, whose first
+/// ids are the fixed vocabulary of TraceKeys.h. Strings cross the API
+/// boundary only — hot emission paths move PODs.
 /// Readers walk records() and resolve keys through keys(), or take a
 /// TraceEventView of a record; the owning TraceEvent is only the append-side
 /// convenience for hand-built traces and per-event sinks.
@@ -25,6 +26,7 @@
 #ifndef DYNDIST_SIM_TRACE_H
 #define DYNDIST_SIM_TRACE_H
 
+#include "dyndist/sim/TraceKeys.h"
 #include "dyndist/sim/Types.h"
 #include "dyndist/support/FlatMap.h"
 
@@ -76,42 +78,36 @@ struct TraceEvent {
   int64_t Value = 0;
 };
 
-/// Dense interner mapping Observe keys to u32 ids. Id 0 is reserved for the
-/// empty key; real keys get ids 1, 2, ... in first-intern order, bounded by
+/// Dense interner mapping Observe keys to u32 ids. Id 0 is the empty key and
+/// ids 1..TraceKeyCount are the fixed vocabulary of TraceKeys.h, present in
+/// every table from construction on, so the kernel's observes and the
+/// checkers use constant ids. Other keys (hand-built traces, archives,
+/// foreign tables) get the next ids in first-intern order, bounded by
 /// 2^24 - 1 so an id packs into TraceRecord::KindAndKey next to the kind.
 ///
-/// Threading: intern() mutates and must only run in serial phases (the
-/// sharded engine's barrier / environment sub-phase). find() and name() are
-/// const and safe to call concurrently on a table no one is interning into —
-/// which is what lane-phase observes and multi-threaded query scans do.
+/// Threading: intern() mutates and must only run in serial phases; no
+/// kernel hook interns (actors observe vocabulary ids). find() and name()
+/// are const and safe to call concurrently on a table no one is interning
+/// into, which is what multi-threaded query scans do.
 class TraceKeyTable {
 public:
-  TraceKeyTable() : Names(1) {} // Names[0] = the empty key.
-
   /// Largest assignable id (24-bit packed field).
   static constexpr uint32_t MaxKeys = (1u << 24) - 1;
 
   /// Returns the id of \p Key, interning it first if new. Serial-phase
-  /// only: lanes read the table concurrently through find()/name() and
-  /// must defer new keys to the merge barrier (see docs/LINT.md for the
-  /// marker grammar below).
+  /// only (see docs/LINT.md for the marker grammar below).
   // DYNDIST_SERIAL_ONLY: grows Ids/Names, racing concurrent find()/name().
   uint32_t intern(const std::string &Key) {
     if (Key.empty())
       return 0;
-    // Most intern traffic is one key observed in a tight loop (every
-    // spawned actor declares "otq.value", every contributor one include):
-    // a one-entry MRU turns the repeat lookups into a short string compare
-    // instead of a hash + bucket walk.
-    if (LastId != 0 && Key == Names[LastId])
-      return LastId;
-    auto [It, Inserted] =
-        Ids.try_emplace(Key, static_cast<uint32_t>(Names.size()));
+    if (uint32_t Id = vocabularyId(Key))
+      return Id;
+    auto [It, Inserted] = Ids.try_emplace(Key, nextId());
     if (Inserted) {
-      assert(Names.size() <= MaxKeys && "trace key-id space exhausted");
+      assert(It->second <= MaxKeys && "trace key-id space exhausted");
       Names.push_back(Key);
     }
-    return LastId = It->second;
+    return It->second;
   }
 
   /// The id of \p Key, or 0 when it was never interned. Note 0 is also the
@@ -120,6 +116,8 @@ public:
   uint32_t find(const std::string &Key) const {
     if (Key.empty())
       return 0;
+    if (uint32_t Id = vocabularyId(Key))
+      return Id;
     auto It = Ids.find(Key);
     return It == Ids.end() ? 0 : It->second;
   }
@@ -127,31 +125,37 @@ public:
   /// The key string of \p Id ("" for id 0). The view is invalidated by the
   /// next intern().
   std::string_view name(uint32_t Id) const {
-    assert(Id < Names.size() && "unknown trace key id");
-    return Names[Id];
+    if (Id <= TraceKeyCount)
+      return TraceKeyNames[Id];
+    assert(Id - TraceKeyCount - 1 < Names.size() && "unknown trace key id");
+    return Names[Id - TraceKeyCount - 1];
   }
 
-  /// Number of interned (non-empty) keys; valid ids are [0, size()].
-  size_t size() const { return Names.size() - 1; }
+  /// Number of non-empty keys, the vocabulary included; valid ids are
+  /// [0, size()].
+  size_t size() const { return TraceKeyCount + Names.size(); }
 
-  /// Arena-reset path: forgets every interned key (vector capacity
-  /// retained) so the next run re-interns from a clean table. Required for
-  /// byte-identity across reused runs — interning order is seed-dependent,
-  /// so a retained table would leak one run's id assignment into the next
-  /// run's serialized string table. Ids handed out before the reset are
-  /// invalidated; actors re-intern in onStart.
+  /// Arena-reset path: forgets every key beyond the vocabulary (capacity
+  /// retained, nothing allocated), so a reused run numbers its other keys
+  /// exactly as a fresh table would.
   // DYNDIST_SERIAL_ONLY: drops Ids/Names, racing concurrent find()/name().
   void reset() {
     Ids.clear();
-    Names.resize(1); // Names[0] stays the empty key.
-    LastId = 0;
+    Names.clear();
   }
 
 private:
+  /// The vocabulary id of the non-empty \p Key, or 0 when it is not one.
+  static uint32_t vocabularyId(std::string_view Key) {
+    for (uint32_t Id = 1; Id <= TraceKeyCount; ++Id)
+      if (Key == TraceKeyNames[Id])
+        return Id;
+    return 0;
+  }
+  uint32_t nextId() const { return static_cast<uint32_t>(size() + 1); }
+
+  /// Keys beyond the vocabulary; Names[I] has id TraceKeyCount + 1 + I.
   std::vector<std::string> Names;
-  /// One-entry MRU for intern(); 0 = empty (never points at a stale id:
-  /// reset() rewinds it with Names).
-  uint32_t LastId = 0;
   /// intern()/find() only; enumeration always walks Names, whose order is
   /// first-intern order, not hash order.
   // dyndist-lint: allow(D1) keyed access only; Names carries the ordering
@@ -175,6 +179,10 @@ struct TraceRecord {
 
   TraceKind kind() const { return static_cast<TraceKind>(KindAndKey & 0xFF); }
   uint32_t keyId() const { return KindAndKey >> 8; }
+  /// True for an Observe record of vocabulary key \p K.
+  bool observes(TraceKey K) const {
+    return kind() == TraceKind::Observe && keyId() == keyIdOf(K);
+  }
   void setKeyId(uint32_t Id) { KindAndKey = (KindAndKey & 0xFFu) | (Id << 8); }
 
   ProcessId subject() const { return widen(SubjectId); }
@@ -337,16 +345,13 @@ public:
   /// Count of records with the given kind.
   size_t countKind(TraceKind Kind) const;
 
-  /// Discards all records (used when reusing a simulator across runs). The
-  /// key table is retained: ids handed out to protocols stay valid.
+  /// Discards all records; the key table is retained.
   void clear();
 
   /// Arena-reset path: clear() plus a key-table reset, leaving the trace
   /// logically indistinguishable from a fresh one while every buffer keeps
-  /// its capacity. Interned ids from before the reset are invalidated (the
-  /// next run's actors re-intern in onStart) — this is what keeps a
-  /// reset-reused run's trace bytes identical to a fresh run's, since
-  /// interning order depends on the seed.
+  /// its capacity. Vocabulary ids are the same before and after; ids of
+  /// other keys are forgotten, so a reused run numbers them as a fresh one.
   // DYNDIST_SERIAL_ONLY: resets the shared key table between runs.
   void resetForReuse();
 

@@ -6,8 +6,8 @@
 //
 // Counts heap allocations with a replaced global operator new, which is why
 // this file is its own test executable: the replacement must not reach the
-// other test binaries. Pins three things about actor storage (Actor.h,
-// BodyPool.h):
+// other test binaries. Pins these things about actor storage (Actor.h,
+// BodyPool.h) and trace keys (TraceKeys.h):
 //   - a warm SimArena run of the short-sweep regime (n = 100, bounded
 //     concurrency 140, horizon 30, monitor off) makes at most a handful of
 //     heap calls, though it spawns ~100 actors;
@@ -15,7 +15,9 @@
 //     there;
 //   - a Simulator destroyed while it still owns pooled actors frees them
 //     through its retired pool;
-//   - an over-aligned actor bypasses the pool's 16-byte-aligned blocks.
+//   - an over-aligned actor bypasses the pool's 16-byte-aligned blocks;
+//   - a trace key table interns and forgets vocabulary keys, and is reset
+//     on the arena path, without a heap call.
 // Sanitizer runtimes own operator new, so the counting cases skip there;
 // the lifetime cases still run and LSan/ASan judge them.
 //
@@ -34,6 +36,8 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
+#include <vector>
 
 using namespace dyndist;
 
@@ -102,14 +106,36 @@ TEST(ActorPool, WarmShortRunsMakeAtMostFiveHeapCalls) {
   const double PerRun = double(HeapAllocs - Before) / Runs;
   // Each run spawns ~100 churn actors and the query issuer; they recycle
   // the previous run's blocks of the simulator's pool, where each used to
-  // be one heap call. What remains per run: one ~56 B node for the
-  // spawn-time observe("otq.value") key, which the reset key table
-  // interns again; one ~800 B Trace::maxConcurrency() scratch vector
-  // (admissibility read back from the trace); and the odd calendar bucket
-  // that grows when a seed outgrows the ones before it.
+  // be one heap call. Their spawn-time TraceKey::OtqValue observes record
+  // a fixed vocabulary id, so the key table allocates nothing. What
+  // remains per run (1.875 calls on average): one ~800 B
+  // Trace::maxConcurrency() scratch vector (admissibility read back from
+  // the trace), and the odd calendar bucket that grows when a seed
+  // outgrows the ones before it.
   EXPECT_GT(Arrivals, uint64_t(Runs) * 90);
   EXPECT_LE(PerRun, 5.0) << (HeapAllocs - Before) << " heap calls over "
                          << Runs << " warm runs";
+}
+
+TEST(TraceKeyTable, VocabularyInternAndResetMakeNoHeapCall) {
+  if (!Counting)
+    GTEST_SKIP() << "the sanitizer runtime owns operator new";
+  // Built outside the count: the trace may adopt a record buffer, and two
+  // names outgrow the small-string buffer.
+  Trace T;
+  const std::vector<std::string> Names(TraceKeyNames,
+                                       TraceKeyNames + TraceKeyCount + 1);
+  const uint64_t Before = HeapAllocs;
+  for (int Run = 0; Run != 3; ++Run) {
+    T.resetForReuse();
+    for (uint32_t Id = 1; Id <= TraceKeyCount; ++Id) {
+      EXPECT_EQ(T.keys().intern(Names[Id]), Id);
+      EXPECT_EQ(T.keys().find(Names[Id]), Id);
+    }
+    TraceKeyTable Fresh;
+    EXPECT_EQ(Fresh.size(), TraceKeyCount);
+  }
+  EXPECT_EQ(HeapAllocs, Before);
 }
 
 /// Counts its destructions, so a test can see every actor go.

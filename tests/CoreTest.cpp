@@ -17,8 +17,11 @@
 
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <optional>
+#include <set>
 #include <string>
+#include <vector>
 
 using namespace dyndist;
 
@@ -606,4 +609,242 @@ TEST(OneTimeQueryChecker, ChecksDeclaredMonoid) {
   // And as a count it is inconsistent too (2 contributors, reported 3).
   EXPECT_FALSE(
       checkOneTimeQuery(B.T, 1, 10, 100, AggregateKind::Count).valid());
+}
+
+namespace {
+
+/// The checker as it read before its one-pass form: three scans over the
+/// records (result, includes, inputs) with a std::set and a std::map. It is
+/// the reference the one-pass checkOneTimeQuery must equal field by field.
+QueryVerdict referenceCheckOneTimeQuery(const Trace &T, ProcessId Issuer,
+                                        SimTime IssueTime, SimTime Horizon,
+                                        AggregateKind Kind) {
+  QueryVerdict V;
+  const uint32_t ResultId = T.keys().find(OtqResultKey);
+  const uint32_t IncludeId = T.keys().find(OtqIncludeKey);
+  const uint32_t ValueId = T.keys().find(OtqValueKey);
+
+  for (const TraceRecord &R : T.records()) {
+    if (R.kind() != TraceKind::Observe ||
+        R.subject() != Issuer || ResultId == 0 || R.keyId() != ResultId)
+      continue;
+    if (R.Time < IssueTime || R.Time > Horizon)
+      continue;
+    V.Terminated = true;
+    V.ResponseTime = R.Time;
+    V.Aggregate = R.Value;
+    break;
+  }
+  if (!V.Terminated)
+    return V;
+
+  std::set<ProcessId> Included;
+  for (const TraceRecord &R : T.records()) {
+    if (R.kind() != TraceKind::Observe ||
+        R.subject() != Issuer || IncludeId == 0 || R.keyId() != IncludeId)
+      continue;
+    if (R.Time < IssueTime || R.Time > V.ResponseTime)
+      continue;
+    Included.insert(static_cast<ProcessId>(R.Value));
+  }
+  V.IncludedCount = Included.size();
+
+  std::map<ProcessId, int64_t> Inputs;
+  for (const TraceRecord &R : T.records()) {
+    if (R.kind() != TraceKind::Observe || ValueId == 0 ||
+        R.keyId() != ValueId)
+      continue;
+    Inputs.try_emplace(R.subject(), R.Value);
+  }
+
+  std::vector<ProcessId> Required =
+      T.membersThroughout(IssueTime, V.ResponseTime);
+  V.RequiredCount = Required.size();
+  size_t Covered = 0;
+  for (ProcessId P : Required) {
+    if (Included.count(P))
+      ++Covered;
+    else
+      V.Missed.push_back(P);
+  }
+  V.Complete = V.Missed.empty();
+  V.Coverage = Required.empty()
+                   ? 1.0
+                   : static_cast<double>(Covered) /
+                         static_cast<double>(Required.size());
+
+  const auto &Presence = T.presence();
+  for (ProcessId P : Included) {
+    auto It = Presence.find(P);
+    bool Present = It != Presence.end() &&
+                   It->second.JoinTime <= V.ResponseTime &&
+                   (!It->second.EndTime || *It->second.EndTime > IssueTime);
+    if (!Present)
+      V.Invented.push_back(P);
+  }
+  V.NoInvention = V.Invented.empty();
+
+  if (Included.empty()) {
+    V.AggregateConsistent = true;
+  } else {
+    Contributions Declared;
+    bool AllDeclared = true;
+    for (ProcessId P : Included) {
+      auto It = Inputs.find(P);
+      if (It == Inputs.end()) {
+        AllDeclared = false;
+        break;
+      }
+      Declared.emplace(P, It->second);
+    }
+    V.AggregateConsistent =
+        AllDeclared && foldAggregate(Kind, Declared) == V.Aggregate;
+  }
+  return V;
+}
+
+/// Every field of \p Got equals \p Want, vectors in order.
+void expectSameVerdict(const QueryVerdict &Got, const QueryVerdict &Want,
+                       const std::string &Where) {
+  EXPECT_EQ(Got.Terminated, Want.Terminated) << Where;
+  EXPECT_EQ(Got.ResponseTime, Want.ResponseTime) << Where;
+  EXPECT_EQ(Got.Complete, Want.Complete) << Where;
+  EXPECT_EQ(Got.NoInvention, Want.NoInvention) << Where;
+  EXPECT_EQ(Got.AggregateConsistent, Want.AggregateConsistent) << Where;
+  EXPECT_EQ(Got.Missed, Want.Missed) << Where;
+  EXPECT_EQ(Got.Invented, Want.Invented) << Where;
+  EXPECT_EQ(Got.Coverage, Want.Coverage) << Where;
+  EXPECT_EQ(Got.IncludedCount, Want.IncludedCount) << Where;
+  EXPECT_EQ(Got.RequiredCount, Want.RequiredCount) << Where;
+  EXPECT_EQ(Got.Aggregate, Want.Aggregate) << Where;
+}
+
+/// Checks \p T both ways at one window and returns the one-pass verdict.
+QueryVerdict checkBothWays(const Trace &T, ProcessId Issuer, SimTime Issue,
+                           SimTime Horizon, const std::string &Where,
+                           AggregateKind Kind = AggregateKind::Sum) {
+  QueryVerdict Got = checkOneTimeQuery(T, Issuer, Issue, Horizon, Kind);
+  expectSameVerdict(Got,
+                    referenceCheckOneTimeQuery(T, Issuer, Issue, Horizon,
+                                               Kind),
+                    Where);
+  return Got;
+}
+
+} // namespace
+
+// 504 runs over the nine E1 cells, each checked at its real window and at
+// random windows, issuers and aggregate kinds: the one-pass checker agrees
+// with the three-scan reference on every field.
+TEST(OneTimeQueryChecker, OnePassMatchesThreeScanReferenceOnE1Runs) {
+  const std::vector<SystemClass> Grid = canonicalClassGrid(60, 28, 10);
+  ASSERT_EQ(Grid.size(), 9u);
+  constexpr AggregateKind Kinds[] = {AggregateKind::Sum, AggregateKind::Count,
+                                     AggregateKind::Min, AggregateKind::Max};
+  Rng R(0x0E1C);
+  SimArena Arena;
+  size_t Terminated = 0, Invalid = 0;
+  for (size_t Cell = 0; Cell != Grid.size(); ++Cell)
+    for (uint64_t Seed = 1; Seed <= 56; ++Seed) {
+      ExperimentConfig Cfg = e1Run(Grid[Cell], Seed);
+      Cfg.KeepTrace = true;
+      ExperimentResult Res = runQueryExperiment(Cfg, &Arena);
+      ASSERT_TRUE(Res.RecordedTrace);
+      const Trace &T = *Res.RecordedTrace;
+      const std::string Where =
+          Grid[Cell].name() + " seed " + std::to_string(Seed);
+      ProcessId Issuer = 0;
+      SimTime Issue = Cfg.QueryAt;
+      for (const TraceRecord &Rec : T.records())
+        if (Rec.observes(TraceKey::OtqIssue)) {
+          Issuer = Rec.subject();
+          Issue = Rec.Time;
+          break;
+        }
+      QueryVerdict V = checkBothWays(T, Issuer, Issue, Cfg.Horizon, Where);
+      Terminated += V.Terminated;
+      Invalid += !V.valid();
+      const ProcessId Other = R.nextBelow(T.presence().size() + 2);
+      const SimTime From = R.nextBelow(Cfg.Horizon);
+      const SimTime To = From + R.nextBelow(Cfg.Horizon - From + 1);
+      const AggregateKind Kind = Kinds[R.nextBelow(4)];
+      checkBothWays(T, Issuer, From, To, Where + " random window", Kind);
+      checkBothWays(T, Other, From, To, Where + " random issuer", Kind);
+    }
+  // The sample covers both outcomes of the checker.
+  EXPECT_GT(Terminated, 400u);
+  EXPECT_GT(Invalid, 0u);
+}
+
+// Hand-built traces at the edges of the scan order: the one-pass checker
+// must agree with the reference where record order and time order meet.
+TEST(OneTimeQueryChecker, OnePassMatchesReferenceOnEdgeTraces) {
+  {
+    // An include recorded after the result, at the same instant, counts.
+    TraceBuilder B;
+    B.join(0, 1).join(0, 2).value(0, 1, 1).value(0, 2, 2);
+    B.include(50, 1, 1).result(50, 1, 3).include(50, 1, 2);
+    QueryVerdict V = checkBothWays(B.T, 1, 10, 100, "include after result");
+    EXPECT_EQ(V.IncludedCount, 2u);
+    EXPECT_TRUE(V.valid());
+  }
+  {
+    // An include before the issue, and one after the response, do not.
+    TraceBuilder B;
+    B.join(0, 1).join(0, 2).value(0, 1, 1).value(0, 2, 2);
+    B.include(5, 1, 2).include(50, 1, 1).result(50, 1, 1).include(60, 1, 2);
+    QueryVerdict V = checkBothWays(B.T, 1, 10, 100, "include before issue");
+    EXPECT_EQ(V.IncludedCount, 1u);
+    EXPECT_EQ(V.Missed, (std::vector<ProcessId>{2}));
+  }
+  {
+    // A result before the issue is another query's: the later one counts.
+    TraceBuilder B;
+    B.join(0, 1).value(0, 1, 4);
+    B.include(5, 1, 1).result(5, 1, 99).include(40, 1, 1).result(40, 1, 4);
+    QueryVerdict V = checkBothWays(B.T, 1, 10, 100, "result before issue");
+    EXPECT_EQ(V.ResponseTime, 40u);
+    EXPECT_EQ(V.Aggregate, 4);
+    EXPECT_TRUE(V.valid());
+  }
+  {
+    // Duplicate includes count once.
+    TraceBuilder B;
+    B.join(0, 1).join(0, 2).value(0, 1, 1).value(0, 2, 2);
+    B.include(20, 1, 2).include(30, 1, 1).include(30, 1, 2).include(50, 1, 2);
+    B.result(50, 1, 3);
+    QueryVerdict V = checkBothWays(B.T, 1, 10, 100, "duplicate includes");
+    EXPECT_EQ(V.IncludedCount, 2u);
+    EXPECT_TRUE(V.valid());
+  }
+  {
+    // A value declared after the response still declares the input, and a
+    // second declaration does not replace the first.
+    TraceBuilder B;
+    B.join(0, 1).join(0, 3).join(0, 2).value(0, 1, 1);
+    B.include(50, 1, 1).include(50, 1, 2).include(50, 1, 3);
+    B.result(50, 1, 11).value(70, 3, 2).value(80, 2, 8).value(90, 3, 100);
+    QueryVerdict V = checkBothWays(B.T, 1, 10, 100, "late value");
+    EXPECT_TRUE(V.AggregateConsistent);
+  }
+  {
+    // An undeclared contributor breaks consistency.
+    TraceBuilder B;
+    B.join(0, 1).join(0, 2).value(0, 1, 1);
+    B.include(50, 1, 1).include(50, 1, 2).result(50, 1, 1);
+    QueryVerdict V = checkBothWays(B.T, 1, 10, 100, "undeclared");
+    EXPECT_FALSE(V.AggregateConsistent);
+    EXPECT_TRUE(V.NoInvention);
+  }
+  {
+    // Invented ids (never joined, and gone before the issue) are listed in
+    // ascending order, whatever order they were included in.
+    TraceBuilder B;
+    B.join(0, 1).join(0, 2).value(0, 1, 1).value(0, 2, 2).leave(5, 2);
+    B.include(50, 1, 7).include(50, 1, 2).include(50, 1, 1);
+    B.result(50, 1, 3);
+    QueryVerdict V = checkBothWays(B.T, 1, 10, 100, "invented");
+    EXPECT_EQ(V.Invented, (std::vector<ProcessId>{2, 7}));
+    EXPECT_FALSE(V.AggregateConsistent);
+  }
 }

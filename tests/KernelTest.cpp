@@ -70,7 +70,7 @@ public:
     Ctx.setTimer(1 + Ctx.rng().nextBelow(3));
   }
   void onMessage(Context &Ctx, ProcessId, const MessageBody &) override {
-    Ctx.observe("gossip.rx", static_cast<int64_t>(++Received));
+    Ctx.observe(TraceKey::OtqInclude, static_cast<int64_t>(++Received));
   }
   size_t Universe;
   int Rounds = 0;

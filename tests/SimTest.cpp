@@ -279,15 +279,18 @@ TEST(Simulator, DefaultTopologyIsFullMesh) {
 TEST(Simulator, ObserveLandsInTrace) {
   class Observer : public Actor {
   public:
-    void onStart(Context &Ctx) override { Ctx.observe("k", 42); }
+    void onStart(Context &Ctx) override {
+      Ctx.observe(TraceKey::OtqValue, 42);
+    }
   };
   Simulator S(1);
   ProcessId P = S.spawn(std::make_unique<Observer>());
-  auto Obs = observationsOf(S.trace(), "k");
+  auto Obs = observationsOf(S.trace(), keyNameOf(TraceKey::OtqValue));
   ASSERT_EQ(Obs.size(), 1u);
   EXPECT_EQ(Obs[0].subject(), P);
   EXPECT_EQ(Obs[0].Value, 42);
-  EXPECT_TRUE(S.trace().firstObservation(P, "k").has_value());
+  EXPECT_TRUE(
+      S.trace().firstObservation(P, keyNameOf(TraceKey::OtqValue)).has_value());
   EXPECT_FALSE(S.trace().firstObservation(P, "other").has_value());
 }
 

@@ -189,7 +189,7 @@ TEST(TraceIO, RealSimulationTraceRoundTrips) {
   class Chatter : public Actor {
   public:
     void onStart(Context &Ctx) override {
-      Ctx.observe("started", static_cast<int64_t>(Ctx.self()));
+      Ctx.observe(TraceKey::OtqValue, static_cast<int64_t>(Ctx.self()));
     }
   };
   Simulator S(31);
@@ -200,5 +200,5 @@ TEST(TraceIO, RealSimulationTraceRoundTrips) {
   auto Back = columnarRoundTrip(S.trace());
   ASSERT_TRUE(Back.ok()) << Back.error().str();
   expectSameRecords(S.trace(), *Back);
-  EXPECT_EQ(observationsOf(*Back, "started").size(), 6u);
+  EXPECT_EQ(observationsOf(*Back, keyNameOf(TraceKey::OtqValue)).size(), 6u);
 }

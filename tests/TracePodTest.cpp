@@ -16,6 +16,7 @@
 #include "dyndist/sim/Trace.h"
 
 #include "TraceTestUtil.h"
+#include "dyndist/aggregation/Experiment.h"
 #include "dyndist/runtime/KernelLoad.h"
 #include "dyndist/sim/TraceColumnar.h"
 #include "dyndist/support/Random.h"
@@ -23,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <set>
 #include <string>
@@ -106,7 +108,7 @@ void expectEventEq(const TraceEvent &A, const TraceEvent &B, size_t I) {
 
 TEST(TracePod, KeyTableInternFindName) {
   TraceKeyTable K;
-  EXPECT_EQ(K.size(), 0u);
+  EXPECT_EQ(K.size(), TraceKeyCount); // The vocabulary comes first.
   EXPECT_EQ(K.intern(""), 0u);
   EXPECT_EQ(K.find(""), 0u);
   uint32_t A = K.intern("alpha");
@@ -120,7 +122,86 @@ TEST(TracePod, KeyTableInternFindName) {
   EXPECT_EQ(K.name(A), "alpha");
   EXPECT_EQ(K.name(B), "beta\n\x01");
   EXPECT_EQ(K.name(0), "");
-  EXPECT_EQ(K.size(), 2u);
+  EXPECT_EQ(K.size(), TraceKeyCount + 2);
+}
+
+namespace {
+
+/// Every vocabulary key resolves to its fixed id, both ways, in \p K.
+void expectVocabulary(const TraceKeyTable &K, const char *Where) {
+  for (uint32_t Id = 1; Id <= TraceKeyCount; ++Id) {
+    EXPECT_EQ(K.find(TraceKeyNames[Id]), Id) << Where;
+    EXPECT_EQ(K.name(Id), TraceKeyNames[Id]) << Where;
+  }
+  EXPECT_EQ(K.find("otq.values"), 0u) << Where; // Not a prefix match.
+}
+
+/// Runs one query of \p Algo at \p Shards with its full trace kept.
+Trace queryRunTrace(RecommendedAlgorithm Algo, unsigned Shards) {
+  ExperimentConfig Cfg;
+  Cfg.Seed = 11;
+  Cfg.Class = {ArrivalModel::boundedConcurrency(50),
+               KnowledgeModel::knownDiameter(8)};
+  Cfg.Algorithm = Algo;
+  Cfg.UseRecommended = false;
+  Cfg.InitialMembers = 24;
+  Cfg.Churn.JoinRate = 0.1;
+  Cfg.Churn.MeanSession = 180;
+  Cfg.Churn.Horizon = 220;
+  Cfg.Shards = Shards;
+  Cfg.QueryAt = 100;
+  Cfg.Horizon = 280;
+  Cfg.KeepTrace = true;
+  Cfg.Tracing = TraceLevel::Full;
+  ExperimentResult R = runQueryExperiment(Cfg);
+  EXPECT_TRUE(R.QueryIssued && R.Verdict.Terminated);
+  return std::move(*R.RecordedTrace);
+}
+
+} // namespace
+
+// The Observe-key vocabulary has the same ids in every key table: a fresh
+// trace, one reset for reuse after other keys were interned, and an
+// archive read back. Since lanes record those ids directly, the in-memory
+// records of a query run, key ids included, are byte-identical at every
+// shard count.
+TEST(TracePod, VocabularyIdsAreFixedAcrossTablesAndShards) {
+  Trace Fresh;
+  expectVocabulary(Fresh.keys(), "fresh");
+
+  Trace Reused;
+  Reused.append({TraceKind::Observe, 1, 1, InvalidProcess, 0, "custom", 5});
+  Reused.append({TraceKind::Observe, 2, 1, InvalidProcess, 0, OtqResultKey, 7});
+  EXPECT_EQ(Reused.keys().find("custom"), TraceKeyCount + 1);
+  EXPECT_EQ(Reused.records()[1].keyId(), keyIdOf(TraceKey::OtqResult));
+  Reused.resetForReuse();
+  expectVocabulary(Reused.keys(), "reset");
+  EXPECT_EQ(Reused.keys().find("custom"), 0u);
+  EXPECT_EQ(Reused.keys().size(), TraceKeyCount);
+
+  for (RecommendedAlgorithm Algo : {RecommendedAlgorithm::FloodingKnownDiameter,
+                                    RecommendedAlgorithm::GossipBestEffort}) {
+    const Trace Ref = queryRunTrace(Algo, 1);
+    const std::vector<TraceRecord> &Want = Ref.records();
+    ASSERT_GT(observationsOf(Ref, OtqIncludeKey).size(), 0u);
+    for (unsigned K : {2u, 4u}) {
+      const Trace Got = queryRunTrace(Algo, K);
+      ASSERT_EQ(Got.records().size(), Want.size()) << K;
+      EXPECT_EQ(std::memcmp(Got.records().data(), Want.data(),
+                            Want.size() * sizeof(TraceRecord)),
+                0)
+          << algorithmName(Algo) << " shards=" << K;
+      EXPECT_EQ(Got.keys().size(), TraceKeyCount);
+    }
+    Result<Trace> Back = columnarRoundTrip(Ref);
+    ASSERT_TRUE(Back.ok()) << Back.error().str();
+    expectVocabulary(Back->keys(), "read-back");
+    ASSERT_EQ(Back->records().size(), Want.size());
+    EXPECT_EQ(std::memcmp(Back->records().data(), Want.data(),
+                          Want.size() * sizeof(TraceRecord)),
+              0)
+        << algorithmName(Algo) << " read-back";
+  }
 }
 
 TEST(TracePod, RecordPacksKindAndKeyAndNarrowsIds) {

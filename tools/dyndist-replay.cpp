@@ -154,7 +154,8 @@ int main(int argc, char **argv) {
   L.MaxTime = Horizon;
   S.run(L);
 
-  auto Issue = S.trace().firstObservation(Issuer, OtqIssueKey);
+  auto Issue =
+      S.trace().firstObservationRecord(Issuer, keyIdOf(TraceKey::OtqIssue));
   if (!Issue) {
     std::printf("query        : never issued (issuer down at t=%llu?)\n",
                 (unsigned long long)QueryAt);

@@ -9,6 +9,10 @@
 #      query threads (outputs compared byte for byte).
 #   3. The bench gate: dyndist-bench-report --check runs every section of
 #      bench/gates.json that carries gates, using the build-verify binaries.
+#      Then one 1 s perfbench pass (perfbench/run.py, seed 0) per workload
+#      e1_matrix, short_sweep and trace_archive must print its pinned
+#      fingerprint digest, which guards the src/ entry points perfbench
+#      compiles against.
 #   4. build-werror/: a strict-warnings build (-DDYNDIST_WERROR=ON).
 #   5. The suite under AddressSanitizer, UndefinedBehaviorSanitizer and
 #      ThreadSanitizer (build-asan/, build-ubsan/, build-tsan/). ASan also
@@ -137,6 +141,18 @@ if [ "$RUN_PLAIN" = 1 ]; then
   rm -f build-verify/query-big.dytr \
     build-verify/query-big-t1.txt build-verify/query-big-t4.txt
 fi
+# perfbench_digest WORKLOAD PIN: a 1 s seed-0 perfbench pass of WORKLOAD
+# must print fingerprint digest PIN.
+perfbench_digest() {
+  got=$(python3 perfbench/run.py --workload "$1" --seconds 1 |
+        sed -n 's/^fingerprint .*"digest":"\([0-9a-f]*\)".*/\1/p')
+  if [ "$got" != "$2" ]; then
+    echo "perfbench $1: fingerprint digest '$got', pinned $2" >&2
+    exit 1
+  fi
+  echo "   perfbench $1 digest $got"
+}
+
 if [ "$RUN_BENCH_CHECK" = 1 ]; then
   # The gate needs the build-verify bench binaries; build them if this run
   # skipped the plain pass. The throwaway report stays in build-verify/.
@@ -144,6 +160,10 @@ if [ "$RUN_BENCH_CHECK" = 1 ]; then
   echo "== bench regression gate (build-verify)"
   tools/dyndist-bench-report --check --build-dir build-verify \
     --out build-verify/bench-check.json
+  echo "== perfbench fingerprint digests (seed 0)"
+  perfbench_digest e1_matrix df026b8790cdd45c
+  perfbench_digest short_sweep 86dd0c229b586e25
+  perfbench_digest trace_archive 57141baf3ac640ab
 fi
 [ "$RUN_WERROR" = 1 ] && run_build build-werror -DDYNDIST_WERROR=ON
 [ "$RUN_ASAN" = 1 ] && run_suite build-asan -DDYNDIST_SANITIZE=address
