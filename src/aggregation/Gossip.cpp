@@ -27,23 +27,24 @@ void GossipActor::onMessage(Context &Ctx, ProcessId From,
     return;
   case MsgGossipPush: {
     const auto &Push = bodyAs<GossipPushMsg>(Body);
-    Known.unionWith(Push.Known);
+    if (Known.unionWith(Push.Known))
+      ++Version;
     infect(Ctx, Push.QueryId);
-    Ctx.send(From, makeBody<GossipPullMsg>(Push.QueryId, Known));
+    Ctx.send(From, cachedBody<GossipPullMsg>(Pull, Push.QueryId));
     return;
   }
   case MsgGossipPull: {
-    const auto &Pull = bodyAs<GossipPullMsg>(Body);
-    if (Infected && Pull.QueryId == QueryId)
-      Known.unionWith(Pull.Known);
+    const auto &Reply = bodyAs<GossipPullMsg>(Body);
+    if (Infected && Reply.QueryId == QueryId && Known.unionWith(Reply.Known))
+      ++Version;
     return;
   }
   case MsgGossipDigest: {
     const auto &Digest = bodyAs<GossipDigestMsg>(Body);
     infect(Ctx, Digest.QueryId);
     // Entries the sender lacks; identities we lack.
-    DenseBitSet Missing = DenseBitSet::difference(Known, Digest.KnownIds);
-    DenseBitSet Want = DenseBitSet::difference(Digest.KnownIds, Known);
+    DenseBitSet Missing = DenseBitSet::difference(Known, Digest.Known);
+    DenseBitSet Want = DenseBitSet::difference(Digest.Known, Known);
     if (!Missing.empty() || !Want.empty())
       Ctx.send(From, makeBody<GossipDeltaMsg>(Digest.QueryId,
                                               std::move(Missing),
@@ -54,10 +55,11 @@ void GossipActor::onMessage(Context &Ctx, ProcessId From,
     const auto &Delta = bodyAs<GossipDeltaMsg>(Body);
     if (!Infected || Delta.QueryId != QueryId)
       return;
-    Known.unionWith(Delta.Entries);
+    if (Known.unionWith(Delta.Entries))
+      ++Version;
     // Serve the peer's wants (second half of the exchange). They are ids
     // of our own digest, and Known only grows, so we hold every one.
-    if (!Delta.WantIds.empty())
+    if (Delta.WantCount != 0)
       Ctx.send(From, makeBody<GossipDeltaMsg>(Delta.QueryId, Delta.WantIds,
                                               DenseBitSet()));
     return;
@@ -77,9 +79,11 @@ void GossipActor::startQuery(Context &Ctx) {
 }
 
 void GossipActor::infect(Context &Ctx, uint64_t Qid) {
-  Known.insert(Ctx.self());
+  // Known only grows, so once infected it already holds this process.
   if (Infected)
     return;
+  if (Known.insert(Ctx.self()))
+    ++Version;
   Infected = true;
   QueryId = Qid;
   RoundsLeft = Config->Rounds;
@@ -92,11 +96,11 @@ void GossipActor::gossipRound(Context &Ctx) {
   --RoundsLeft;
   size_t Degree = Ctx.neighborCount();
   if (Degree != 0) {
-    // One payload per round, shared by every fan-out target: the content
-    // (and thus every weight/stat) is identical for all of them.
-    MessageRef Payload = Config->DigestMode
-                             ? makeBody<GossipDigestMsg>(QueryId, Known)
-                             : makeBody<GossipPushMsg>(QueryId, Known);
+    // One payload per version of Known, shared by every fan-out target
+    // and every round until Known changes.
+    const MessageRef &Payload =
+        Config->DigestMode ? cachedBody<GossipDigestMsg>(Round, QueryId)
+                           : cachedBody<GossipPushMsg>(Round, QueryId);
     for (size_t I = 0, E = std::min(Config->FanOut, Degree); I != E; ++I)
       Ctx.send(Ctx.neighborAt(
                    static_cast<size_t>(Ctx.rng().nextBelow(Degree))),
@@ -104,6 +108,32 @@ void GossipActor::gossipRound(Context &Ctx) {
   }
   if (RoundsLeft > 0)
     RoundTimer = Ctx.setTimer(Config->RoundEvery);
+  else
+    Round = CachedBody(); // Gone quiet: this body is never sent again.
+}
+
+template <typename T>
+const MessageRef &GossipActor::cachedBody(CachedBody &C, uint64_t Qid) {
+  if (C.Body && C.Version == Version && C.QueryId == Qid)
+    return C.Body;
+  // Copy-on-write. While a send of the stale body is in flight (or parked
+  // for its owner lane's release), the body keeps its send-time set and a
+  // new one is built. When the cache holds the only reference, nobody can
+  // see the body any more, so it is refilled in place.
+  if (C.Body && C.Body->refCount() == 1)
+    const_cast<T &>(bodyAs<T>(*C.Body)).refill(Qid, Known);
+  else
+    C.Body = makeBody<T>(Qid, Known);
+  C.Version = Version;
+  C.QueryId = Qid;
+  return C.Body;
+}
+
+void GossipActor::onStop(Context &Ctx) {
+  AggregationActor::onStop(Ctx);
+  // A departed process sends nothing more: return the blocks to the pool.
+  Round = CachedBody();
+  Pull = CachedBody();
 }
 
 void GossipActor::onTimer(Context &Ctx, TimerId Id) {

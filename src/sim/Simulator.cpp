@@ -17,6 +17,17 @@ using detail::CalendarQueue;
 using detail::SimEvent;
 
 MessageBody::~MessageBody() = default;
+
+void MessageBody::destroy() const {
+  BodyPool *P = Pool;
+  uint32_t B = Bucket;
+  MessageBody *Self = const_cast<MessageBody *>(this);
+  Self->~MessageBody(); // Virtual: runs the payload's destructor.
+  if (P)
+    P->recycle(Self, B);
+  else
+    ::operator delete(Self);
+}
 Context::~Context() = default;
 Actor::~Actor() = default;
 TopologyProvider::~TopologyProvider() = default;

@@ -6,6 +6,8 @@
 
 #include "dyndist/sim/Trace.h"
 
+#include "dyndist/support/InlineVec.h"
+
 #include <algorithm>
 #include <cassert>
 
@@ -156,9 +158,10 @@ size_t Trace::maxConcurrency() const {
   // (a small minority when sessions outlive the horizon) need a sort, and
   // the sweep is a linear merge of the two sequences. Deserialized or
   // hand-built traces may break the join monotonicity; detect that in the
-  // same pass and fall back to the full delta sort.
-  std::vector<SimTime> Ends;
-  Ends.reserve(Intervals.size());
+  // same pass and fall back to the full delta sort. The ends gather in an
+  // inline buffer: the common run ends few sessions, so the sweep makes no
+  // heap call.
+  InlineVec<SimTime, 16> Ends;
   SimTime PrevJoin = 0;
   bool JoinsSorted = true;
   for (const auto &[P, I] : Intervals) {

@@ -67,16 +67,8 @@ public:
   void intrusiveRetain() const { ++RefCnt; }
   void intrusiveRelease() const {
     assert(RefCnt > 0 && "over-release of message body");
-    if (--RefCnt != 0)
-      return;
-    BodyPool *P = Pool;
-    uint32_t B = Bucket;
-    MessageBody *Self = const_cast<MessageBody *>(this);
-    Self->~MessageBody(); // Virtual: runs the payload's destructor.
-    if (P)
-      P->recycle(Self, B);
-    else
-      ::operator delete(Self);
+    if (--RefCnt == 0)
+      destroy();
   }
 
   /// Current share count (tests; a freshly made body is 1).
@@ -88,6 +80,11 @@ public:
 private:
   template <typename T, typename... Args>
   friend IntrusivePtr<const MessageBody> makeBody(Args &&...As);
+
+  /// Runs the payload's destructor and returns the storage to its pool
+  /// (or the heap). Out of line: it keeps the inlined release a bare
+  /// decrement, and no caller can read the body after it is gone.
+  void destroy() const;
 
   const int Kind;
   mutable uint32_t RefCnt = 1; ///< Creator's reference; adopt()ed once.

@@ -36,14 +36,18 @@ public:
   /// Words kept inline: ids below 1024 never allocate.
   static constexpr unsigned InlineWords = 16;
 
-  void insert(uint64_t I) {
+  /// Adds \p I; returns whether it was new.
+  bool insert(uint64_t I) {
     uint64_t W = I / 64;
     if (W >= Words.size()) {
       Words.reserve(W + 1);
       while (Words.size() <= W)
         Words.push_back(0);
     }
-    Words[W] |= uint64_t(1) << (I % 64);
+    uint64_t Bit = uint64_t(1) << (I % 64);
+    bool New = (Words[W] & Bit) == 0;
+    Words[W] |= Bit;
+    return New;
   }
 
   /// Number of members.
@@ -59,24 +63,27 @@ public:
                        [](uint64_t Word) { return Word == 0; });
   }
 
-  bool isSubsetOf(const DenseBitSet &Other) const {
-    for (uint32_t W = 0; W != Words.size(); ++W)
-      if (Words[W] & ~Other.word(W))
-        return false;
-    return true;
-  }
-
-  /// Adds every member of \p Other. A read-only subset check first, so the
-  /// common case of nothing new writes nothing.
-  void unionWith(const DenseBitSet &Other) {
-    if (Other.isSubsetOf(*this))
-      return;
-    uint32_t Shared = std::min(Words.size(), Other.Words.size());
-    for (uint32_t W = 0; W != Shared; ++W)
-      Words[W] |= Other.Words[W];
-    Words.reserve(Other.Words.size());
-    for (uint32_t W = Shared; W < Other.Words.size(); ++W)
-      Words.push_back(Other.Words[W]);
+  /// Adds every member of \p Other in one pass (OR and detect new bits
+  /// together) and returns whether any was new. The receiver grows only
+  /// to \p Other's last nonzero word.
+  bool unionWith(const DenseBitSet &Other) {
+    uint32_t End = Other.Words.size();
+    if (End > Words.size()) {
+      while (End > Words.size() && Other.Words[End - 1] == 0)
+        --End;
+      Words.reserve(End);
+      while (Words.size() < End)
+        Words.push_back(0);
+    }
+    uint64_t *Dst = Words.begin();
+    const uint64_t *Src = Other.Words.begin();
+    uint64_t Added = 0;
+    for (uint32_t W = 0; W != End; ++W) {
+      uint64_t Old = Dst[W], New = Src[W];
+      Added |= New & ~Old;
+      Dst[W] = Old | New;
+    }
+    return Added != 0;
   }
 
   /// Members of \p A that are not in \p B.

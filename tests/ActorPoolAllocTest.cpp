@@ -107,14 +107,14 @@ TEST(ActorPool, WarmShortRunsMakeAtMostFiveHeapCalls) {
   // Each run spawns ~100 churn actors and the query issuer; they recycle
   // the previous run's blocks of the simulator's pool, where each used to
   // be one heap call. Their spawn-time TraceKey::OtqValue observes record
-  // a fixed vocabulary id, so the key table allocates nothing. What
-  // remains per run (1.875 calls on average): one ~800 B
-  // Trace::maxConcurrency() scratch vector (admissibility read back from
-  // the trace), and the odd calendar bucket that grows when a seed
-  // outgrows the ones before it.
+  // a fixed vocabulary id, so the key table allocates nothing, and
+  // Trace::maxConcurrency() (admissibility read back from the trace)
+  // gathers the run's few session ends in an inline buffer. What remains
+  // (74 calls over the 64 runs, 1.16 a run) is mostly the odd calendar
+  // bucket that grows when a seed outgrows the ones before it.
   EXPECT_GT(Arrivals, uint64_t(Runs) * 90);
-  EXPECT_LE(PerRun, 5.0) << (HeapAllocs - Before) << " heap calls over "
-                         << Runs << " warm runs";
+  EXPECT_LE(PerRun, 1.25) << (HeapAllocs - Before) << " heap calls over "
+                          << Runs << " warm runs";
 }
 
 TEST(TraceKeyTable, VocabularyInternAndResetMakeNoHeapCall) {

@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -39,6 +40,15 @@ using namespace dyndist;
 //===----------------------------------------------------------------------===//
 
 namespace {
+
+/// A gtest parameter name from its parts, streamed in order. Streaming
+/// rather than an operator+ chain: GCC 12 at -O3 reports a false
+/// -Wrestrict inside the chain's inlined string copies.
+template <typename... Parts> std::string paramName(const Parts &...Ps) {
+  std::ostringstream OS;
+  (OS << ... << Ps);
+  return OS.str();
+}
 
 enum class Topo { Ring, Line, Torus, Complete, ErdosRenyi, Regular, BA };
 
@@ -142,9 +152,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<size_t>(8, 16, 30),
                        ::testing::Values<uint64_t>(1, 2)),
     [](const auto &Info) {
-      return std::string(topoName(std::get<0>(Info.param))) + "_n" +
-             std::to_string(std::get<1>(Info.param)) + "_s" +
-             std::to_string(std::get<2>(Info.param));
+      return paramName(topoName(std::get<0>(Info.param)), "_n",
+                       std::get<1>(Info.param), "_s", std::get<2>(Info.param));
     });
 
 //===----------------------------------------------------------------------===//
@@ -188,8 +197,8 @@ INSTANTIATE_TEST_SUITE_P(
                                          Topo::ErdosRenyi),
                        ::testing::Values<uint64_t>(0, 1, 2, 4, 9, 20)),
     [](const auto &Info) {
-      return std::string(topoName(std::get<0>(Info.param))) + "_ttl" +
-             std::to_string(std::get<1>(Info.param));
+      return paramName(topoName(std::get<0>(Info.param)), "_ttl",
+                       std::get<1>(Info.param));
     });
 
 //===----------------------------------------------------------------------===//
@@ -232,9 +241,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<size_t>(9, 20),
                        ::testing::Values<uint64_t>(3, 4)),
     [](const auto &Info) {
-      return std::string(topoName(std::get<0>(Info.param))) + "_n" +
-             std::to_string(std::get<1>(Info.param)) + "_s" +
-             std::to_string(std::get<2>(Info.param));
+      return paramName(topoName(std::get<0>(Info.param)), "_n",
+                       std::get<1>(Info.param), "_s", std::get<2>(Info.param));
     });
 
 //===----------------------------------------------------------------------===//
@@ -268,8 +276,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<size_t>(1, 2, 3, 5),
                        ::testing::Values<uint64_t>(1, 2, 3)),
     [](const auto &Info) {
-      return "deg" + std::to_string(std::get<0>(Info.param)) + "_s" +
-             std::to_string(std::get<1>(Info.param));
+      return paramName("deg", std::get<0>(Info.param), "_s",
+                       std::get<1>(Info.param));
     });
 
 //===----------------------------------------------------------------------===//
@@ -300,8 +308,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<size_t>(0, 1, 2, 4),
                        ::testing::Values<uint64_t>(1, 2, 3)),
     [](const auto &Info) {
-      return "t" + std::to_string(std::get<0>(Info.param)) + "_s" +
-             std::to_string(std::get<1>(Info.param));
+      return paramName("t", std::get<0>(Info.param), "_s",
+                       std::get<1>(Info.param));
     });
 
 class MajorityAtomicityProperty
@@ -329,9 +337,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<size_t>(1, 2, 4),
                        ::testing::Values<uint64_t>(1, 2)),
     [](const auto &Info) {
-      return "t" + std::to_string(std::get<0>(Info.param)) + "_r" +
-             std::to_string(std::get<1>(Info.param)) + "_s" +
-             std::to_string(std::get<2>(Info.param));
+      return paramName("t", std::get<0>(Info.param), "_r",
+                       std::get<1>(Info.param), "_s", std::get<2>(Info.param));
     });
 
 //===----------------------------------------------------------------------===//
@@ -365,9 +372,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<size_t>(0, 1, 2, 3),
                        ::testing::Values<uint64_t>(1, 2)),
     [](const auto &Info) {
-      return "t" + std::to_string(std::get<0>(Info.param)) + "_c" +
-             std::to_string(std::get<1>(Info.param)) + "_s" +
-             std::to_string(std::get<2>(Info.param));
+      return paramName("t", std::get<0>(Info.param), "_c",
+                       std::get<1>(Info.param), "_s", std::get<2>(Info.param));
     });
 
 //===----------------------------------------------------------------------===//
@@ -382,10 +388,9 @@ std::string churnParamName(
     const ::testing::TestParamInfo<std::tuple<ModelKind, double, uint64_t>>
         &Info) {
   const char *Names[] = {"Finite", "BoundedB", "Infinite"};
-  return std::string(Names[static_cast<int>(std::get<0>(Info.param))]) +
-         "_r" +
-         std::to_string(static_cast<int>(std::get<1>(Info.param) * 100)) +
-         "_s" + std::to_string(std::get<2>(Info.param));
+  return paramName(Names[static_cast<int>(std::get<0>(Info.param))], "_r",
+                   static_cast<int>(std::get<1>(Info.param) * 100), "_s",
+                   std::get<2>(Info.param));
 }
 
 } // namespace
@@ -538,9 +543,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<size_t>(0, 1, 2, 3),
                        ::testing::Values<uint64_t>(1, 2)),
     [](const auto &Info) {
-      return "n" + std::to_string(std::get<0>(Info.param)) + "_c" +
-             std::to_string(std::get<1>(Info.param)) + "_s" +
-             std::to_string(std::get<2>(Info.param));
+      return paramName("n", std::get<0>(Info.param), "_c",
+                       std::get<1>(Info.param), "_s", std::get<2>(Info.param));
     });
 
 //===----------------------------------------------------------------------===//
@@ -635,8 +639,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(0, 5, 15, 30),
                        ::testing::Values<uint64_t>(1, 2)),
     [](const auto &Info) {
-      return "r" + std::to_string(std::get<0>(Info.param)) + "_s" +
-             std::to_string(std::get<1>(Info.param));
+      return paramName("r", std::get<0>(Info.param), "_s",
+                       std::get<1>(Info.param));
     });
 
 //===----------------------------------------------------------------------===//
@@ -685,7 +689,6 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<size_t>(1, 10, 1000),
                        ::testing::Values<uint64_t>(1, 2, 3)),
     [](const auto &Info) {
-      return "p" + std::to_string(std::get<0>(Info.param)) + "_n" +
-             std::to_string(std::get<1>(Info.param)) + "_s" +
-             std::to_string(std::get<2>(Info.param));
+      return paramName("p", std::get<0>(Info.param), "_n",
+                       std::get<1>(Info.param), "_s", std::get<2>(Info.param));
     });

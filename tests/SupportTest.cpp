@@ -400,8 +400,10 @@ void checkPair(const IdSet &A, const IdSet &B, const std::string &What) {
   DenseBitSet BA = bitsOf(A), BB = bitsOf(B);
   expectSameSet(BA, A, What + " build");
 
+  // A is a subset of B exactly when merging it into B adds nothing.
   bool Subset = std::includes(B.begin(), B.end(), A.begin(), A.end());
-  EXPECT_EQ(BA.isSubsetOf(BB), Subset) << What;
+  DenseBitSet IntoB = BB;
+  EXPECT_EQ(!IntoB.unionWith(BA), Subset) << What;
 
   IdSet Union = A, Diff;
   Union.insert(B.begin(), B.end());
@@ -409,11 +411,14 @@ void checkPair(const IdSet &A, const IdSet &B, const std::string &What) {
                       std::inserter(Diff, Diff.end()));
 
   DenseBitSet Merged = BA;
-  Merged.unionWith(BB);
+  // It adds a member unless B is a subset of A.
+  EXPECT_EQ(Merged.unionWith(BB),
+            !std::includes(A.begin(), A.end(), B.begin(), B.end()))
+      << What;
   expectSameSet(Merged, Union, What + " union");
-  // The subset early exit: merging a subset changes nothing.
-  Merged.unionWith(BA);
-  Merged.unionWith(BB);
+  // Merging a subset adds nothing and says so.
+  EXPECT_FALSE(Merged.unionWith(BA)) << What;
+  EXPECT_FALSE(Merged.unionWith(BB)) << What;
   expectSameSet(Merged, Union, What + " union again");
   expectSameSet(DenseBitSet::difference(BA, BB), Diff, What + " difference");
 }
@@ -459,6 +464,44 @@ TEST(DenseBitSet, MatchesStdSetReferenceRandomized) {
   DenseBitSet Wide =
       DenseBitSet::difference(bitsOf({3, 5000}), bitsOf({5000}));
   expectSameSet(Wide, {3}, "trailing zeros");
-  EXPECT_TRUE(Wide.isSubsetOf(bitsOf({3})));
+  DenseBitSet Three = bitsOf({3});
+  EXPECT_FALSE(Three.unionWith(Wide));
   EXPECT_TRUE(DenseBitSet::difference(Wide, bitsOf({3})).empty());
+}
+
+TEST(DenseBitSet, UnionWithReportsWhetherItAddedAMember) {
+  // Other longer: new members past the receiver's last word.
+  DenseBitSet Short = bitsOf({1});
+  EXPECT_TRUE(Short.unionWith(bitsOf({1, 700})));
+  expectSameSet(Short, {1, 700}, "other longer");
+  // Other longer, but its extra words hold only known members' zeros.
+  DenseBitSet Known = bitsOf({1, 2});
+  DenseBitSet Padded =
+      DenseBitSet::difference(bitsOf({2, 4000}), bitsOf({4000}));
+  EXPECT_FALSE(Known.unionWith(Padded));
+  expectSameSet(Known, {1, 2}, "other longer, trailing zero words");
+  // Other shorter.
+  DenseBitSet Long = bitsOf({5, 900});
+  EXPECT_TRUE(Long.unionWith(bitsOf({6})));
+  EXPECT_FALSE(Long.unionWith(bitsOf({5})));
+  expectSameSet(Long, {5, 6, 900}, "other shorter");
+  // Equal sets, disjoint sets, the empty set on either side.
+  DenseBitSet Same = bitsOf({64, 65});
+  EXPECT_FALSE(Same.unionWith(bitsOf({64, 65})));
+  DenseBitSet Apart = bitsOf({0, 64});
+  EXPECT_TRUE(Apart.unionWith(bitsOf({1, 65})));
+  expectSameSet(Apart, {0, 1, 64, 65}, "disjoint");
+  DenseBitSet Empty;
+  EXPECT_FALSE(Apart.unionWith(Empty));
+  EXPECT_FALSE(Empty.unionWith(DenseBitSet()));
+  EXPECT_TRUE(Empty.unionWith(bitsOf({3})));
+  expectSameSet(Empty, {3}, "into empty");
+  // An empty set whose words are all zero adds nothing either.
+  DenseBitSet Zeros = DenseBitSet::difference(bitsOf({3000}), bitsOf({3000}));
+  DenseBitSet Fresh;
+  EXPECT_FALSE(Fresh.unionWith(Zeros));
+  expectSameSet(Fresh, {}, "zero words into empty");
+  // insert() reports a new member the same way.
+  EXPECT_TRUE(Fresh.insert(70));
+  EXPECT_FALSE(Fresh.insert(70));
 }

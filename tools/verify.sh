@@ -13,7 +13,8 @@
 #      e1_matrix, short_sweep and trace_archive must print its pinned
 #      fingerprint digest, which guards the src/ entry points perfbench
 #      compiles against.
-#   4. build-werror/: a strict-warnings build (-DDYNDIST_WERROR=ON).
+#   4. build-werror/: a strict-warnings Release build (-O3, where GCC's
+#      flow-sensitive warnings see the most inlining; -DDYNDIST_WERROR=ON).
 #   5. The suite under AddressSanitizer, UndefinedBehaviorSanitizer and
 #      ThreadSanitizer (build-asan/, build-ubsan/, build-tsan/). ASan also
 #      sees a stale pointer into the BodyPool's recycled payload and actor
@@ -21,7 +22,9 @@
 #      polices the flat graph's raw-pointer views, the intrusive payload
 #      refcounts and the InlineFunction buffer arithmetic; TSan the sweep
 #      runner's seed sharding and the sharded kernel's fork-join lanes, and
-#      the TSan pass also compares threaded-vs-inline shard digests.
+#      the TSan pass also compares threaded-vs-inline shard digests and
+#      runs E1's densest gossip cell at shards 1, 2 and 4 on worker threads
+#      (cached gossip bodies are re-sent only on their owner's lane).
 #
 # Usage: tools/verify.sh [--skip-lint] [--lint-only]
 #                        [--skip-asan] [--asan-only] [--skip-ubsan]
@@ -165,7 +168,8 @@ if [ "$RUN_BENCH_CHECK" = 1 ]; then
   perfbench_digest short_sweep 86dd0c229b586e25
   perfbench_digest trace_archive 57141baf3ac640ab
 fi
-[ "$RUN_WERROR" = 1 ] && run_build build-werror -DDYNDIST_WERROR=ON
+[ "$RUN_WERROR" = 1 ] && run_build build-werror -DCMAKE_BUILD_TYPE=Release \
+  -DDYNDIST_WERROR=ON
 [ "$RUN_ASAN" = 1 ] && run_suite build-asan -DDYNDIST_SANITIZE=address
 [ "$RUN_UBSAN" = 1 ] && UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   run_suite build-ubsan -DDYNDIST_SANITIZE=undefined
@@ -182,5 +186,8 @@ if [ "$RUN_TSAN" = 1 ]; then
     --processes 10000 --horizon 100 --shards 1,4 \
     > build-tsan/kernel-smoke-inline.txt
   cmp build-tsan/kernel-smoke-threaded.txt build-tsan/kernel-smoke-inline.txt
+  echo "== gossip E1 cell-7 shard invariance under TSan (build-tsan)"
+  build-tsan/tests/AggregationTest \
+    --gtest_filter=Gossip.E1CellSevenShardInvariant
 fi
 echo "== verify OK"
