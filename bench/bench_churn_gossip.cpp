@@ -586,45 +586,46 @@ int main(int argc, char **argv) {
     Sweep.MasterSeed = E4MasterSeed + 1; // Distinct stream from the E4 grid.
     Sweep.SeedCount = static_cast<size_t>(Seeds);
     Sweep.Threads = SweepThreads;
-    auto Partials = runSeedSweep<SeedPartial>(Sweep, [Rate](SweepSeed Seed) {
-      DynamicSystemConfig SysCfg;
-      SysCfg.Seed = Seed.Value;
-      SysCfg.Class = {ArrivalModel::boundedConcurrency(40),
-                      KnowledgeModel::knownDiameter(10)};
-      SysCfg.InitialMembers = 24;
-      SysCfg.Churn.JoinRate = Rate;
-      SysCfg.Churn.MeanSession = Rate > 0 ? 24.0 / Rate : 1e9;
-      SysCfg.Churn.Horizon = 600;
-      SysCfg.MonitorUntil = 1200;
-      // The token verdict reads Observe records and presence intervals.
-      SysCfg.Tracing = TraceLevel::Lifecycle;
+    auto Partials = runSeedSweepWith<SeedPartial, NoSweepContext>(
+        Sweep, [Rate](SweepSeed Seed, NoSweepContext &) {
+          DynamicSystemConfig SysCfg;
+          SysCfg.Seed = Seed.Value;
+          SysCfg.Class = {ArrivalModel::boundedConcurrency(40),
+                          KnowledgeModel::knownDiameter(10)};
+          SysCfg.InitialMembers = 24;
+          SysCfg.Churn.JoinRate = Rate;
+          SysCfg.Churn.MeanSession = Rate > 0 ? 24.0 / Rate : 1e9;
+          SysCfg.Churn.Horizon = 600;
+          SysCfg.MonitorUntil = 1200;
+          // The token verdict reads Observe records and presence intervals.
+          SysCfg.Tracing = TraceLevel::Lifecycle;
 
-      auto TokenCfg = std::make_shared<TokenConfig>();
-      TokenCfg->TimeoutAfter = 400;
-      auto Counter = std::make_shared<int64_t>(0);
-      auto Factory =
-          makeTokenFactory(TokenCfg, [Counter] { return ++*Counter; });
-      DynamicSystem Sys(SysCfg, Factory);
-      ProcessId Issuer = Sys.sim().spawn(Factory());
-      scheduleQueryStart(Sys.sim(), 200, Issuer);
-      RunLimits L;
-      L.MaxTime = 1200;
-      Sys.run(L);
-      SeedPartial P;
-      if (!Sys.checkClassAdmissible().ok())
-        return P;
-      auto Issue = Sys.sim().trace().firstObservation(Issuer, OtqIssueKey);
-      if (!Issue)
-        return P;
-      QueryVerdict V =
-          checkOneTimeQuery(Sys.sim().trace(), Issuer, Issue->Time, 1200);
-      P.Counted = true;
-      P.Terminated = V.Terminated;
-      P.Valid = V.valid();
-      if (V.Terminated)
-        P.Cov.add(V.Coverage);
-      return P;
-    });
+          auto TokenCfg = std::make_shared<TokenConfig>();
+          TokenCfg->TimeoutAfter = 400;
+          auto Counter = std::make_shared<int64_t>(0);
+          auto Factory =
+              makeTokenFactory(TokenCfg, [Counter] { return ++*Counter; });
+          DynamicSystem Sys(SysCfg, Factory);
+          ProcessId Issuer = Sys.sim().spawn(Factory());
+          scheduleQueryStart(Sys.sim(), 200, Issuer);
+          RunLimits L;
+          L.MaxTime = 1200;
+          Sys.run(L);
+          SeedPartial P;
+          if (!Sys.checkClassAdmissible().ok())
+            return P;
+          auto Issue = Sys.sim().trace().firstObservation(Issuer, OtqIssueKey);
+          if (!Issue)
+            return P;
+          QueryVerdict V =
+              checkOneTimeQuery(Sys.sim().trace(), Issuer, Issue->Time, 1200);
+          P.Counted = true;
+          P.Terminated = V.Terminated;
+          P.Valid = V.valid();
+          if (V.Terminated)
+            P.Cov.add(V.Coverage);
+          return P;
+        });
     int Counted = 0, Term = 0, Val = 0;
     OnlineStats Cov;
     for (const SeedPartial &P : Partials) {

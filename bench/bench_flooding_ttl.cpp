@@ -150,9 +150,11 @@ int main(int argc, char **argv) {
     T.setHeader({"overlay", "true-D", "ttl", "coverage", "messages",
                  "wave-latency"});
     for (uint64_t Ttl : {D - 3, D - 2, D - 1, D, D + 1, D + 2}) {
-      auto Points = runSeedSweep<Point>(
+      auto Points = runSeedSweepWith<Point, NoSweepContext>(
           sweepConfig(1, Seeds),
-          [&](SweepSeed Seed) { return runOnce(makeRing(N), Ttl, Seed.Value); });
+          [&](SweepSeed Seed, NoSweepContext &) {
+            return runOnce(makeRing(N), Ttl, Seed.Value);
+          });
       double Cov = 0;
       uint64_t Msg = 0;
       SimTime Lat = 0;
@@ -180,8 +182,8 @@ int main(int argc, char **argv) {
         bool Counted = false;
         Point P;
       };
-      auto Outcomes = runSeedSweep<RegularOutcome>(
-          sweepConfig(2, Seeds), [Delta](SweepSeed Seed) {
+      auto Outcomes = runSeedSweepWith<RegularOutcome, NoSweepContext>(
+          sweepConfig(2, Seeds), [Delta](SweepSeed Seed, NoSweepContext &) {
             RegularOutcome Out;
             Rng R(Seed.Value);
             Graph G = makeRandomRegular(48, 4, R);
@@ -238,8 +240,8 @@ int main(int argc, char **argv) {
         int Valid = 0;
         double Coverage = 0;
       };
-      auto Outcomes = runSeedSweep<TailOutcome>(
-          sweepConfig(3, Seeds), [&C](SweepSeed Seed) {
+      auto Outcomes = runSeedSweepWith<TailOutcome, NoSweepContext>(
+          sweepConfig(3, Seeds), [&C](SweepSeed Seed, NoSweepContext &) {
             TailOutcome Out;
             size_t N = 16;
             Simulator S(Seed.Value);

@@ -195,8 +195,8 @@ void BM_SweepShortRuns(benchmark::State &State) {
       Ran += Out.size();
       benchmark::DoNotOptimize(Out);
     } else {
-      auto Out =
-          runSeedSweep<ExperimentResult>(Sweep, [Shards](SweepSeed Seed) {
+      auto Out = runSeedSweepWith<ExperimentResult, NoSweepContext>(
+          Sweep, [Shards](SweepSeed Seed, NoSweepContext &) {
             return runQueryExperiment(shortRunConfig(Seed.Value, Shards));
           });
       Ran += Out.size();

@@ -110,46 +110,16 @@ ExperimentResult dyndist::runQueryExperiment(const ExperimentConfig &Config) {
 
 ExperimentResult dyndist::runQueryExperiment(const ExperimentConfig &Config,
                                              SimArena *Arena) {
+  if (!Arena) {
+    // A fresh run is the first run of a local arena: that run constructs
+    // its DynamicSystem, so both paths share one setup.
+    SimArena Local;
+    return runQueryExperiment(Config, &Local);
+  }
   RecommendedAlgorithm Algo = Config.UseRecommended
                                   ? recommendedAlgorithm(Config.Class)
                                   : Config.Algorithm;
-
-  DynamicSystemConfig SysCfg = sysConfigFor(Config);
-
-  // Acquire the system: a recycled arena shell, or a fresh construction
-  // with the per-run counter/config allocations the arena would hoist.
-  std::optional<DynamicSystem> Fresh;
-  DynamicSystem *Sys;
-  if (Arena) {
-    Sys = &Arena->acquire(SysCfg, Algo, Config);
-  } else {
-    // Input values: a shared counter so every member declares a distinct
-    // value (keeps the aggregate-consistency clause sharp).
-    auto Counter = std::make_shared<int64_t>(0);
-    auto NextValue = [Counter] { return ++*Counter; };
-
-    ChurnDriver::ActorFactory Factory;
-    switch (Algo) {
-    case RecommendedAlgorithm::FloodingKnownDiameter:
-    case RecommendedAlgorithm::FloodingDerivedBound: {
-      auto FloodCfg = std::make_shared<FloodConfig>();
-      FloodCfg->Ttl = floodTtlFor(Config);
-      FloodCfg->MaxLatency = Config.MaxLatencyForDeadline;
-      Factory = makeFloodFactory(FloodCfg, NextValue);
-      break;
-    }
-    case RecommendedAlgorithm::EchoTermination:
-      Factory = makeEchoFactory(NextValue);
-      break;
-    case RecommendedAlgorithm::GossipBestEffort: {
-      auto GossipCfg = std::make_shared<GossipConfig>(Config.Gossip);
-      Factory = makeGossipFactory(GossipCfg, NextValue);
-      break;
-    }
-    }
-    Fresh.emplace(SysCfg, std::move(Factory));
-    Sys = &*Fresh;
-  }
+  DynamicSystem *Sys = &Arena->acquire(sysConfigFor(Config), Algo, Config);
 
   ProcessId Issuer;
   {

@@ -116,10 +116,11 @@ class SimArena;
 
 /// As above, optionally recycling \p Arena's simulator shell instead of
 /// constructing and tearing down a full DynamicSystem per run (see
-/// SimArena.h). Passing null is exactly the single-argument overload; with
-/// an arena the result is byte-identical to a fresh run of the same config
-/// — the BodyPoolHits/Misses stat counters excepted (cumulative pool
-/// economy; see Simulator::reset).
+/// SimArena.h). Passing null is exactly the single-argument overload: the
+/// config runs as the first run of a private arena. With an arena the
+/// result is byte-identical to a fresh run of the same config — the
+/// BodyPoolHits/Misses stat counters excepted (cumulative pool economy;
+/// see Simulator::reset).
 ExperimentResult runQueryExperiment(const ExperimentConfig &Config,
                                     SimArena *Arena);
 

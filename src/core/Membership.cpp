@@ -11,38 +11,36 @@
 
 using namespace dyndist;
 
-size_t MembershipActor::SuspectedView::count(ProcessId P) const {
-  if (!St)
-    return 0;
+bool MembershipActor::isSuspected(ProcessId P) const {
   auto It = std::lower_bound(
-      St->Nbrs.begin(), St->Nbrs.end(), P,
+      Nbrs.begin(), Nbrs.end(), P,
       [](const NbrEntry &E, ProcessId Pid) { return E.Pid < Pid; });
-  return (It != St->Nbrs.end() && It->Pid == P && It->Suspect) ? 1 : 0;
+  return It != Nbrs.end() && It->Pid == P && It->Suspect;
 }
 
-void MembershipActor::onStart(Context &Ctx) {
-  Handle = States->acquire(Ctx.stateSlot());
-  heartbeatRound(Ctx);
+size_t MembershipActor::SuspectedView::count(ProcessId P) const {
+  return A->isSuspected(P) ? 1 : 0;
 }
+
+void MembershipActor::onStart(Context &Ctx) { heartbeatRound(Ctx); }
 
 void MembershipActor::onMessage(Context &Ctx, ProcessId From,
                                 const MessageBody &Body) {
   assert(Body.kind() == MsgHeartbeat &&
          "membership actor received foreign message kind");
   (void)Body;
-  State &S = state();
   auto It = std::lower_bound(
-      S.Nbrs.begin(), S.Nbrs.end(), From,
+      Nbrs.begin(), Nbrs.end(), From,
       [](const NbrEntry &E, ProcessId Pid) { return E.Pid < Pid; });
-  if (It == S.Nbrs.end() || It->Pid != From) {
+  if (It == Nbrs.end() || It->Pid != From) {
     // First contact: start the silence clock (the old LastHeard[From]).
-    S.Nbrs.emplace(It, NbrEntry{From, Ctx.now(), false});
+    Nbrs.emplace(It, NbrEntry{From, Ctx.now(), false});
     return;
   }
   It->Heard = Ctx.now();
   if (It->Suspect) {
     It->Suspect = false;
-    --S.SuspectCount;
+    --SuspectCount;
     Ctx.observe(TraceKey::MemberRestore, static_cast<int64_t>(From));
   }
 }
@@ -68,9 +66,8 @@ void MembershipActor::heartbeatRound(Context &Ctx) {
   // retained, and forget the departed — the overlay already routed around
   // those, so they are outside this process's (purely local)
   // responsibility.
-  State &S = state();
   MergeScratch.clear();
-  auto EIt = S.Nbrs.begin(), EEnd = S.Nbrs.end();
+  auto EIt = Nbrs.begin(), EEnd = Nbrs.end();
   auto NIt = NbrScratch.begin(), NEnd = NbrScratch.end();
   uint32_t Suspects = 0;
   while (EIt != EEnd || NIt != NEnd) {
@@ -86,19 +83,19 @@ void MembershipActor::heartbeatRound(Context &Ctx) {
       ++NIt;
     }
   }
-  S.Nbrs.clear();
-  S.Nbrs.reserve(MergeScratch.size());
+  Nbrs.clear();
+  Nbrs.reserve(MergeScratch.size());
   for (const NbrEntry &E : MergeScratch)
-    S.Nbrs.push_back(E);
-  S.SuspectCount = Suspects;
+    Nbrs.push_back(E);
+  SuspectCount = Suspects;
 
   // Suspect the silent (ascending, like the old LastHeard walk).
-  for (NbrEntry &E : S.Nbrs) {
+  for (NbrEntry &E : Nbrs) {
     if (Ctx.now() - E.Heard <= Config->SuspectAfter)
       continue;
     if (!E.Suspect) {
       E.Suspect = true;
-      ++S.SuspectCount;
+      ++SuspectCount;
       Ctx.observe(TraceKey::MemberSuspect, static_cast<int64_t>(E.Pid));
     }
   }
@@ -108,16 +105,8 @@ void MembershipActor::heartbeatRound(Context &Ctx) {
 
 std::vector<ProcessId> MembershipActor::liveView(Context &Ctx) const {
   std::vector<ProcessId> Out;
-  const State *S = States->find(Handle);
   Ctx.forEachNeighbor([&](ProcessId N) {
-    bool Suspected = false;
-    if (S) {
-      auto It = std::lower_bound(
-          S->Nbrs.begin(), S->Nbrs.end(), N,
-          [](const NbrEntry &E, ProcessId Pid) { return E.Pid < Pid; });
-      Suspected = It != S->Nbrs.end() && It->Pid == N && It->Suspect;
-    }
-    if (!Suspected)
+    if (!isSuspected(N))
       Out.push_back(N);
   });
   return Out;
@@ -126,8 +115,5 @@ std::vector<ProcessId> MembershipActor::liveView(Context &Ctx) const {
 std::function<std::unique_ptr<Actor>()> dyndist::makeMembershipFactory(
     std::shared_ptr<const MembershipConfig> Config) {
   assert(Config && "factory needs a config");
-  auto Slab = std::make_shared<MembershipActor::Slab>();
-  return [Config, Slab]() {
-    return std::make_unique<MembershipActor>(Config, Slab);
-  };
+  return [Config]() { return std::make_unique<MembershipActor>(Config); };
 }

@@ -11,10 +11,8 @@
 using namespace dyndist;
 
 void PeerSamplingActor::onStart(Context &Ctx) {
-  Handle = States->acquire(Ctx.stateSlot());
   // The overlay is the introduction service: bootstrap the view from the
   // neighbors present at join time (indexed early-exit walk).
-  ViewMap &View = mutableView();
   for (size_t I = 0, E = Ctx.neighborCount();
        I != E && View.size() < Config->ViewSize; ++I)
     View.emplace(Ctx.neighborAt(I), 0);
@@ -24,7 +22,6 @@ void PeerSamplingActor::onStart(Context &Ctx) {
 ViewSlice PeerSamplingActor::sampleRandomSlice(Context &Ctx,
                                                size_t Count) const {
   // Reservoir-free sampling without replacement over the (small) view.
-  const ViewMap &View = view();
   std::vector<std::pair<ProcessId, uint64_t>> Entries(View.begin(),
                                                       View.end());
   ViewSlice Slice;
@@ -38,7 +35,6 @@ ViewSlice PeerSamplingActor::sampleRandomSlice(Context &Ctx,
 }
 
 void PeerSamplingActor::mergeSlice(Context &Ctx, const ViewSlice &Slice) {
-  ViewMap &View = mutableView();
   for (const auto &[Peer, Age] : Slice) {
     if (Peer == Ctx.self())
       continue;
@@ -66,7 +62,6 @@ void PeerSamplingActor::mergeSlice(Context &Ctx, const ViewSlice &Slice) {
 
 void PeerSamplingActor::shuffleRound(Context &Ctx) {
   RoundTimer = Ctx.setTimer(Config->ShuffleEvery);
-  ViewMap &View = mutableView();
   if (View.empty()) {
     // Isolated (e.g. every traded entry was lost to a dead peer): fall
     // back to the introduction service and start shuffling next round.
@@ -124,7 +119,6 @@ void PeerSamplingActor::onTimer(Context &Ctx, TimerId Id) {
 }
 
 ProcessId PeerSamplingActor::samplePeer(Context &Ctx) const {
-  const ViewMap &View = view();
   if (View.empty())
     return InvalidProcess;
   size_t Index = static_cast<size_t>(Ctx.rng().nextBelow(View.size()));
@@ -134,8 +128,5 @@ ProcessId PeerSamplingActor::samplePeer(Context &Ctx) const {
 std::function<std::unique_ptr<Actor>()> dyndist::makePeerSamplingFactory(
     std::shared_ptr<const PeerSamplingConfig> Config) {
   assert(Config && "factory needs a config");
-  auto Slab = std::make_shared<PeerSamplingActor::Slab>();
-  return [Config, Slab]() {
-    return std::make_unique<PeerSamplingActor>(Config, Slab);
-  };
+  return [Config]() { return std::make_unique<PeerSamplingActor>(Config); };
 }

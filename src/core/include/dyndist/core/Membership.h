@@ -19,12 +19,11 @@
 /// *eventually* accurate, and the suspicion/restore observations it records
 /// let the tests measure exactly that.
 ///
-/// Per-process detector state lives in a StateSlab shared by every detector
-/// the same factory spawns: one sorted flat run of (neighbor, last-heard,
-/// suspected) entries per state slot, contiguous across processes, so a
-/// million detectors are one dense array instead of a million map/set
-/// heaps. The per-entry layout and all enumeration orders match the old
-/// std::map/std::set representation, so recorded traces are byte-identical.
+/// Each detector keeps its state as plain members: one sorted flat run of
+/// (neighbor, last-heard, suspected) entries. The per-entry layout and all
+/// enumeration orders match the old std::map/std::set representation, so
+/// recorded traces are byte-identical. A departed detector's state stays
+/// readable after the run, like every actor's.
 ///
 /// Observation keys: "member.suspect" / "member.restore" with the subject
 /// neighbor's id as value.
@@ -37,7 +36,6 @@
 #include "dyndist/sim/Actor.h"
 #include "dyndist/sim/Message.h"
 #include "dyndist/support/InlineVec.h"
-#include "dyndist/support/StateSlab.h"
 
 #include <functional>
 #include <memory>
@@ -75,34 +73,16 @@ struct MembershipConfig {
 class MembershipActor : public Actor {
 public:
   /// One tracked neighbor: identity, last-heard instant, suspicion flag.
-  /// Kept sorted by Pid inside the slab record, fusing the old LastHeard
-  /// map and Suspected set into a single cache line per few neighbors.
+  /// Kept sorted by Pid, fusing the old LastHeard map and Suspected set
+  /// into a single cache line per few neighbors.
   struct NbrEntry {
     ProcessId Pid = InvalidProcess;
     SimTime Heard = 0;
     bool Suspect = false;
   };
 
-  /// The slab record: the whole detector state of one process. The inline
-  /// capacity covers the usual overlay degree; denser neighborhoods spill
-  /// to the heap once and keep that capacity across slot reuse.
-  struct State {
-    InlineVec<NbrEntry, 8> Nbrs; ///< Sorted by Pid.
-    uint32_t SuspectCount = 0;
-    void reset() {
-      Nbrs.clear();
-      SuspectCount = 0;
-    }
-  };
-  using Slab = StateSlab<State>;
-
-  /// A detector normally shares the slab its factory owns; directly
-  /// constructed actors (tests, probes) get a private one.
-  explicit MembershipActor(std::shared_ptr<const MembershipConfig> Config,
-                           std::shared_ptr<Slab> SharedSlab = nullptr)
-      : Config(std::move(Config)),
-        States(SharedSlab ? std::move(SharedSlab)
-                          : std::make_shared<Slab>()) {}
+  explicit MembershipActor(std::shared_ptr<const MembershipConfig> Config)
+      : Config(std::move(Config)) {}
 
   void onStart(Context &Ctx) override;
   void onMessage(Context &Ctx, ProcessId From,
@@ -114,11 +94,10 @@ public:
 
   /// A sorted read-only view of the currently suspected ids: the set-like
   /// inspection surface (size/empty/count ascend-ordered enumeration) over
-  /// the slab entries, without materializing a set. Empty once the slot
-  /// has been recycled to a newer tenant.
+  /// the detector's entries, without materializing a set.
   class SuspectedView {
   public:
-    size_t size() const { return St ? St->SuspectCount : 0; }
+    size_t size() const { return A->SuspectCount; }
     bool empty() const { return size() == 0; }
 
     /// 1 when \p P is suspected, else 0 (std::set::count).
@@ -126,31 +105,30 @@ public:
 
     /// Invokes \p F for each suspected id in ascending order.
     template <typename FnT> void forEach(FnT F) const {
-      if (!St)
-        return;
-      for (const NbrEntry &E : St->Nbrs)
+      for (const NbrEntry &E : A->Nbrs)
         if (E.Suspect)
           F(E.Pid);
     }
 
   private:
     friend class MembershipActor;
-    explicit SuspectedView(const State *St) : St(St) {}
-    const State *St;
+    explicit SuspectedView(const MembershipActor &A) : A(&A) {}
+    const MembershipActor *A;
   };
 
   /// Currently suspected ids (inspection for tests).
-  SuspectedView suspected() const {
-    return SuspectedView(States->find(Handle));
-  }
+  SuspectedView suspected() const { return SuspectedView(*this); }
 
 private:
   void heartbeatRound(Context &Ctx);
-  State &state() { return States->at(Handle); }
+  /// True when \p P is a tracked neighbor currently suspected.
+  bool isSuspected(ProcessId P) const;
 
   std::shared_ptr<const MembershipConfig> Config;
-  std::shared_ptr<Slab> States;
-  SlabHandle Handle;
+  /// The detector state. The inline capacity covers the usual overlay
+  /// degree; denser neighborhoods spill to the heap.
+  InlineVec<NbrEntry, 8> Nbrs; ///< Sorted by Pid.
+  uint32_t SuspectCount = 0;
   /// Reused across rounds: the current neighbor ids, ascending. Kept as a
   /// member so steady-state heartbeat rounds allocate nothing.
   std::vector<ProcessId> NbrScratch;
@@ -159,8 +137,7 @@ private:
   TimerId RoundTimer = 0;
 };
 
-/// Factory for ChurnDriver / manual spawns. All actors from one factory
-/// share one state slab.
+/// Factory for ChurnDriver / manual spawns.
 std::function<std::unique_ptr<Actor>()>
 makeMembershipFactory(std::shared_ptr<const MembershipConfig> Config);
 

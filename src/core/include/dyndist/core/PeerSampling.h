@@ -22,6 +22,9 @@
 /// failure detector (the tests measure the view's live fraction
 /// post hoc against the trace).
 ///
+/// The view is a plain member of the actor, so a departed actor's view
+/// stays readable after the run, like every actor's state.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DYNDIST_CORE_PEERSAMPLING_H
@@ -31,7 +34,6 @@
 #include "dyndist/sim/Message.h"
 #include "dyndist/support/FlatMap.h"
 #include "dyndist/support/InlineVec.h"
-#include "dyndist/support/StateSlab.h"
 
 #include <functional>
 #include <memory>
@@ -77,27 +79,15 @@ struct PeerSamplingConfig {
 class PeerSamplingActor : public Actor {
 public:
   /// The view representation: a sorted flat run of (peer, age) entries
-  /// living inline in the state slab (the default ViewSize fits the inline
-  /// buffer; larger configured views spill to the heap once per slot).
+  /// living inline in the actor (the default ViewSize fits the inline
+  /// buffer; larger configured views spill to the heap once).
   /// Enumeration ascends by peer id exactly like the std::map it replaced.
   using ViewMap =
       FlatMap<ProcessId, uint64_t,
               InlineVec<std::pair<ProcessId, uint64_t>, 8>>;
 
-  /// The slab record: one process's entire peer-sampling state.
-  struct State {
-    ViewMap View;
-    void reset() { View.clear(); }
-  };
-  using Slab = StateSlab<State>;
-
-  /// An actor normally shares the slab its factory owns; directly
-  /// constructed actors (tests) get a private one.
-  explicit PeerSamplingActor(std::shared_ptr<const PeerSamplingConfig> Config,
-                             std::shared_ptr<Slab> SharedSlab = nullptr)
-      : Config(std::move(Config)),
-        States(SharedSlab ? std::move(SharedSlab)
-                          : std::make_shared<Slab>()) {}
+  explicit PeerSamplingActor(std::shared_ptr<const PeerSamplingConfig> Config)
+      : Config(std::move(Config)) {}
 
   void onStart(Context &Ctx) override;
   void onMessage(Context &Ctx, ProcessId From,
@@ -105,12 +95,7 @@ public:
   void onTimer(Context &Ctx, TimerId Id) override;
 
   /// The current partial view (peer -> age), for tests and samplers.
-  /// Empty once the state slot has been recycled to a newer tenant.
-  const ViewMap &view() const {
-    static const ViewMap Empty{};
-    const State *S = States->find(Handle);
-    return S ? S->View : Empty;
-  }
+  const ViewMap &view() const { return View; }
 
   /// A uniform-ish random peer from the view (the service's API);
   /// InvalidProcess when the view is empty.
@@ -129,21 +114,14 @@ private:
   /// when the incoming entry is younger.
   void mergeSlice(Context &Ctx, const ViewSlice &Slice);
 
-  ViewMap &mutableView() { return States->at(Handle).View; }
-
   std::shared_ptr<const PeerSamplingConfig> Config;
-  std::shared_ptr<Slab> States;
-  SlabHandle Handle;
+  ViewMap View;
   TimerId RoundTimer = 0;
 };
 
-/// Factory for ChurnDriver / manual spawns. All actors from one factory
-/// share one state slab.
+/// Factory for ChurnDriver / manual spawns.
 std::function<std::unique_ptr<Actor>()>
 makePeerSamplingFactory(std::shared_ptr<const PeerSamplingConfig> Config);
-
-
-
 
 } // namespace dyndist
 

@@ -16,7 +16,7 @@
 ///    deriveSweepSeed(MasterSeed, Index) — a pure function of the master
 ///    seed and the seed's position in the sweep, never of which thread or
 ///    in which order the shard ran.
-///  - runSeedSweep() returns per-seed results in seed-index order, and the
+///  - runSeedSweepWith() returns per-seed results in seed-index order, and the
 ///    caller reduces them serially (OnlineStats::merge / Summary::of in
 ///    ascending index order). The reduction therefore performs the exact
 ///    same floating-point operations at --threads 1, 4, or N.
@@ -93,7 +93,8 @@ Result<unsigned> sweepThreadsFromEnv();
 /// the same error.
 Result<unsigned> sweepThreadsFromArgs(int &Argc, char **Argv);
 
-/// Context type for sweeps that carry no per-worker state.
+/// Context type for sweeps that carry no per-worker state: the Body then
+/// takes a NoSweepContext & it ignores.
 struct NoSweepContext {};
 
 /// Runs \p Body once per seed, sharded over resolveSweepThreads(Threads)
@@ -153,13 +154,6 @@ std::vector<Result> runSeedSweepWith(const SweepConfig &Cfg, Fn &&Body) {
   if (FirstError)
     std::rethrow_exception(FirstError);
   return Out;
-}
-
-/// Context-free compatibility form: Result(SweepSeed), no per-worker state.
-template <typename Result, typename Fn>
-std::vector<Result> runSeedSweep(const SweepConfig &Cfg, Fn &&Body) {
-  return runSeedSweepWith<Result, NoSweepContext>(
-      Cfg, [&Body](SweepSeed S, NoSweepContext &) { return Body(S); });
 }
 
 } // namespace dyndist

@@ -99,7 +99,6 @@ public:
   }
 
   Rng &rng() override { return E.ActorRngs[P]; }
-  uint32_t stateSlot() const override { return E.S.stateSlotOf(P); }
 
   void observe(TraceKey Key, int64_t Value) override {
     if (E.S.TraceLev == TraceLevel::Off)
@@ -156,7 +155,6 @@ public:
   void cancelTimer(TimerId Id) override { E.cancelTimerAny(Id); }
 
   Rng &rng() override { return E.ActorRngs[P]; }
-  uint32_t stateSlot() const override { return E.S.stateSlotOf(P); }
 
   void observe(TraceKey Key, int64_t Value) override {
     if (E.S.TraceLev == TraceLevel::Off)

@@ -89,8 +89,6 @@ public:
 
   Rng &rng() override { return S.ActorRng; }
 
-  uint32_t stateSlot() const override { return S.stateSlotOf(P); }
-
   void observe(TraceKey Key, int64_t Value) override {
     if (S.TraceLev == TraceLevel::Off)
       return;
@@ -140,9 +138,6 @@ void Simulator::reset(uint64_t NewSeed) {
   Pending->reset();
   Processes.clear();
   UpSet.clear();
-  SlotOfPid.clear();
-  FreeSlots.clear();
-  NextSlot = 0;
   Clock = 0;
   NextTimer = 0;
   HaltRequested = false;
@@ -226,16 +221,6 @@ ProcessId Simulator::spawn(std::unique_ptr<Actor> A) {
   Processes.push_back(ProcessRecord{std::move(A), true});
   UpSet.push_back(P); // Ids strictly increase, so UpSet stays sorted.
 
-  // Claim a state slot: LIFO reuse keeps the slab working set dense.
-  uint32_t Slot;
-  if (!FreeSlots.empty()) {
-    Slot = FreeSlots.back();
-    FreeSlots.pop_back();
-  } else {
-    Slot = NextSlot++;
-  }
-  SlotOfPid.push_back(Slot);
-
   if (TraceLev != TraceLevel::Off)
     record(TraceRecord::make(TraceKind::Join, Clock, P));
 
@@ -261,11 +246,6 @@ void Simulator::markDown(ProcessId P, bool Crashed) {
   auto It = std::lower_bound(UpSet.begin(), UpSet.end(), P);
   assert(It != UpSet.end() && *It == P && "up-set out of sync");
   UpSet.erase(It);
-
-  // Release the state slot for reuse. The departed process keeps its index
-  // (post-mortem reads stay valid until a new tenant bumps the slab
-  // generation).
-  FreeSlots.push_back(SlotOfPid[P]);
 
   if (TraceLev != TraceLevel::Off)
     record(TraceRecord::make(Crashed ? TraceKind::Crash : TraceKind::Leave,

@@ -28,7 +28,8 @@
 namespace dyndist {
 
 /// Capabilities handed to an actor while one of its hooks runs. A Context
-/// is only valid for the duration of the hook invocation.
+/// is only valid for the duration of the hook invocation and holds no
+/// protocol state: an actor keeps that in its own members.
 class Context {
 public:
   virtual ~Context();
@@ -64,13 +65,6 @@ public:
   /// Deterministic randomness for the algorithm (shared simulator stream;
   /// a private per-process stream in sharded runs).
   virtual Rng &rng() = 0;
-
-  /// The actor's dense *state slot*: an index into the kernel's recycled
-  /// slot space, for protocol state kept in StateSlab arrays. Every live
-  /// process owns exactly one slot; slots are reused LIFO after departure,
-  /// so slot indices stay proportional to the live population no matter how
-  /// many processes ever existed. Stable for the process's whole lifetime.
-  virtual uint32_t stateSlot() const = 0;
 
   /// Records an algorithm output (e.g. the decided aggregate) in the trace
   /// under vocabulary key \p Key. The key's id is fixed (TraceKeys.h), so

@@ -127,12 +127,12 @@ public:
   Simulator &operator=(const Simulator &) = delete;
 
   /// Arena-reset path: clears all *runtime* state — clock, pending events
-  /// and actions, timers, processes, the up-set, state slots, the trace
+  /// and actions, timers, processes, the up-set, the trace
   /// (including its key table), and the stat counters (the cumulative body
   /// pool hit/miss counters excepted; see below) — and re-seeds the random
   /// streams exactly as the constructor would, while retaining every
   /// capacity already faulted (calendar buckets, body-pool free lists,
-  /// trace buffers, process/slot tables, sharded lane state).
+  /// trace buffers, the process table, sharded lane state).
   ///
   /// *Configuration* survives: the installed latency model, loss rate,
   /// trace level, topology provider, membership hooks, and the shard count
@@ -286,14 +286,6 @@ public:
     return P < Processes.size() ? Processes[P].TheActor.get() : nullptr;
   }
 
-  /// The dense state slot of \p P (see Context::stateSlot()): assigned at
-  /// spawn, recycled LIFO after departure. A departed process keeps its
-  /// last slot index for post-mortem inspection; StateSlab generations
-  /// detect reuse. O(1).
-  uint32_t stateSlotOf(ProcessId P) const {
-    return P < SlotOfPid.size() ? SlotOfPid[P] : 0;
-  }
-
   /// Sends a message on behalf of \p From (used by Context and by drivers
   /// that inject external stimuli).
   void sendMessage(ProcessId From, ProcessId To, MessageRef Body);
@@ -384,13 +376,6 @@ private:
   /// Ascending identities of up processes, maintained incrementally:
   /// spawn appends (ids strictly increase), markDown erases in place.
   std::vector<ProcessId> UpSet;
-
-  /// State-slot bookkeeping (Context::stateSlot()): dense indices into the
-  /// protocol-state slabs, recycled LIFO on departure so the slot space
-  /// stays proportional to the live population under churn.
-  std::vector<uint32_t> SlotOfPid; ///< Pid -> its (last) state slot.
-  std::vector<uint32_t> FreeSlots; ///< LIFO recycler.
-  uint32_t NextSlot = 0;
 
   // Owned via unique_ptr because the queue internals (calendar buckets,
   // action pool, timer bookkeeping) live in an internal header. In sharded

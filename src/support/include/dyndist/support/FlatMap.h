@@ -32,8 +32,8 @@
 namespace dyndist {
 
 /// \tparam Storage the underlying sorted sequence: std::vector by default,
-/// or an InlineVec<std::pair<KeyT, ValueT>, N> when the map is a record in
-/// a StateSlab and its common population should live inline in the slab.
+/// or an InlineVec<std::pair<KeyT, ValueT>, N> when the map is an actor
+/// member whose common population should live inline in the actor.
 template <typename KeyT, typename ValueT,
           typename Storage = std::vector<std::pair<KeyT, ValueT>>>
 class FlatMap {
@@ -49,7 +49,7 @@ public:
 
   size_t size() const { return Entries.size(); }
   bool empty() const { return Entries.empty(); }
-  void clear() { Entries.clear(); } // Capacity retained, like the slabs.
+  void clear() { Entries.clear(); } // Capacity retained.
   void reserve(size_t N) { Entries.reserve(N); }
 
   iterator find(const KeyT &Key) {

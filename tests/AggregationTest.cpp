@@ -777,25 +777,26 @@ TEST(GossipDigest, E4PayloadUnitsPinned) {
     Sweep.MasterSeed = 0xE4;
     Sweep.SeedCount = 3;
     Sweep.Threads = 1;
-    auto Runs = runSeedSweep<ExperimentResult>(Sweep, [&](SweepSeed Seed) {
-      ExperimentConfig Cfg;
-      Cfg.Seed = Seed.Value;
-      Cfg.Class = {ArrivalModel::boundedConcurrency(40),
-                   KnowledgeModel::knownDiameter(10)};
-      Cfg.UseRecommended = false;
-      Cfg.Algorithm = RecommendedAlgorithm::GossipBestEffort;
-      Cfg.InitialMembers = 24;
-      Cfg.Churn.JoinRate = JoinRate;
-      Cfg.Churn.MeanSession = JoinRate > 0 ? 24.0 / JoinRate : 1e9;
-      Cfg.Churn.Horizon = 600;
-      Cfg.QueryAt = 200;
-      Cfg.Horizon = 1200;
-      Cfg.Gossip.ReportAfter = 60;
-      Cfg.Gossip.Rounds = 30;
-      Cfg.Gossip.RoundEvery = 2;
-      Cfg.Gossip.DigestMode = Digest;
-      return runQueryExperiment(Cfg);
-    });
+    auto Runs = runSeedSweepWith<ExperimentResult, NoSweepContext>(
+        Sweep, [&](SweepSeed Seed, NoSweepContext &) {
+          ExperimentConfig Cfg;
+          Cfg.Seed = Seed.Value;
+          Cfg.Class = {ArrivalModel::boundedConcurrency(40),
+                       KnowledgeModel::knownDiameter(10)};
+          Cfg.UseRecommended = false;
+          Cfg.Algorithm = RecommendedAlgorithm::GossipBestEffort;
+          Cfg.InitialMembers = 24;
+          Cfg.Churn.JoinRate = JoinRate;
+          Cfg.Churn.MeanSession = JoinRate > 0 ? 24.0 / JoinRate : 1e9;
+          Cfg.Churn.Horizon = 600;
+          Cfg.QueryAt = 200;
+          Cfg.Horizon = 1200;
+          Cfg.Gossip.ReportAfter = 60;
+          Cfg.Gossip.Rounds = 30;
+          Cfg.Gossip.RoundEvery = 2;
+          Cfg.Gossip.DigestMode = Digest;
+          return runQueryExperiment(Cfg);
+        });
     std::pair<uint64_t, uint64_t> Sum{0, 0};
     for (const ExperimentResult &R : Runs) {
       Sum.first += R.Stats.PayloadUnits;

@@ -205,8 +205,9 @@ TEST(ArenaReset, SweepWithArenaMatchesFreshSweep) {
   Sweep.MasterSeed = 0xA7;
   Sweep.SeedCount = 8;
   Sweep.Threads = 1;
-  auto FreshRuns = runSeedSweep<ExperimentResult>(
-      Sweep, [&](SweepSeed Seed) { return runOne(Seed, nullptr); });
+  auto FreshRuns = runSeedSweepWith<ExperimentResult, NoSweepContext>(
+      Sweep,
+      [&](SweepSeed Seed, NoSweepContext &) { return runOne(Seed, nullptr); });
   for (unsigned Threads : {1u, 3u}) {
     Sweep.Threads = Threads;
     auto ArenaRuns = runSeedSweepWith<ExperimentResult, SimArena>(

@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 using namespace dyndist;
 
 namespace {
@@ -186,4 +189,41 @@ TEST(PeerSampling, IsolatedNodeRebootstrapsFromOverlay) {
   S.run(L);
   EXPECT_EQ(A->view().size(), 1u);
   EXPECT_TRUE(A->view().count(1));
+}
+
+TEST(PeerSampling, CrashedActorKeepsItsViewAfterReplacement) {
+  // An actor's view is its own member: crashing it freezes the view, and
+  // a replacement spawned from the same factory leaves it untouched.
+  auto Cfg = std::make_shared<PeerSamplingConfig>();
+  auto Factory = makePeerSamplingFactory(Cfg);
+  Simulator S(19);
+  DynamicOverlay O(3, Rng(20));
+  O.attachTo(S);
+  std::vector<PeerSamplingActor *> Actors;
+  for (int I = 0; I != 12; ++I) {
+    auto Owned = Factory();
+    Actors.push_back(static_cast<PeerSamplingActor *>(Owned.get()));
+    S.spawn(std::move(Owned));
+  }
+  using Entries = std::vector<std::pair<ProcessId, uint64_t>>;
+  const ProcessId Victim = 5;
+  Entries AtCrash;
+  PeerSamplingActor *Replacement = nullptr;
+  S.scheduleAt(100, [&](Simulator &Sim) {
+    const auto &View = Actors[Victim]->view();
+    AtCrash.assign(View.begin(), View.end());
+    Sim.crash(Victim);
+    auto Owned = Factory();
+    Replacement = static_cast<PeerSamplingActor *>(Owned.get());
+    Sim.spawn(std::move(Owned));
+  });
+  RunLimits L;
+  L.MaxTime = 300;
+  S.run(L);
+
+  ASSERT_FALSE(AtCrash.empty());
+  ASSERT_NE(Replacement, nullptr);
+  EXPECT_FALSE(Replacement->view().empty());
+  const auto &After = Actors[Victim]->view();
+  EXPECT_EQ(Entries(After.begin(), After.end()), AtCrash);
 }

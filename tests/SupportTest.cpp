@@ -5,7 +5,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "dyndist/support/DenseBitSet.h"
-#include "dyndist/support/Logging.h"
+#include "dyndist/support/FlatMap.h"
+#include "dyndist/support/InlineVec.h"
 #include "dyndist/support/Random.h"
 #include "dyndist/support/Result.h"
 #include "dyndist/support/Stats.h"
@@ -16,6 +17,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -341,32 +343,6 @@ TEST(Result, StatusSuccessAndFailure) {
   EXPECT_EQ(F.error().Kind, Error::Code::Unsolvable);
 }
 
-TEST(Logging, LevelGating) {
-  Logger::setLevel(LogLevel::Warn);
-  EXPECT_TRUE(Logger::enabled(LogLevel::Warn));
-  EXPECT_FALSE(Logger::enabled(LogLevel::Info));
-  Logger::setLevel(LogLevel::Debug);
-  EXPECT_TRUE(Logger::enabled(LogLevel::Info));
-  EXPECT_FALSE(Logger::enabled(LogLevel::Trace));
-  Logger::setLevel(LogLevel::Warn);
-}
-
-TEST(Logging, SinkRedirection) {
-  std::FILE *Tmp = std::tmpfile();
-  ASSERT_NE(Tmp, nullptr);
-  Logger::setSink(Tmp);
-  Logger::setLevel(LogLevel::Info);
-  DYNDIST_INFO("hello sink");
-  std::fflush(Tmp);
-  std::rewind(Tmp);
-  char Buf[64] = {0};
-  ASSERT_NE(std::fgets(Buf, sizeof(Buf), Tmp), nullptr);
-  EXPECT_NE(std::string(Buf).find("hello sink"), std::string::npos);
-  Logger::setSink(nullptr);
-  Logger::setLevel(LogLevel::Warn);
-  std::fclose(Tmp);
-}
-
 namespace {
 
 using IdSet = std::set<uint64_t>;
@@ -504,4 +480,88 @@ TEST(DenseBitSet, UnionWithReportsWhetherItAddedAMember) {
   // insert() reports a new member the same way.
   EXPECT_TRUE(Fresh.insert(70));
   EXPECT_FALSE(Fresh.insert(70));
+}
+
+TEST(FlatMap, MatchesMapReferenceRandomized) {
+  // The exact shape PeerSamplingActor keeps as its view: a FlatMap over an
+  // InlineVec. Drive a population of them with a random op mix — insert,
+  // overwrite, erase, merge, clear-and-reuse (capacity retained) — against
+  // per-record std::map references, checking full ascending enumeration
+  // equality as we go.
+  using View = FlatMap<uint32_t, uint64_t,
+                       InlineVec<std::pair<uint32_t, uint64_t>, 8>>;
+  struct Rec {
+    View V;
+    std::map<uint32_t, uint64_t> Ref;
+  };
+  std::vector<Rec> Lives;
+  std::vector<Rec> Cleared; // Cleared records, reused LIFO.
+
+  Rng R(2024);
+  auto CheckEqual = [](const Rec &L) {
+    ASSERT_EQ(L.V.size(), L.Ref.size());
+    EXPECT_EQ(L.V.empty(), L.Ref.empty());
+    auto It = L.Ref.begin();
+    for (const auto &[K, Val] : L.V) {
+      EXPECT_EQ(K, It->first);
+      EXPECT_EQ(Val, It->second);
+      ++It;
+    }
+  };
+
+  for (int Op = 0; Op != 20000; ++Op) {
+    uint64_t Roll = R.nextBelow(100);
+    if (Lives.empty() || (Roll < 6 && Lives.size() < 48)) {
+      // New record: reuse a cleared one when one exists, else a fresh one.
+      if (!Cleared.empty() && R.nextBelow(2) == 0) {
+        Lives.push_back(std::move(Cleared.back()));
+        Cleared.pop_back();
+      } else {
+        Lives.emplace_back();
+      }
+      // A reused record starts empty even though its storage is kept.
+      CheckEqual(Lives.back());
+    } else if (Roll < 10 && Lives.size() > 1) {
+      // Retire a random record: clear it and park it for reuse.
+      size_t I = static_cast<size_t>(R.nextBelow(Lives.size()));
+      Rec Gone = std::move(Lives[I]);
+      Lives.erase(Lives.begin() + static_cast<long>(I));
+      Gone.V.clear();
+      Gone.Ref.clear();
+      Cleared.push_back(std::move(Gone));
+    } else if (Roll < 16 && Lives.size() > 1) {
+      // Merge a random other record in, one emplace per entry.
+      size_t A = static_cast<size_t>(R.nextBelow(Lives.size()));
+      size_t B = static_cast<size_t>(R.nextBelow(Lives.size()));
+      if (A != B) {
+        for (const auto &[K, Val] : Lives[B].V)
+          Lives[A].V.emplace(K, Val);
+        for (const auto &[K, Val] : Lives[B].Ref)
+          Lives[A].Ref.emplace(K, Val); // Resident wins in both.
+        CheckEqual(Lives[A]);
+      }
+    } else {
+      Rec &L = Lives[static_cast<size_t>(R.nextBelow(Lives.size()))];
+      uint32_t Key = static_cast<uint32_t>(R.nextBelow(64));
+      uint64_t Kind = R.nextBelow(4);
+      if (Kind == 0) {
+        auto [It, New] = L.V.emplace(Key, Roll);
+        auto [RIt, RNew] = L.Ref.emplace(Key, Roll);
+        EXPECT_EQ(New, RNew);
+        EXPECT_EQ(It->second, RIt->second);
+      } else if (Kind == 1) {
+        L.V[Key] = Roll;
+        L.Ref[Key] = Roll;
+      } else if (Kind == 2) {
+        EXPECT_EQ(L.V.erase(Key), L.Ref.erase(Key));
+      } else {
+        EXPECT_EQ(L.V.contains(Key), L.Ref.count(Key) == 1);
+        EXPECT_EQ(L.V.count(Key), L.Ref.count(Key));
+      }
+      if (Op % 7 == 0)
+        CheckEqual(L);
+    }
+  }
+  for (const Rec &L : Lives)
+    CheckEqual(L);
 }

@@ -65,8 +65,10 @@ std::vector<MiniResult> sweepAt(unsigned Threads, size_t SeedCount = 24,
   Cfg.MasterSeed = Master;
   Cfg.SeedCount = SeedCount;
   Cfg.Threads = Threads;
-  return runSeedSweep<MiniResult>(
-      Cfg, [](SweepSeed Seed) { return runMiniChurn(Seed.Value); });
+  return runSeedSweepWith<MiniResult, NoSweepContext>(
+      Cfg, [](SweepSeed Seed, NoSweepContext &) {
+        return runMiniChurn(Seed.Value);
+      });
 }
 
 } // namespace
@@ -126,7 +128,8 @@ TEST(SweepRunner, MergedAggregateByteIdenticalAcrossThreadCounts) {
 TEST(SweepRunner, EmptySweep) {
   SweepConfig Cfg;
   Cfg.SeedCount = 0;
-  auto Out = runSeedSweep<int>(Cfg, [](SweepSeed) { return 1; });
+  auto Out = runSeedSweepWith<int, NoSweepContext>(
+      Cfg, [](SweepSeed, NoSweepContext &) { return 1; });
   EXPECT_TRUE(Out.empty());
 }
 
@@ -142,12 +145,12 @@ TEST(SweepRunner, ShardExceptionPropagates) {
   SweepConfig Cfg;
   Cfg.SeedCount = 16;
   Cfg.Threads = 4;
-  EXPECT_THROW(runSeedSweep<int>(Cfg,
-                                 [](SweepSeed Seed) {
-                                   if (Seed.Index == 5)
-                                     throw std::runtime_error("shard 5");
-                                   return int(Seed.Index);
-                                 }),
+  auto Body = [](SweepSeed Seed, NoSweepContext &) {
+    if (Seed.Index == 5)
+      throw std::runtime_error("shard 5");
+    return int(Seed.Index);
+  };
+  EXPECT_THROW((runSeedSweepWith<int, NoSweepContext>(Cfg, Body)),
                std::runtime_error);
 }
 

@@ -26,11 +26,11 @@
 #      runs E1's densest gossip cell at shards 1, 2 and 4 on worker threads
 #      (cached gossip bodies are re-sent only on their owner's lane).
 #
-# Usage: tools/verify.sh [--skip-lint] [--lint-only]
-#                        [--skip-asan] [--asan-only] [--skip-ubsan]
-#                        [--ubsan-only] [--skip-tsan] [--tsan-only]
-#                        [--skip-werror] [--werror-only]
-#                        [--skip-bench-check] [--bench-check-only]
+# Usage: tools/verify.sh [PASS...]
+# PASS is one of lint, plain, bench-check, werror, asan, ubsan, tsan
+# (steps 1, 2, 3, 4 and the three sanitizers of step 5). The named passes
+# run in the order above whatever order they are given in; no names runs
+# every pass. bench-check without plain still builds build-verify first.
 # Build dirs: build-verify/, build-werror/, build-asan/, build-ubsan/ and
 # build-tsan/ (kept for incremental reruns).
 
@@ -39,41 +39,20 @@ set -e
 cd "$(dirname "$0")/.."
 JOBS="${DYNDIST_VERIFY_JOBS:-$(nproc 2>/dev/null || echo 2)}"
 
-RUN_LINT=1
-RUN_PLAIN=1
-RUN_BENCH_CHECK=1
-RUN_WERROR=1
-RUN_ASAN=1
-RUN_UBSAN=1
-RUN_TSAN=1
+PASSES="lint plain bench-check werror asan ubsan tsan"
 for arg in "$@"; do
-  case "$arg" in
-    --skip-lint) RUN_LINT=0 ;;
-    --lint-only) RUN_PLAIN=0; RUN_BENCH_CHECK=0; RUN_WERROR=0
-                 RUN_ASAN=0; RUN_UBSAN=0; RUN_TSAN=0 ;;
-    --skip-asan) RUN_ASAN=0 ;;
-    --asan-only) RUN_LINT=0; RUN_PLAIN=0; RUN_BENCH_CHECK=0; RUN_WERROR=0
-                 RUN_UBSAN=0; RUN_TSAN=0 ;;
-    --skip-ubsan) RUN_UBSAN=0 ;;
-    --ubsan-only) RUN_LINT=0; RUN_PLAIN=0; RUN_BENCH_CHECK=0; RUN_WERROR=0
-                  RUN_ASAN=0; RUN_TSAN=0 ;;
-    --skip-tsan) RUN_TSAN=0 ;;
-    --tsan-only) RUN_LINT=0; RUN_PLAIN=0; RUN_BENCH_CHECK=0; RUN_WERROR=0
-                 RUN_ASAN=0; RUN_UBSAN=0 ;;
-    --skip-werror) RUN_WERROR=0 ;;
-    --werror-only) RUN_LINT=0; RUN_PLAIN=0; RUN_BENCH_CHECK=0; RUN_ASAN=0
-                   RUN_UBSAN=0; RUN_TSAN=0 ;;
-    --skip-bench-check) RUN_BENCH_CHECK=0 ;;
-    --bench-check-only) RUN_LINT=0; RUN_PLAIN=0; RUN_WERROR=0; RUN_ASAN=0
-                        RUN_UBSAN=0; RUN_TSAN=0 ;;
-    *) echo "usage: tools/verify.sh [--skip-lint] [--lint-only]" \
-            "[--skip-asan] [--asan-only]" \
-            "[--skip-ubsan] [--ubsan-only] [--skip-tsan] [--tsan-only]" \
-            "[--skip-werror] [--werror-only]" \
-            "[--skip-bench-check] [--bench-check-only]" >&2
+  case " $PASSES " in
+    *" $arg "*) ;;
+    *) echo "usage: tools/verify.sh [PASS...], PASS one of: $PASSES" >&2
        exit 2 ;;
   esac
 done
+SELECTED="${*:-$PASSES}"
+# wants PASS: true when PASS was asked for.
+wants() {
+  case " $SELECTED " in *" $1 "*) return 0 ;; esac
+  return 1
+}
 
 run_suite() {
   dir="$1"; shift
@@ -95,7 +74,7 @@ run_build() {
   cmake --build "$dir" -j "$JOBS"
 }
 
-if [ "$RUN_LINT" = 1 ]; then
+if wants lint; then
   # Static determinism/phase-safety gate before anything else: the lint
   # binary depends only on src/analysis, so it builds and fails fast even
   # when the rest of the tree does not compile yet.
@@ -119,7 +98,7 @@ query_threads_cmp() {
   cmp build-verify/query-big-t1.txt build-verify/query-big-t4.txt
 }
 
-if [ "$RUN_PLAIN" = 1 ]; then
+if wants plain; then
   run_suite build-verify
   # Sharded-kernel K-invariance at benchmark scale (n = 10^5): every
   # sharded rung must print the same schedule digest; the tool exits 1
@@ -156,10 +135,10 @@ perfbench_digest() {
   echo "   perfbench $1 digest $got"
 }
 
-if [ "$RUN_BENCH_CHECK" = 1 ]; then
+if wants bench-check; then
   # The gate needs the build-verify bench binaries; build them if this run
   # skipped the plain pass. The throwaway report stays in build-verify/.
-  [ "$RUN_PLAIN" = 1 ] || run_build build-verify
+  wants plain || run_build build-verify
   echo "== bench regression gate (build-verify)"
   tools/dyndist-bench-report --check --build-dir build-verify \
     --out build-verify/bench-check.json
@@ -168,12 +147,12 @@ if [ "$RUN_BENCH_CHECK" = 1 ]; then
   perfbench_digest short_sweep 86dd0c229b586e25
   perfbench_digest trace_archive 57141baf3ac640ab
 fi
-[ "$RUN_WERROR" = 1 ] && run_build build-werror -DCMAKE_BUILD_TYPE=Release \
+wants werror && run_build build-werror -DCMAKE_BUILD_TYPE=Release \
   -DDYNDIST_WERROR=ON
-[ "$RUN_ASAN" = 1 ] && run_suite build-asan -DDYNDIST_SANITIZE=address
-[ "$RUN_UBSAN" = 1 ] && UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+wants asan && run_suite build-asan -DDYNDIST_SANITIZE=address
+wants ubsan && UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   run_suite build-ubsan -DDYNDIST_SANITIZE=undefined
-if [ "$RUN_TSAN" = 1 ]; then
+if wants tsan; then
   run_suite build-tsan -DDYNDIST_SANITIZE=thread
   # Shard-invariance digest under TSan: the threaded barrier/merge paths
   # race-checked at K = 4 must produce byte-identical digests to the fully
