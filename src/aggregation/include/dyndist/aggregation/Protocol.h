@@ -44,7 +44,9 @@ enum AggregationMsgKind : int {
 inline constexpr const char *OtqIssueKey = keyNameOf(TraceKey::OtqIssue);
 
 /// Stimulus telling the receiving actor to act as the query issuer.
-/// Injected by the harness via Simulator::sendMessage(P, P, ...).
+/// scheduleQueryStart() injects it with Simulator::injectStimulus(): it
+/// arrives one tick later, is exempt from loss, and is not counted in
+/// MessagesSent.
 struct QueryStartMsg : MessageBody {
   static constexpr int KindId = MsgQueryStart;
   QueryStartMsg() : MessageBody(KindId) {}

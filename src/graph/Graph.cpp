@@ -132,13 +132,6 @@ bool Graph::hasEdge(ProcessId A, ProcessId B) const {
   return std::binary_search(Nbrs.begin(), Nbrs.end(), B);
 }
 
-std::vector<ProcessId> Graph::neighbors(ProcessId P) const {
-  uint32_t S = slotOf(P);
-  if (S == NoSlot)
-    return {};
-  return Slots[S].Nbrs;
-}
-
 void Graph::clear() {
   // Capacity-retaining: slots are vacated (keeping their neighbor vectors'
   // storage, as removeNode does) and pushed onto the free list in

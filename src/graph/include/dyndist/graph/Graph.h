@@ -98,11 +98,6 @@ public:
   /// True when the edge {A, B} exists.
   bool hasEdge(ProcessId A, ProcessId B) const;
 
-  /// Neighbors of \p P in ascending order; empty for unknown nodes.
-  /// Copy-returning compatibility API — hot paths should use
-  /// neighborView() / forEachNeighbor().
-  std::vector<ProcessId> neighbors(ProcessId P) const;
-
   /// Zero-copy neighbors of \p P (ascending; empty for unknown nodes).
   /// Invalidated by any graph mutation.
   NeighborView neighborView(ProcessId P) const {

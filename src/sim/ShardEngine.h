@@ -12,8 +12,10 @@
 ///
 ///   1. *Environment sub-phase* (serial): all scheduled actions at the
 ///      instant run in FIFO order — spawns, crashes, harness stimuli, and
-///      the sends/timers of onStart/onStop hooks. Their pushes append
-///      directly to the destination lane's calendar.
+///      the sends/timers of onStart/onStop hooks. They go through the
+///      Simulator's own serial entry points and context (sendMessage,
+///      injectStimulus, armTimer, spawn, leave), whose sharded branches
+///      append directly to the destination lane's calendar.
 ///   2. *Parallel sub-phase*: every lane executes its events at the
 ///      instant in canonical order — ascending destination (a stable
 ///      counting sort), which within one destination preserves
@@ -122,7 +124,6 @@ struct ShardEngine {
   };
 
   class LaneContext;
-  class EnvContext;
 
   Simulator &S;
   const unsigned K;
@@ -167,22 +168,7 @@ struct ShardEngine {
   // DYNDIST_SERIAL_ONLY: tears down shared lane state between runs.
   void reset();
 
-  // --- Simulator entry points (serial phases only) ---
-  // Each carries a DYNDIST_SERIAL_ONLY marker (grammar in docs/LINT.md):
-  // dyndist-lint flags any call to them reachable from a lane-phase region.
-  // DYNDIST_SERIAL_ONLY: mutates shared membership and rng state.
-  void startActor(ProcessId P, Actor *A); ///< Seeds the rng, runs onStart.
-  // DYNDIST_SERIAL_ONLY: runs onStop under the env (serial) context.
-  void stopActor(ProcessId P, Actor *A);
-  // DYNDIST_SERIAL_ONLY: pushes straight into a foreign lane's calendar.
-  void envSend(ProcessId From, ProcessId To, MessageRef Body);
-  // DYNDIST_SERIAL_ONLY: pushes straight into a foreign lane's calendar.
-  void envStimulus(ProcessId To, MessageRef Body);
-  // DYNDIST_SERIAL_ONLY: arms on the owning lane without deferral.
-  TimerId envArmTimer(ProcessId P, SimTime Delay);
-  // DYNDIST_SERIAL_ONLY: may touch any lane's calendar; lanes must cancel
-  // through their own context (LaneContext::cancelTimer).
-  void cancelTimerAny(TimerId Id);
+  // --- Simulator entry points ---
   StopReason run(RunLimits Limits);
   size_t pendingTimers() const;
   uint64_t poolHits() const;
@@ -192,15 +178,18 @@ struct ShardEngine {
   void laneSend(unsigned LaneIdx, ProcessId From, ProcessId To,
                 MessageRef Body);
   TimerId laneArmTimer(unsigned LaneIdx, ProcessId P, SimTime Delay);
+  /// Arms a timer on lane \p LaneIdx: straight into its calendar when
+  /// \p Direct (serial phases), through its own outbox otherwise.
+  TimerId armOnLane(unsigned LaneIdx, ProcessId P, SimTime Delay,
+                    bool Direct);
 
 private:
   // Barrier scratch (serial-phase only): retained capacity across rounds.
   std::vector<SimTime> FlushTimes;
   std::vector<std::vector<SimEvent> *> FlushSources;
   std::vector<size_t> FlushCur;
-  std::vector<size_t> TraceRunCur;
+  std::vector<size_t> MergeCur;
   std::vector<size_t> TraceBufCur;
-  std::vector<size_t> LeafCur;
 
   SimTime nextTime() const;
   bool drainEnv(const RunLimits &Limits, StopReason &Out);
@@ -210,16 +199,20 @@ private:
   void executeBucket(unsigned LaneIdx, SimTime T);
   // DYNDIST_SERIAL_ONLY: barrier stats fold into the shared SimStats.
   void foldLaneStats();
-  // DYNDIST_SERIAL_ONLY: ascending-destination merge; interns deferred keys.
+  /// Drains each lane's ascending \p Seq through \p Take(lane, item) in
+  /// one ascending order across lanes, by \p Key(item); clears them.
+  template <typename T, typename KeyFn, typename TakeFn>
+  void mergeLanes(std::vector<T> Lane::*Seq, KeyFn Key, TakeFn Take);
+  // DYNDIST_SERIAL_ONLY: ascending-destination merge into the shared trace.
   void mergeTraces();
   // DYNDIST_SERIAL_ONLY: applies deferred departures at the barrier.
   void applyLeaves();
   // DYNDIST_SERIAL_ONLY: pusher-ordered outbox drain into the calendars.
   void flushOutboxes();
   void drainDeferred();
+  /// Releases payloads parked in outboxes (teardown and reset paths).
+  void dropOutboxes();
   unsigned ownerLaneOf(const MessageBody *Body) const;
-  TimerId armOnLane(unsigned LaneIdx, ProcessId P, SimTime Delay,
-                    bool Direct);
 };
 
 } // namespace detail

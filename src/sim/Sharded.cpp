@@ -36,8 +36,6 @@
 
 #include "ShardEngine.h"
 
-#include "dyndist/sim/Latency.h"
-
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
@@ -46,16 +44,6 @@ using namespace dyndist;
 using namespace dyndist::detail;
 
 static constexpr SimTime NoInstant = ~SimTime(0);
-
-/// Expands the master seed into the private stream seed of process \p P,
-/// in the same two-round SplitMix64 shape as SweepRunner's per-run seeds:
-/// positional, order-independent, and cheap enough to do at every spawn.
-static uint64_t deriveActorSeed(uint64_t MasterSeed, ProcessId P) {
-  uint64_t State = MasterSeed;
-  uint64_t Master = splitMix64(State);
-  State = Master ^ (P + 0x2545f4914f6cdd1dULL);
-  return splitMix64(State);
-}
 
 //===----------------------------------------------------------------------===//
 // Contexts
@@ -127,49 +115,6 @@ private:
   SimTime Now;
 };
 
-/// Context for hooks running in the serial phases (onStart at spawn, onStop
-/// at leave): sends and timers go straight into the destination lane's
-/// calendar, and membership effects apply immediately.
-// DYNDIST_SERIAL_CONTEXT: only ever constructed between parallel rounds,
-// so it may touch shared simulator state freely.
-class ShardEngine::EnvContext final : public Context {
-public:
-  EnvContext(ShardEngine &E, ProcessId P) : E(E), P(P) {}
-
-  SimTime now() const override { return E.S.Clock; }
-  ProcessId self() const override { return P; }
-
-  size_t neighborCount() const override { return E.S.neighborCount(P); }
-  ProcessId neighborAt(size_t I) const override {
-    return E.S.neighborAt(P, I);
-  }
-  void forEachNeighbor(FunctionRef<void(ProcessId)> F) const override {
-    E.S.forEachNeighbor(P, F);
-  }
-
-  void send(ProcessId To, MessageRef Body) override {
-    E.envSend(P, To, std::move(Body));
-  }
-
-  TimerId setTimer(SimTime Delay) override { return E.envArmTimer(P, Delay); }
-  void cancelTimer(TimerId Id) override { E.cancelTimerAny(Id); }
-
-  Rng &rng() override { return E.ActorRngs[P]; }
-
-  void observe(TraceKey Key, int64_t Value) override {
-    if (E.S.TraceLev == TraceLevel::Off)
-      return;
-    E.S.record(TraceRecord::make(TraceKind::Observe, E.S.Clock, P,
-                                 InvalidProcess, 0, keyIdOf(Key), Value));
-  }
-
-  void leaveSystem() override { E.S.leave(P); }
-
-private:
-  ShardEngine &E;
-  ProcessId P;
-};
-
 //===----------------------------------------------------------------------===//
 // Construction / teardown
 //===----------------------------------------------------------------------===//
@@ -205,16 +150,7 @@ ShardEngine::ShardEngine(Simulator &Sim, unsigned ShardCount)
 
 ShardEngine::~ShardEngine() {
   drainDeferred();
-  // Outboxes are empty between rounds by construction, but stay defensive:
-  // re-home any parked payload references before the pools go away.
-  for (Lane &Ln : Lanes)
-    for (Outbox &O : Ln.Out) {
-      for (uint32_t R = 0; R != O.Live; ++R)
-        for (const SimEvent &E : O.Runs[R].Events)
-          if (E.kind() == CalendarQueue::KDeliver)
-            MessageRef::adopt(E.body());
-      O.reset();
-    }
+  dropOutboxes();
   // Queue teardown re-homes parked payloads into the pools that own their
   // storage (lane pools and the simulator's main pool alike), so the
   // queues must die before the lane pools are retired.
@@ -232,14 +168,8 @@ void ShardEngine::reset() {
   // Settle every parked payload reference first (both parities), exactly
   // as teardown does — then the queues can drop their remaining events.
   drainDeferred();
+  dropOutboxes();
   for (Lane &Ln : Lanes) {
-    for (Outbox &O : Ln.Out) {
-      for (uint32_t R = 0; R != O.Live; ++R)
-        for (const SimEvent &E : O.Runs[R].Events)
-          if (E.kind() == CalendarQueue::KDeliver)
-            MessageRef::adopt(E.body());
-      O.reset();
-    }
     Ln.Q.reset();
     Ln.Stats = SimStats{};
     Ln.NextLocalTimer = 0;
@@ -251,72 +181,6 @@ void ShardEngine::reset() {
   ActorRngs.clear();
   Parity = 0;
   ProcLimit = 0;
-}
-
-//===----------------------------------------------------------------------===//
-// Serial-phase entry points
-//===----------------------------------------------------------------------===//
-
-void ShardEngine::startActor(ProcessId P, Actor *A) {
-  assert(!InParallel && "spawn during a parallel round");
-  assert(ActorRngs.size() == P && "actor streams out of sync with the table");
-  ActorRngs.emplace_back(deriveActorSeed(S.Seed, P));
-  EnvContext Ctx(*this, P);
-  A->onStart(Ctx);
-}
-
-void ShardEngine::stopActor(ProcessId P, Actor *A) {
-  assert(!InParallel && "leave during a parallel round");
-  EnvContext Ctx(*this, P);
-  A->onStop(Ctx);
-}
-
-void ShardEngine::envSend(ProcessId From, ProcessId To, MessageRef Body) {
-  assert(!InParallel && "environment send during a parallel round");
-  assert(Body && "message body must not be null");
-  assert((!Body->pool() || Body->pool() == S.Bodies) &&
-         "environment-phase bodies come from the main pool");
-  assert(From < ActorRngs.size() && "sender has no private stream");
-  ++S.Stats.MessagesSent;
-  S.Stats.PayloadUnits += Body->weight();
-
-  if (S.TraceLev == TraceLevel::Full)
-    S.record(
-        TraceRecord::make(TraceKind::Send, S.Clock, From, To, Body->kind()));
-
-  Rng &R = ActorRngs[From];
-  if (S.LossRate > 0.0 && R.nextBernoulli(S.LossRate)) {
-    ++S.Stats.MessagesDropped;
-    if (S.TraceLev == TraceLevel::Full)
-      S.record(
-          TraceRecord::make(TraceKind::Drop, S.Clock, To, From, Body->kind()));
-    return;
-  }
-
-  SimTime Delay = S.FixedDelay ? S.FixedDelay : S.Latency->sample(R, From, To);
-  SimEvent E = SimEvent::deliver(static_cast<uint32_t>(From),
-                                 static_cast<uint32_t>(To), Body.detach());
-  Lanes[shardOf(To)].Q.push(S.Clock + Delay, E);
-}
-
-void ShardEngine::envStimulus(ProcessId To, MessageRef Body) {
-  assert(!InParallel && "stimulus during a parallel round");
-  S.Stats.PayloadUnits += Body->weight();
-  SimEvent E = SimEvent::deliver(static_cast<uint32_t>(To),
-                                 static_cast<uint32_t>(To), Body.detach());
-  Lanes[shardOf(To)].Q.push(S.Clock + 1, E);
-}
-
-TimerId ShardEngine::envArmTimer(ProcessId P, SimTime Delay) {
-  assert(!InParallel && "environment timer during a parallel round");
-  return armOnLane(shardOf(P), P, Delay, /*Direct=*/true);
-}
-
-void ShardEngine::cancelTimerAny(TimerId Id) {
-  assert(!InParallel && "unrouted cancel during a parallel round");
-  if (Id == 0)
-    return;
-  Lanes[shardOf(Id - 1)].Q.markTimerCancelled(divK(Id - 1));
 }
 
 size_t ShardEngine::pendingTimers() const {
@@ -383,25 +247,11 @@ void ShardEngine::laneSend(unsigned LaneIdx, ProcessId From, ProcessId To,
   // lane's handler may be touching concurrently.
   assert((!Body->pool() || Body->pool() == Ln.Bodies) &&
          "sharded handlers send bodies they allocated themselves");
-  ++Ln.Stats.MessagesSent;
-  Ln.Stats.PayloadUnits += Body->weight();
-
-  const bool Full = S.TraceLev == TraceLevel::Full;
-  if (Full)
-    Ln.TraceBuf.push_back(
-        TraceRecord::make(TraceKind::Send, S.Clock, From, To, Body->kind()));
-
-  Rng &R = ActorRngs[From];
-  if (S.LossRate > 0.0 && R.nextBernoulli(S.LossRate)) {
-    ++Ln.Stats.MessagesDropped;
-    if (Full)
-      Ln.TraceBuf.push_back(
-          TraceRecord::make(TraceKind::Drop, S.Clock, To, From, Body->kind()));
+  const SimTime Delay = S.accountSend(
+      Ln.Stats, [&Ln](const TraceRecord &R) { Ln.TraceBuf.push_back(R); },
+      ActorRngs[From], From, To, *Body);
+  if (!Delay)
     return;
-  }
-
-  SimTime Delay = S.FixedDelay ? S.FixedDelay : S.Latency->sample(R, From, To);
-  assert(Delay >= 1 && "message latency must cross an instant boundary");
   SimEvent E = SimEvent::deliver(static_cast<uint32_t>(From),
                                  static_cast<uint32_t>(To), Body.detach());
   Ln.Out[shardOf(To)].runFor(S.Clock + Delay).push_back(E);
@@ -692,67 +542,54 @@ void ShardEngine::executeBucket(unsigned LaneIdx, SimTime T) {
 // Barrier pieces
 //===----------------------------------------------------------------------===//
 
-void ShardEngine::mergeTraces() {
-  // Each lane's TraceRuns ascend by destination and destinations are
-  // disjoint across lanes (residue classes), so a tie-free K-way merge by
-  // run head reassembles the canonical record order.
-  TraceRunCur.assign(K, 0);
-  TraceBufCur.assign(K, 0);
+template <typename T, typename KeyFn, typename TakeFn>
+void ShardEngine::mergeLanes(std::vector<T> Lane::*Seq, KeyFn Key,
+                             TakeFn Take) {
+  // Each lane's sequence ascends by key and keys are disjoint across lanes
+  // (residue classes), so taking the smallest head never meets a tie.
+  MergeCur.assign(K, 0);
   for (;;) {
     unsigned Best = K;
-    ProcessId BestDst = 0;
+    ProcessId BestKey = 0;
     for (unsigned L = 0; L != K; ++L) {
-      if (TraceRunCur[L] == Lanes[L].TraceRuns.size())
+      const std::vector<T> &V = Lanes[L].*Seq;
+      if (MergeCur[L] == V.size())
         continue;
-      ProcessId Dst = Lanes[L].TraceRuns[TraceRunCur[L]].first;
-      if (Best == K || Dst < BestDst) {
-        BestDst = Dst;
+      const ProcessId LK = Key(V[MergeCur[L]]);
+      if (Best == K || LK < BestKey) {
+        BestKey = LK;
         Best = L;
       }
     }
     if (Best == K)
       break;
-    Lane &Ln = Lanes[Best];
-    const uint32_t Count = Ln.TraceRuns[TraceRunCur[Best]].second;
-    ++TraceRunCur[Best];
-    size_t &Cur = TraceBufCur[Best];
-    for (uint32_t I = 0; I != Count; ++I)
-      S.record(Ln.TraceBuf[Cur++]);
+    Take(Best, (Lanes[Best].*Seq)[MergeCur[Best]++]);
   }
-  for (Lane &Ln : Lanes) {
+  for (Lane &Ln : Lanes)
+    (Ln.*Seq).clear();
+}
+
+void ShardEngine::mergeTraces() {
+  // Merging the runs by destination reassembles the canonical record order.
+  TraceBufCur.assign(K, 0);
+  using Run = std::pair<ProcessId, uint32_t>;
+  mergeLanes(
+      &Lane::TraceRuns, [](const Run &R) { return R.first; },
+      [this](unsigned L, const Run &R) {
+        size_t &Cur = TraceBufCur[L];
+        for (uint32_t I = 0; I != R.second; ++I)
+          S.record(Lanes[L].TraceBuf[Cur++]);
+      });
+  for (Lane &Ln : Lanes)
     Ln.TraceBuf.clear();
-    Ln.TraceRuns.clear();
-  }
 }
 
 void ShardEngine::applyLeaves() {
-  bool Any = false;
-  for (const Lane &Ln : Lanes)
-    Any |= !Ln.Leaves.empty();
-  if (!Any)
-    return;
-  // Ascending tie-free merge (residues again); Simulator::leave re-checks
-  // liveness, so a double leaveSystem() call collapses to one departure.
-  LeafCur.assign(K, 0);
-  for (;;) {
-    unsigned Best = K;
-    ProcessId BestP = 0;
-    for (unsigned L = 0; L != K; ++L) {
-      if (LeafCur[L] == Lanes[L].Leaves.size())
-        continue;
-      ProcessId P = Lanes[L].Leaves[LeafCur[L]];
-      if (Best == K || P < BestP) {
-        BestP = P;
-        Best = L;
-      }
-    }
-    if (Best == K)
-      break;
-    ++LeafCur[Best];
-    S.leave(BestP);
-  }
-  for (Lane &Ln : Lanes)
-    Ln.Leaves.clear();
+  // Ascending by process; Simulator::leave re-checks liveness, so a double
+  // leaveSystem() call collapses to one departure.
+  mergeLanes(
+      &Lane::Leaves, [](ProcessId P) { return P; },
+      [this](unsigned, ProcessId P) { S.leave(P); });
 }
 
 void ShardEngine::flushOutboxes() {
@@ -820,6 +657,19 @@ void ShardEngine::flushOutboxes() {
   for (Lane &Ln : Lanes)
     for (Outbox &O : Ln.Out)
       O.reset();
+}
+
+void ShardEngine::dropOutboxes() {
+  // Outboxes are empty between rounds by construction, but stay defensive:
+  // re-home any parked payload references before the queues or pools go.
+  for (Lane &Ln : Lanes)
+    for (Outbox &O : Ln.Out) {
+      for (uint32_t R = 0; R != O.Live; ++R)
+        for (const SimEvent &E : O.Runs[R].Events)
+          if (E.kind() == CalendarQueue::KDeliver)
+            MessageRef::adopt(E.body());
+      O.reset();
+    }
 }
 
 void ShardEngine::drainDeferred() {

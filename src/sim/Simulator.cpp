@@ -58,10 +58,22 @@ void Actor::onTimer(Context &Ctx, TimerId Id) {
 }
 void Actor::onStop(Context &Ctx) { (void)Ctx; }
 
+/// Expands the master seed into the private stream seed of process \p P,
+/// in the same two-round SplitMix64 shape as SweepRunner's per-run seeds:
+/// positional, order-independent, and cheap enough to do at every spawn.
+static uint64_t deriveActorSeed(uint64_t MasterSeed, ProcessId P) {
+  uint64_t State = MasterSeed;
+  uint64_t Master = splitMix64(State);
+  State = Master ^ (P + 0x2545f4914f6cdd1dULL);
+  return splitMix64(State);
+}
+
 /// Context implementation bound to one (simulator, process) pair for the
-/// duration of a single hook invocation.
-// DYNDIST_SERIAL_CONTEXT: the legacy kernel runs every hook serially, so
-// this context may mutate shared state directly.
+/// duration of a single hook invocation: every legacy hook, and in sharded
+/// mode the serial-phase hooks (onStart at spawn, onStop at leave).
+// DYNDIST_SERIAL_CONTEXT: only ever runs serially (the legacy loop, or
+// between the sharded engine's parallel rounds), so this context may
+// mutate shared state directly.
 class Simulator::ContextImpl : public Context {
 public:
   ContextImpl(Simulator &S, ProcessId P) : S(S), P(P) {}
@@ -83,11 +95,11 @@ public:
 
   TimerId setTimer(SimTime Delay) override { return S.armTimer(P, Delay); }
 
-  void cancelTimer(TimerId Id) override {
-    S.Pending->markTimerCancelled(Id);
-  }
+  void cancelTimer(TimerId Id) override { S.disarmTimer(Id); }
 
-  Rng &rng() override { return S.ActorRng; }
+  Rng &rng() override {
+    return S.Sharded ? S.Sharded->ActorRngs[P] : S.ActorRng;
+  }
 
   void observe(TraceKey Key, int64_t Value) override {
     if (S.TraceLev == TraceLevel::Off)
@@ -228,11 +240,13 @@ ProcessId Simulator::spawn(std::unique_ptr<Actor> A) {
     OnUpHook(P);
 
   if (Sharded) {
-    Sharded->startActor(P, Raw);
-  } else {
-    ContextImpl Ctx(*this, P);
-    Raw->onStart(Ctx);
+    assert(!Sharded->InParallel && "spawn during a parallel round");
+    assert(Sharded->ActorRngs.size() == P &&
+           "actor streams out of sync with the table");
+    Sharded->ActorRngs.emplace_back(deriveActorSeed(Seed, P));
   }
+  ContextImpl Ctx(*this, P);
+  Raw->onStart(Ctx);
   return P;
 }
 
@@ -258,14 +272,10 @@ void Simulator::markDown(ProcessId P, bool Crashed) {
 void Simulator::leave(ProcessId P) {
   if (!isUp(P))
     return;
+  assert(!(Sharded && Sharded->InParallel) && "leave during a parallel round");
   BodyPool::Scope PoolScope(Bodies); // onStop/hooks may makeBody().
-  Actor *Raw = Processes[P].TheActor.get();
-  if (Sharded) {
-    Sharded->stopActor(P, Raw);
-  } else {
-    ContextImpl Ctx(*this, P);
-    Raw->onStop(Ctx);
-  }
+  ContextImpl Ctx(*this, P);
+  Processes[P].TheActor->onStop(Ctx);
   markDown(P, /*Crashed=*/false);
 }
 
@@ -308,14 +318,11 @@ size_t Simulator::pendingTimers() const {
 
 void Simulator::pushDeliver(SimTime Time, ProcessId Src, ProcessId Dst,
                             MessageRef Body) {
+  CalendarQueue &Q =
+      Sharded ? Sharded->Lanes[Sharded->shardOf(Dst)].Q : *Pending;
   // Parked +1; re-adopted at pop or queue teardown.
-  Pending->push(Time, SimEvent::deliver(static_cast<uint32_t>(Src),
-                                        static_cast<uint32_t>(Dst),
-                                        Body.detach()));
-}
-
-void Simulator::pushTimer(SimTime Time, ProcessId P, TimerId Id) {
-  Pending->push(Time, SimEvent::timer(static_cast<uint32_t>(P), Id));
+  Q.push(Time, SimEvent::deliver(static_cast<uint32_t>(Src),
+                                 static_cast<uint32_t>(Dst), Body.detach()));
 }
 
 void Simulator::pushAction(SimTime Time, ActionFn Action) {
@@ -326,42 +333,31 @@ void Simulator::pushAction(SimTime Time, ActionFn Action) {
 
 void Simulator::sendMessage(ProcessId From, ProcessId To, MessageRef Body) {
   assert(Body && "message body must not be null");
-  if (Sharded) {
-    Sharded->envSend(From, To, std::move(Body));
-    return;
-  }
   // Non-atomic refcounts and pool recycling are only safe while a body
   // stays inside the simulator whose pool allocated it (heap-fallback
-  // bodies, pool() == null, may enter from outside).
+  // bodies, pool() == null, may enter from outside). Sharded serial-phase
+  // sends come from the main pool too: lanes send through laneSend.
   assert((!Body->pool() || Body->pool() == Bodies) &&
          "message body crossed Simulator instances");
-  ++Stats.MessagesSent;
-  Stats.PayloadUnits += Body->weight();
-
-  if (TraceLev == TraceLevel::Full)
-    record(TraceRecord::make(TraceKind::Send, Clock, From, To, Body->kind()));
-
-  if (LossRate > 0.0 && KernelRng.nextBernoulli(LossRate)) {
-    ++Stats.MessagesDropped;
-    if (TraceLev == TraceLevel::Full)
-      record(
-          TraceRecord::make(TraceKind::Drop, Clock, To, From, Body->kind()));
-    return;
+  Rng *R = &KernelRng;
+  if (Sharded) {
+    assert(!Sharded->InParallel && "serial send during a parallel round");
+    assert(From < Sharded->ActorRngs.size() && "sender has no private stream");
+    R = &Sharded->ActorRngs[From];
   }
-
-  SimTime Delay =
-      FixedDelay ? FixedDelay : Latency->sample(KernelRng, From, To);
-  pushDeliver(Clock + Delay, From, To, std::move(Body));
+  const SimTime Delay = accountSend(
+      Stats, [this](const TraceRecord &Rec) { record(Rec); }, *R, From, To,
+      *Body);
+  if (Delay)
+    pushDeliver(Clock + Delay, From, To, std::move(Body));
 }
 
 void Simulator::injectStimulus(ProcessId To, MessageRef Body) {
   assert(Body && "stimulus body must not be null");
   assert((!Body->pool() || Body->pool() == Bodies) &&
          "stimulus body crossed Simulator instances");
-  if (Sharded) {
-    Sharded->envStimulus(To, std::move(Body));
-    return;
-  }
+  assert(!(Sharded && Sharded->InParallel) &&
+         "stimulus during a parallel round");
   // Stimuli ship payload too: account their weight on the same counter as
   // sendMessage so PayloadUnits covers everything the harness injects.
   Stats.PayloadUnits += Body->weight();
@@ -369,10 +365,26 @@ void Simulator::injectStimulus(ProcessId To, MessageRef Body) {
 }
 
 TimerId Simulator::armTimer(ProcessId P, SimTime Delay) {
+  if (Sharded) {
+    assert(!Sharded->InParallel && "serial timer during a parallel round");
+    return Sharded->armOnLane(Sharded->shardOf(P), P, Delay, /*Direct=*/true);
+  }
   TimerId Id = ++NextTimer;
   Pending->markTimerArmed(Id);
-  pushTimer(Clock + Delay, P, Id);
+  Pending->push(Clock + Delay, SimEvent::timer(static_cast<uint32_t>(P), Id));
   return Id;
+}
+
+void Simulator::disarmTimer(TimerId Id) {
+  if (!Sharded) {
+    Pending->markTimerCancelled(Id);
+    return;
+  }
+  assert(!Sharded->InParallel && "unrouted cancel during a parallel round");
+  if (Id == 0)
+    return; // Unknown-id no-op, as in the legacy calendar.
+  Sharded->Lanes[Sharded->shardOf(Id - 1)].Q.markTimerCancelled(
+      Sharded->divK(Id - 1));
 }
 
 void Simulator::scheduleAt(SimTime When, ActionFn Action) {

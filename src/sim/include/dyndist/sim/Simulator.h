@@ -42,6 +42,7 @@
 #include "dyndist/support/InlineFunction.h"
 #include "dyndist/support/Random.h"
 
+#include <cassert>
 #include <memory>
 #include <vector>
 
@@ -113,9 +114,11 @@ using ActionFn = InlineFunction<void(Simulator &)>;
 using MembershipHookFn = InlineFunction<void(ProcessId)>;
 
 /// The deterministic event-driven kernel.
-// DYNDIST_SERIAL_CONTEXT: the legacy single-threaded kernel; every hook,
-// helper and member here runs between ticks of one thread, never on a
-// sharded-engine lane (ShardEngine shares state types, not this class).
+// DYNDIST_SERIAL_CONTEXT: the serial context of both engines. The legacy
+// loop runs everything here on one thread; the sharded engine runs its
+// environment phase and barrier through the same entry points, between
+// parallel rounds. Lanes only read it: the process table, the neighbor
+// accessors and accountSend().
 class Simulator {
 public:
   /// Creates a kernel seeded with \p Seed; latency defaults to
@@ -221,6 +224,7 @@ public:
 
   /// Spawns a new process running \p A; it joins (and onStart runs) at the
   /// current instant. Returns its never-reused identity.
+  // DYNDIST_SERIAL_ONLY: grows the process table and the actor streams.
   ProcessId spawn(std::unique_ptr<Actor> A);
 
   /// Makes this simulator's BodyPool the active one for the returned
@@ -229,6 +233,7 @@ public:
   BodyPool::Scope poolScope() { return BodyPool::Scope(Bodies); }
 
   /// Gracefully removes \p P at the current instant (onStop runs).
+  // DYNDIST_SERIAL_ONLY: runs onStop and shrinks the shared up-set.
   void leave(ProcessId P);
 
   /// Crashes \p P at the current instant (silent; no hook runs).
@@ -238,10 +243,6 @@ public:
   bool isUp(ProcessId P) const {
     return P < Processes.size() && Processes[P].Up;
   }
-
-  /// Identities of all currently-up processes (ascending). Returns a copy;
-  /// hot readers should prefer upSet().
-  std::vector<ProcessId> upProcesses() const { return UpSet; }
 
   /// The incrementally-maintained up-set (ascending, no allocation). The
   /// reference is invalidated by the next membership change.
@@ -287,12 +288,16 @@ public:
   }
 
   /// Sends a message on behalf of \p From (used by Context and by drivers
-  /// that inject external stimuli).
+  /// that inject external stimuli). In sharded mode the loss and latency
+  /// draws come from \p From's private stream and the delivery lands
+  /// directly in the destination lane's calendar.
+  // DYNDIST_SERIAL_ONLY: pushes straight into a foreign lane's calendar.
   void sendMessage(ProcessId From, ProcessId To, MessageRef Body);
 
   /// Delivers \p Body to \p To as a harness stimulus: one tick of delay,
   /// exempt from the loss model (stimuli are experiment control, not
   /// protocol traffic). The sender is recorded as \p To itself.
+  // DYNDIST_SERIAL_ONLY: pushes straight into a foreign lane's calendar.
   void injectStimulus(ProcessId To, MessageRef Body);
 
   /// Topology accessors: degree of \p P, its \p I-th neighbor
@@ -316,12 +321,43 @@ private:
 
   void deliver(ProcessId Src, ProcessId Dst, MessageRef Body);
   void fireTimer(ProcessId P, TimerId Id);
+  // DYNDIST_SERIAL_ONLY: arms on the owning lane without deferral.
   TimerId armTimer(ProcessId P, SimTime Delay);
+  // DYNDIST_SERIAL_ONLY: may touch any lane's calendar; lanes must cancel
+  // through their own context (LaneContext::cancelTimer).
+  void disarmTimer(TimerId Id);
+  /// Pushes a delivery onto \p Dst's calendar: the one queue in legacy
+  /// mode, the owning lane's in sharded mode.
   void pushDeliver(SimTime Time, ProcessId Src, ProcessId Dst,
                    MessageRef Body);
-  void pushTimer(SimTime Time, ProcessId P, TimerId Id);
   void pushAction(SimTime Time, ActionFn Action);
   void markDown(ProcessId P, bool Crashed);
+
+  /// The accounting every protocol send shares, serial or lane-phase:
+  /// counts the send into \p St, hands its Send record (and a Drop record
+  /// when the loss draw from \p R hits) to \p Rec, and returns the
+  /// delivery delay drawn from \p R, or 0 when the message is lost
+  /// (latency models never return 0).
+  template <typename RecordFn>
+  SimTime accountSend(SimStats &St, RecordFn &&Rec, Rng &R, ProcessId From,
+                      ProcessId To, const MessageBody &Body) const {
+    ++St.MessagesSent;
+    St.PayloadUnits += Body.weight();
+    const bool Full = TraceLev == TraceLevel::Full;
+    if (Full)
+      Rec(TraceRecord::make(TraceKind::Send, Clock, From, To, Body.kind()));
+    if (LossRate > 0.0 && R.nextBernoulli(LossRate)) {
+      ++St.MessagesDropped;
+      if (Full)
+        Rec(TraceRecord::make(TraceKind::Drop, Clock, To, From, Body.kind()));
+      return 0;
+    }
+    if (FixedDelay)
+      return FixedDelay;
+    const SimTime Delay = Latency->sample(R, From, To);
+    assert(Delay >= 1 && "message latency must cross an instant boundary");
+    return Delay;
+  }
 
   /// Records buffered per appendBatch() flush toward an installed sink:
   /// amortizes the virtual sink dispatch ~64K:1 on the Full-trace hot path.

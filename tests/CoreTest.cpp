@@ -404,7 +404,7 @@ MonitorReaders runDirect(DynamicSystem &Sys, bool Rewire) {
   if (Rewire) {
     DynamicOverlay &O = Sys.overlay();
     O.reset(1, Rng(7), AttachMode::Random, RepairMode::RandomRewire);
-    for (ProcessId P : Sys.sim().upProcesses())
+    for (ProcessId P : Sys.sim().upSet())
       O.join(P);
   }
   RunLimits L;

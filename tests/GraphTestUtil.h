@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 namespace dyndist {
 
@@ -33,6 +34,13 @@ inline std::optional<uint64_t> allSourcesDiameter(const Graph &G) {
     Diam = std::max(Diam, *Ecc);
   }
   return Diam;
+}
+
+/// \p P's neighbors copied out of neighborView(), for comparing against a
+/// vector or for iterating while the graph changes.
+inline std::vector<ProcessId> neighborList(const Graph &G, ProcessId P) {
+  NeighborView V = G.neighborView(P);
+  return {V.begin(), V.end()};
 }
 
 } // namespace dyndist

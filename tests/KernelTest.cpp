@@ -166,7 +166,7 @@ TEST(Kernel, CancelAfterCrashLeavesNoBookkeeping) {
 TEST(Kernel, UpCountTracksUpProcessesUnderChurn) {
   Simulator S(7);
   auto Check = [&S] {
-    std::vector<ProcessId> Up = S.upProcesses();
+    const std::vector<ProcessId> &Up = S.upSet();
     EXPECT_EQ(S.upCount(), Up.size());
     for (ProcessId P : Up)
       EXPECT_TRUE(S.isUp(P));

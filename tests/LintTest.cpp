@@ -392,6 +392,38 @@ TEST(LintD5, ClassMarkerReachesOutOfLineMembers) {
       << "SERIAL_CONTEXT on the class head must cover out-of-line members";
 }
 
+TEST(LintD5, SimulatorSerialEntryPointsAreMarked) {
+  // Both engines' serial phases send, arm, cancel, spawn and leave through
+  // the Simulator's own entry points; the real header must mark each one
+  // serial-only, so a lane-phase call to any of them is a D5 finding.
+  const std::string HeaderPath = "src/sim/include/dyndist/sim/Simulator.h";
+  std::ifstream In(std::string(DYNDIST_LINT_SOURCE_ROOT) + "/" + HeaderPath);
+  std::stringstream Header;
+  Header << In.rdbuf();
+  ASSERT_FALSE(Header.str().empty()) << "cannot read " << HeaderPath;
+  const std::pair<const char *, const char *> Calls[] = {
+      {"sendMessage", "S.sendMessage(0, 1, nullptr);"},
+      {"injectStimulus", "S.injectStimulus(1, nullptr);"},
+      {"armTimer", "S.armTimer(0, 1);"},
+      {"disarmTimer", "S.disarmTimer(1);"},
+      {"spawn", "S.spawn(nullptr);"},
+      {"leave", "S.leave(0);"},
+  };
+  for (const auto &[Name, Call] : Calls) {
+    LintResult R = lintFiles(
+        {{HeaderPath, Header.str()},
+         {"src/x/Lane.cpp",
+          std::string("// DYNDIST_LANE_PHASE: runs on a worker lane.\n"
+                      "void laneHook(dyndist::Simulator &S) { ") +
+              Call + " }\n"}});
+    auto D5 = byRule(R, "D5");
+    ASSERT_EQ(D5.size(), 1u) << Name << " lost its DYNDIST_SERIAL_ONLY";
+    EXPECT_NE(D5[0].Message.find(std::string("'") + Name + "'"),
+              std::string::npos)
+        << D5[0].Message;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Suppressions (S1) and markers (M1)
 //===----------------------------------------------------------------------===//

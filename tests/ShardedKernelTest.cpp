@@ -299,3 +299,132 @@ TEST(ShardedKernel, MembershipMatchesTraceReferenceUnderChurn) {
     }
   }
 }
+
+//===----------------------------------------------------------------------===//
+// Serial-phase hooks under loss, cancels, stimuli and churn
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+struct EnvNote : MessageBody {
+  static constexpr int KindId = 930;
+  explicit EnvNote(int64_t Hops) : MessageBody(KindId), Hops(Hops) {}
+  int64_t Hops;
+};
+
+/// Drives every Context path a serial-phase hook can take: onStart sends,
+/// arms two timers, cancels one and draws from rng(); onStop sends a
+/// farewell. Handlers forward with a hop budget and sometimes leave, so
+/// lane-phase sends and barrier departures (whose onStop runs serially)
+/// mix in.
+class EnvPhaseActor : public Actor {
+public:
+  void onStart(Context &Ctx) override {
+    Ctx.observe(TraceKey::OtqValue,
+                static_cast<int64_t>(Ctx.rng().nextBelow(1000)));
+    sendToNeighbor(Ctx, 0);
+    Ctx.setTimer(1 + Ctx.rng().nextBelow(4));
+    TimerId Decoy = Ctx.setTimer(2);
+    Ctx.cancelTimer(Decoy);
+  }
+  void onMessage(Context &Ctx, ProcessId, const MessageBody &Body) override {
+    const int64_t Hops = bodyAs<EnvNote>(Body).Hops;
+    Ctx.observe(TraceKey::OtqInclude, Hops);
+    if (Hops < 3)
+      sendToNeighbor(Ctx, Hops + 1);
+    else if (Ctx.rng().nextBelow(16) == 0)
+      Ctx.leaveSystem();
+  }
+  void onTimer(Context &Ctx, TimerId) override {
+    if (++Rounds > 4)
+      return;
+    sendToNeighbor(Ctx, 1);
+    Ctx.setTimer(1 + Ctx.rng().nextBelow(3));
+  }
+  void onStop(Context &Ctx) override { sendToNeighbor(Ctx, 2); }
+
+private:
+  static void sendToNeighbor(Context &Ctx, int64_t Hops) {
+    const size_t N = Ctx.neighborCount();
+    if (N == 0)
+      return;
+    Ctx.send(Ctx.neighborAt(Ctx.rng().nextBelow(N)), makeBody<EnvNote>(Hops));
+  }
+  int Rounds = 0;
+};
+
+/// A lossy full-mesh run of EnvPhaseActors with churn-driven spawns,
+/// leaves and crashes plus one injected stimulus, digested to its Full
+/// trace plus stats.
+std::pair<std::string, SimStats> envPhaseDigest(unsigned Shards) {
+  Simulator S(29);
+  if (Shards > 0)
+    S.setShards(Shards);
+  S.setLossRate(0.2);
+  for (int I = 0; I != 12; ++I)
+    S.spawn(std::make_unique<EnvPhaseActor>());
+  for (SimTime T = 3; T <= 60; T += 3)
+    S.scheduleAt(T, [T](Simulator &Sim) {
+      Sim.spawn(std::make_unique<EnvPhaseActor>());
+      const std::vector<ProcessId> &Up = Sim.upSet();
+      const ProcessId Victim = Up[Sim.rng().nextBelow(Up.size())];
+      if (T % 12 == 0)
+        Sim.crash(Victim);
+      else
+        Sim.leave(Victim);
+    });
+  S.scheduleAt(10, [](Simulator &Sim) {
+    Sim.injectStimulus(Sim.upSet().front(), makeBody<EnvNote>(0));
+  });
+  EXPECT_EQ(S.run(), StopReason::QueueExhausted);
+  EXPECT_EQ(S.pendingTimers(), 0u);
+  return {traceToJsonLines(S.trace()), S.stats()};
+}
+
+} // namespace
+
+TEST(ShardedKernel, EnvPhaseGoldenAcrossShardCounts) {
+  // Pinned on both engines: loss draws, serial-phase timer cancels, the
+  // stimulus and onStart/onStop sends each feed the digest and the stats.
+  struct Pin {
+    unsigned Shards;
+    uint64_t Digest;
+    SimStats Stats;
+  };
+  auto pinnedStats = [](uint64_t Sent, uint64_t Delivered, uint64_t Dropped,
+                        uint64_t Units, uint64_t Fired, uint64_t Events) {
+    SimStats St;
+    St.MessagesSent = Sent;
+    St.MessagesDelivered = Delivered;
+    St.MessagesDropped = Dropped;
+    St.PayloadUnits = Units;
+    St.TimersFired = Fired;
+    St.EventsExecuted = Events;
+    return St;
+  };
+  const Pin Pins[] = {
+      {0, 0xb92c7f3abf9f5b86ULL, pinnedStats(389, 306, 84, 390, 135, 511)},
+      {1, 0x9ddf02f30ec536a3ULL, pinnedStats(301, 231, 71, 302, 96, 416)},
+  };
+  for (const Pin &P : Pins) {
+    auto [Trace, Stats] = envPhaseDigest(P.Shards);
+    EXPECT_EQ(fnv1a(Trace), P.Digest)
+        << "shards=" << P.Shards << " digest=0x" << std::hex << fnv1a(Trace);
+    EXPECT_TRUE(scheduleStatsEqual(Stats, P.Stats))
+        << "shards=" << P.Shards << " dropped " << Stats.MessagesDropped
+        << " units " << Stats.PayloadUnits << " fired " << Stats.TimersFired;
+    EXPECT_GT(Stats.MessagesDropped, 0u);
+  }
+
+  auto [Trace1, Stats1] = envPhaseDigest(1);
+  for (unsigned K : {2u, 4u}) {
+    auto [TraceK, StatsK] = envPhaseDigest(K);
+    EXPECT_EQ(TraceK, Trace1) << "shards=" << K;
+    EXPECT_TRUE(scheduleStatsEqual(StatsK, Stats1)) << "shards=" << K;
+  }
+  ASSERT_EQ(setenv("DYNDIST_SHARD_THREADS", "1", 1), 0);
+  auto [TraceInline, StatsInline] = envPhaseDigest(4);
+  unsetenv("DYNDIST_SHARD_THREADS");
+  EXPECT_EQ(TraceInline, Trace1);
+  EXPECT_TRUE(scheduleStatsEqual(StatsInline, Stats1));
+}
