@@ -528,6 +528,36 @@ void BM_TimerScheduleBurst(benchmark::State &State) {
 }
 BENCHMARK(BM_TimerScheduleBurst)->Unit(benchmark::kMillisecond);
 
+/// Sparse schedule: 10^5 one-shot actions scattered over 2^40 ticks, so
+/// nearly every push opens its own instant. Every eighth action nests two
+/// more when it runs: one into its own instant and one a few ticks ahead.
+void BM_TimerScheduleSparse(benchmark::State &State) {
+  constexpr size_t Actions = 100000;
+  uint64_t Events = 0;
+  for (auto _ : State) {
+    Simulator S(7);
+    S.setTraceLevel(TraceLevel::Off);
+    uint64_t Sink = 0;
+    Rng R(11);
+    for (size_t I = 0; I != Actions; ++I) {
+      const SimTime T = 1 + R.nextBelow(SimTime(1) << 40);
+      if (I % 8)
+        S.scheduleAt(T, [&Sink, I](Simulator &) { Sink += I; });
+      else
+        S.scheduleAt(T, [&Sink, I](Simulator &Sim) {
+          Sim.scheduleAt(Sim.now(), [&Sink, I](Simulator &) { Sink += I; });
+          Sim.scheduleAfter(1 + (I & 7), [&Sink](Simulator &) { ++Sink; });
+        });
+    }
+    S.run();
+    Events += S.stats().EventsExecuted;
+    benchmark::DoNotOptimize(Sink);
+  }
+  // items_per_second is scheduled actions executed per second.
+  State.SetItemsProcessed(static_cast<int64_t>(Events));
+}
+BENCHMARK(BM_TimerScheduleSparse)->Unit(benchmark::kMillisecond);
+
 } // namespace
 
 int main(int argc, char **argv) {

@@ -61,8 +61,8 @@ OverlayReport drive(AttachMode Mode, size_t Degree, size_t Initial,
     if (Join) {
       O.join(Next++);
     } else {
-      std::vector<ProcessId> Nodes = O.graph().nodes();
-      O.leave(R.pick(Nodes));
+      NeighborView Nodes = O.graph().nodesView();
+      O.leave(Nodes[R.nextBelow(Nodes.size())]);
     }
     if (Step % SampleEvery == 0) {
       auto D = diameter(O.graph());
@@ -76,7 +76,7 @@ OverlayReport drive(AttachMode Mode, size_t Degree, size_t Initial,
   const Graph &G = O.graph();
   Rep.FinalSize = G.nodeCount();
   uint64_t DegreeSum = 0;
-  for (ProcessId P : G.nodes()) {
+  for (ProcessId P : G.nodesView()) {
     uint64_t Deg = G.degree(P);
     DegreeSum += Deg;
     Rep.MaxDegree = std::max(Rep.MaxDegree, Deg);

@@ -13,8 +13,9 @@
 /// already faulted (calendar buckets, body-pool slabs, graph slot tables,
 /// trace buffers). The per-run shared_ptr config/counter churn is hoisted
 /// into the arena too, and the run's actors recycle the previous run's
-/// blocks of the kernel's BodyPool: a steady-state short run makes about
-/// three heap calls in all (ActorPool.WarmShortRunsMakeAtMostFiveHeapCalls).
+/// blocks of the kernel's BodyPool: a steady-state short run makes at most
+/// about one heap call
+/// (ActorPool.WarmShortRunsAverageAtMostOneAndAQuarterHeapCalls).
 ///
 /// Determinism contract: an arena-reused run is byte-identical to a
 /// fresh-construction run of the same ExperimentConfig — same schedule,

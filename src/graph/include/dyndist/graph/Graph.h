@@ -121,9 +121,6 @@ public:
     return S == NoSlot ? 0 : Slots[S].Nbrs.size();
   }
 
-  /// All nodes in ascending order (copy; hot paths use nodesView()).
-  std::vector<ProcessId> nodes() const { return NodeIds; }
-
   /// Zero-copy ascending node set. Invalidated by any graph mutation.
   NeighborView nodesView() const { return {NodeIds.data(), NodeIds.size()}; }
 

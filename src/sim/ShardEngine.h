@@ -188,10 +188,12 @@ private:
   std::vector<SimTime> FlushTimes;
   std::vector<std::vector<SimEvent> *> FlushSources;
   std::vector<size_t> FlushCur;
+  std::vector<SimEvent> FlushMerged; ///< Pusher-ordered merge of one flush.
   std::vector<size_t> MergeCur;
   std::vector<size_t> TraceBufCur;
 
-  SimTime nextTime() const;
+  // DYNDIST_SERIAL_ONLY: spills far tiers in every lane's calendar.
+  SimTime nextTime(SimTime MaxTime);
   bool drainEnv(const RunLimits &Limits, StopReason &Out);
   // DYNDIST_SERIAL_ONLY: owns the fork/join; never re-entered from a lane.
   void parallelRound(SimTime T);

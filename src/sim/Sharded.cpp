@@ -275,13 +275,15 @@ unsigned ShardEngine::ownerLaneOf(const MessageBody *Body) const {
 // The run loop
 //===----------------------------------------------------------------------===//
 
-SimTime ShardEngine::nextTime() const {
+SimTime ShardEngine::nextTime(SimTime MaxTime) {
+  // Spills run here, in the serial phase, for every queue left with only
+  // far events that may fall at or before MaxTime.
   SimTime T = NoInstant;
   if (!S.Pending->empty())
-    T = S.Pending->frontTime();
-  for (const Lane &Ln : Lanes)
+    T = S.Pending->frontTime(MaxTime);
+  for (Lane &Ln : Lanes)
     if (!Ln.Q.empty())
-      T = std::min(T, Ln.Q.frontTime());
+      T = std::min(T, Ln.Q.frontTime(MaxTime));
   return T;
 }
 
@@ -320,7 +322,7 @@ StopReason ShardEngine::run(RunLimits Limits) {
   BodyPool::Scope EnvScope(S.Bodies);
   StopReason Reason = StopReason::QueueExhausted;
   for (;;) {
-    SimTime T = nextTime();
+    SimTime T = nextTime(Limits.MaxTime);
     if (T == NoInstant)
       break;
     if (S.HaltRequested) {
@@ -337,7 +339,12 @@ StopReason ShardEngine::run(RunLimits Limits) {
     }
     assert(T >= S.Clock && "event queue went backwards");
     S.Clock = T;
-    if (!S.Pending->empty() && S.Pending->frontTime() == T) {
+    // Every queue's due bucket at T is in its near tier now; keep each
+    // boundary past T too, so pushes back into T land near.
+    S.Pending->advanceTo(T);
+    for (Lane &Ln : Lanes)
+      Ln.Q.advanceTo(T);
+    if (S.Pending->frontIs(T)) {
       StopReason EnvStop;
       if (drainEnv(Limits, EnvStop)) {
         Reason = EnvStop;
@@ -348,7 +355,7 @@ StopReason ShardEngine::run(RunLimits Limits) {
     for (;;) {
       bool Any = false;
       for (const Lane &Ln : Lanes)
-        if (!Ln.Q.empty() && Ln.Q.frontTime() == T) {
+        if (Ln.Q.frontIs(T)) {
           Any = true;
           break;
         }
@@ -411,7 +418,7 @@ void ShardEngine::laneJob(unsigned LaneIdx, SimTime T) {
       MessageRef::adopt(B); // Adopt-and-drop: releases the parked +1.
     V.clear();
   }
-  if (!Ln.Q.empty() && Ln.Q.frontTime() == T)
+  if (Ln.Q.frontIs(T))
     executeBucket(LaneIdx, T);
 }
 
@@ -616,18 +623,10 @@ void ShardEngine::flushOutboxes() {
           if (O.Runs[R].Time == FT && !O.Runs[R].Events.empty())
             FlushSources.push_back(&O.Runs[R].Events);
       }
-      std::vector<SimEvent> &Fifo =
-          DL.Q.Buckets[DL.Q.bucketFor(FT)].Fifo;
+      // Through the queue, so a flush at or past the lane's boundary goes
+      // to its far tier, in the same order.
       if (FlushSources.size() == 1) {
-        std::vector<SimEvent> &Src = *FlushSources[0];
-        if (Fifo.empty()) {
-          // Steal the run wholesale instead of copying it event by event;
-          // the capacities circulate between outbox runs and recycled
-          // bucket FIFOs, so steady state still allocates nothing.
-          Fifo.swap(Src);
-        } else {
-          Fifo.insert(Fifo.end(), Src.begin(), Src.end());
-        }
+        DL.Q.pushRun(FT, *FlushSources[0]);
         continue;
       }
       // Pusher-ordered merge: each source run ascends in pusher id (lanes
@@ -650,8 +649,9 @@ void ShardEngine::flushOutboxes() {
             Best = SI;
           }
         }
-        Fifo.push_back((*FlushSources[Best])[FlushCur[Best]++]);
+        FlushMerged.push_back((*FlushSources[Best])[FlushCur[Best]++]);
       }
+      DL.Q.pushRun(FT, FlushMerged);
     }
   }
   for (Lane &Ln : Lanes)

@@ -444,11 +444,12 @@ StopReason Simulator::runLegacy(RunLimits Limits) {
     // All events in a bucket share its instant, so the time-limit check is
     // per bucket. The front bucket stays front for its whole drain:
     // handlers cannot schedule into the past, and a same-instant push
-    // lands in this very bucket (appended behind Head).
-    uint32_t Slot = Q.TimeHeap.front();
-    SimTime BucketTime = Q.Buckets[Slot].Time;
+    // lands in this very bucket (appended behind Head). With only far
+    // events left, frontTime() spills them, or stops the run unsorted.
+    SimTime BucketTime = Q.frontTime(Limits.MaxTime);
     if (BucketTime > Limits.MaxTime)
       return StopReason::TimeLimit;
+    uint32_t Slot = Q.TimeHeap.front();
     assert(BucketTime >= Clock && "event queue went backwards");
     Clock = BucketTime;
     for (;;) {

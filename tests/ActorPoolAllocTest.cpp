@@ -89,7 +89,7 @@ ExperimentConfig shortConfig(uint64_t Seed) {
   return Cfg;
 }
 
-TEST(ActorPool, WarmShortRunsMakeAtMostFiveHeapCalls) {
+TEST(ActorPool, WarmShortRunsAverageAtMostOneAndAQuarterHeapCalls) {
   if (!Counting)
     GTEST_SKIP() << "the sanitizer runtime owns operator new";
   constexpr uint64_t Master = 0xE1;
@@ -109,9 +109,11 @@ TEST(ActorPool, WarmShortRunsMakeAtMostFiveHeapCalls) {
   // be one heap call. Their spawn-time TraceKey::OtqValue observes record
   // a fixed vocabulary id, so the key table allocates nothing, and
   // Trace::maxConcurrency() (admissibility read back from the trace)
-  // gathers the run's few session ends in an inline buffer. What remains
-  // (74 calls over the 64 runs, 1.16 a run) is mostly the odd calendar
-  // bucket that grows when a seed outgrows the ones before it.
+  // gathers the run's few session ends in an inline buffer. The ~100
+  // departures past the horizon append to the calendar's far list, which
+  // keeps its capacity across resets. What remains (30 calls over the 64
+  // runs, 0.47 a run) is mostly the odd calendar bucket or far list that
+  // grows when a seed outgrows the ones before it.
   EXPECT_GT(Arrivals, uint64_t(Runs) * 90);
   EXPECT_LE(PerRun, 1.25) << (HeapAllocs - Before) << " heap calls over "
                           << Runs << " warm runs";

@@ -63,7 +63,7 @@ TEST(Graph, NeighborsSortedAndQueries) {
   G.addEdge(5, 3);
   EXPECT_EQ(neighborList(G, 5), (std::vector<ProcessId>{1, 3, 9}));
   EXPECT_EQ(neighborList(G, 42), std::vector<ProcessId>{});
-  EXPECT_EQ(G.nodes(), (std::vector<ProcessId>{1, 3, 5, 9}));
+  EXPECT_EQ(nodeList(G), (std::vector<ProcessId>{1, 3, 5, 9}));
 }
 
 TEST(Graph, EpochBumpsOnEverySuccessfulMutation) {
@@ -147,8 +147,8 @@ TEST(Graph, AddNodeWithEdgesMatchesAddEdgeLoop) {
     Ref.addNode(P);
     for (ProcessId T : Targets)
       Ref.addEdge(P, T);
-    EXPECT_EQ(Fast.nodes(), Ref.nodes()) << P;
-    for (ProcessId Q : Ref.nodes())
+    EXPECT_EQ(nodeList(Fast), nodeList(Ref)) << P;
+    for (ProcessId Q : Ref.nodesView())
       EXPECT_EQ(neighborList(Fast, Q), neighborList(Ref, Q)) << P << " " << Q;
     EXPECT_EQ(Fast.edgeCount(), Ref.edgeCount()) << P;
     EXPECT_TRUE(Fast.checkConsistency()) << P;
@@ -167,7 +167,7 @@ TEST(Graph, SortedInsertAscendingDescendingAndDuplicate) {
     std::set<ProcessId> Seen;
     for (ProcessId P : *Order)
       EXPECT_EQ(G.addNode(P), Seen.insert(P).second) << P;
-    EXPECT_EQ(G.nodes(), Ascending);
+    EXPECT_EQ(nodeList(G), Ascending);
     // Hub 100 joins after every other id, then links to them in the same
     // order: its neighbor list grows through the same three patterns.
     G.addNode(100);
@@ -266,7 +266,7 @@ TEST(Generators, RandomRegularDegrees) {
   Rng R(2);
   Graph G = makeRandomRegular(20, 4, R);
   EXPECT_EQ(G.nodeCount(), 20u);
-  for (ProcessId P : G.nodes())
+  for (ProcessId P : G.nodesView())
     EXPECT_EQ(G.degree(P), 4u);
   EXPECT_TRUE(isConnected(G));
 }
@@ -278,7 +278,7 @@ TEST(Generators, BarabasiAlbertStructure) {
   EXPECT_TRUE(isConnected(G));
   // Seed clique of 3 plus 57 nodes x 2 links.
   EXPECT_EQ(G.edgeCount(), 3u + 57u * 2u);
-  for (ProcessId P : G.nodes())
+  for (ProcessId P : G.nodesView())
     EXPECT_GE(G.degree(P), 2u);
 }
 
@@ -323,7 +323,7 @@ struct ReferenceOverlay {
   ProcessId LastJoined = InvalidProcess;
 
   void join(ProcessId P) {
-    std::vector<ProcessId> Members = G.nodes();
+    std::vector<ProcessId> Members = nodeList(G);
     std::vector<ProcessId> Picks;
     if (Mode == AttachMode::Chain && !Members.empty()) {
       Picks.push_back(G.hasNode(LastJoined) ? LastJoined : Members.back());
@@ -368,7 +368,7 @@ TEST(Overlay, OneStepAttachMatchesEdgeByEdgeReference) {
         // mid-list inserts.
         ProcessId NextHigh = 1000, NextLow = 5;
         for (int Step = 0; Step != 300; ++Step) {
-          const std::vector<ProcessId> Nodes = O.graph().nodes();
+          const std::vector<ProcessId> Nodes = nodeList(O.graph());
           if (Nodes.size() > 4 && Ops.nextBelow(3) == 0) {
             ProcessId Victim = Nodes[Ops.nextBelow(Nodes.size())];
             O.leave(Victim);
@@ -379,8 +379,8 @@ TEST(Overlay, OneStepAttachMatchesEdgeByEdgeReference) {
             Ref.join(P);
           }
           const Graph &G = O.graph();
-          ASSERT_EQ(G.nodes(), Ref.G.nodes()) << "step " << Step;
-          for (ProcessId P : G.nodes())
+          ASSERT_EQ(nodeList(G), nodeList(Ref.G)) << "step " << Step;
+          for (ProcessId P : G.nodesView())
             ASSERT_EQ(neighborList(G, P), neighborList(Ref.G, P))
                 << "step " << Step << " node " << P;
           ASSERT_EQ(G.edgeCount(), Ref.G.edgeCount()) << "step " << Step;
@@ -395,7 +395,7 @@ TEST(Overlay, LeavePreservesConnectivity) {
   for (ProcessId P = 0; P != 30; ++P)
     O.join(P);
   // Remove 20 random nodes; connectivity must survive every step.
-  std::vector<ProcessId> Nodes = O.graph().nodes();
+  std::vector<ProcessId> Nodes = nodeList(O.graph());
   R.shuffle(Nodes);
   for (size_t I = 0; I != 20; ++I) {
     O.leave(Nodes[I]);
@@ -465,7 +465,7 @@ TEST(Overlay, RandomRewireKeepsDegreesNearTarget) {
     if (O.graph().nodeCount() <= 4 || R.nextBernoulli(0.45)) {
       O.join(Next++);
     } else {
-      auto Nodes = O.graph().nodes();
+      auto Nodes = nodeList(O.graph());
       O.leave(R.pick(Nodes));
     }
     ASSERT_TRUE(O.graph().checkConsistency());
@@ -473,7 +473,7 @@ TEST(Overlay, RandomRewireKeepsDegreesNearTarget) {
   // Mean degree stays near the target (the patch rule would inflate it).
   const Graph &G = O.graph();
   uint64_t Sum = 0;
-  for (ProcessId P : G.nodes())
+  for (ProcessId P : G.nodesView())
     Sum += G.degree(P);
   double Mean = double(Sum) / double(G.nodeCount());
   EXPECT_LT(Mean, 5.0);
@@ -494,7 +494,7 @@ TEST(Overlay, RandomRewireCanDisconnectAtDegreeOne) {
       if (O.graph().nodeCount() <= 4 || R.nextBernoulli(0.45)) {
         O.join(Next++);
       } else {
-        auto Nodes = O.graph().nodes();
+        auto Nodes = nodeList(O.graph());
         O.leave(R.pick(Nodes));
       }
       if (!isConnected(O.graph()))
@@ -553,7 +553,7 @@ TEST(Algorithms, ArticulationPointsMatchBruteForce) {
     auto Reported = articulationPoints(G);
     std::set<ProcessId> ReportedSet(Reported.begin(), Reported.end());
     size_t BaseComponents = connectedComponents(G).size();
-    for (ProcessId V : G.nodes()) {
+    for (ProcessId V : G.nodesView()) {
       Graph Removed = G;
       bool Isolated = Removed.degree(V) == 0;
       Removed.removeNode(V);
@@ -657,7 +657,7 @@ TEST(Graph, RandomizedMutationsMatchReferenceModel) {
     std::vector<ProcessId> ModelNodes;
     for (const auto &[P, Nbrs] : Model)
       ModelNodes.push_back(P);
-    ASSERT_EQ(G.nodes(), ModelNodes) << "after step " << Step;
+    ASSERT_EQ(nodeList(G), ModelNodes) << "after step " << Step;
     for (const auto &[P, Nbrs] : Model) {
       std::vector<ProcessId> Expected(Nbrs.begin(), Nbrs.end());
       ASSERT_EQ(neighborList(G, P), Expected) << "node " << P;
@@ -733,7 +733,7 @@ Graph makeRandomTree(size_t N, Rng &R) {
 /// with fresh random edges: recycled slots leave slot order different from
 /// id order, and one freed slot stays a hole in the slot table.
 void punchSlotHoles(Graph &G, Rng &R) {
-  std::vector<ProcessId> Nodes = G.nodes();
+  std::vector<ProcessId> Nodes = nodeList(G);
   std::vector<ProcessId> Gone;
   for (ProcessId P : Nodes)
     if (R.nextBelow(3) == 0 && G.removeNode(P))
@@ -742,7 +742,7 @@ void punchSlotHoles(Graph &G, Rng &R) {
     Gone.pop_back();
   // Free slots are reused last-in first-out, so re-adding in ascending id
   // order hands the smallest id the slot of the largest.
-  std::vector<ProcessId> Present = G.nodes();
+  std::vector<ProcessId> Present = nodeList(G);
   for (ProcessId P : Gone) {
     G.addNode(P);
     for (int Link = 0; Link != 2 && !Present.empty(); ++Link) {
@@ -866,7 +866,7 @@ template <typename Fn> void forEachDiameterCase(Fn &&Check) {
             if (O.graph().nodeCount() <= 3 || R.nextBernoulli(0.55)) {
               O.join(Next++);
             } else {
-              ProcessId Victim = R.pick(O.graph().nodes());
+              ProcessId Victim = R.pick(nodeList(O.graph()));
               O.leave(Victim);
             }
             if (Step % 16 != 0)
@@ -950,7 +950,7 @@ TEST(Algorithms, DiameterAboveHintCrossesTheWordSizeSwitch) {
             if (R.nextBernoulli(Growing ? 0.75 : 0.25))
               O.join(Next++);
             else
-              O.leave(R.pick(O.graph().nodes()));
+              O.leave(R.pick(nodeList(O.graph())));
             const Graph &G = O.graph();
             size_t Count = G.nodeCount();
             Crossings += (LastCount <= 64) != (Count <= 64);

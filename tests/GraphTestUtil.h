@@ -5,7 +5,9 @@
 //===----------------------------------------------------------------------===//
 //
 // The reference the diameter kernel and the diameter monitor are checked
-// against: one BFS from every node, no bounds and no pruning.
+// against: one BFS from every node, no bounds and no pruning. Plus copies
+// of a node or neighbor set, for tests that compare or mutate while
+// iterating.
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +36,13 @@ inline std::optional<uint64_t> allSourcesDiameter(const Graph &G) {
     Diam = std::max(Diam, *Ecc);
   }
   return Diam;
+}
+
+/// The node set copied out of nodesView(), for comparing against a vector
+/// or for iterating while the graph changes.
+inline std::vector<ProcessId> nodeList(const Graph &G) {
+  NeighborView V = G.nodesView();
+  return {V.begin(), V.end()};
 }
 
 /// \p P's neighbors copied out of neighborView(), for comparing against a

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 
 using namespace dyndist;
@@ -278,6 +279,199 @@ TEST(Kernel, CalendarOrderMatchesStableSortUnderRandomSchedules) {
     Log->pushBatch(0, 6000);
     EXPECT_EQ(S.run(), StopReason::QueueExhausted);
     EXPECT_EQ(Log->Ran, Log->expected()) << "seed " << Seed << " reused";
+  }
+}
+
+namespace {
+
+/// Message latency of the far-tier test: past the calendar's 64-tick far
+/// window, so a send from an instant below the boundary lands beyond it.
+constexpr SimTime FarLatency = 100;
+
+/// CalendarLog's (time, push order) bookkeeping over all three event
+/// kinds: actions, deliveries to one sink process, and the sink's timers.
+/// An action may nest pushes (into its own instant, a few ticks ahead,
+/// across the window, and far ahead) and may send a note that lands
+/// FarLatency ticks later; every third note the sink receives arms a timer
+/// past the window.
+struct FarLog {
+  Simulator &S;
+  Rng R;
+  ProcessId Sink = 0;
+  std::vector<std::pair<SimTime, uint64_t>> Pushed, Ran;
+  std::map<TimerId, uint64_t> TimerSeq;
+
+  void push(SimTime T, bool Nest, bool Send) {
+    uint64_t Seq = Pushed.size();
+    Pushed.emplace_back(T, Seq);
+    S.scheduleAt(T, [this, T, Seq, Nest, Send](Simulator &Sim) {
+      EXPECT_EQ(Sim.now(), T);
+      Ran.emplace_back(T, Seq);
+      if (Send) {
+        uint64_t Note = Pushed.size();
+        Pushed.emplace_back(T + FarLatency, Note);
+        Sim.sendMessage(Sink, Sink,
+                        makeBody<NoteMsg>(static_cast<int64_t>(Note)));
+      }
+      if (Nest) {
+        push(T, false, false);
+        push(T + 1 + R.nextBelow(8), false, R.nextBelow(2) == 0);
+        push(T + 60 + R.nextBelow(10), false, false);
+        push(T + (SimTime(1) << 36) + R.nextBelow(1 << 20), false, false);
+      }
+    });
+  }
+
+  /// \p N pushes from \p Base: a spread across a few windows, clusters
+  /// straddling the 64-tick window edge, bursts into one instant, and
+  /// one-off instants far ahead.
+  void pushBatch(SimTime Base, size_t N) {
+    while (N) {
+      bool Nest = R.nextBelow(6) == 0;
+      bool Send = R.nextBelow(3) == 0;
+      switch (R.nextBelow(4)) {
+      case 0:
+        push(Base + R.nextBelow(256), Nest, Send);
+        --N;
+        break;
+      case 1:
+        push(Base + 62 + R.nextBelow(4), Nest, Send);
+        --N;
+        break;
+      case 2: {
+        SimTime T = Base + R.nextBelow(1024);
+        for (size_t Burst = 1 + R.nextBelow(12); Burst && N; --Burst, --N)
+          push(T, Nest, Send);
+        break;
+      }
+      default:
+        push(Base + 1 + R.nextBelow(SimTime(1) << 40), Nest, Send);
+        --N;
+        break;
+      }
+    }
+  }
+
+  std::vector<std::pair<SimTime, uint64_t>> expected() const {
+    std::vector<std::pair<SimTime, uint64_t>> E = Pushed;
+    std::stable_sort(E.begin(), E.end(), [](const auto &A, const auto &B) {
+      return A.first < B.first;
+    });
+    return E;
+  }
+
+  /// expected() cut after every event at or before \p Cut.
+  std::vector<std::pair<SimTime, uint64_t>> dueBy(SimTime Cut) const {
+    std::vector<std::pair<SimTime, uint64_t>> Due = expected();
+    Due.erase(std::find_if(Due.begin(), Due.end(),
+                           [Cut](const auto &E) { return E.first > Cut; }),
+              Due.end());
+    return Due;
+  }
+};
+
+class FarTierSink : public Actor {
+public:
+  explicit FarTierSink(FarLog &Log) : Log(Log) {}
+  void onMessage(Context &Ctx, ProcessId, const MessageBody &Body) override {
+    const auto Note = static_cast<uint64_t>(bodyAs<NoteMsg>(Body).Payload);
+    Log.Ran.emplace_back(Ctx.now(), Note);
+    if (Note % 3 != 0)
+      return;
+    const SimTime Delay = 65 + Log.R.nextBelow(200);
+    const uint64_t Seq = Log.Pushed.size();
+    Log.Pushed.emplace_back(Ctx.now() + Delay, Seq);
+    Log.TimerSeq[Ctx.setTimer(Delay)] = Seq;
+  }
+  void onTimer(Context &Ctx, TimerId Id) override {
+    Log.Ran.emplace_back(Ctx.now(), Log.TimerSeq.at(Id));
+  }
+
+private:
+  FarLog &Log;
+};
+
+/// A fresh FarLog over \p S with its sink spawned.
+std::unique_ptr<FarLog> startFarLog(Simulator &S, uint64_t Seed) {
+  auto Log = std::make_unique<FarLog>(FarLog{S, Rng(Seed), 0, {}, {}, {}});
+  Log->Sink = S.spawn(std::make_unique<FarTierSink>(*Log));
+  return Log;
+}
+
+/// Blocks still out of \p S's body pool.
+uint64_t liveBodies(Simulator &S) {
+  BodyPool::Scope Pool = S.poolScope();
+  return BodyPool::active()->outstanding();
+}
+
+} // namespace
+
+// The calendar's far tier against a stable sort on time: pushes below, at
+// and past the boundary, nested pushes from spilled events into their own
+// instant, deliveries and timers that land past the window, a time-limit
+// stop with only far events pending and its resumption, and a reset with
+// far deliveries pending, whose payloads must all return to the pool.
+TEST(Kernel, FarTierMatchesStableSortAcrossStopsAndResets) {
+  for (uint64_t Seed : {4u, 5u, 6u}) {
+    Simulator S(Seed);
+    S.setLatencyModel(std::make_unique<FixedLatency>(FarLatency));
+    auto Log = startFarLog(S, Seed);
+    Log->pushBatch(0, 3000);
+
+    // Stop at a cut inside the window traffic, then at one inside the far
+    // one-offs; each resumption keeps the order.
+    const SimTime Near = Log->expected()[Log->Pushed.size() / 4].first;
+    EXPECT_EQ(S.run(RunLimits{Near, 50'000'000}), StopReason::TimeLimit);
+    EXPECT_EQ(Log->Ran, Log->dueBy(Near)) << "seed " << Seed;
+    const SimTime Far = Log->expected()[Log->Pushed.size() * 3 / 4].first;
+    EXPECT_EQ(S.run(RunLimits{Far, 50'000'000}), StopReason::TimeLimit);
+    EXPECT_EQ(Log->Ran, Log->dueBy(Far)) << "seed " << Seed;
+    EXPECT_EQ(S.run(), StopReason::QueueExhausted);
+    EXPECT_EQ(Log->Ran, Log->expected()) << "seed " << Seed;
+    EXPECT_EQ(S.pendingTimers(), 0u);
+
+    // Only far events pending: a stop before all of them runs nothing,
+    // and the resumed run keeps the order.
+    S.reset(Seed);
+    Log = startFarLog(S, Seed + 100);
+    Log->pushBatch(1000, 500);
+    EXPECT_EQ(S.run(RunLimits{500, 50'000'000}), StopReason::TimeLimit);
+    EXPECT_TRUE(Log->Ran.empty()) << "seed " << Seed;
+    EXPECT_EQ(S.run(), StopReason::QueueExhausted);
+    EXPECT_EQ(Log->Ran, Log->expected()) << "seed " << Seed << " far only";
+
+    // Stops exactly at the boundary: after a reset B is the 64-tick
+    // window, and a spill moves it to 64 past the lowest far instant, so
+    // these instants sit just below, at and just past B both times.
+    S.reset(Seed);
+    Log = startFarLog(S, Seed + 150);
+    for (SimTime T : {62u, 63u, 64u, 65u, 127u, 128u, 129u})
+      Log->push(T, T % 2 == 0, false);
+    for (SimTime Cut : {64u, 128u}) {
+      EXPECT_EQ(S.run(RunLimits{Cut, 50'000'000}), StopReason::TimeLimit);
+      EXPECT_EQ(Log->Ran, Log->dueBy(Cut)) << "seed " << Seed << " cut " << Cut;
+    }
+    EXPECT_EQ(S.run(), StopReason::QueueExhausted);
+    EXPECT_EQ(Log->Ran, Log->expected()) << "seed " << Seed << " at B";
+
+    // Reset with deliveries in flight past the window: sends from the
+    // first instants land FarLatency ticks later, after the stop.
+    S.reset(Seed);
+    Log = startFarLog(S, Seed + 200);
+    for (SimTime T = 0; T != 40; ++T)
+      Log->push(T, false, true);
+    EXPECT_EQ(S.run(RunLimits{60, 50'000'000}), StopReason::TimeLimit);
+    EXPECT_EQ(Log->Ran, Log->dueBy(60));
+    EXPECT_GT(liveBodies(S), 0u);
+    S.reset(Seed);
+    EXPECT_EQ(liveBodies(S), 0u) << "seed " << Seed;
+
+    // The queue is reusable after that reset.
+    Log = startFarLog(S, Seed + 300);
+    Log->pushBatch(0, 2000);
+    EXPECT_EQ(S.run(), StopReason::QueueExhausted);
+    EXPECT_EQ(Log->Ran, Log->expected()) << "seed " << Seed << " reused";
+    EXPECT_EQ(liveBodies(S), 0u);
   }
 }
 

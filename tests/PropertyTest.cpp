@@ -10,6 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "GraphTestUtil.h"
 #include "dyndist/aggregation/Echo.h"
 #include "dyndist/aggregation/Flooding.h"
 #include "dyndist/arrival/Churn.h"
@@ -121,7 +122,7 @@ TEST_P(GraphGeneratorProperty, ConnectedConsistentAndBounded) {
   EXPECT_LT(*D, G.nodeCount());
 
   // Eccentricity from any node is between D/2 (rounded up) and D.
-  ProcessId First = G.nodes().front();
+  ProcessId First = G.nodesView().front();
   auto Ecc = eccentricity(G, First);
   ASSERT_TRUE(Ecc.has_value());
   EXPECT_LE(*Ecc, *D);
@@ -131,7 +132,7 @@ TEST_P(GraphGeneratorProperty, ConnectedConsistentAndBounded) {
 TEST_P(GraphGeneratorProperty, BallGrowsMonotonicallyToWholeGraph) {
   auto [T, N, Seed] = GetParam();
   Graph G = makeTopo(T, N, Seed);
-  ProcessId Source = G.nodes().front();
+  ProcessId Source = G.nodesView().front();
   size_t Prev = 0;
   auto D = diameter(G);
   ASSERT_TRUE(D.has_value());
@@ -263,7 +264,7 @@ TEST_P(OverlayChurnProperty, AlwaysConnectedAlwaysConsistent) {
     if (O.graph().nodeCount() <= 3 || R.nextBernoulli(0.5)) {
       O.join(Next++);
     } else {
-      auto Nodes = O.graph().nodes();
+      auto Nodes = nodeList(O.graph());
       O.leave(R.pick(Nodes));
     }
     ASSERT_TRUE(O.graph().checkConsistency()) << "step " << Step;

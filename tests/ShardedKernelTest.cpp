@@ -428,3 +428,183 @@ TEST(ShardedKernel, EnvPhaseGoldenAcrossShardCounts) {
   EXPECT_EQ(TraceInline, Trace1);
   EXPECT_TRUE(scheduleStatsEqual(StatsInline, Stats1));
 }
+
+//===----------------------------------------------------------------------===//
+// The calendar's far tier on every lane path
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Forwards notes and re-arms timers at delays past the calendar's 64-tick
+/// far window, so lane deliveries, lane timers and outbox flushes land in
+/// the far tier as often as in the near one.
+class FarTierActor : public Actor {
+public:
+  void onStart(Context &Ctx) override {
+    sendToNeighbor(Ctx, 0);
+    Ctx.setTimer(40 + Ctx.rng().nextBelow(120));
+  }
+  void onMessage(Context &Ctx, ProcessId, const MessageBody &Body) override {
+    const int64_t Hops = bodyAs<EnvNote>(Body).Hops;
+    Ctx.observe(TraceKey::OtqInclude, Hops);
+    if (Hops < 5)
+      sendToNeighbor(Ctx, Hops + 1);
+    if (Ctx.rng().nextBelow(8) == 0)
+      Ctx.setTimer(Ctx.rng().nextBelow(200));
+  }
+  void onTimer(Context &Ctx, TimerId) override {
+    if (++Rounds > 4)
+      return;
+    // Two notes to one neighbor: with four latencies they often share an
+    // instant, so one flush carries both in push order.
+    const size_t N = Ctx.neighborCount();
+    if (N != 0) {
+      const ProcessId To = Ctx.neighborAt(Ctx.rng().nextBelow(N));
+      Ctx.send(To, makeBody<EnvNote>(1));
+      Ctx.send(To, makeBody<EnvNote>(2));
+    }
+    Ctx.setTimer(50 + Ctx.rng().nextBelow(150));
+  }
+
+private:
+  static void sendToNeighbor(Context &Ctx, int64_t Hops) {
+    const size_t N = Ctx.neighborCount();
+    if (N == 0)
+      return;
+    Ctx.send(Ctx.neighborAt(Ctx.rng().nextBelow(N)), makeBody<EnvNote>(Hops));
+  }
+  int Rounds = 0;
+};
+
+/// A full-mesh run of FarTierActors under 64..67-tick latencies, with
+/// spawns and departures every 40 ticks, stopped at a time limit with far
+/// events pending and then resumed to exhaustion; digested to its Full
+/// trace plus stats.
+std::pair<std::string, SimStats> farTierDigest(unsigned Shards) {
+  Simulator S(37);
+  if (Shards > 0)
+    S.setShards(Shards);
+  S.setLatencyModel(std::make_unique<UniformLatency>(64, 67));
+  for (int I = 0; I != 24; ++I)
+    S.spawn(std::make_unique<FarTierActor>());
+  for (SimTime T = 40; T <= 480; T += 40)
+    S.scheduleAt(T, [T](Simulator &Sim) {
+      Sim.spawn(std::make_unique<FarTierActor>());
+      const std::vector<ProcessId> &Up = Sim.upSet();
+      const ProcessId Victim = Up[Sim.rng().nextBelow(Up.size())];
+      if (T % 120 == 0)
+        Sim.crash(Victim);
+      else
+        Sim.leave(Victim);
+    });
+  RunLimits Stop;
+  Stop.MaxTime = 300;
+  EXPECT_EQ(S.run(Stop), StopReason::TimeLimit);
+  EXPECT_EQ(S.run(), StopReason::QueueExhausted);
+  EXPECT_EQ(S.pendingTimers(), 0u);
+  return {traceToJsonLines(S.trace()), S.stats()};
+}
+
+} // namespace
+
+TEST(ShardedKernel, FarTierGoldenAcrossShardCounts) {
+  // Pinned before the far tier existed: the tier must not move a schedule.
+  struct Pin {
+    unsigned Shards;
+    uint64_t Digest;
+    SimStats Stats;
+  };
+  auto pinnedStats = [](uint64_t Sent, uint64_t Delivered, uint64_t Dropped,
+                        uint64_t Units, uint64_t Fired, uint64_t Events) {
+    SimStats St;
+    St.MessagesSent = Sent;
+    St.MessagesDelivered = Delivered;
+    St.MessagesDropped = Dropped;
+    St.PayloadUnits = Units;
+    St.TimersFired = Fired;
+    St.EventsExecuted = Events;
+    return St;
+  };
+  const Pin Pins[] = {
+      {0, 0xdb01260d04474a17ULL, pinnedStats(1190, 1149, 41, 1190, 258, 1484)},
+      {1, 0xa8faf957f3007fe9ULL, pinnedStats(1201, 1151, 50, 1201, 274, 1513)},
+  };
+  for (const Pin &P : Pins) {
+    auto [Trace, Stats] = farTierDigest(P.Shards);
+    EXPECT_EQ(fnv1a(Trace), P.Digest)
+        << "shards=" << P.Shards << " digest=0x" << std::hex << fnv1a(Trace);
+    EXPECT_TRUE(scheduleStatsEqual(Stats, P.Stats))
+        << "shards=" << P.Shards << " sent " << Stats.MessagesSent
+        << " delivered " << Stats.MessagesDelivered << " dropped "
+        << Stats.MessagesDropped << " units " << Stats.PayloadUnits
+        << " fired " << Stats.TimersFired << " events "
+        << Stats.EventsExecuted;
+  }
+
+  auto [Trace1, Stats1] = farTierDigest(1);
+  for (unsigned K : {2u, 4u}) {
+    auto [TraceK, StatsK] = farTierDigest(K);
+    EXPECT_EQ(TraceK, Trace1) << "shards=" << K;
+    EXPECT_TRUE(scheduleStatsEqual(StatsK, Stats1)) << "shards=" << K;
+  }
+  ASSERT_EQ(setenv("DYNDIST_SHARD_THREADS", "1", 1), 0);
+  auto [TraceInline, StatsInline] = farTierDigest(4);
+  unsetenv("DYNDIST_SHARD_THREADS");
+  EXPECT_EQ(TraceInline, Trace1);
+  EXPECT_TRUE(scheduleStatsEqual(StatsInline, Stats1));
+}
+
+namespace {
+
+/// Re-arms a one-tick timer until its instant reaches Until.
+class TickActor : public Actor {
+public:
+  explicit TickActor(SimTime Until) : Until(Until) {}
+  void onStart(Context &Ctx) override { Ctx.setTimer(1); }
+  void onTimer(Context &Ctx, TimerId) override {
+    if (Ctx.now() < Until)
+      Ctx.setTimer(1);
+  }
+
+private:
+  SimTime Until;
+};
+
+/// Arms a zero-delay timer from onStart and notes its firing.
+class ZeroTimerActor : public Actor {
+public:
+  void onStart(Context &Ctx) override { Ctx.setTimer(0); }
+  void onTimer(Context &, TimerId) override { Fired = true; }
+  bool Fired = false;
+};
+
+} // namespace
+
+TEST(ShardedKernel, SerialTimerIntoIdleLaneFiresInItsInstantsFirstRound) {
+  // Process 0 ticks on lane 0 while every other lane idles, so the clock
+  // runs past an idle lane's far-tier boundary. At T = 200 an action
+  // spawns one process per lane, each arming a zero-delay timer from
+  // onStart: every one must fire in that instant's first round, ahead of
+  // an event limit that falls due inside the instant.
+  for (unsigned K : {2u, 4u}) {
+    Simulator S(5);
+    S.setShards(K);
+    S.spawn(std::make_unique<TickActor>(300));
+    for (unsigned L = 1; L != K; ++L)
+      S.spawn(std::make_unique<Actor>());
+    S.scheduleAt(200, [K](Simulator &Sim) {
+      for (unsigned L = 0; L != K; ++L)
+        Sim.spawn(std::make_unique<ZeroTimerActor>());
+    });
+    RunLimits Before;
+    Before.MaxTime = 199;
+    EXPECT_EQ(S.run(Before), StopReason::TimeLimit);
+    RunLimits Limit;
+    Limit.MaxEvents = S.stats().EventsExecuted + 2;
+    EXPECT_EQ(S.run(Limit), StopReason::EventLimit) << "shards=" << K;
+    EXPECT_EQ(S.now(), 200u) << "shards=" << K;
+    for (ProcessId P = K; P != 2 * K; ++P)
+      EXPECT_TRUE(static_cast<ZeroTimerActor *>(S.actorFor(P))->Fired)
+          << "shards=" << K << " process " << P;
+  }
+}

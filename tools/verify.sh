@@ -24,7 +24,9 @@
 #      runner's seed sharding and the sharded kernel's fork-join lanes, and
 #      the TSan pass also compares threaded-vs-inline shard digests and
 #      runs E1's densest gossip cell at shards 1, 2 and 4 on worker threads
-#      (cached gossip bodies are re-sent only on their owner's lane).
+#      (cached gossip bodies are re-sent only on their owner's lane), and
+#      the far-tier golden at shards 1, 2 and 4 (serial-phase spills and
+#      outbox flushes past a lane's boundary, between threaded rounds).
 #
 # Usage: tools/verify.sh [PASS...]
 # PASS is one of lint, plain, bench-check, werror, asan, ubsan, tsan
@@ -168,5 +170,8 @@ if wants tsan; then
   echo "== gossip E1 cell-7 shard invariance under TSan (build-tsan)"
   build-tsan/tests/AggregationTest \
     --gtest_filter=Gossip.E1CellSevenShardInvariant
+  echo "== far-tier golden across shard counts under TSan (build-tsan)"
+  build-tsan/tests/ShardedKernelTest \
+    --gtest_filter=ShardedKernel.FarTierGoldenAcrossShardCounts
 fi
 echo "== verify OK"
