@@ -138,9 +138,6 @@ public:
   /// The churn driver.
   ChurnDriver &churn() { return *Driver; }
 
-  /// The declared class.
-  const SystemClass &systemClass() const { return Config.Class; }
-
   /// The TTL the class's knowledge grants allow a wave to use (see
   /// derivableTtl() in Solvability.h); nullopt when none.
   std::optional<uint64_t> grantedTtl() const;

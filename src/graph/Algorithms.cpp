@@ -7,9 +7,9 @@
 // All traversals run over the graph's dense slot indices with epoch-stamped
 // thread-local scratch buffers: a BFS allocates nothing once the scratch has
 // grown to the graph's slot-table size, and "visited" is one stamp compare
-// instead of a map lookup. The public map-returning wrappers materialize
-// their results from the scratch, preserving the original (ascending,
-// deterministic) output contracts byte for byte. The diameter kernel, which
+// instead of a map lookup. The public wrappers materialize their results
+// from the scratch, preserving the original (ascending, deterministic)
+// output contracts byte for byte. The diameter kernel, which
 // runs several BFS per call, first copies the graph into a compact form and
 // runs them all over that. One routine holds its bound and source logic; it
 // is a template over two BFS engines, one per adjacency form: a graph of at
@@ -33,7 +33,6 @@ namespace {
 struct BfsScratch {
   std::vector<uint32_t> Stamp;  ///< Slot visited iff Stamp[S] == Epoch.
   std::vector<uint64_t> Dist;   ///< Hop distance, valid when stamped.
-  std::vector<uint32_t> Parent; ///< Parent slot, valid when stamped.
   std::vector<uint32_t> Order;  ///< Stamped slots in discovery order.
   uint32_t Epoch = 0;
 
@@ -43,7 +42,6 @@ struct BfsScratch {
     if (Stamp.size() < N) {
       Stamp.resize(N, 0);
       Dist.resize(N);
-      Parent.resize(N);
     }
     if (++Epoch == 0) { // Stamp wrap-around: reset the array once.
       std::fill(Stamp.begin(), Stamp.end(), 0u);
@@ -54,18 +52,16 @@ struct BfsScratch {
 
   bool visited(uint32_t S) const { return Stamp[S] == Epoch; }
 
-  void visit(uint32_t S, uint64_t D, uint32_t P) {
+  void visit(uint32_t S, uint64_t D) {
     Stamp[S] = Epoch;
     Dist[S] = D;
-    Parent[S] = P;
     Order.push_back(S);
   }
 };
 
 thread_local BfsScratch TLScratch;
 
-/// Dense BFS from \p Source. Fills \p S (distances, parents, discovery
-/// order) and returns the number of reachable nodes, 0 when Source is
+/// Dense BFS from \p Source. Fills \p S (distances, discovery order) and returns the number of reachable nodes, 0 when Source is
 /// unknown. Neighbor expansion ascends by id, so discovery order — and
 /// therefore every derived output — is deterministic.
 size_t bfsDense(const Graph &G, ProcessId Source, BfsScratch &S) {
@@ -73,14 +69,14 @@ size_t bfsDense(const Graph &G, ProcessId Source, BfsScratch &S) {
   uint32_t Src = G.slotOf(Source);
   if (Src == Graph::NoSlot)
     return 0;
-  S.visit(Src, 0, Src);
+  S.visit(Src, 0);
   for (size_t Head = 0; Head != S.Order.size(); ++Head) {
     uint32_t Cur = S.Order[Head];
     uint64_t D = S.Dist[Cur];
     for (ProcessId N : G.slotNeighbors(Cur)) {
       uint32_t NS = G.slotOf(N);
       if (!S.visited(NS))
-        S.visit(NS, D + 1, Cur);
+        S.visit(NS, D + 1);
     }
   }
   return S.Order.size();
@@ -392,16 +388,6 @@ thread_local DiameterScratch TLDiameter;
 
 } // namespace
 
-std::map<ProcessId, uint64_t> dyndist::bfsDistances(const Graph &G,
-                                                    ProcessId Source) {
-  BfsScratch &S = TLScratch;
-  bfsDense(G, Source, S);
-  std::map<ProcessId, uint64_t> Dist;
-  for (uint32_t Slot : S.Order)
-    Dist.emplace(G.slotId(Slot), S.Dist[Slot]);
-  return Dist;
-}
-
 bool dyndist::isConnected(const Graph &G) {
   if (G.nodeCount() == 0)
     return true;
@@ -421,13 +407,13 @@ dyndist::connectedComponents(const Graph &G) {
       continue;
     // BFS the component, appending to the shared discovery order.
     size_t First = S.Order.size();
-    S.visit(RS, 0, RS);
+    S.visit(RS, 0);
     for (size_t Head = First; Head != S.Order.size(); ++Head) {
       uint32_t Cur = S.Order[Head];
       for (ProcessId N : G.slotNeighbors(Cur)) {
         uint32_t NS = G.slotOf(N);
         if (!S.visited(NS))
-          S.visit(NS, S.Dist[Cur] + 1, Cur);
+          S.visit(NS, S.Dist[Cur] + 1);
       }
     }
     std::vector<ProcessId> Component;
@@ -488,16 +474,6 @@ std::vector<ProcessId> dyndist::ballAround(const Graph &G, ProcessId Source,
       Out.push_back(G.slotId(Slot));
   std::sort(Out.begin(), Out.end());
   return Out;
-}
-
-std::map<ProcessId, ProcessId> dyndist::bfsTree(const Graph &G,
-                                                ProcessId Source) {
-  BfsScratch &S = TLScratch;
-  bfsDense(G, Source, S);
-  std::map<ProcessId, ProcessId> Parent;
-  for (uint32_t Slot : S.Order)
-    Parent.emplace(G.slotId(Slot), G.slotId(S.Parent[Slot]));
-  return Parent;
 }
 
 std::vector<ProcessId> dyndist::articulationPoints(const Graph &G) {

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Graph analyses used to characterize overlays: BFS distances, connectivity,
-/// connected components, eccentricity, and exact diameter. The diameter is
+/// Graph analyses used to characterize overlays: connectivity, connected
+/// components, eccentricity, BFS balls, and exact diameter. The diameter is
 /// the load-bearing quantity of the paper's geographical dimension — the
 /// one-time query is solvable with TTL flooding exactly when a bound on it
 /// is known — so the experiment harnesses measure it exactly.
@@ -19,15 +19,10 @@
 #include "dyndist/graph/Graph.h"
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
 namespace dyndist {
-
-/// Hop distance from \p Source to every reachable node (Source included,
-/// distance 0). Unreachable nodes are absent from the map.
-std::map<ProcessId, uint64_t> bfsDistances(const Graph &G, ProcessId Source);
 
 /// True when the graph is connected (vacuously true when empty).
 bool isConnected(const Graph &G);
@@ -78,10 +73,6 @@ std::optional<uint64_t> diameter(const Graph &G);
 /// a static snapshot, used by the E2 checker.
 std::vector<ProcessId> ballAround(const Graph &G, ProcessId Source,
                                   uint64_t MaxHops);
-
-/// A BFS spanning tree rooted at \p Source: map child -> parent (the root
-/// maps to itself). Only reachable nodes appear.
-std::map<ProcessId, ProcessId> bfsTree(const Graph &G, ProcessId Source);
 
 /// Articulation points (cut vertices): nodes whose departure disconnects
 /// their component. The overlay's *fragility margin* — a repair rule is

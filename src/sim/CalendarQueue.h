@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The kernel's event storage, shared by the legacy single-stream run loop
-/// and the space-sharded engine (one calendar per shard). Internal to
+/// The kernel's event storage: the Simulator's own calendar, which the run
+/// loop drains in both engines, and one calendar per shard of the
+/// space-sharded engine. Internal to
 /// src/sim — not installed under include/dyndist.
 ///
 //===----------------------------------------------------------------------===//

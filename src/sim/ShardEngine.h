@@ -5,20 +5,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The space-sharded deterministic run loop behind Simulator::setShards().
+/// The space-sharded deterministic engine behind Simulator::setShards().
 /// Process P lives on shard P % K; each shard (a "lane") owns a calendar
 /// queue, a body pool, a timer-id sub-space, a trace buffer, and stat
-/// counters. Execution is time-stepped:
+/// counters. Simulator::run is the one run loop of both engines: it picks
+/// the next instant over its own queue and the lanes' (nextTime), moves
+/// every boundary to it (advanceTo), and at each instant:
 ///
-///   1. *Environment sub-phase* (serial): all scheduled actions at the
-///      instant run in FIFO order — spawns, crashes, harness stimuli, and
-///      the sends/timers of onStart/onStop hooks. They go through the
+///   1. *Environment sub-phase* (serial): Simulator::drainFront runs all
+///      scheduled actions at the instant in FIFO order — spawns, crashes,
+///      harness stimuli, and the sends/timers of onStart/onStop hooks —
+///      exactly as it runs every event in legacy mode. They go through the
 ///      Simulator's own serial entry points and context (sendMessage,
 ///      injectStimulus, armTimer, spawn, leave), whose sharded branches
 ///      append directly to the destination lane's calendar.
-///   2. *Parallel sub-phase*: every lane executes its events at the
-///      instant in canonical order — ascending destination (a stable
-///      counting sort), which within one destination preserves
+///   2. *Parallel sub-phase* (runRounds): every lane executes its events
+///      at the instant in canonical order — ascending destination (a
+///      stable counting sort), which within one destination preserves
 ///      (push-instant, pusher, push-order). Sends go to per-destination-
 ///      shard outboxes; nothing touches another lane's state.
 ///   3. *Barrier* (serial): lane stats fold into the global counters,
@@ -54,6 +57,9 @@
 
 namespace dyndist {
 namespace detail {
+
+/// What nextTime() answers when no lane has an event.
+inline constexpr SimTime NoInstant = ~SimTime(0);
 
 struct ShardEngine {
   ShardEngine(Simulator &Sim, unsigned ShardCount);
@@ -169,7 +175,20 @@ struct ShardEngine {
   void reset();
 
   // --- Simulator entry points ---
-  StopReason run(RunLimits Limits);
+  /// The earliest pending instant over the lanes' calendars, or NoInstant
+  /// when they are all empty; see CalendarQueue::frontTime for \p MaxTime.
+  // DYNDIST_SERIAL_ONLY: spills far tiers in every lane's calendar.
+  SimTime nextTime(SimTime MaxTime);
+  /// Keeps every lane's far-tier boundary past the clock as it moves to
+  /// \p T.
+  void advanceTo(SimTime T);
+  /// Executes every lane event at instant \p T: one parallel round and its
+  /// barrier, repeated while delay-0 timers re-populate the instant.
+  // DYNDIST_SERIAL_ONLY: owns the fork/join rounds; never re-entered from
+  // a lane.
+  void runRounds(SimTime T);
+  /// Releases every deferred payload reference (both parities).
+  void drainDeferred();
   size_t pendingTimers() const;
   uint64_t poolHits() const;
   uint64_t poolMisses() const;
@@ -182,6 +201,10 @@ struct ShardEngine {
   /// \p Direct (serial phases), through its own outbox otherwise.
   TimerId armOnLane(unsigned LaneIdx, ProcessId P, SimTime Delay,
                     bool Direct);
+  /// Cancels the timer with strided global id \p Id on the lane that armed
+  /// it; id 0 ("no timer") is a no-op. Serial phases may cancel on any
+  /// lane, a lane only its own timers (LaneContext asserts that).
+  void cancelLaneTimer(TimerId Id);
 
 private:
   // Barrier scratch (serial-phase only): retained capacity across rounds.
@@ -192,9 +215,6 @@ private:
   std::vector<size_t> MergeCur;
   std::vector<size_t> TraceBufCur;
 
-  // DYNDIST_SERIAL_ONLY: spills far tiers in every lane's calendar.
-  SimTime nextTime(SimTime MaxTime);
-  bool drainEnv(const RunLimits &Limits, StopReason &Out);
   // DYNDIST_SERIAL_ONLY: owns the fork/join; never re-entered from a lane.
   void parallelRound(SimTime T);
   void laneJob(unsigned LaneIdx, SimTime T);
@@ -211,7 +231,6 @@ private:
   void applyLeaves();
   // DYNDIST_SERIAL_ONLY: pusher-ordered outbox drain into the calendars.
   void flushOutboxes();
-  void drainDeferred();
   /// Releases payloads parked in outboxes (teardown and reset paths).
   void dropOutboxes();
   unsigned ownerLaneOf(const MessageBody *Body) const;

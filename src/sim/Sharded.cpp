@@ -4,8 +4,9 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Implementation of the sharded run loop declared in ShardEngine.h. The
-// correctness skeleton:
+// Implementation of the sharded engine declared in ShardEngine.h: the lane
+// rounds Simulator::run calls at each instant, and the barrier between
+// them. The correctness skeleton:
 //
 //   * Canonical event order. Within one instant, events execute in
 //     (destination, push-instant, pusher, push-order) order. The order is
@@ -43,8 +44,6 @@
 using namespace dyndist;
 using namespace dyndist::detail;
 
-static constexpr SimTime NoInstant = ~SimTime(0);
-
 //===----------------------------------------------------------------------===//
 // Contexts
 //===----------------------------------------------------------------------===//
@@ -80,10 +79,9 @@ public:
   }
 
   void cancelTimer(TimerId Id) override {
-    if (Id == 0)
-      return; // Unknown-id no-op, matching the legacy contract.
-    assert(E.shardOf(Id - 1) == LaneIdx && "cancelling a foreign lane's timer");
-    Ln.Q.markTimerCancelled(E.divK(Id - 1));
+    assert((Id == 0 || E.shardOf(Id - 1) == LaneIdx) &&
+           "cancelling a foreign lane's timer");
+    E.cancelLaneTimer(Id);
   }
 
   Rng &rng() override { return E.ActorRngs[P]; }
@@ -257,6 +255,12 @@ void ShardEngine::laneSend(unsigned LaneIdx, ProcessId From, ProcessId To,
   Ln.Out[shardOf(To)].runFor(S.Clock + Delay).push_back(E);
 }
 
+void ShardEngine::cancelLaneTimer(TimerId Id) {
+  if (Id == 0)
+    return; // Unknown-id no-op, matching the legacy contract.
+  Lanes[shardOf(Id - 1)].Q.markTimerCancelled(divK(Id - 1));
+}
+
 unsigned ShardEngine::ownerLaneOf(const MessageBody *Body) const {
   BodyPool *P = Body->pool();
   // Main-pool and plain-heap bodies are released by lane 0: the main pool
@@ -272,102 +276,29 @@ unsigned ShardEngine::ownerLaneOf(const MessageBody *Body) const {
 }
 
 //===----------------------------------------------------------------------===//
-// The run loop
+// Instants and rounds (Simulator::run drives them)
 //===----------------------------------------------------------------------===//
 
 SimTime ShardEngine::nextTime(SimTime MaxTime) {
-  // Spills run here, in the serial phase, for every queue left with only
+  // Spills run here, in the serial phase, for every lane left with only
   // far events that may fall at or before MaxTime.
   SimTime T = NoInstant;
-  if (!S.Pending->empty())
-    T = S.Pending->frontTime(MaxTime);
   for (Lane &Ln : Lanes)
     if (!Ln.Q.empty())
       T = std::min(T, Ln.Q.frontTime(MaxTime));
   return T;
 }
 
-bool ShardEngine::drainEnv(const RunLimits &Limits, StopReason &Out) {
-  CalendarQueue &Q = *S.Pending;
-  // The front bucket stays front for its whole drain: actions cannot
-  // schedule into the past, and a same-instant push appends behind Head.
-  uint32_t Slot = Q.TimeHeap.front();
-  for (;;) {
-    CalendarQueue::Bucket &B = Q.Buckets[Slot]; // Re-index: may reallocate.
-    if (B.Head == B.Fifo.size())
-      break;
-    if (S.HaltRequested) {
-      Out = StopReason::Halted;
-      return true;
-    }
-    if (S.Stats.EventsExecuted >= Limits.MaxEvents) {
-      Out = StopReason::EventLimit;
-      return true;
-    }
-    SimEvent E = B.Fifo[B.Head++];
-    ++S.Stats.EventsExecuted;
-    assert(E.kind() == CalendarQueue::KAction &&
-           "only environment actions live in the serial queue when sharded");
-    auto Action = Q.takeAction(E.A);
-    Action(S);
-  }
-  Q.retireFront();
-  return false;
+void ShardEngine::advanceTo(SimTime T) {
+  for (Lane &Ln : Lanes)
+    Ln.Q.advanceTo(T);
 }
 
-StopReason ShardEngine::run(RunLimits Limits) {
-  S.HaltRequested = false;
-  // Serial-phase allocations (actions, onStart/onStop, harness callbacks)
-  // draw from the main pool; lane jobs install their own pool scopes.
-  BodyPool::Scope EnvScope(S.Bodies);
-  StopReason Reason = StopReason::QueueExhausted;
-  for (;;) {
-    SimTime T = nextTime(Limits.MaxTime);
-    if (T == NoInstant)
-      break;
-    if (S.HaltRequested) {
-      Reason = StopReason::Halted;
-      break;
-    }
-    if (S.Stats.EventsExecuted >= Limits.MaxEvents) {
-      Reason = StopReason::EventLimit;
-      break;
-    }
-    if (T > Limits.MaxTime) {
-      Reason = StopReason::TimeLimit;
-      break;
-    }
-    assert(T >= S.Clock && "event queue went backwards");
-    S.Clock = T;
-    // Every queue's due bucket at T is in its near tier now; keep each
-    // boundary past T too, so pushes back into T land near.
-    S.Pending->advanceTo(T);
-    for (Lane &Ln : Lanes)
-      Ln.Q.advanceTo(T);
-    if (S.Pending->frontIs(T)) {
-      StopReason EnvStop;
-      if (drainEnv(Limits, EnvStop)) {
-        Reason = EnvStop;
-        break;
-      }
-    }
-    // Rounds repeat while delay-0 timers keep re-populating the instant.
-    for (;;) {
-      bool Any = false;
-      for (const Lane &Ln : Lanes)
-        if (Ln.Q.frontIs(T)) {
-          Any = true;
-          break;
-        }
-      if (!Any)
-        break;
-      parallelRound(T);
-    }
-  }
-  // Leave no cross-round debt behind: later serial code (teardown, the
-  // next run) must see every refcount settled.
-  drainDeferred();
-  return Reason;
+void ShardEngine::runRounds(SimTime T) {
+  // Rounds repeat while delay-0 timers keep re-populating the instant.
+  auto Due = [T](const Lane &Ln) { return Ln.Q.frontIs(T); };
+  while (std::any_of(Lanes.begin(), Lanes.end(), Due))
+    parallelRound(T);
 }
 
 void ShardEngine::parallelRound(SimTime T) {

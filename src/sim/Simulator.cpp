@@ -17,32 +17,21 @@ using detail::CalendarQueue;
 using detail::SimEvent;
 
 MessageBody::~MessageBody() = default;
-
-void MessageBody::destroy() const {
-  BodyPool *P = Pool;
-  uint32_t B = Bucket;
-  MessageBody *Self = const_cast<MessageBody *>(this);
-  Self->~MessageBody(); // Virtual: runs the payload's destructor.
-  if (P)
-    P->recycle(Self, B);
-  else
-    ::operator delete(Self);
-}
 Context::~Context() = default;
 Actor::~Actor() = default;
 TopologyProvider::~TopologyProvider() = default;
 
-void *Actor::operator new(size_t Bytes) {
+void *PoolAllocated::operator new(size_t Bytes) {
   return BodyPool::allocateHeadered(Bytes);
 }
 
-void Actor::operator delete(void *Obj) { BodyPool::freeHeadered(Obj); }
+void PoolAllocated::operator delete(void *Obj) { BodyPool::freeHeadered(Obj); }
 
-void *Actor::operator new(size_t Bytes, std::align_val_t Align) {
+void *PoolAllocated::operator new(size_t Bytes, std::align_val_t Align) {
   return ::operator new(Bytes, Align);
 }
 
-void Actor::operator delete(void *Obj, std::align_val_t Align) {
+void PoolAllocated::operator delete(void *Obj, std::align_val_t Align) {
   ::operator delete(Obj, Align);
 }
 
@@ -71,8 +60,8 @@ static uint64_t deriveActorSeed(uint64_t MasterSeed, ProcessId P) {
 /// Context implementation bound to one (simulator, process) pair for the
 /// duration of a single hook invocation: every legacy hook, and in sharded
 /// mode the serial-phase hooks (onStart at spawn, onStop at leave).
-// DYNDIST_SERIAL_CONTEXT: only ever runs serially (the legacy loop, or
-// between the sharded engine's parallel rounds), so this context may
+// DYNDIST_SERIAL_CONTEXT: only ever runs serially (drainFront, or the
+// sharded engine's barrier between parallel rounds), so this context may
 // mutate shared state directly.
 class Simulator::ContextImpl : public Context {
 public:
@@ -381,10 +370,7 @@ void Simulator::disarmTimer(TimerId Id) {
     return;
   }
   assert(!Sharded->InParallel && "unrouted cancel during a parallel round");
-  if (Id == 0)
-    return; // Unknown-id no-op, as in the legacy calendar.
-  Sharded->Lanes[Sharded->shardOf(Id - 1)].Q.markTimerCancelled(
-      Sharded->divK(Id - 1));
+  Sharded->cancelLaneTimer(Id);
 }
 
 void Simulator::scheduleAt(SimTime When, ActionFn Action) {
@@ -423,67 +409,101 @@ void Simulator::fireTimer(ProcessId P, TimerId Id) {
 }
 
 StopReason Simulator::run(RunLimits Limits) {
-  StopReason R = Sharded ? Sharded->run(Limits) : runLegacy(Limits);
+  HaltRequested = false;
+  // Everything an action or a serial hook allocates with makeBody() during
+  // this run draws from (and recycles into) this simulator's pool; lane
+  // jobs install their own lanes' pools.
+  BodyPool::Scope PoolScope(Bodies);
+  StopReason Reason = StopReason::QueueExhausted;
+  for (;;) {
+    // With only far events left, frontTime() spills them, or answers past
+    // MaxTime and the run stops with them still unsorted.
+    SimTime T = detail::NoInstant;
+    if (!Pending->empty())
+      T = Pending->frontTime(Limits.MaxTime);
+    if (Sharded)
+      T = std::min(T, Sharded->nextTime(Limits.MaxTime));
+    if (T == detail::NoInstant)
+      break;
+    if (HaltRequested) {
+      Reason = StopReason::Halted;
+      break;
+    }
+    if (Stats.EventsExecuted >= Limits.MaxEvents) {
+      Reason = StopReason::EventLimit;
+      break;
+    }
+    // All events at one instant share the time-limit check.
+    if (T > Limits.MaxTime) {
+      Reason = StopReason::TimeLimit;
+      break;
+    }
+    assert(T >= Clock && "event queue went backwards");
+    Clock = T;
+    // Every queue's due bucket at T is in its near tier now; keep each
+    // boundary past T too, so pushes back into T land near.
+    Pending->advanceTo(T);
+    if (Sharded)
+      Sharded->advanceTo(T);
+    if (Pending->frontIs(T) && drainFront(Limits, Reason))
+      break;
+    if (Sharded)
+      Sharded->runRounds(T);
+  }
+  // Leave no cross-round debt behind: later serial code (teardown, the
+  // next run) must see every refcount settled.
+  if (Sharded)
+    Sharded->drainDeferred();
   // Any records still buffered for an installed sink belong to this run;
   // push them out so the caller sees a complete file/trace after run().
   flushTraceSink();
-  return R;
+  return Reason;
 }
 
-StopReason Simulator::runLegacy(RunLimits Limits) {
-  HaltRequested = false;
-  // Everything an event handler allocates with makeBody() during this run
-  // draws from (and recycles into) this simulator's pool.
-  BodyPool::Scope PoolScope(Bodies);
+bool Simulator::drainFront(const RunLimits &Limits, StopReason &Out) {
   CalendarQueue &Q = *Pending;
-  while (!Q.empty()) {
-    if (HaltRequested)
-      return StopReason::Halted;
-    if (Stats.EventsExecuted >= Limits.MaxEvents)
-      return StopReason::EventLimit;
-    // All events in a bucket share its instant, so the time-limit check is
-    // per bucket. The front bucket stays front for its whole drain:
-    // handlers cannot schedule into the past, and a same-instant push
-    // lands in this very bucket (appended behind Head). With only far
-    // events left, frontTime() spills them, or stops the run unsorted.
-    SimTime BucketTime = Q.frontTime(Limits.MaxTime);
-    if (BucketTime > Limits.MaxTime)
-      return StopReason::TimeLimit;
-    uint32_t Slot = Q.TimeHeap.front();
-    assert(BucketTime >= Clock && "event queue went backwards");
-    Clock = BucketTime;
-    for (;;) {
-      // Re-index every step: handlers may grow the bucket pool and the
-      // FIFO itself, invalidating references but never indices.
-      CalendarQueue::Bucket &B = Q.Buckets[Slot];
-      if (B.Head == B.Fifo.size())
-        break;
-      if (HaltRequested)
-        return StopReason::Halted;
-      if (Stats.EventsExecuted >= Limits.MaxEvents)
-        return StopReason::EventLimit;
-      SimEvent E = B.Fifo[B.Head++];
-      ++Stats.EventsExecuted;
-      switch (E.kind()) {
-      case CalendarQueue::KDeliver:
-        deliver(E.A, E.B, MessageRef::adopt(E.body()));
-        break;
-      case CalendarQueue::KTimer:
-        // Drop the cancellation bookkeeping on every pop path, fired or
-        // not, so it never outlives the timers it describes.
-        if (Q.collectTimer(E.timerId()))
-          fireTimer(E.A, E.timerId());
-        break;
-      default: {
-        auto Action = Q.takeAction(E.A);
-        Action(*this);
-        break;
-      }
-      }
+  [[maybe_unused]] const bool ActionsOnly = Sharded != nullptr;
+  // The front bucket stays front for its whole drain: handlers and actions
+  // cannot schedule into the past, and a same-instant push lands in this
+  // very bucket (appended behind Head).
+  const uint32_t Slot = Q.TimeHeap.front();
+  for (;;) {
+    // Re-index every step: handlers may grow the bucket pool and the FIFO
+    // itself, invalidating references but never indices.
+    CalendarQueue::Bucket &B = Q.Buckets[Slot];
+    if (B.Head == B.Fifo.size())
+      break;
+    if (HaltRequested) {
+      Out = StopReason::Halted;
+      return true;
     }
-    Q.retireFront();
+    if (Stats.EventsExecuted >= Limits.MaxEvents) {
+      Out = StopReason::EventLimit;
+      return true;
+    }
+    SimEvent E = B.Fifo[B.Head++];
+    ++Stats.EventsExecuted;
+    assert((!ActionsOnly || E.kind() == CalendarQueue::KAction) &&
+           "only environment actions live in the serial queue when sharded");
+    switch (E.kind()) {
+    case CalendarQueue::KDeliver:
+      deliver(E.A, E.B, MessageRef::adopt(E.body()));
+      break;
+    case CalendarQueue::KTimer:
+      // Drop the cancellation bookkeeping on every pop path, fired or
+      // not, so it never outlives the timers it describes.
+      if (Q.collectTimer(E.timerId()))
+        fireTimer(E.A, E.timerId());
+      break;
+    default: {
+      auto Action = Q.takeAction(E.A);
+      Action(*this);
+      break;
+    }
+    }
   }
-  return StopReason::QueueExhausted;
+  Q.retireFront();
+  return false;
 }
 
 void Simulator::halt() { HaltRequested = true; }

@@ -6,8 +6,6 @@
 
 #include "dyndist/sim/Trace.h"
 
-#include "dyndist/support/InlineVec.h"
-
 #include <algorithm>
 #include <cassert>
 
@@ -81,12 +79,26 @@ void Trace::appendRecord(const TraceRecord &R) {
     OrderViolated = true;
     return;
   }
-  switch (R.kind()) {
+  const TraceKind Kind = R.kind();
+  const bool Membership = Kind == TraceKind::Join ||
+                          Kind == TraceKind::Leave || Kind == TraceKind::Crash;
+  // Presence is [Join, End), so the count at an instant is the one its
+  // last membership record leaves: fold it into the peak once a later
+  // instant opens, whatever order the records within it came in.
+  if (Membership && R.Time != MembershipTime) {
+    Peak = std::max(Peak, Up);
+    MembershipTime = R.Time;
+  }
+  switch (Kind) {
   case TraceKind::Join: {
     // Join subjects ascend (ids are assigned in spawn order), so this is an
     // O(1) append on the kernel path; replayed traces may hit the general
-    // insert.
-    PresenceInterval &I = Intervals[R.subject()];
+    // insert. A join of a process already up restarts its interval
+    // without counting it twice.
+    auto [It, New] = Intervals.try_emplace(R.subject(), PresenceInterval{});
+    PresenceInterval &I = It->second;
+    if (New || I.EndTime)
+      ++Up;
     I.JoinTime = R.Time;
     I.EndTime.reset();
     I.Crashed = false;
@@ -96,8 +108,10 @@ void Trace::appendRecord(const TraceRecord &R) {
   case TraceKind::Crash: {
     auto It = Intervals.find(R.subject());
     assert(It != Intervals.end() && "leave/crash for a process never joined");
+    if (!It->second.EndTime)
+      --Up;
     It->second.EndTime = R.Time;
-    It->second.Crashed = R.kind() == TraceKind::Crash;
+    It->second.Crashed = Kind == TraceKind::Crash;
     break;
   }
   default:
@@ -148,65 +162,7 @@ std::vector<ProcessId> Trace::membersThroughout(SimTime From,
   return Out;
 }
 
-size_t Trace::maxConcurrency() const {
-  // Sweep join/end instants. Presence is [Join, End): a process whose
-  // interval ends at T is no longer up at T, so ends apply before joins at
-  // equal timestamps — consistent with PresenceInterval::upAt().
-  //
-  // Intervals ascends by ProcessId, and live traces assign pids in spawn
-  // order, so the join instants are already sorted: only the end instants
-  // (a small minority when sessions outlive the horizon) need a sort, and
-  // the sweep is a linear merge of the two sequences. Deserialized or
-  // hand-built traces may break the join monotonicity; detect that in the
-  // same pass and fall back to the full delta sort. The ends gather in an
-  // inline buffer: the common run ends few sessions, so the sweep makes no
-  // heap call.
-  InlineVec<SimTime, 16> Ends;
-  SimTime PrevJoin = 0;
-  bool JoinsSorted = true;
-  for (const auto &[P, I] : Intervals) {
-    (void)P;
-    JoinsSorted &= I.JoinTime >= PrevJoin;
-    PrevJoin = I.JoinTime;
-    if (I.EndTime)
-      Ends.push_back(*I.EndTime);
-  }
-  size_t Best = 0, Cur = 0;
-  if (JoinsSorted) {
-    std::sort(Ends.begin(), Ends.end());
-    size_t E = 0;
-    for (const auto &[P, I] : Intervals) {
-      (void)P;
-      while (E != Ends.size() && Ends[E] <= I.JoinTime) {
-        --Cur;
-        ++E;
-      }
-      ++Cur;
-      Best = std::max(Best, Cur);
-    }
-    return Best;
-  }
-  std::vector<std::pair<SimTime, int>> Deltas;
-  Deltas.reserve(Intervals.size() * 2);
-  for (const auto &[P, I] : Intervals) {
-    (void)P;
-    Deltas.emplace_back(I.JoinTime, +1);
-    if (I.EndTime)
-      Deltas.emplace_back(*I.EndTime, -1);
-  }
-  std::sort(Deltas.begin(), Deltas.end(),
-            [](const auto &A, const auto &B) {
-              if (A.first != B.first)
-                return A.first < B.first;
-              return A.second < B.second; // Ends before joins at equal time.
-            });
-  for (const auto &[T, D] : Deltas) {
-    (void)T;
-    Cur = static_cast<size_t>(static_cast<long>(Cur) + D);
-    Best = std::max(Best, Cur);
-  }
-  return Best;
-}
+size_t Trace::maxConcurrency() const { return std::max(Peak, Up); }
 
 std::optional<TraceEvent>
 Trace::firstObservation(ProcessId Subject, const std::string &Key) const {
@@ -240,6 +196,9 @@ size_t Trace::countKind(TraceKind Kind) const {
 void Trace::clear() {
   Records.clear();
   Intervals.clear();
+  Up = 0;
+  Peak = 0;
+  MembershipTime = 0;
   OrderViolated = false;
 }
 

@@ -23,7 +23,6 @@
 #include "dyndist/support/Random.h"
 
 #include <cstddef>
-#include <new>
 
 namespace dyndist {
 
@@ -86,18 +85,10 @@ public:
 /// installs while it spawns or runs, so an arena's arrivals recycle the
 /// previous run's actor blocks instead of calling the heap. Outside any
 /// pool scope an actor lives on the plain heap; either way `delete` sends
-/// the block home through the header BodyPool::allocateHeadered() puts in
-/// front of it.
-class Actor {
+/// the block home through the header PoolAllocated puts in front of it.
+class Actor : public PoolAllocated {
 public:
   virtual ~Actor();
-
-  static void *operator new(size_t Bytes);
-  static void operator delete(void *Obj);
-  /// Pool blocks are only max_align_t-aligned: an over-aligned actor
-  /// bypasses the pool and its header.
-  static void *operator new(size_t Bytes, std::align_val_t Align);
-  static void operator delete(void *Obj, std::align_val_t Align);
 
   /// Runs once when the process joins the system.
   virtual void onStart(Context &Ctx);

@@ -13,15 +13,16 @@
 /// the SweepRunner discipline), which is what makes MessageBody's
 /// non-atomic refcount safe.
 ///
-/// makeBody<T>() and Actor's class-level operator new reach the pool
-/// through a thread-local "active pool" that the owning Simulator installs
-/// for the duration of run()/spawn()/leave() (RAII scope, nestable; the
-/// churn driver opens one with Simulator::poolScope() around its factory).
+/// Both kinds of pooled object, payloads and actors, derive from
+/// PoolAllocated, whose class-level operator new reaches the pool through
+/// a thread-local "active pool" that the owning Simulator installs for the
+/// duration of run()/spawn()/leave() (RAII scope, nestable; the churn
+/// driver opens one with Simulator::poolScope() around its factory).
 /// Objects created outside any simulator scope — harness setup code, tests
-/// — fall back to the plain heap and are freed there. A body records its
-/// pool in itself; an actor's block carries it in a header in front of
-/// the object (allocateHeadered()). Either way the record keeps the two
-/// populations apart, and hits()/misses() count both kinds of block.
+/// — fall back to the plain heap and are freed there. Either way the block
+/// carries a 16-byte header in front of the object (allocateHeadered())
+/// that names the pool it came from, so `delete` sends it home — to a
+/// retired pool too — and hits()/misses() count both kinds of block.
 ///
 /// Lifetime: the pool outlives its blocks. A Simulator destroyed while
 /// blocks are still live (its own actors, destroyed after it retires the
@@ -142,10 +143,10 @@ public:
     P->Retired = true;
   }
 
-  /// Storage for an object that is freed through a plain pointer (an
-  /// Actor, deleted by the simulator that owns it): a block of the active
-  /// pool, or of the heap outside any scope, with a Header in front that
-  /// records where it came from. Returns the address after the header.
+  /// Storage for a PoolAllocated object: a block of the active pool, or of
+  /// the heap outside any scope or past MaxPooledBytes, with a Header in
+  /// front that records where it came from. Returns the address after the
+  /// header.
   static void *allocateHeadered(size_t Bytes) {
     BodyPool *P = active();
     uint32_t Bucket = 0;
@@ -168,6 +169,12 @@ public:
       H->Pool->recycle(H, H->Bucket);
     else
       ::operator delete(H);
+  }
+
+  /// The pool an allocateHeadered() block came from, read from the header
+  /// in front of \p Obj; null for a heap block.
+  static BodyPool *poolOf(const void *Obj) {
+    return (static_cast<const Header *>(Obj) - 1)->Pool;
   }
 
   /// Allocations served from a free list / from fresh slabs.
@@ -224,6 +231,26 @@ private:
   // compiles to a direct TLS load instead of a call through the TLS init
   // wrapper (which GCC's UBSan runtime resolves to null across archives).
   static inline thread_local constinit BodyPool *Active = nullptr;
+};
+
+/// Base of every pooled object (MessageBody, Actor): class-level
+/// operator new and delete put the object behind an allocateHeadered()
+/// header, so a plain `delete` returns the block to the pool that header
+/// names. The operators are defined out of line (Simulator.cpp): inlined
+/// into a file that replaces the global operator new, GCC reports them as
+/// -Wmismatched-new-delete.
+class PoolAllocated {
+public:
+  static void *operator new(size_t Bytes);
+  static void operator delete(void *Obj);
+  /// Pool blocks are only max_align_t-aligned: an over-aligned object
+  /// bypasses the pool and its header.
+  static void *operator new(size_t Bytes, std::align_val_t Align);
+  static void operator delete(void *Obj, std::align_val_t Align);
+
+protected:
+  PoolAllocated() = default;
+  ~PoolAllocated() = default;
 };
 
 } // namespace dyndist

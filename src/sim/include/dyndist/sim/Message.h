@@ -16,12 +16,13 @@
 ///
 /// Sharing is intrusive: MessageBody carries a non-atomic refcount and
 /// MessageRef is a one-pointer IntrusivePtr handle, so a broadcast costs a
-/// counter bump instead of shared_ptr's atomic control-block traffic. The
-/// storage behind each body comes from the owning Simulator's BodyPool
-/// (size-bucketed LIFO slab recycler, which serves the simulator's actors
-/// too) when one is in scope, making steady-state messaging
-/// allocation-free; bodies made outside any simulator scope fall back to
-/// the plain heap. Non-atomic counts are safe
+/// counter bump instead of shared_ptr's atomic control-block traffic. A
+/// body is a PoolAllocated object, exactly like an actor: its storage
+/// comes from the owning Simulator's BodyPool (size-bucketed LIFO slab
+/// recycler) when one is in scope, making steady-state messaging
+/// allocation-free, and from the plain heap otherwise; the 16-byte header
+/// in front of the body names its pool, and the last release deletes it
+/// back there. Non-atomic counts are safe
 /// because a body never leaves its simulator, and each SweepRunner shard
 /// runs its simulators on a single thread; the kernel asserts the
 /// no-crossing rule in debug builds (see docs/MODEL.md §7).
@@ -42,7 +43,7 @@
 namespace dyndist {
 
 /// Base class of all protocol message payloads.
-class MessageBody {
+class MessageBody : public PoolAllocated {
 public:
   explicit MessageBody(int Kind) : Kind(Kind) {}
   virtual ~MessageBody();
@@ -68,28 +69,19 @@ public:
   void intrusiveRelease() const {
     assert(RefCnt > 0 && "over-release of message body");
     if (--RefCnt == 0)
-      destroy();
+      delete this; // Virtual: the payload's destructor, then its pool.
   }
 
   /// Current share count (tests; a freshly made body is 1).
   uint32_t refCount() const { return RefCnt; }
 
-  /// The pool this body's storage came from; null for plain-heap bodies.
-  BodyPool *pool() const { return Pool; }
+  /// The pool this body's storage came from, read from its header; null
+  /// for plain-heap bodies. Only for bodies made by makeBody().
+  BodyPool *pool() const { return BodyPool::poolOf(this); }
 
 private:
-  template <typename T, typename... Args>
-  friend IntrusivePtr<const MessageBody> makeBody(Args &&...As);
-
-  /// Runs the payload's destructor and returns the storage to its pool
-  /// (or the heap). Out of line: it keeps the inlined release a bare
-  /// decrement, and no caller can read the body after it is gone.
-  void destroy() const;
-
   const int Kind;
   mutable uint32_t RefCnt = 1; ///< Creator's reference; adopt()ed once.
-  BodyPool *Pool = nullptr;    ///< Recycling destination; null = heap.
-  uint32_t Bucket = 0;         ///< Pool bucket the storage belongs to.
 };
 
 /// Shared immutable reference to a payload.
@@ -103,38 +95,20 @@ template <typename T> const T &bodyAs(const MessageBody &Body) {
   return static_cast<const T &>(Body);
 }
 
-/// Convenience constructor for payloads: placement-constructs \p T in
-/// storage recycled from the active BodyPool (plain heap when none is in
-/// scope or the payload is outsized) and returns the owning handle.
+/// Convenience constructor for payloads: builds \p T in storage recycled
+/// from the active BodyPool (plain heap when none is in scope or the
+/// payload is outsized) and returns the owning handle.
 template <typename T, typename... Args> MessageRef makeBody(Args &&...As) {
   static_assert(std::is_base_of_v<MessageBody, T>,
                 "payloads derive from MessageBody");
   static_assert(alignof(T) <= alignof(std::max_align_t),
                 "over-aligned payloads are not supported by the pool");
-  BodyPool *P = BodyPool::active();
-  uint32_t Bucket = 0;
-  void *Mem = P ? P->allocate(sizeof(T), Bucket) : nullptr;
-  if (!Mem) { // No pool in scope, or the payload is beyond pooling.
-    Mem = ::operator new(sizeof(T));
-    P = nullptr;
-  }
-  T *Obj;
-  try {
-    Obj = ::new (Mem) T(std::forward<Args>(As)...);
-  } catch (...) {
-    if (P)
-      P->recycle(Mem, Bucket);
-    else
-      ::operator delete(Mem);
-    throw;
-  }
+  T *Obj = new T(std::forward<Args>(As)...);
   MessageBody *Base = Obj;
-  // The recycle path hands the MessageBody subobject's address back to the
-  // pool, so it must coincide with the allocation (single-base hierarchy).
-  assert(static_cast<void *>(Base) == Mem &&
+  // pool() reads the header in front of the MessageBody subobject, so it
+  // must coincide with the allocation (single-base hierarchy).
+  assert(static_cast<void *>(Base) == static_cast<void *>(Obj) &&
          "MessageBody must be the primary base of every payload");
-  Base->Pool = P;
-  Base->Bucket = Bucket;
   return MessageRef::adopt(Base);
 }
 

@@ -171,9 +171,6 @@ public:
   /// same seed executes the same events at every level.
   void setTraceLevel(TraceLevel Level) { TraceLev = Level; }
 
-  /// The current recording level.
-  TraceLevel traceLevel() const { return TraceLev; }
-
   /// Installs a streaming trace sink (not owned; must outlive the run or
   /// be detached with nullptr). While a sink is installed, every record the
   /// active TraceLevel admits is streamed to the sink *instead of* being
@@ -187,9 +184,6 @@ public:
     flushTraceSink();
     Sink = S;
   }
-
-  /// The installed streaming sink, or null.
-  TraceSink *traceSink() const { return Sink; }
 
   /// Delivers any records buffered for the installed sink. run() flushes
   /// on every exit path and the destructor flushes too, so this is only
@@ -210,8 +204,9 @@ public:
   /// canonical (destination, push-instant, pusher, push-order) order, so a
   /// sharded run is byte-identical for the same seed at *any* shard count
   /// (1, 2, 4, ...) and any worker-thread arrangement — but not to the
-  /// legacy schedule. Run limits and halt() are honored at instant
-  /// boundaries. See docs/MODEL.md §7.
+  /// legacy schedule. Run limits and halt() are honored between the
+  /// environment's events and at instant boundaries, never inside a lane
+  /// round. See docs/MODEL.md §7.
   void setShards(unsigned K);
 
   /// The configured shard count; 0 in legacy single-stream mode.
@@ -319,6 +314,12 @@ private:
   friend class ContextImpl;
   friend struct detail::ShardEngine;
 
+  /// Executes the front bucket of Pending, which is due now: deliveries
+  /// and timers (legacy mode) and actions (both engines), in push order.
+  /// Returns true, with the reason in \p Out, when a halt or the event
+  /// limit stops the run inside the bucket; the rest stays queued for the
+  /// next run().
+  bool drainFront(const RunLimits &Limits, StopReason &Out);
   void deliver(ProcessId Src, ProcessId Dst, MessageRef Body);
   void fireTimer(ProcessId P, TimerId Id);
   // DYNDIST_SERIAL_ONLY: arms on the owning lane without deferral.
@@ -421,8 +422,6 @@ private:
 
   /// Non-null iff setShards() switched this kernel into sharded mode.
   std::unique_ptr<detail::ShardEngine> Sharded;
-
-  StopReason runLegacy(RunLimits Limits);
 
   Trace Log;
   /// Streaming trace consumer; non-null diverts recording away from Log.

@@ -327,7 +327,7 @@ public:
 
   /// Largest number of simultaneously-up processes over the run. This is
   /// the empirical concurrency of the execution, checked against the
-  /// declared arrival model's bound.
+  /// declared arrival model's bound. O(1): appendRecord() folds it.
   size_t maxConcurrency() const;
 
   /// Total number of distinct processes that ever joined.
@@ -359,6 +359,9 @@ private:
   std::vector<TraceRecord> Records;
   TraceKeyTable Keys;
   FlatMap<ProcessId, PresenceInterval> Intervals;
+  size_t Up = 0;   ///< Processes up after the last membership record.
+  size_t Peak = 0; ///< Largest count at an instant before MembershipTime.
+  SimTime MembershipTime = 0; ///< Instant of the last membership record.
   bool OrderViolated = false;
 };
 

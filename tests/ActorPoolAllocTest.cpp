@@ -109,7 +109,7 @@ TEST(ActorPool, WarmShortRunsAverageAtMostOneAndAQuarterHeapCalls) {
   // be one heap call. Their spawn-time TraceKey::OtqValue observes record
   // a fixed vocabulary id, so the key table allocates nothing, and
   // Trace::maxConcurrency() (admissibility read back from the trace)
-  // gathers the run's few session ends in an inline buffer. The ~100
+  // reads a peak the trace folds as it records, with no buffer. The ~100
   // departures past the horizon append to the calendar's far list, which
   // keeps its capacity across resets. What remains (30 calls over the 64
   // runs, 0.47 a run) is mostly the odd calendar bucket or far list that

@@ -5,7 +5,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "dyndist/graph/Algorithms.h"
-#include "dyndist/graph/Dot.h"
 #include "dyndist/graph/Generators.h"
 #include "dyndist/graph/Overlay.h"
 
@@ -181,14 +180,6 @@ TEST(Graph, SortedInsertAscendingDescendingAndDuplicate) {
   }
 }
 
-TEST(Algorithms, BfsDistancesOnLine) {
-  Graph G = makeLine(5);
-  auto D = bfsDistances(G, 0);
-  ASSERT_EQ(D.size(), 5u);
-  for (uint64_t I = 0; I != 5; ++I)
-    EXPECT_EQ(D[I], I);
-}
-
 TEST(Algorithms, ConnectivityAndComponents) {
   Graph G;
   for (ProcessId P : {0, 1, 2, 3, 4})
@@ -227,7 +218,6 @@ TEST(Algorithms, EmptyGraphEdgeCases) {
   EXPECT_TRUE(isConnected(G));
   EXPECT_FALSE(diameter(G).has_value());
   EXPECT_TRUE(connectedComponents(G).empty());
-  EXPECT_TRUE(bfsDistances(G, 0).empty());
 }
 
 TEST(Algorithms, BallAroundMatchesTtlCoverage) {
@@ -236,22 +226,6 @@ TEST(Algorithms, BallAroundMatchesTtlCoverage) {
   EXPECT_EQ(ballAround(G, 0, 3), (std::vector<ProcessId>{0, 1, 2, 3}));
   EXPECT_EQ(ballAround(G, 5, 2).size(), 5u);
   EXPECT_EQ(ballAround(G, 0, 99).size(), 10u);
-}
-
-TEST(Algorithms, BfsTreeParentPointers) {
-  Graph G = makeRing(6);
-  auto Tree = bfsTree(G, 0);
-  ASSERT_EQ(Tree.size(), 6u);
-  EXPECT_EQ(Tree[0], 0u);
-  // Every non-root parent chain reaches the root.
-  for (const auto &[Node, Parent] : Tree) {
-    (void)Parent;
-    ProcessId Cur = Node;
-    for (int Hops = 0; Cur != 0; ++Hops) {
-      ASSERT_LT(Hops, 6) << "parent chain cycles";
-      Cur = Tree[Cur];
-    }
-  }
 }
 
 TEST(Generators, ErdosRenyiConnected) {
@@ -566,31 +540,6 @@ TEST(Algorithms, ArticulationPointsMatchBruteForce) {
           << "seed " << Seed << " vertex " << V;
     }
   }
-}
-
-TEST(Dot, RendersNodesEdgesAndHighlights) {
-  Graph G = makeLine(4);
-  std::string Out = toDot(G, {1, 2}, "fragile");
-  EXPECT_NE(Out.find("graph fragile {"), std::string::npos);
-  EXPECT_NE(Out.find("n0 -- n1;"), std::string::npos);
-  EXPECT_NE(Out.find("n2 -- n3;"), std::string::npos);
-  EXPECT_EQ(Out.find("n1 -- n0;"), std::string::npos); // Each edge once.
-  EXPECT_NE(Out.find("n1 [style=filled"), std::string::npos);
-  EXPECT_EQ(Out.find("n0 [style=filled"), std::string::npos);
-}
-
-TEST(Dot, FileRoundTrip) {
-  Graph G = makeRing(5);
-  std::string Path = "/tmp/dyndist_dot_test.dot";
-  ASSERT_TRUE(writeDotFile(G, Path).ok());
-  std::FILE *F = std::fopen(Path.c_str(), "r");
-  ASSERT_NE(F, nullptr);
-  char Buf[32] = {0};
-  ASSERT_NE(std::fgets(Buf, sizeof(Buf), F), nullptr);
-  EXPECT_EQ(std::string(Buf), "graph overlay {\n");
-  std::fclose(F);
-  std::remove(Path.c_str());
-  EXPECT_FALSE(writeDotFile(G, "/nonexistent/x.dot").ok());
 }
 
 TEST(Graph, RandomizedMutationsMatchReferenceModel) {

@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -191,13 +192,16 @@ TEST(BodyPool, RecycledBlocksArePoisonedUnderAsan) {
   EXPECT_EQ(static_cast<const void *>(N.get()), Body);
   EXPECT_FALSE(__asan_address_is_poisoned(Body));
 
-  // Actor blocks too: the object and the pool header in front of it.
+  // Actor blocks too: the object and the pool header in front of it. The
+  // address crosses the delete as a volatile integer, so the compiler
+  // cannot trace the queries back to the freed pointer and read them as
+  // uses after free (-Wuse-after-free).
   struct IdleActor : Actor {};
   auto A = std::make_unique<IdleActor>();
-  const char *Obj = reinterpret_cast<const char *>(A.get());
+  const volatile uintptr_t Obj = reinterpret_cast<uintptr_t>(A.get());
   A.reset();
-  EXPECT_TRUE(__asan_address_is_poisoned(Obj));
-  EXPECT_TRUE(__asan_address_is_poisoned(Obj - 1));
+  EXPECT_TRUE(__asan_address_is_poisoned(reinterpret_cast<void *>(Obj)));
+  EXPECT_TRUE(__asan_address_is_poisoned(reinterpret_cast<void *>(Obj - 1)));
 #endif
 }
 

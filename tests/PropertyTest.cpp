@@ -483,6 +483,26 @@ TEST_P(ConcurrencySweepProperty, MatchesBruteForce) {
   for (SimTime At = 0; At <= MaxTime; ++At)
     Brute = std::max(Brute, T.membersAt(At).size());
   EXPECT_EQ(T.maxConcurrency(), Brute);
+
+  // The same intervals in the kernel's record order, where an action can
+  // spawn a process before another one leaves at the same instant. The
+  // leaver is gone at that instant, so the overlap must not count.
+  std::stable_sort(Events.begin(), Events.end(), [](const Ev &A, const Ev &B) {
+    if (A.Time != B.Time)
+      return A.Time < B.Time;
+    return A.Join > B.Join;
+  });
+  bool JoinBeforeLeave = false;
+  Trace Kernel;
+  for (size_t I = 0; I != Events.size(); ++I) {
+    const Ev &E = Events[I];
+    JoinBeforeLeave |= I != 0 && !E.Join && Events[I - 1].Join &&
+                       Events[I - 1].Time == E.Time;
+    Kernel.append({E.Join ? TraceKind::Join : TraceKind::Leave, E.Time, E.P,
+                   InvalidProcess, 0, "", 0});
+  }
+  EXPECT_TRUE(JoinBeforeLeave) << "no instant has a join before a leave";
+  EXPECT_EQ(Kernel.maxConcurrency(), Brute);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConcurrencySweepProperty,

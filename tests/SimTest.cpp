@@ -227,38 +227,92 @@ TEST(Simulator, DeterministicRuns) {
   EXPECT_NE(RunOnce(99), RunOnce(100));
 }
 
-TEST(Simulator, TimeLimitStopsRun) {
-  Simulator S(1);
+/// The engines every stop test runs on: the legacy loop (0) and the
+/// sharded engine with one and two lanes. Each stops at the pinned instant
+/// and event count, and a resumed run() picks up there.
+constexpr unsigned StopTestShards[] = {0, 1, 2};
+
+/// Spawns an EchoBack pair on \p S and starts its ping-pong: one delivery
+/// per tick at ticks 1..11, all executed by the lanes when sharded.
+static void startPingPong(Simulator &S) {
   ProcessId Pa = S.spawn(std::make_unique<EchoBack>());
   ProcessId Pb = S.spawn(std::make_unique<EchoBack>());
   S.sendMessage(Pa, Pb, makeBody<PingMsg>(0));
-  RunLimits L;
-  L.MaxTime = 5;
-  EXPECT_EQ(S.run(L), StopReason::TimeLimit);
-  EXPECT_LE(S.now(), 5u);
+}
+
+TEST(Simulator, TimeLimitStopsRun) {
+  for (unsigned Shards : StopTestShards) {
+    SCOPED_TRACE(::testing::Message() << "shards " << Shards);
+    Simulator S(1);
+    if (Shards)
+      S.setShards(Shards);
+    startPingPong(S);
+    RunLimits L;
+    L.MaxTime = 5;
+    EXPECT_EQ(S.run(L), StopReason::TimeLimit);
+    EXPECT_EQ(S.now(), 5u);
+    EXPECT_EQ(S.stats().EventsExecuted, 5u);
+    EXPECT_EQ(S.run(), StopReason::QueueExhausted);
+    EXPECT_EQ(S.now(), 11u);
+    EXPECT_EQ(S.stats().EventsExecuted, 11u);
+  }
 }
 
 TEST(Simulator, EventLimitStopsRun) {
-  Simulator S(1);
-  // Self-perpetuating action chain.
-  std::function<void(Simulator &)> Loop = [&Loop](Simulator &Sim) {
-    Sim.scheduleAfter(1, Loop);
-  };
-  S.scheduleAfter(1, Loop);
-  RunLimits L;
-  L.MaxEvents = 100;
-  EXPECT_EQ(S.run(L), StopReason::EventLimit);
+  for (unsigned Shards : StopTestShards) {
+    SCOPED_TRACE(::testing::Message() << "shards " << Shards);
+    Simulator S(1);
+    if (Shards)
+      S.setShards(Shards);
+    // Three self-perpetuating action chains, three actions per tick.
+    std::function<void(Simulator &)> Loop = [&Loop](Simulator &Sim) {
+      Sim.scheduleAfter(1, Loop);
+    };
+    for (int I = 0; I != 3; ++I)
+      S.scheduleAfter(1, Loop);
+    startPingPong(S);
+    RunLimits L;
+    L.MaxEvents = 30; // Ticks 1..7 run four events each.
+    EXPECT_EQ(S.run(L), StopReason::EventLimit);
+    EXPECT_EQ(S.now(), 8u); // Two of tick 8's actions ran.
+    EXPECT_EQ(S.stats().EventsExecuted, 30u);
+    L.MaxEvents = 45;
+    EXPECT_EQ(S.run(L), StopReason::EventLimit);
+    EXPECT_EQ(S.now(), 12u); // One of tick 12's actions ran.
+    EXPECT_EQ(S.stats().EventsExecuted, 45u);
+  }
 }
 
 TEST(Simulator, HaltStopsRun) {
-  Simulator S(1);
-  std::function<void(Simulator &)> Loop = [&Loop](Simulator &Sim) {
-    Sim.scheduleAfter(1, Loop);
-  };
-  S.scheduleAfter(1, Loop);
-  S.scheduleAt(10, [](Simulator &Sim) { Sim.halt(); });
-  EXPECT_EQ(S.run(), StopReason::Halted);
-  EXPECT_EQ(S.now(), 10u);
+  for (unsigned Shards : StopTestShards) {
+    SCOPED_TRACE(::testing::Message() << "shards " << Shards);
+    Simulator S(1);
+    if (Shards)
+      S.setShards(Shards);
+    std::function<void(Simulator &)> Loop = [&Loop](Simulator &Sim) {
+      Sim.scheduleAfter(1, Loop);
+    };
+    S.scheduleAfter(1, Loop);
+    startPingPong(S);
+    // Pushed before any of tick 10's other events, so they open its
+    // bucket in this order: the halt lands mid-bucket, and the run stops
+    // before the next event in it.
+    bool BeforeHaltRan = false, AfterHaltRan = false;
+    S.scheduleAt(10, [&BeforeHaltRan](Simulator &) { BeforeHaltRan = true; });
+    S.scheduleAt(10, [](Simulator &Sim) { Sim.halt(); });
+    S.scheduleAt(10, [&AfterHaltRan](Simulator &) { AfterHaltRan = true; });
+    EXPECT_EQ(S.run(), StopReason::Halted);
+    EXPECT_EQ(S.now(), 10u);
+    EXPECT_TRUE(BeforeHaltRan);
+    EXPECT_FALSE(AfterHaltRan);
+    EXPECT_EQ(S.stats().EventsExecuted, 20u); // Ticks 1..9, then two.
+    RunLimits L;
+    L.MaxTime = 20;
+    EXPECT_EQ(S.run(L), StopReason::TimeLimit);
+    EXPECT_TRUE(AfterHaltRan);
+    EXPECT_EQ(S.now(), 20u);
+    EXPECT_EQ(S.stats().EventsExecuted, 34u);
+  }
 }
 
 TEST(Simulator, DefaultTopologyIsFullMesh) {

@@ -16,9 +16,10 @@
 #   4. build-werror/: a strict-warnings Release build (-O3, where GCC's
 #      flow-sensitive warnings see the most inlining; -DDYNDIST_WERROR=ON).
 #   5. The suite under AddressSanitizer, UndefinedBehaviorSanitizer and
-#      ThreadSanitizer (build-asan/, build-ubsan/, build-tsan/). ASan also
-#      sees a stale pointer into the BodyPool's recycled payload and actor
-#      blocks, which the pool poisons while they wait on a free list. UBSan
+#      ThreadSanitizer (build-asan/, build-ubsan/, build-tsan/). The ASan
+#      build is a -DDYNDIST_WERROR=ON build too. ASan also sees a stale
+#      pointer into the BodyPool's recycled payload and actor blocks,
+#      which the pool poisons while they wait on a free list. UBSan
 #      polices the flat graph's raw-pointer views, the intrusive payload
 #      refcounts and the InlineFunction buffer arithmetic; TSan the sweep
 #      runner's seed sharding and the sharded kernel's fork-join lanes, and
@@ -151,7 +152,7 @@ if wants bench-check; then
 fi
 wants werror && run_build build-werror -DCMAKE_BUILD_TYPE=Release \
   -DDYNDIST_WERROR=ON
-wants asan && run_suite build-asan -DDYNDIST_SANITIZE=address
+wants asan && run_suite build-asan -DDYNDIST_SANITIZE=address -DDYNDIST_WERROR=ON
 wants ubsan && UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   run_suite build-ubsan -DDYNDIST_SANITIZE=undefined
 if wants tsan; then
