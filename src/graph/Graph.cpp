@@ -86,18 +86,68 @@ bool Graph::removeNode(ProcessId P) {
   uint32_t S = slotOf(P);
   if (S == NoSlot)
     return false;
-  std::vector<ProcessId> &Nbrs = Slots[S].Nbrs;
-  for (ProcessId N : Nbrs) {
+  const std::vector<ProcessId> &Nbrs = Slots[S].Nbrs;
+  for (ProcessId N : Nbrs)
     sortedErase(Slots[SlotOfId[N]].Nbrs, P);
-    --Edges;
+  Edges -= Nbrs.size();
+  vacate(S);
+  return true;
+}
+
+bool Graph::spliceOut(ProcessId P) {
+  uint32_t S = slotOf(P);
+  if (S == NoSlot)
+    return false;
+  const std::vector<ProcessId> &Path = Slots[S].Nbrs; // N1 < ... < Nk.
+  size_t K = Path.size();
+  size_t Inserted = 0; // Path-link entries added: two per new edge.
+  for (size_t I = 0; I != K; ++I) {
+    std::vector<ProcessId> &Nbrs = Slots[SlotOfId[Path[I]]].Nbrs;
+    // Ni's path links N(i-1) < N(i+1). At an end of the path there is no
+    // link; InvalidProcess, which is never a neighbor, stands in for it.
+    ProcessId Prev = I != 0 ? Path[I - 1] : InvalidProcess;
+    ProcessId Next = I + 1 != K ? Path[I + 1] : InvalidProcess;
+    // Forward pass, branch-free: drop P and note which links exist.
+    bool HasPrev = I == 0, HasNext = I + 1 == K;
+    size_t Kept = 0;
+    for (ProcessId V : Nbrs) {
+      Nbrs[Kept] = V;
+      Kept += V != P;
+      HasPrev |= V == Prev;
+      HasNext |= V == Next;
+    }
+    assert(Kept + 1 == Nbrs.size() && "asymmetric edge to the leaver");
+    ProcessId Missing[2];
+    size_t Add = 0;
+    if (!HasPrev)
+      Missing[Add++] = Prev;
+    if (!HasNext)
+      Missing[Add++] = Next;
+    Inserted += Add;
+    // Backward pass: merge the missing links in from the end, so each id
+    // moves at most once and never onto one not yet moved.
+    Nbrs.resize(Kept + Add);
+    size_t Read = Kept, Write = Kept + Add;
+    while (Add != 0) {
+      ProcessId X = Missing[--Add];
+      while (Read != 0 && Nbrs[Read - 1] > X)
+        Nbrs[--Write] = Nbrs[--Read];
+      Nbrs[--Write] = X;
+    }
   }
-  Nbrs.clear(); // Capacity is retained for the slot's next occupant.
+  Edges = Edges - K + Inserted / 2;
+  vacate(S);
+  return true;
+}
+
+void Graph::vacate(uint32_t S) {
+  ProcessId P = Slots[S].Id;
+  Slots[S].Nbrs.clear(); // Capacity is retained for the slot's next occupant.
   Slots[S].Id = InvalidProcess;
   FreeSlots.push_back(S);
   SlotOfId[P] = NoSlot;
   sortedErase(NodeIds, P);
   ++Epoch.Value;
-  return true;
 }
 
 bool Graph::addEdge(ProcessId A, ProcessId B) {

@@ -58,20 +58,18 @@ void DynamicOverlay::join(ProcessId P) {
 }
 
 void DynamicOverlay::leave(ProcessId P) {
-  if (!G.hasNode(P))
-    return;
-  // Copied: the view dies with P's edges.
-  NeighborView View = G.neighborView(P);
-  Nbrs.assign(View.begin(), View.end());
   switch (Repair) {
   case RepairMode::PatchPath:
     // Path through the (sorted) neighbor list: every route through P is
     // rerouted, so connectivity survives deterministically.
-    for (size_t I = 0; I + 1 < Nbrs.size(); ++I)
-      if (!G.hasEdge(Nbrs[I], Nbrs[I + 1]))
-        G.addEdge(Nbrs[I], Nbrs[I + 1]);
-    break;
+    G.spliceOut(P);
+    return;
   case RepairMode::RandomRewire: {
+    if (!G.hasNode(P))
+      return;
+    // Copied: the view dies with P's edges.
+    NeighborView View = G.neighborView(P);
+    Nbrs.assign(View.begin(), View.end());
     G.removeNode(P);
     // Top orphans back up to the target degree with random links. Degrees
     // stay bounded, but nothing guarantees the replacement links restore
@@ -94,7 +92,6 @@ void DynamicOverlay::leave(ProcessId P) {
     return;
   }
   }
-  G.removeNode(P);
 }
 
 void DynamicOverlay::seed(Graph Initial) { G = std::move(Initial); }

@@ -20,10 +20,15 @@
 /// experiments seed-reproducible (the determinism contract of
 /// docs/BENCHMARKING.md).
 ///
+/// An overlay's patched leave is one step, spliceOut: it rewrites each of
+/// the leaver's neighbor lists once, dropping the leaver and adding the
+/// missing path links, with no per-edge lookup.
+///
 /// NeighborView is a zero-copy span over a neighbor (or node) list. Views
 /// are invalidated by ANY graph mutation — addNode/removeNode can grow or
-/// reshuffle the tables, add/removeEdge moves neighbor-vector elements. Use
-/// them for immediate iteration, never for storage across mutations.
+/// reshuffle the tables, add/removeEdge and spliceOut move neighbor-vector
+/// elements. Use them for immediate iteration, never for storage across
+/// mutations.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,6 +90,15 @@ public:
   /// when the node existed.
   bool removeNode(ProcessId P);
 
+  /// Removes \p P after linking its neighbors N1 < ... < Nk into a path:
+  /// the same graph as addEdge(Ni, Ni+1) for each missing path edge
+  /// followed by removeNode(P), in one step with one epoch bump. Each Ni's
+  /// list is rewritten once: P is dropped and N(i-1) and N(i+1) are
+  /// inserted where missing; lists stay ascending. Invalidates every view.
+  /// Returns false, changing nothing (not the epoch either), when \p P is
+  /// absent.
+  bool spliceOut(ProcessId P);
+
   /// Adds the edge {A, B}; both endpoints must exist and A != B. Returns
   /// true when the edge was newly added.
   bool addEdge(ProcessId A, ProcessId B);
@@ -130,11 +144,11 @@ public:
   /// Number of edges.
   size_t edgeCount() const { return Edges; }
 
-  /// Mutation epoch: bumped by every successful node or edge add/remove,
-  /// by clear(), and by assignment into this graph, so one graph object
-  /// never shows the same epoch for two different contents. Equal epochs
-  /// of one object mean an unchanged graph (the diameter monitor reuses
-  /// its last sample on that).
+  /// Mutation epoch: bumped by every successful node or edge add/remove
+  /// (once per spliceOut), by clear(), and by assignment into this graph,
+  /// so one graph object never shows the same epoch for two different
+  /// contents. Equal epochs of one object mean an unchanged graph (the
+  /// diameter monitor reuses its last sample on that).
   uint64_t epoch() const { return Epoch.Value; }
 
   /// Removes every node and edge. Capacity-retaining: slots (and their
@@ -188,6 +202,10 @@ private:
       return *this;
     }
   };
+
+  /// Frees in-use slot \p S whose edges are already gone from the other
+  /// lists and from the edge count: one epoch bump.
+  void vacate(uint32_t S);
 
   std::vector<Slot> Slots;          ///< Dense node table.
   std::vector<uint32_t> FreeSlots;  ///< Recycled slot indices (LIFO).

@@ -18,6 +18,8 @@
 /// are joined into a path (N1-N2, ..., Nk-1 - Nk) if those edges are
 /// missing. Any path through the departing node is thereby rerouted, so a
 /// connected overlay stays connected under any sequence of single leaves.
+/// The patch and the removal are one graph step, Graph::spliceOut, which
+/// rewrites each neighbor's list once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -114,7 +116,7 @@ private:
   ProcessId LastJoined = InvalidProcess;
   /// Attach-target scratch, reused across joins (capacity TargetDegree).
   std::vector<ProcessId> Picks;
-  /// Copy of a leaver's neighbour list, reused across leaves.
+  /// Copy of a leaver's neighbour list, reused across RandomRewire leaves.
   std::vector<ProcessId> Nbrs;
 };
 

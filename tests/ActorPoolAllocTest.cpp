@@ -56,7 +56,10 @@ void *operator new(size_t Bytes) {
   throw std::bad_alloc();
 }
 
-static void countedFree(void *P) {
+// Out of line so that GCC never sees this free() inlined next to a pointer
+// it knows came from operator new: it reads that pairing as a mismatched
+// new/free (-Wmismatched-new-delete), though the replaced new mallocs.
+[[gnu::noinline]] static void countedFree(void *P) {
   if (P)
     ++HeapFrees;
   std::free(P);

@@ -286,6 +286,17 @@ TEST(Overlay, JoinLinksToTargetDegree) {
 
 namespace {
 
+/// A patched leave written edge by edge, as DynamicOverlay::leave did it
+/// before Graph::spliceOut: one hasEdge/addEdge per adjacent pair of P's
+/// sorted neighbors, then removeNode(P). The oracle spliceOut must equal.
+void spliceOutEdgeByEdge(Graph &G, ProcessId P) {
+  std::vector<ProcessId> Nbrs = neighborList(G, P);
+  for (size_t I = 0; I + 1 < Nbrs.size(); ++I)
+    if (!G.hasEdge(Nbrs[I], Nbrs[I + 1]))
+      G.addEdge(Nbrs[I], Nbrs[I + 1]);
+  G.removeNode(P);
+}
+
 /// The overlay's join and patch-path leave rules written edge by edge with
 /// addNode/addEdge, drawing from its own copy of the overlay's stream: the
 /// reference DynamicOverlay's one-step attach must reproduce.
@@ -316,12 +327,7 @@ struct ReferenceOverlay {
     LastJoined = P;
   }
 
-  void leave(ProcessId P) {
-    std::vector<ProcessId> Nbrs = neighborList(G, P);
-    for (size_t I = 0; I + 1 < Nbrs.size(); ++I)
-      G.addEdge(Nbrs[I], Nbrs[I + 1]);
-    G.removeNode(P);
-  }
+  void leave(ProcessId P) { spliceOutEdgeByEdge(G, P); }
 };
 
 } // namespace
@@ -361,6 +367,95 @@ TEST(Overlay, OneStepAttachMatchesEdgeByEdgeReference) {
           ASSERT_TRUE(G.checkConsistency()) << "step " << Step;
         }
       }
+}
+
+// Graph::spliceOut(P) equals the edge-by-edge patched leave, step by step,
+// over 600 seeded random sequences of addNode, addNodeWithEdges,
+// removeNode, addEdge and patched leaves on a small id space. The extra
+// edges leave some path links already present; the run must meet leavers
+// of degree 0, 1 and 2, a partly linked path and an absent leaver (which
+// returns false and leaves graph and epoch unchanged).
+TEST(GraphSpliceOut, MatchesEdgeByEdgeReference) {
+  size_t SeenDegree[3] = {0, 0, 0};
+  size_t PartlyLinked = 0, Absent = 0, Splices = 0;
+  for (uint64_t Case = 0; Case != 600; ++Case) {
+    Rng R(Case);
+    const ProcessId IdSpace = 6 + static_cast<ProcessId>(R.nextBelow(20));
+    Graph G, Ref;
+    for (int Step = 0; Step != 40; ++Step) {
+      ProcessId P = static_cast<ProcessId>(R.nextBelow(IdSpace));
+      uint64_t Before = G.epoch();
+      bool Mutated = true;
+      switch (R.nextBelow(6)) {
+      case 0:
+        Mutated = G.addNode(P);
+        EXPECT_EQ(Ref.addNode(P), Mutated);
+        break;
+      case 1: { // Join linked to up to four distinct present members.
+        if (G.hasNode(P)) {
+          Mutated = false;
+          break;
+        }
+        std::vector<ProcessId> Members = nodeList(G);
+        R.shuffle(Members);
+        Members.resize(std::min<size_t>(Members.size(), R.nextBelow(5)));
+        G.addNodeWithEdges(P, Members);
+        Ref.addNode(P);
+        for (ProcessId T : Members)
+          Ref.addEdge(P, T);
+        break;
+      }
+      case 2:
+        Mutated = G.removeNode(P);
+        EXPECT_EQ(Ref.removeNode(P), Mutated);
+        break;
+      case 3: { // An extra edge: links some future leaver's path early.
+        ProcessId Q = static_cast<ProcessId>(R.nextBelow(IdSpace));
+        Mutated = P != Q && G.hasNode(P) && G.hasNode(Q) && G.addEdge(P, Q);
+        if (Mutated)
+          Ref.addEdge(P, Q);
+        break;
+      }
+      default: { // Patched leave, twice as likely as the other steps.
+        std::vector<ProcessId> Path = neighborList(Ref, P);
+        size_t Linked = 0;
+        for (size_t I = 0; I + 1 < Path.size(); ++I)
+          Linked += Ref.hasEdge(Path[I], Path[I + 1]);
+        bool Present = Ref.hasNode(P);
+        spliceOutEdgeByEdge(Ref, P);
+        Mutated = G.spliceOut(P);
+        ASSERT_EQ(Mutated, Present) << "case " << Case << " step " << Step;
+        if (!Present) {
+          ++Absent;
+          break;
+        }
+        ++Splices;
+        if (Path.size() < 3)
+          ++SeenDegree[Path.size()];
+        PartlyLinked += Linked != 0 && Linked + 1 < Path.size();
+        break;
+      }
+      }
+      const std::string Where =
+          "case " + std::to_string(Case) + " step " + std::to_string(Step);
+      if (Mutated)
+        ASSERT_GT(G.epoch(), Before) << Where;
+      else
+        ASSERT_EQ(G.epoch(), Before) << Where;
+      ASSERT_EQ(nodeList(G), nodeList(Ref)) << Where;
+      for (ProcessId Q : Ref.nodesView())
+        ASSERT_EQ(neighborList(G, Q), neighborList(Ref, Q))
+            << Where << " node " << Q;
+      ASSERT_EQ(G.edgeCount(), Ref.edgeCount()) << Where;
+      ASSERT_TRUE(G.checkConsistency()) << Where;
+    }
+  }
+  EXPECT_GE(Splices, 500u);
+  EXPECT_GT(SeenDegree[0], 0u);
+  EXPECT_GT(SeenDegree[1], 0u);
+  EXPECT_GT(SeenDegree[2], 0u);
+  EXPECT_GT(PartlyLinked, 0u);
+  EXPECT_GT(Absent, 0u);
 }
 
 TEST(Overlay, LeavePreservesConnectivity) {

@@ -253,9 +253,13 @@ INSTANTIATE_TEST_SUITE_P(
 class OverlayChurnProperty
     : public ::testing::TestWithParam<std::tuple<size_t, uint64_t>> {};
 
-TEST_P(OverlayChurnProperty, AlwaysConnectedAlwaysConsistent) {
-  auto [Degree, Seed] = GetParam();
-  DynamicOverlay O(Degree, Rng(Seed));
+namespace {
+
+/// 12 joins, then 300 steps that each join (always while at most three
+/// members are left) or remove a random member, with equal odds. Calls
+/// \p Check(Step) after every step and stops at its first fatal failure.
+template <typename CheckFn>
+void churnOverlay(DynamicOverlay &O, uint64_t Seed, CheckFn Check) {
   Rng R(Seed ^ 0xfeedULL);
   ProcessId Next = 0;
   for (size_t I = 0; I != 12; ++I)
@@ -267,9 +271,33 @@ TEST_P(OverlayChurnProperty, AlwaysConnectedAlwaysConsistent) {
       auto Nodes = nodeList(O.graph());
       O.leave(R.pick(Nodes));
     }
+    Check(Step);
+    if (::testing::Test::HasFatalFailure())
+      return;
+  }
+}
+
+} // namespace
+
+TEST_P(OverlayChurnProperty, AlwaysConnectedAlwaysConsistent) {
+  auto [Degree, Seed] = GetParam();
+  DynamicOverlay O(Degree, Rng(Seed));
+  churnOverlay(O, Seed, [&O](int Step) {
     ASSERT_TRUE(O.graph().checkConsistency()) << "step " << Step;
     ASSERT_TRUE(isConnected(O.graph())) << "step " << Step;
-  }
+  });
+}
+
+// The RandomRewire repair (E8's ablation) under the same churn: the graph
+// stays structurally sound after every step. Its connectivity is only
+// probabilistic, so it is not asserted.
+TEST_P(OverlayChurnProperty, RandomRewireAlwaysConsistent) {
+  auto [Degree, Seed] = GetParam();
+  DynamicOverlay O(Degree, Rng(Seed), AttachMode::Random,
+                   RepairMode::RandomRewire);
+  churnOverlay(O, Seed, [&O](int Step) {
+    ASSERT_TRUE(O.graph().checkConsistency()) << "step " << Step;
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -17,7 +17,8 @@
 #      flow-sensitive warnings see the most inlining; -DDYNDIST_WERROR=ON).
 #   5. The suite under AddressSanitizer, UndefinedBehaviorSanitizer and
 #      ThreadSanitizer (build-asan/, build-ubsan/, build-tsan/). The ASan
-#      build is a -DDYNDIST_WERROR=ON build too. ASan also sees a stale
+#      and UBSan builds are -DDYNDIST_WERROR=ON builds too (at -O2 their
+#      inlining differs from build-werror's -O3). ASan also sees a stale
 #      pointer into the BodyPool's recycled payload and actor blocks,
 #      which the pool poisons while they wait on a free list. UBSan
 #      polices the flat graph's raw-pointer views, the intrusive payload
@@ -154,7 +155,7 @@ wants werror && run_build build-werror -DCMAKE_BUILD_TYPE=Release \
   -DDYNDIST_WERROR=ON
 wants asan && run_suite build-asan -DDYNDIST_SANITIZE=address -DDYNDIST_WERROR=ON
 wants ubsan && UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-  run_suite build-ubsan -DDYNDIST_SANITIZE=undefined
+  run_suite build-ubsan -DDYNDIST_SANITIZE=undefined -DDYNDIST_WERROR=ON
 if wants tsan; then
   run_suite build-tsan -DDYNDIST_SANITIZE=thread
   # Shard-invariance digest under TSan: the threaded barrier/merge paths
