@@ -20,6 +20,7 @@
 #include "dyndist/support/InlineFunction.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -73,96 +74,86 @@ struct SimEvent {
 };
 static_assert(sizeof(SimEvent) == 16, "calendar nodes stay two words");
 
-/// Event storage: a calendar-bucket queue in two tiers, split at a moving
-/// boundary B (Boundary).
+/// Event storage: a calendar queue in two tiers (Brown, CACM 31(10), 1988),
+/// split at the end of a 64-instant window [Start, Start + 63].
 ///
-/// The near tier holds every pending instant below B. Each such instant
-/// owns a FIFO of SimEvent nodes; a small binary heap orders the instants.
+/// The near tier is one calendar "year" of Window one-tick buckets: instant
+/// T lives in Ring[T % Window], and bit T % Window of Occupied says whether
+/// that bucket holds an instant. Each bucket is a FIFO of SimEvent nodes.
 /// Sequence numbers are assigned in push order and instants never run
 /// backwards, so within one bucket FIFO order *is* sequence order and the
 /// (time, sequence) execution contract holds without materializing
-/// sequence numbers at all. The payoff over a per-event heap: push and pop
-/// are O(1) contiguous array moves, and ordering work (heap sift) is paid
-/// once per distinct instant, not once per event — under fixed latency
-/// that is once per tick for hundreds of events.
+/// sequence numbers at all. A push is one array append; the front is a
+/// rotate and a count-trailing-zeros over Occupied; no ordering work is
+/// done per event or per instant.
 ///
-/// A near push finds its instant's bucket through Index, an open-addressed
-/// instant -> slot table owned by the queue. Buckets and their FIFO
-/// capacity are recycled through a free list and the table keeps its
-/// capacity, so steady-state scheduling allocates nothing, not even for a
-/// push that opens a new instant.
+/// Window invariant. Every near instant lies in [Start, Start + Window), so
+/// no two pending instants share a bucket. Start moves only in advanceTo(),
+/// at the clock, and only while the near tier is empty: it becomes the new
+/// clock (saturated so the window still ends at the last instant), which no
+/// pending event precedes and no later push can precede. That is why spills
+/// happen at the clock and frontTime() only reads: a window opened anywhere
+/// else — at one calendar's own lowest far instant, say, while another
+/// queue holds the clock below it — would not cover a later push at the
+/// clock.
 ///
-/// The far tier holds every event at or past B as an unsorted list of
-/// {Time, SimEvent} in push order — the unsorted top tier of the ladder
+/// The far tier holds every event past the window, in push order, as an
+/// unsorted list of {Time, SimEvent} — the unsorted top tier of the ladder
 /// queue (Tang, Goh and Thng, ACM TOMACS 15(3), 2005). A far push is one
-/// append: no bucket, index entry or heap sift. It is there for events a
-/// run never reaches, such as a churn departure drawn thousands of ticks
-/// past the horizon: they stay unsorted until reset() drops them.
+/// append. It is there for events a run never reaches, such as a churn
+/// departure drawn thousands of ticks past the horizon: they stay unsorted
+/// until reset() drops them.
 ///
-/// Boundary rule. B moves only while the near tier is empty, and only
-/// forward. spill() sets it FarWindow ticks past the lowest far instant and
-/// moves every far event below it into buckets, in push order. When that
-/// window would move fewer than 1/8 of the far events (instants spread over
-/// a range much wider than the window), B is set instead one past the far
-/// tier's 1/8-quantile (nth_element), so a spill scans no event more than 8
-/// times per event it moves. The window is a constant of the queue: a
-/// boundary that doubled per spill measured 4–7% slower on the E1 matrix.
+/// Spills. When advanceTo() opens a window, spill() moves the far events
+/// inside it into their buckets. It scans the list and moves what lies in
+/// the window, in push order. When a scan moves fewer than 1/8 of the list
+/// (instants spread far wider than the window), the rest of the list goes
+/// into Old, a min-heap on (time, push order); later spills take from Old
+/// first, because everything in it was pushed before anything still
+/// listed. So a list scan either moves at least 1/8 of the events it
+/// visits or empties the list into the heap, which each far event enters
+/// at most once.
 ///
-/// Tie-break. Near instants lie below B and far instants at or past it, so
-/// no instant has events in both tiers. Until a spill, every push at or
-/// past the old B went to the far list, so the buckets a spill fills are
-/// new, and it fills them in push order; later pushes append behind. Each
-/// FIFO therefore stays in push order and the contract above holds.
-///
-/// A run never spills for nothing: with only far events left,
-/// frontTime(MaxTime) answers B when B is already past MaxTime, and the
-/// run stops at its time limit with those events still unsorted.
+/// Tie-break. A spill fills only buckets of a fresh window, which no push
+/// has reached yet, and fills each in push order (Old's instant before the
+/// list's); later pushes append behind. Each FIFO therefore stays in push
+/// order and the contract above holds.
 struct CalendarQueue {
   enum : uint32_t { KDeliver = 0, KTimer = 1, KAction = 2 };
 
   struct Bucket {
-    SimTime Time = 0;
     uint32_t Head = 0; ///< Next unread index into Fifo.
     std::vector<SimEvent> Fifo;
   };
 
-  std::vector<Bucket> Buckets;       ///< Slot pool; capacity retained.
-  std::vector<uint32_t> FreeBuckets; ///< Recycled Buckets slots.
-  std::vector<uint32_t> TimeHeap;    ///< Bucket slots, min-heap by Time.
+  /// Instants in the near tier's window: one per bit of Occupied.
+  static constexpr SimTime Window = 64;
+  static_assert(Window == 8 * sizeof(uint64_t),
+                "one occupancy bit per ring bucket");
 
-  static constexpr uint32_t NoBucket = UINT32_MAX;
-  static constexpr unsigned MinIndexBits = 4;
-
-  /// One instant -> bucket slot mapping of Index; empty when Slot is
-  /// NoBucket (Time is then stale and never read).
-  struct IndexEntry {
-    SimTime Time = 0;
-    uint32_t Slot = NoBucket;
-  };
-
-  /// Instant -> bucket slot for every pending instant: open addressing
-  /// with linear probing over a power-of-two table kept at most half full.
-  /// A probe starts at the Fibonacci hash of the instant (one multiply,
-  /// top IndexBits bits) and compares inline keys, so it touches no bucket.
-  /// Deletion shifts the rest of the probe run back (no tombstones), so
-  /// every live entry sits in an unbroken run from its home position.
-  /// Lookup-only: pop order always comes from TimeHeap, never from the
-  /// table's layout.
-  std::vector<IndexEntry> Index;
-  unsigned IndexBits = MinIndexBits; ///< log2(Index.size()).
+  Bucket Ring[Window];   ///< Instant T lives in Ring[T % Window].
+  uint64_t Occupied = 0; ///< Bit S set while Ring[S] holds an instant.
+  SimTime Start = 0;     ///< First instant of the window.
+  /// FIFO buffers of retired buckets, handed to the next bucket that
+  /// opens; a closed bucket owns no buffer.
+  std::vector<std::vector<SimEvent>> Spare;
 
   /// A far-tier event: its instant and its node.
   struct FarEvent {
     SimTime Time;
     SimEvent E;
   };
+  /// A far event moved out of the list: Seq keeps its push order.
+  struct OldEvent {
+    SimTime Time;
+    uint64_t Seq;
+    SimEvent E;
+  };
 
-  /// Width of the near tier a spill opens past the lowest far instant.
-  static constexpr SimTime FarWindow = 64;
-
-  SimTime Boundary = FarWindow;   ///< B: near instants < B <= far instants.
-  std::vector<FarEvent> Far;      ///< Far tier, in push order.
-  std::vector<SimTime> FarTimes;  ///< spill()'s quantile scratch.
+  std::vector<FarEvent> Far;    ///< Far list, in push order.
+  SimTime FarLow = ~SimTime(0); ///< Lowest instant in Far (~0 when empty).
+  std::vector<OldEvent> Old;    ///< Min-heap by (Time, Seq); see spill().
+  uint64_t OldSeq = 0;          ///< Next Seq handed to Old.
 
   std::vector<ActionFn> Actions;
   std::vector<uint32_t> FreeActions;
@@ -180,58 +171,32 @@ struct CalendarQueue {
   std::vector<uint64_t> TimerCancelled;
   size_t TimerPending = 0; ///< Live population count, kept incrementally.
 
-  CalendarQueue() : Index(size_t(1) << MinIndexBits) {}
+  CalendarQueue() = default;
+  CalendarQueue(const CalendarQueue &) = delete;
+  CalendarQueue &operator=(const CalendarQueue &) = delete;
 
-  ~CalendarQueue() {
-    // Hand parked payload references in undrained buckets back to their
-    // refcounts (and thus to the body pool) before the pool is retired.
-    for (uint32_t Slot : TimeHeap) {
-      Bucket &B = Buckets[Slot];
-      for (size_t I = B.Head, N = B.Fifo.size(); I != N; ++I)
-        if (B.Fifo[I].kind() == KDeliver)
-          MessageRef::adopt(B.Fifo[I].body());
-    }
-    releaseFar();
-  }
+  // Hands parked payload references in undrained buckets and the far tier
+  // back to their refcounts (and thus to the body pool) before the pool is
+  // retired.
+  ~CalendarQueue() { releasePending(); }
 
   /// Arena-reset path: clears every pending event, action, and timer bit
-  /// while retaining all capacity already faulted — bucket slots, FIFO
-  /// storage, the far list, the action pool, and the timer bitmaps. Parked
-  /// payload references in undrained buckets and far deliveries are
-  /// re-homed to their pools first, exactly as the destructor would. B
-  /// returns to its initial FarWindow, as the clock returns to 0. Every
-  /// bucket slot ends on the free list (descending, so slot 0 is handed
-  /// out first, matching a fresh queue's allocation order).
+  /// while retaining all capacity already faulted — FIFO buffers, the far
+  /// tier, the action pool, and the timer bitmaps. Parked payload
+  /// references are re-homed to their pools first, exactly as the
+  /// destructor would. The window returns to [0, Window), as the clock
+  /// returns to 0.
   // DYNDIST_SERIAL_ONLY: tears down shared queue state between runs.
   void reset() {
-    // Only slots still on the heap can hold content or an Index entry:
-    // retireFront() clears a bucket and its entry before free-listing it
-    // and bucketFor() hands out clean slots, so the free-listed majority
-    // needs no per-bucket touch-up — just the canonical free-list rebuild
-    // below. Entries are emptied in place, without indexErase()'s shifts:
-    // nothing moves while the loop runs, so each instant is still found by
-    // scanning from its home position, past the holes already made.
-    size_t Mask = Index.size() - 1;
-    for (uint32_t Slot : TimeHeap) {
-      Bucket &B = Buckets[Slot];
-      for (size_t I = B.Head, N = B.Fifo.size(); I != N; ++I)
-        if (B.Fifo[I].kind() == KDeliver)
-          MessageRef::adopt(B.Fifo[I].body());
-      B.Fifo.clear(); // Capacity retained, like retireFront().
-      B.Head = 0;
-      size_t At = indexHome(B.Time);
-      while (Index[At].Slot != Slot)
-        At = (At + 1) & Mask;
-      Index[At].Slot = NoBucket;
-    }
-    TimeHeap.clear();
-    releaseFar();
+    releasePending();
+    for (uint64_t Bits = Occupied; Bits; Bits &= Bits - 1)
+      recycle(Ring[std::countr_zero(Bits)]);
+    Occupied = 0;
+    Start = 0;
     Far.clear();
-    Boundary = FarWindow;
-    FreeBuckets.resize(Buckets.size());
-    for (uint32_t I = 0, N = static_cast<uint32_t>(Buckets.size()); I != N;
-         ++I)
-      FreeBuckets[I] = N - 1 - I;
+    FarLow = ~SimTime(0);
+    Old.clear();
+    OldSeq = 0;
     // clear() destroys any undrained callables (their captures must not
     // leak into the next run) but keeps the vector's storage.
     Actions.clear();
@@ -243,133 +208,97 @@ struct CalendarQueue {
     TimerPending = 0;
   }
 
-  /// Hands the parked payload references of far deliveries back to their
-  /// refcounts (teardown and reset paths).
-  void releaseFar() {
+  /// Hands the parked payload references of every pending delivery back to
+  /// their refcounts (teardown and reset paths).
+  void releasePending() {
+    auto Release = [](const SimEvent &E) {
+      if (E.kind() == KDeliver)
+        MessageRef::adopt(E.body());
+    };
+    for (uint64_t Bits = Occupied; Bits; Bits &= Bits - 1) {
+      const Bucket &B = Ring[std::countr_zero(Bits)];
+      for (size_t I = B.Head, N = B.Fifo.size(); I != N; ++I)
+        Release(B.Fifo[I]);
+    }
     for (const FarEvent &F : Far)
-      if (F.E.kind() == KDeliver)
-        MessageRef::adopt(F.E.body());
+      Release(F.E);
+    for (const OldEvent &O : Old)
+      Release(O.E);
   }
 
   /// True when neither tier holds an event.
-  bool empty() const { return TimeHeap.empty() && Far.empty(); }
+  bool empty() const { return !Occupied && Far.empty() && Old.empty(); }
+
+  /// The lowest far instant; ~0 when the far tier is empty.
+  SimTime farFront() const {
+    return Old.empty() ? FarLow : std::min(FarLow, Old.front().Time);
+  }
 
   /// The earliest pending instant of both tiers; undefined when empty().
-  /// With only far events pending they spill first, unless B is already
-  /// past \p MaxTime: then the answer is B, a lower bound on every far
-  /// instant, and a caller that stops past MaxTime never pays the spill.
-  SimTime frontTime(SimTime MaxTime) {
-    if (TimeHeap.empty()) [[unlikely]] {
-      if (Boundary > MaxTime)
-        return Boundary;
-      spill();
-    }
-    return Buckets[TimeHeap.front()].Time;
+  /// Far instants all lie past the window, so the ring's front, when there
+  /// is one, is the answer.
+  SimTime frontTime() const {
+    if (!Occupied) [[unlikely]]
+      return farFront();
+    return Start + static_cast<SimTime>(std::countr_zero(
+                       std::rotr(Occupied, static_cast<int>(Start % Window))));
   }
 
-  /// True when the near tier's front bucket is instant \p T.
-  bool frontIs(SimTime T) const {
-    return !TimeHeap.empty() && Buckets[TimeHeap.front()].Time == T;
+  /// True when instant \p T, the clock, has a bucket.
+  bool frontIs(SimTime T) const { return (Occupied >> (T % Window)) & 1; }
+
+  /// The bucket of pending instant \p T.
+  Bucket &bucket(SimTime T) {
+    assert(frontIs(T) && "no bucket at this instant");
+    return Ring[T % Window];
   }
 
-  /// Keeps B past the clock as it moves to \p Now. Only an empty queue can
-  /// have B at or below Now (its instants ran out while another queue's ran
-  /// on); B then moves to FarWindow past Now, so a push at Now lands in the
-  /// near tier and can run within this instant.
+  /// Moves the window to the clock \p Now when the near tier is empty, and
+  /// spills the far events it reaches; see the window invariant above.
   void advanceTo(SimTime Now) {
-    if (Boundary > Now)
+    if (Occupied)
       return;
-    assert(empty() && "B fell behind the clock with events pending");
-    Boundary = Now + std::min(FarWindow, ~SimTime(0) - Now);
+    assert(farFront() >= Now && "far tier fell behind the clock");
+    Start = std::min(Now, ~SimTime(0) - (Window - 1));
+    if (farFront() - Start < Window)
+      spill();
   }
 
-  /// The bucket holding instant \p Time, created (and heap-inserted) on
-  /// first use.
-  uint32_t bucketFor(SimTime Time) {
-    size_t At = indexProbe(Time);
-    if (Index[At].Slot != NoBucket)
-      return Index[At].Slot;
-    uint32_t Slot;
-    if (!FreeBuckets.empty()) {
-      Slot = FreeBuckets.back();
-      FreeBuckets.pop_back();
-    } else {
-      Slot = static_cast<uint32_t>(Buckets.size());
-      Buckets.emplace_back();
-    }
-    Buckets[Slot].Time = Time;
-    heapPush(Slot);
-    if (2 * TimeHeap.size() > Index.size())
-      growIndex(); // Re-inserts every pending instant, this one included.
-    else
-      Index[At] = {Time, Slot};
-    return Slot;
-  }
-
-  /// Home position of \p Time in Index: the top IndexBits bits of its
-  /// Fibonacci hash, which spreads consecutive instants apart.
-  size_t indexHome(SimTime Time) const {
-    return static_cast<size_t>((Time * 0x9E3779B97F4A7C15ull) >>
-                               (64 - IndexBits));
-  }
-
-  /// Position of \p Time's entry, or of the empty entry ending its probe
-  /// run when the instant is not pending.
-  size_t indexProbe(SimTime Time) const {
-    size_t Mask = Index.size() - 1;
-    size_t At = indexHome(Time);
-    while (Index[At].Slot != NoBucket && Index[At].Time != Time)
-      At = (At + 1) & Mask;
-    return At;
-  }
-
-  /// Doubles Index and re-inserts every pending instant (the TimeHeap's).
-  void growIndex() {
-    ++IndexBits;
-    Index.assign(size_t(1) << IndexBits, IndexEntry{});
-    for (uint32_t Slot : TimeHeap)
-      Index[indexProbe(Buckets[Slot].Time)] = {Buckets[Slot].Time, Slot};
-  }
-
-  /// Removes pending instant \p Time's entry. Backward-shift deletion:
-  /// each later entry of the probe run whose home does not lie in the
-  /// cyclic range (hole, entry] moves into the hole, so no lookup ever
-  /// crosses an empty entry to reach its key.
-  void indexErase(SimTime Time) {
-    size_t Mask = Index.size() - 1;
-    size_t Hole = indexProbe(Time);
-    assert(Index[Hole].Slot != NoBucket && "erasing an instant not pending");
-    for (size_t At = (Hole + 1) & Mask; Index[At].Slot != NoBucket;
-         At = (At + 1) & Mask) {
-      size_t Home = indexHome(Index[At].Time);
-      if (((At - Home) & Mask) >= ((At - Hole) & Mask)) {
-        Index[Hole] = Index[At];
-        Hole = At;
+  /// Ring[T % Window] for instant \p T, opened on first use with a spare
+  /// buffer.
+  Bucket &slotAt(SimTime T) {
+    const unsigned S = static_cast<unsigned>(T % Window);
+    const uint64_t Bit = uint64_t(1) << S;
+    if (!(Occupied & Bit)) {
+      Occupied |= Bit;
+      if (!Spare.empty()) {
+        Ring[S].Fifo = std::move(Spare.back());
+        Spare.pop_back();
       }
     }
-    Index[Hole].Slot = NoBucket;
+    return Ring[S];
   }
 
   void push(SimTime Time, const SimEvent &E) {
-    if (Time >= Boundary) [[unlikely]] {
+    if (Time - Start >= Window) [[unlikely]] {
       pushFar(Time, E);
       return;
     }
-    Buckets[bucketFor(Time)].Fifo.push_back(E);
+    slotAt(Time).Fifo.push_back(E);
   }
 
   /// Appends \p Run's events at instant \p Time, in order, and leaves
   /// \p Run empty. A run into a new bucket is stolen wholesale: \p Run
-  /// comes back holding the bucket's recycled FIFO capacity, so steady
-  /// state still allocates nothing.
+  /// comes back holding the bucket's spare buffer, so steady state still
+  /// allocates nothing.
   void pushRun(SimTime Time, std::vector<SimEvent> &Run) {
-    if (Time >= Boundary) [[unlikely]] {
+    if (Time - Start >= Window) [[unlikely]] {
       for (const SimEvent &E : Run)
         pushFar(Time, E);
       Run.clear();
       return;
     }
-    std::vector<SimEvent> &Fifo = Buckets[bucketFor(Time)].Fifo;
+    std::vector<SimEvent> &Fifo = slotAt(Time).Fifo;
     if (Fifo.empty())
       Fifo.swap(Run);
     else
@@ -379,90 +308,64 @@ struct CalendarQueue {
 
   [[gnu::noinline]] void pushFar(SimTime Time, const SimEvent &E) {
     Far.push_back({Time, E});
+    FarLow = std::min(FarLow, Time);
   }
 
-  /// Moves B forward past the lowest far instant and the far events below
-  /// it into buckets, in push order (see the boundary rule above). Needs an
-  /// empty near tier and a non-empty far one.
+  /// Orders Old as a min-heap on (Time, Seq).
+  static bool laterOld(const OldEvent &A, const OldEvent &B) {
+    return A.Time != B.Time ? A.Time > B.Time : A.Seq > B.Seq;
+  }
+
+  /// Moves every far event inside the window into its bucket, Old's before
+  /// the list's, each in push order (see Spills above).
   // DYNDIST_SERIAL_ONLY: rebuilds a calendar's near tier between rounds.
   [[gnu::noinline]] void spill() {
-    assert(TimeHeap.empty() && !Far.empty() && "spill needs only far events");
-    SimTime Lowest = Far.front().Time;
-    for (const FarEvent &F : Far)
-      Lowest = std::min(Lowest, F.Time);
-    // The last instant to move; saturating, so an instant near the end of
-    // time still spills.
-    SimTime Last = Lowest + std::min(FarWindow - 1, ~SimTime(0) - Lowest);
-    size_t Moving = 0;
-    for (const FarEvent &F : Far)
-      Moving += F.Time <= Last;
-    const size_t Eighth = Far.size() / 8;
-    if (Moving < Eighth) {
-      FarTimes.resize(Far.size());
-      for (size_t I = 0, N = Far.size(); I != N; ++I)
-        FarTimes[I] = Far[I].Time;
-      std::nth_element(FarTimes.begin(), FarTimes.begin() + Eighth,
-                       FarTimes.end());
-      Last = FarTimes[Eighth];
+    const SimTime Last = Start + (Window - 1);
+    while (!Old.empty() && Old.front().Time <= Last) {
+      std::pop_heap(Old.begin(), Old.end(), laterOld);
+      slotAt(Old.back().Time).Fifo.push_back(Old.back().E);
+      Old.pop_back();
     }
+    if (FarLow > Last)
+      return;
     // Stable partition: movers go to their buckets in push order, the rest
     // close ranks.
+    const size_t Scanned = Far.size();
     size_t Kept = 0;
+    FarLow = ~SimTime(0);
     for (const FarEvent &F : Far) {
-      if (F.Time > Last)
-        Far[Kept++] = F;
-      else
-        Buckets[bucketFor(F.Time)].Fifo.push_back(F.E);
+      if (F.Time <= Last) {
+        slotAt(F.Time).Fifo.push_back(F.E);
+        continue;
+      }
+      Far[Kept++] = F;
+      FarLow = std::min(FarLow, F.Time);
     }
     Far.resize(Kept);
-    Boundary = Last == ~SimTime(0) ? Last : Last + 1;
-  }
-
-  void heapPush(uint32_t Slot) {
-    size_t I = TimeHeap.size();
-    TimeHeap.push_back(Slot);
-    SimTime T = Buckets[Slot].Time;
-    while (I > 0) {
-      size_t Parent = (I - 1) / 2;
-      if (Buckets[TimeHeap[Parent]].Time <= T)
-        break;
-      TimeHeap[I] = TimeHeap[Parent];
-      I = Parent;
+    if (8 * (Scanned - Kept) >= Scanned)
+      return;
+    for (const FarEvent &F : Far) {
+      Old.push_back({F.Time, OldSeq++, F.E});
+      std::push_heap(Old.begin(), Old.end(), laterOld);
     }
-    TimeHeap[I] = Slot;
+    Far.clear();
+    FarLow = ~SimTime(0);
   }
 
-  /// Retires the exhausted front bucket: recycles its slot (FIFO capacity
-  /// retained) and re-establishes the heap over the remaining instants.
-  void retireFront() {
-    uint32_t Slot = TimeHeap.front();
-    Bucket &B = Buckets[Slot];
+  /// Retires the drained bucket of instant \p T: clears its FIFO and its
+  /// bit, and hands its buffer to the spare stack.
+  void retire(SimTime T) {
+    Bucket &B = bucket(T);
     assert(B.Head == B.Fifo.size() && "retiring a non-empty bucket");
-    indexErase(B.Time);
+    recycle(B);
+    Occupied &= ~(uint64_t(1) << (T % Window));
+  }
+
+  /// Empties \p B and hands its buffer to the spare stack.
+  void recycle(Bucket &B) {
     B.Fifo.clear();
     B.Head = 0;
-    FreeBuckets.push_back(Slot);
-
-    uint32_t Last = TimeHeap.back();
-    TimeHeap.pop_back();
-    size_t N = TimeHeap.size();
-    if (N == 0)
-      return;
-    SimTime LastTime = Buckets[Last].Time;
-    size_t I = 0;
-    for (;;) {
-      size_t Child = 2 * I + 1;
-      if (Child >= N)
-        break;
-      if (Child + 1 < N &&
-          Buckets[TimeHeap[Child + 1]].Time < Buckets[TimeHeap[Child]].Time)
-        ++Child;
-      if (Buckets[TimeHeap[Child]].Time >= LastTime)
-        break;
-      TimeHeap[I] = TimeHeap[Child];
-      I = Child;
-    }
-    TimeHeap[I] = Last;
+    Spare.push_back(std::move(B.Fifo));
   }
 
   uint32_t allocAction(ActionFn Action) {

@@ -9,8 +9,8 @@
 /// Process P lives on shard P % K; each shard (a "lane") owns a calendar
 /// queue, a body pool, a timer-id sub-space, a trace buffer, and stat
 /// counters. Simulator::run is the one run loop of both engines: it picks
-/// the next instant over its own queue and the lanes' (nextTime), moves
-/// every boundary to it (advanceTo), and at each instant:
+/// the next instant over its own queue and the lanes' (nextTime), opens
+/// every empty near tier's window there (advanceTo), and at each instant:
 ///
 ///   1. *Environment sub-phase* (serial): Simulator::drainFront runs all
 ///      scheduled actions at the instant in FIFO order — spawns, crashes,
@@ -57,9 +57,6 @@
 
 namespace dyndist {
 namespace detail {
-
-/// What nextTime() answers when no lane has an event.
-inline constexpr SimTime NoInstant = ~SimTime(0);
 
 struct ShardEngine {
   ShardEngine(Simulator &Sim, unsigned ShardCount);
@@ -175,12 +172,13 @@ struct ShardEngine {
   void reset();
 
   // --- Simulator entry points ---
-  /// The earliest pending instant over the lanes' calendars, or NoInstant
-  /// when they are all empty; see CalendarQueue::frontTime for \p MaxTime.
+  /// Lowers \p T to the earliest pending instant over the lanes'
+  /// calendars; false when every lane is empty. Reads only: spills happen
+  /// in advanceTo.
+  bool nextTime(SimTime &T) const;
+  /// Opens the window of every lane whose near tier is empty at the clock
+  /// \p T, spilling the far events it reaches.
   // DYNDIST_SERIAL_ONLY: spills far tiers in every lane's calendar.
-  SimTime nextTime(SimTime MaxTime);
-  /// Keeps every lane's far-tier boundary past the clock as it moves to
-  /// \p T.
   void advanceTo(SimTime T);
   /// Executes every lane event at instant \p T: one parallel round and its
   /// barrier, repeated while delay-0 timers re-populate the instant.

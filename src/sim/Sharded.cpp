@@ -279,14 +279,14 @@ unsigned ShardEngine::ownerLaneOf(const MessageBody *Body) const {
 // Instants and rounds (Simulator::run drives them)
 //===----------------------------------------------------------------------===//
 
-SimTime ShardEngine::nextTime(SimTime MaxTime) {
-  // Spills run here, in the serial phase, for every lane left with only
-  // far events that may fall at or before MaxTime.
-  SimTime T = NoInstant;
-  for (Lane &Ln : Lanes)
-    if (!Ln.Q.empty())
-      T = std::min(T, Ln.Q.frontTime(MaxTime));
-  return T;
+bool ShardEngine::nextTime(SimTime &T) const {
+  bool Any = false;
+  for (const Lane &Ln : Lanes)
+    if (!Ln.Q.empty()) {
+      T = std::min(T, Ln.Q.frontTime());
+      Any = true;
+    }
+  return Any;
 }
 
 void ShardEngine::advanceTo(SimTime T) {
@@ -359,7 +359,7 @@ void ShardEngine::laneJob(unsigned LaneIdx, SimTime T) {
 void ShardEngine::executeBucket(unsigned LaneIdx, SimTime T) {
   Lane &Ln = Lanes[LaneIdx];
   CalendarQueue &Q = Ln.Q;
-  CalendarQueue::Bucket &B = Q.Buckets[Q.TimeHeap.front()];
+  CalendarQueue::Bucket &B = Q.bucket(T);
   const size_t N = B.Fifo.size() - B.Head;
   const SimEvent *Ev = B.Fifo.data() + B.Head;
 
@@ -403,7 +403,7 @@ void ShardEngine::executeBucket(unsigned LaneIdx, SimTime T) {
   // The bucket is frozen for the round (all new pushes ride the outboxes),
   // so retire it before executing: handlers never touch it again.
   B.Head = B.Fifo.size();
-  Q.retireFront();
+  Q.retire(T);
 
   uint64_t Delivered = 0, Dropped = 0, Fired = 0;
   const bool Full = S.TraceLev == TraceLevel::Full;
@@ -554,8 +554,8 @@ void ShardEngine::flushOutboxes() {
           if (O.Runs[R].Time == FT && !O.Runs[R].Events.empty())
             FlushSources.push_back(&O.Runs[R].Events);
       }
-      // Through the queue, so a flush at or past the lane's boundary goes
-      // to its far tier, in the same order.
+      // Through the queue, so a flush past the lane's window goes to its
+      // far tier, in the same order.
       if (FlushSources.size() == 1) {
         DL.Q.pushRun(FT, *FlushSources[0]);
         continue;

@@ -416,14 +416,14 @@ StopReason Simulator::run(RunLimits Limits) {
   BodyPool::Scope PoolScope(Bodies);
   StopReason Reason = StopReason::QueueExhausted;
   for (;;) {
-    // With only far events left, frontTime() spills them, or answers past
-    // MaxTime and the run stops with them still unsorted.
-    SimTime T = detail::NoInstant;
-    if (!Pending->empty())
-      T = Pending->frontTime(Limits.MaxTime);
-    if (Sharded)
-      T = std::min(T, Sharded->nextTime(Limits.MaxTime));
-    if (T == detail::NoInstant)
+    // The earliest pending instant over every queue. The run ends when all
+    // of them are empty; no instant is reserved to say so, so an event at
+    // the last instant runs too.
+    bool Any = !Pending->empty();
+    SimTime T = Any ? Pending->frontTime() : ~SimTime(0);
+    if (Sharded && Sharded->nextTime(T))
+      Any = true;
+    if (!Any)
       break;
     if (HaltRequested) {
       Reason = StopReason::Halted;
@@ -440,8 +440,8 @@ StopReason Simulator::run(RunLimits Limits) {
     }
     assert(T >= Clock && "event queue went backwards");
     Clock = T;
-    // Every queue's due bucket at T is in its near tier now; keep each
-    // boundary past T too, so pushes back into T land near.
+    // Each queue with an empty near tier opens its window at T, so its due
+    // bucket at T and every push back into T land near.
     Pending->advanceTo(T);
     if (Sharded)
       Sharded->advanceTo(T);
@@ -463,16 +463,12 @@ StopReason Simulator::run(RunLimits Limits) {
 bool Simulator::drainFront(const RunLimits &Limits, StopReason &Out) {
   CalendarQueue &Q = *Pending;
   [[maybe_unused]] const bool ActionsOnly = Sharded != nullptr;
-  // The front bucket stays front for its whole drain: handlers and actions
-  // cannot schedule into the past, and a same-instant push lands in this
-  // very bucket (appended behind Head).
-  const uint32_t Slot = Q.TimeHeap.front();
-  for (;;) {
-    // Re-index every step: handlers may grow the bucket pool and the FIFO
-    // itself, invalidating references but never indices.
-    CalendarQueue::Bucket &B = Q.Buckets[Slot];
-    if (B.Head == B.Fifo.size())
-      break;
+  // The bucket at the clock stays put for its whole drain: handlers and
+  // actions cannot schedule into the past, and a same-instant push lands in
+  // this very bucket (appended behind Head). Its FIFO may reallocate, so
+  // each step re-reads it.
+  CalendarQueue::Bucket &B = Q.bucket(Clock);
+  while (B.Head != B.Fifo.size()) {
     if (HaltRequested) {
       Out = StopReason::Halted;
       return true;
@@ -502,7 +498,7 @@ bool Simulator::drainFront(const RunLimits &Limits, StopReason &Out) {
     }
     }
   }
-  Q.retireFront();
+  Q.retire(Clock);
   return false;
 }
 

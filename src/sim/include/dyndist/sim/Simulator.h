@@ -19,13 +19,14 @@
 /// the process table is a dense vector indexed by the sequentially-assigned
 /// ProcessId, so isUp()/actorFor() and the per-event destination lookup are
 /// O(1); the up-set is maintained incrementally, so upCount() is O(1) and
-/// upSet() is allocation-free; the event queue is a calendar-bucket queue —
-/// one FIFO of slim 32-byte nodes per distinct pending instant, a small
-/// binary heap over the instants — so pushing and popping an event are O(1)
-/// array moves (each node is written once and read once; payload references
-/// ride inline) and comparison-sift work is paid once per instant, not once
-/// per event. FIFO order within an instant is sequence order by
-/// construction, so the (time, sequence) execution contract is unchanged.
+/// upSet() is allocation-free; the event queue is a calendar queue — a ring
+/// of 64 one-tick buckets, each a FIFO of slim 16-byte nodes, with one
+/// occupancy word, and an unsorted far list for instants past the ring's
+/// window — so pushing and popping an event are O(1) array moves (each
+/// node is written once and read once; payload references ride inline) and
+/// finding the next instant is a count-trailing-zeros. FIFO order within an
+/// instant is sequence order by construction, so the (time, sequence)
+/// execution contract is unchanged.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <string>
 
 using namespace dyndist;
 
@@ -103,8 +104,7 @@ struct CalendarLog {
 
   /// \p N pushes at or after \p Base, mixing one-off far-future instants,
   /// same-instant bursts, and instants that are multiples of 2^4..2^16
-  /// apart — the same residue modulo every power-of-two table size up to
-  /// their spacing.
+  /// apart — the same residue modulo the calendar's 64 buckets.
   void pushBatch(SimTime Base, size_t N) {
     while (N) {
       bool Nest = R.nextBelow(8) == 0;
@@ -241,8 +241,9 @@ TEST(Kernel, SameTimeEventsKeepScheduleOrder) {
 }
 
 // Randomized order check of the calendar through the public API: several
-// thousand distinct pending instants (the instant index grows across many
-// doublings), bursts, power-of-two-spaced instants, pushes made while
+// thousand distinct pending instants (most far past the 64-instant window,
+// so spills take them from the far list and the heap behind it), bursts,
+// power-of-two-spaced instants, pushes made while
 // running, and reuse after a reset that left events pending. Execution
 // must follow a stable sort by (time, push order), and a reset must drop
 // every pending event.
@@ -284,8 +285,8 @@ TEST(Kernel, CalendarOrderMatchesStableSortUnderRandomSchedules) {
 
 namespace {
 
-/// Message latency of the far-tier test: past the calendar's 64-tick far
-/// window, so a send from an instant below the boundary lands beyond it.
+/// Message latency of the far-tier test: past the calendar's 64-instant
+/// window, so a send from an instant inside the window lands beyond it.
 constexpr SimTime FarLatency = 100;
 
 /// CalendarLog's (time, push order) bookkeeping over all three event
@@ -440,9 +441,10 @@ TEST(Kernel, FarTierMatchesStableSortAcrossStopsAndResets) {
     EXPECT_EQ(S.run(), StopReason::QueueExhausted);
     EXPECT_EQ(Log->Ran, Log->expected()) << "seed " << Seed << " far only";
 
-    // Stops exactly at the boundary: after a reset B is the 64-tick
-    // window, and a spill moves it to 64 past the lowest far instant, so
-    // these instants sit just below, at and just past B both times.
+    // Stops exactly at the window's edges: after a reset the window is
+    // [0, 63], and it reopens at the clock once the ring is empty, as
+    // [64, 127] and then [128, 191], so these instants sit just below, at
+    // and just past an edge both times.
     S.reset(Seed);
     Log = startFarLog(S, Seed + 150);
     for (SimTime T : {62u, 63u, 64u, 65u, 127u, 128u, 129u})
@@ -473,6 +475,67 @@ TEST(Kernel, FarTierMatchesStableSortAcrossStopsAndResets) {
     EXPECT_EQ(Log->Ran, Log->expected()) << "seed " << Seed << " reused";
     EXPECT_EQ(liveBodies(S), 0u);
   }
+}
+
+namespace {
+
+/// Arms one timer that fires at the last instant, ~SimTime(0).
+class LastInstantTimer : public Actor {
+public:
+  explicit LastInstantTimer(std::string &Ran) : Ran(Ran) {}
+  void onStart(Context &Ctx) override { Ctx.setTimer(~SimTime(0) - Ctx.now()); }
+  void onTimer(Context &, TimerId) override { Ran += 't'; }
+
+private:
+  std::string &Ran;
+};
+
+} // namespace
+
+// The last instant is an instant like any other, on both engines: an
+// action there (and one it pushes into its own instant) and a lane timer
+// there all run, a time limit just below it stops short of them, and the
+// run then ends on empty queues with the clock at that instant.
+TEST(Kernel, EventAtTheLastInstantRuns) {
+  constexpr SimTime Last = ~SimTime(0);
+  for (unsigned Shards : {0u, 1u}) {
+    Simulator S(3);
+    if (Shards > 0)
+      S.setShards(Shards);
+    std::string Ran;
+    S.spawn(std::make_unique<LastInstantTimer>(Ran));
+    S.scheduleAt(Last - 1, [&Ran](Simulator &) { Ran += 'a'; });
+    S.scheduleAt(Last, [&Ran](Simulator &Sim) {
+      Ran += 'b';
+      Sim.scheduleAt(Sim.now(), [&Ran](Simulator &) { Ran += 'c'; });
+    });
+    EXPECT_EQ(S.run(RunLimits{Last - 1, 50'000'000}), StopReason::TimeLimit);
+    EXPECT_EQ(Ran, "a") << "shards " << Shards;
+    EXPECT_EQ(S.run(), StopReason::QueueExhausted);
+    EXPECT_EQ(S.now(), Last) << "shards " << Shards;
+    std::sort(Ran.begin() + 1, Ran.end()); // Lane timers run after actions.
+    EXPECT_EQ(Ran, "abct") << "shards " << Shards;
+  }
+}
+
+// Far events pushed at one instant run in push order even when a spill
+// split them between the far list and the heap behind it. A and ~100
+// events spread past 10^5 wait far; the action at 70 opens a window that
+// moves only itself, fewer than 1/8 of the list, so the rest, A included,
+// goes to the heap; C, pushed at A's instant when that action runs, joins
+// the emptied list. A was pushed first and must run first.
+TEST(Kernel, FarHeapRunsBeforeFarListAtOneInstant) {
+  Simulator S(5);
+  std::string Ran;
+  S.scheduleAt(5000, [&Ran](Simulator &) { Ran += 'A'; });
+  for (SimTime I = 0; I != 100; ++I)
+    S.scheduleAt(100'000 + 997 * I, [](Simulator &) {});
+  S.scheduleAt(70, [&Ran](Simulator &Sim) {
+    Ran += 'x';
+    Sim.scheduleAt(5000, [&Ran](Simulator &) { Ran += 'C'; });
+  });
+  EXPECT_EQ(S.run(RunLimits{10'000, 50'000'000}), StopReason::TimeLimit);
+  EXPECT_EQ(Ran, "xAC");
 }
 
 TEST(Kernel, TraceLevelsFilterRecordingOnly) {

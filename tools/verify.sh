@@ -28,7 +28,7 @@
 #      runs E1's densest gossip cell at shards 1, 2 and 4 on worker threads
 #      (cached gossip bodies are re-sent only on their owner's lane), and
 #      the far-tier golden at shards 1, 2 and 4 (serial-phase spills and
-#      outbox flushes past a lane's boundary, between threaded rounds).
+#      outbox flushes past a lane's window, between threaded rounds).
 #
 # Usage: tools/verify.sh [PASS...]
 # PASS is one of lint, plain, bench-check, werror, asan, ubsan, tsan
